@@ -1,5 +1,6 @@
 """Chain complexes of finitely generated free modules, chain maps, and the
-Smith-normal-form homology / quasi-isomorphism oracle.
+homology / quasi-isomorphism oracle (homology from ranks and invariant
+factors of the differentials).
 
 A complex carries an explicit truncation degree N: basis and differential
 data exist for degrees 0..N, and homology is reported only through N-1 so
@@ -141,13 +142,9 @@ class ChainComplex:
 
     def d_of(self, degree: int, name: str) -> dict[str, object]:
         """d of a basis element as {name_in_degree-1: coeff}."""
-        m = self.dmat(degree)
-        j = self.basis.index(degree, name)
-        out = {}
-        for (i, jj), v in m.entries.items():
-            if jj == j:
-                out[self.basis.names(degree - 1)[i]] = v
-        return out
+        column = self.dmat(degree).column(self.basis.index(degree, name))
+        names = self.basis.names(degree - 1)
+        return {names[i]: v for i, v in column.items()}
 
     def element_column(self, degree: int, combo: dict[str, object]) -> SparseMatrix:
         col = SparseMatrix(self.ring, self.basis.dim(degree), 1)
@@ -170,27 +167,31 @@ def verify_differential(X: ChainComplex):
     return True, None
 
 
+def _rank_and_torsion(X: ChainComplex, n: int):
+    """(rank of d_n, its invariant factors > 1): one elimination of d_n."""
+    dn = X.dmat(n)
+    if X.ring.is_field:
+        return rank(dn), []
+    facs = invariant_factors(dn)
+    return len(facs), [f for f in facs if f > 1]
+
+
 def homology(X: ChainComplex, through: int) -> HomologySummary:
-    """H_n = ker d_n / im d_{n+1} for n <= through, via SNF over Z."""
+    """H_n = ker d_n / im d_{n+1} for n <= through.
+
+    H_n = free^(dim C_n - rk d_n - rk d_{n+1}) + sum of Z/f over the
+    invariant factors f > 1 of d_{n+1}; each differential is eliminated
+    once, without transforms.
+    """
     if through >= X.truncation and not (X.truncation == 0 and through == 0):
         raise TruncationTooLow(
             f"homology through {through} needs differentials up to degree "
             f"{through + 1}, but truncation is {X.truncation}"
         )
+    d = [_rank_and_torsion(X, n) for n in range(through + 2)]
     summary = HomologySummary()
     for n in range(through + 1):
-        dn = X.dmat(n)
-        dn1 = X.dmat(n + 1)
-        if X.ring.is_field:
-            h = X.basis.dim(n) - rank(dn) - rank(dn1)
-            summary.by_degree[n] = (h, [])
-        else:
-            K = kernel_basis(dn)
-            W = solve(K, dn1)
-            assert W is not None, "boundaries must lie in the saturated kernel"
-            facs = invariant_factors(W)
-            torsion = [f for f in facs if f > 1]
-            summary.by_degree[n] = (K.ncols - len(facs), torsion)
+        summary.by_degree[n] = (X.basis.dim(n) - d[n][0] - d[n + 1][0], d[n + 1][1])
     return summary
 
 
@@ -220,13 +221,9 @@ class ChainMap:
         self.components[degree].add_to(i, j, self.source.ring.of(coeff))
 
     def apply(self, degree: int, name: str) -> dict[str, object]:
-        m = self.mat(degree)
-        j = self.source.basis.index(degree, name)
-        out = {}
-        for (i, jj), v in m.entries.items():
-            if jj == j:
-                out[self.target.basis.names(degree)[i]] = v
-        return out
+        column = self.mat(degree).column(self.source.basis.index(degree, name))
+        names = self.target.basis.names(degree)
+        return {names[i]: v for i, v in column.items()}
 
     def is_chain_map(self, through: int | None = None):
         hi = min(self.source.truncation, self.target.truncation)
@@ -279,13 +276,9 @@ def is_quasi_iso_through(f: ChainMap, through: int, check_chain_map: bool = True
 def homology_in_degree(X: ChainComplex, n: int):
     if n + 1 > X.truncation:
         raise TruncationTooLow(f"degree {n} needs d_{n + 1}")
-    dn, dn1 = X.dmat(n), X.dmat(n + 1)
-    if X.ring.is_field:
-        return (X.basis.dim(n) - rank(dn) - rank(dn1), [])
-    K = kernel_basis(dn)
-    W = solve(K, dn1)
-    facs = invariant_factors(W)
-    return (K.ncols - len(facs), [t for t in facs if t > 1])
+    rn, _ = _rank_and_torsion(X, n)
+    rn1, torsion = _rank_and_torsion(X, n + 1)
+    return (X.basis.dim(n) - rn - rn1, torsion)
 
 
 def _induced_surjective(f: ChainMap, n: int) -> bool:

@@ -32,6 +32,8 @@ class Ring:
                 raise ValueError(f"Fp requires a prime, got {p!r}")
         self.kind = kind
         self.p = p if kind == "Fp" else None
+        self.zero = self.of(0)
+        self.one = self.of(1)
 
     # -- constructors -------------------------------------------------
     def of(self, n):
@@ -45,14 +47,6 @@ class Ring:
         if self.kind == "Q":
             return Fraction(n)
         return int(n) % self.p
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
 
     # -- arithmetic ---------------------------------------------------
     def add(self, a, b):
@@ -73,11 +67,6 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def is_unit(self, a) -> bool:
-        if self.kind == "Z":
-            return a in (1, -1)
-        return a != 0
-
     def inv(self, a):
         if self.kind == "Q":
             return Fraction(1) / a
@@ -86,14 +75,6 @@ class Ring:
         if a in (1, -1):
             return a
         raise ZeroDivisionError(f"{a} is not a unit in Z")
-
-    def div(self, a, b):
-        """Exact division; raises if b does not divide a over Z."""
-        if self.kind == "Z":
-            if b == 0 or a % b != 0:
-                raise ZeroDivisionError(f"{b} does not divide {a} in Z")
-            return a // b
-        return self.mul(a, self.inv(b))
 
     @property
     def is_field(self) -> bool:

@@ -1,13 +1,35 @@
-"""Sparse exact matrices over Z, Q, F_p: arithmetic, Smith normal form,
-kernels and exact solving.
+"""Sparse exact matrices over Z, Q, F_p: arithmetic, rank, kernels, exact
+solving and the Smith normal form.
 
-Matrices are dicts keyed by (row, col) holding nonzero ring elements.
-Everything is exact; no floating point anywhere.  Sizes here are desk
-scale (a few hundred rows at most), so the classical fraction-free
-algorithms are plenty.
+A matrix stores its nonzero entries in one dict keyed by (row, col).  A
+column index is built on the first column read and dropped on every write.
+Everything is exact; no floating point anywhere.
+
+Each elimination copies its matrix once into row dicts {row: {col: v}} and
+works on those.
+
+Over a field, each row in turn is reduced against the pivot rows found so
+far, leftmost column first, and its leading column becomes its pivot.  The
+pivot columns are therefore the leftmost independent ones, so the reduced
+row echelon form is unique, and with it the kernel basis and the solution
+(free variables zero).  `field_rank` stops after this forward pass;
+`field_kernel_basis` and `field_solve` (on the augmented rows [M | B]) also
+back-substitute.
+
+Over Z, one diagonalisation by unimodular row and column operations serves
+the Smith normal form, the rank and the invariant factors.  It takes unit
+pivots first, the cheapest by Markowitz cost (row length - 1) * (column
+length - 1) in a lazily updated heap.  When no unit is left it takes an
+entry of minimal |v| and reduces its column, then its row, by Euclidean
+division; a nonzero remainder is a smaller entry and the search starts
+again.  The diagonal is put in divisibility order by gcd/lcm at the end.
+The transforms U and V are recorded only when asked for (kernels and
+solving); rank and invariant factors run without them.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .rings import Ring, ZZ
 
@@ -18,6 +40,7 @@ class SparseMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.entries: dict = {}
+        self._cols = None  # {col: {row: v}}, built by column()
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = v
@@ -30,6 +53,7 @@ class SparseMatrix:
         i, j = ij
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry {ij} out of shape {(self.nrows, self.ncols)}")
+        self._cols = None
         if self.ring.is_zero(v):
             self.entries.pop(ij, None)
         else:
@@ -37,6 +61,15 @@ class SparseMatrix:
 
     def add_to(self, i, j, v):
         self[i, j] = self.ring.add(self[i, j], v)
+
+    def column(self, j) -> dict:
+        """Nonzero entries of column j as {row: v}, in entry order (read only)."""
+        if self._cols is None:
+            cols: dict = {}
+            for (i, jj), v in self.entries.items():
+                cols.setdefault(jj, {})[i] = v
+            self._cols = cols
+        return self._cols.get(j, {})
 
     def copy(self) -> "SparseMatrix":
         m = SparseMatrix(self.ring, self.nrows, self.ncols)
@@ -57,13 +90,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.ring}, {self.nrows}x{self.ncols}, nnz={len(self.entries)})"
-
-    def to_rows(self):
-        """Dense list-of-lists, mostly for tests and debugging."""
-        rows = [[self.ring.zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
 
     @staticmethod
     def from_rows(ring: Ring, rows) -> "SparseMatrix":
@@ -115,12 +141,6 @@ class SparseMatrix:
             m[j, i] = v
         return m
 
-    def column(self, j) -> "SparseMatrix":
-        c = SparseMatrix(self.ring, self.nrows, 1)
-        for i in range(self.nrows):
-            c[i, 0] = self[i, j]
-        return c
-
     @staticmethod
     def hstack(blocks) -> "SparseMatrix":
         blocks = list(blocks)
@@ -134,296 +154,311 @@ class SparseMatrix:
             off += b.ncols
         return out
 
-    # -- row/col operations (shared by SNF and elimination) ------------
-    def _swap_rows(self, i, k):
-        if i == k:
-            return
-        new = {}
-        for (r, c), v in self.entries.items():
-            r2 = k if r == i else i if r == k else r
-            new[(r2, c)] = v
-        self.entries = new
-
-    def _swap_cols(self, j, k):
-        if j == k:
-            return
-        new = {}
-        for (r, c), v in self.entries.items():
-            c2 = k if c == j else j if c == k else c
-            new[(r, c2)] = v
-        self.entries = new
-
-    def _addmul_row(self, dst, src, c):
-        # row[dst] += c * row[src]
-        R = self.ring
-        for col in [cc for (r, cc) in list(self.entries.keys()) if r == src]:
-            self.add_to(dst, col, R.mul(c, self[src, col]))
-
-    def _addmul_col(self, dst, src, c):
-        R = self.ring
-        for row in [r for (r, cc) in list(self.entries.keys()) if cc == src]:
-            self.add_to(row, dst, R.mul(c, self[row, src]))
-
-    def _scale_row(self, i, c):
-        for col in [cc for (r, cc) in list(self.entries.keys()) if r == i]:
-            self[i, col] = self.ring.mul(c, self[i, col])
-
-    def _scale_col(self, j, c):
-        for row in [r for (r, cc) in list(self.entries.keys()) if cc == j]:
-            self[row, j] = self.ring.mul(c, self[row, j])
-
 
 # ---------------------------------------------------------------------
-# Field elimination: rank, solving, kernel.
+# Row dicts, shared by both eliminations.
 # ---------------------------------------------------------------------
 
-def _field_echelon(M: SparseMatrix):
-    """Row-reduce a copy of M over a field.
-
-    Returns (R, ops, pivots) where R is the reduced matrix, ops the list of
-    row operations applied (for solving), pivots the list of (row, col).
-    """
-    R = M.ring
-    assert R.is_field
-    A = M.copy()
-    ops = []
-    pivots = []
-    prow = 0
-    for col in range(A.ncols):
-        sel = None
-        for r in range(prow, A.nrows):
-            if not R.is_zero(A[r, col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != prow:
-            A._swap_rows(sel, prow)
-            ops.append(("swap", sel, prow))
-        inv = R.inv(A[prow, col])
-        A._scale_row(prow, inv)
-        ops.append(("scale", prow, inv))
-        for r in range(A.nrows):
-            if r != prow and not R.is_zero(A[r, col]):
-                c = R.neg(A[r, col])
-                A._addmul_row(r, prow, c)
-                ops.append(("addmul", r, prow, c))
-        pivots.append((prow, col))
-        prow += 1
-        if prow == A.nrows:
-            break
-    return A, ops, pivots
+def _row_dicts(M: SparseMatrix) -> dict:
+    """{row: {col: v}} for the nonzero rows of M, rows in increasing order."""
+    rows: dict = {}
+    for (i, j), v in M.entries.items():
+        rows.setdefault(i, {})[j] = v
+    return {i: rows[i] for i in sorted(rows)}
 
 
-def _apply_ops_to_column(ring, ops, b):
-    """Apply recorded row operations to a dense column vector b (list)."""
-    b = list(b)
-    for op in ops:
-        if op[0] == "swap":
-            _, i, k = op
-            b[i], b[k] = b[k], b[i]
-        elif op[0] == "scale":
-            _, i, c = op
-            b[i] = ring.mul(c, b[i])
+def _axpy(dst: dict, c, src: dict, p=None):
+    """dst += c * src in place, dropping zeros; reduce mod p when given."""
+    for k, w in src.items():
+        x = dst.get(k, 0) + c * w
+        if p:
+            x %= p
+        if x:
+            dst[k] = x
         else:
-            _, dst, src, c = op
-            b[dst] = ring.add(b[dst], ring.mul(c, b[src]))
-    return b
+            dst.pop(k, None)
+
+
+# ---------------------------------------------------------------------
+# Field elimination: rank, kernel, solving.
+# ---------------------------------------------------------------------
+
+def _field_forward(rows, R: Ring) -> dict:
+    """Semi-echelon form of the given row dicts (consumed) over the field R.
+
+    Returns {leading column: row}, each row scaled to leading entry 1 and
+    holding no column left of its lead.
+    """
+    p = R.p
+    pivots: dict = {}
+    for row in rows:
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            v = row.get(c)
+            if v is None:
+                continue
+            prow = pivots.get(c)
+            if prow is None:  # c leads: a new pivot row
+                inv = R.inv(v)
+                pivots[c] = {k: (w * inv) % p if p else w * inv for k, w in row.items()}
+                break
+            for k, w in prow.items():
+                x = row.get(k)
+                if x is None:
+                    row[k] = (-v * w) % p if p else -v * w
+                    heappush(heap, k)
+                else:
+                    x = (x - v * w) % p if p else x - v * w
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+    return pivots
+
+
+def _back_substitute(pivots: dict, p):
+    """Turn the semi-echelon rows of `_field_forward` into the RREF in place."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            # pivots[k] is already reduced, so this adds no pivot column
+            _axpy(row, -row[k], pivots[k], p)
 
 
 def field_rank(M: SparseMatrix) -> int:
-    _, _, pivots = _field_echelon(M)
-    return len(pivots)
+    assert M.ring.is_field
+    return len(_field_forward(_row_dicts(M).values(), M.ring))
 
 
 def field_kernel_basis(M: SparseMatrix) -> SparseMatrix:
     """Columns form a basis of ker(M) over the field."""
     R = M.ring
-    A, _, pivots = _field_echelon(M)
-    pivot_cols = {c: r for (r, c) in pivots}
-    free = [j for j in range(M.ncols) if j not in pivot_cols]
+    assert R.is_field
+    pivots = _field_forward(_row_dicts(M).values(), R)
+    _back_substitute(pivots, R.p)
+    free = [j for j in range(M.ncols) if j not in pivots]
     K = SparseMatrix(R, M.ncols, len(free))
+    slot = {j: idx for idx, j in enumerate(free)}
     for idx, j in enumerate(free):
         K[j, idx] = R.one
-        for c, r in pivot_cols.items():
-            v = A[r, j]
-            if not R.is_zero(v):
-                K[c, idx] = R.neg(v)
+    for c, row in pivots.items():
+        for j, v in row.items():
+            if j != c:
+                K[c, slot[j]] = R.neg(v)
     return K
 
 
 def field_solve(M: SparseMatrix, B: SparseMatrix):
     """Solve M X = B over a field; returns X or None if inconsistent."""
     R = M.ring
-    A, ops, pivots = _field_echelon(M)
-    X = SparseMatrix(R, M.ncols, B.ncols)
-    for bj in range(B.ncols):
-        b = [B[i, bj] for i in range(B.nrows)]
-        b = _apply_ops_to_column(R, ops, b)
-        used = {r for (r, _) in pivots}
-        for r in range(M.nrows):
-            if r not in used and not R.is_zero(b[r]):
-                return None
-        for r, c in pivots:
-            X[c, bj] = b[r]
+    assert R.is_field
+    m = M.ncols
+    rows = _row_dicts(M)
+    for (i, j), v in B.entries.items():
+        rows.setdefault(i, {})[m + j] = v
+    pivots = _field_forward([rows[i] for i in sorted(rows)], R)
+    if any(c >= m for c in pivots):
+        return None
+    _back_substitute(pivots, R.p)
+    X = SparseMatrix(R, m, B.ncols)
+    for c, row in pivots.items():
+        for k, v in row.items():
+            if k >= m:
+                X[c, k - m] = v
     return X
 
 
 # ---------------------------------------------------------------------
-# Smith normal form over Z.
+# Diagonalisation and Smith normal form over Z.
 # ---------------------------------------------------------------------
 
-def smith_normal_form(M: SparseMatrix):
-    """Smith normal form over Z by fraction-free reduction.
+def _z_diagonalize(M: SparseMatrix, transforms: bool):
+    """Diagonalise M by unimodular row and column operations.
+
+    Returns (pivots, U, V).  `pivots` lists (row, col, d) with d > 0; its
+    length is the rank.  With transforms, U (rows as dicts) and V (columns as
+    dicts) satisfy U M V = the matrix holding d at each (row, col) of
+    `pivots`; without, both are None.
+    """
+    rows = _row_dicts(M)
+    cols: dict = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    U = {i: {i: 1} for i in range(M.nrows)} if transforms else None
+    V = {j: {j: 1} for j in range(M.ncols)} if transforms else None
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, v in row.items()
+            if v == 1 or v == -1]
+    heapify(heap)
+
+    def unit_pivot():
+        while heap:
+            key, i, j = heappop(heap)
+            v = rows.get(i, {}).get(j)
+            if v != 1 and v != -1:
+                continue
+            now = cost(i, j)
+            if now > key:
+                heappush(heap, (now, i, j))
+                continue
+            return i, j
+        return None
+
+    def small_pivot():
+        best = min((abs(v), cost(i, j), i, j) for i, row in rows.items() for j, v in row.items())
+        return best[2:]
+
+    def addmul_row(k, i, c):
+        """row k += c * row i."""
+        rk = rows[k]
+        for j, w in rows[i].items():
+            x = rk.get(j, 0) + c * w
+            if not x:
+                del rk[j]
+                cols[j].discard(k)
+                continue
+            if j not in rk:
+                cols[j].add(k)
+            rk[j] = x
+            if x == 1 or x == -1:
+                heappush(heap, (cost(k, j), k, j))
+        if not rk:
+            del rows[k]
+        if U is not None:
+            _axpy(U[k], c, U[i])
+
+    pivots = []
+    while rows:
+        i, j = unit_pivot() or small_pivot()
+        v = rows[i][j]
+        clean = True
+        for k in [k for k in cols[j] if k != i]:
+            addmul_row(k, i, -(rows[k][j] // v))
+            clean = clean and j not in rows.get(k, ())
+        if not clean:
+            continue
+        # column j is now {i}: a column operation changes only row i
+        row = rows[i]
+        for l in [l for l in row if l != j]:
+            q, r = divmod(row[l], v)
+            if V is not None:
+                _axpy(V[l], -q, V[j])
+            if r:
+                row[l] = r
+                clean = False
+                if r == 1 or r == -1:
+                    heappush(heap, (cost(i, l), i, l))
+            else:
+                del row[l]
+                cols[l].discard(i)
+        if not clean:
+            continue
+        del rows[i], cols[j]
+        if v < 0 and U is not None:
+            U[i] = {c: -x for c, x in U[i].items()}
+        pivots.append((i, j, abs(v)))
+    return pivots, U, V
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _combine(a, x: dict, b, y: dict) -> dict:
+    """a*x + b*y for sparse vectors as dicts."""
+    out = {k: a * w for k, w in x.items()} if a else {}
+    _axpy(out, b, y)
+    return out
+
+
+def smith_normal_form(M: SparseMatrix, transforms: bool = True):
+    """Smith normal form over Z.
 
     Returns (D, U, V) with U @ M @ V == D, U and V unimodular, and the
-    diagonal of D nonnegative with d1 | d2 | ... .  Pivots are chosen by
-    minimal absolute value.
+    diagonal of D positive with d1 | d2 | ... .  With transforms=False only
+    D is computed and U, V are None.
     """
     assert M.ring == ZZ
-    A = M.copy()
-    n, m = A.nrows, A.ncols
-    U = SparseMatrix.identity(ZZ, n)
-    V = SparseMatrix.identity(ZZ, m)
-
-    def swap_rows(i, k):
-        A._swap_rows(i, k)
-        U._swap_rows(i, k)
-
-    def swap_cols(j, k):
-        A._swap_cols(j, k)
-        V._swap_cols(j, k)
-
-    def addmul_row(dst, src, c):
-        A._addmul_row(dst, src, c)
-        U._addmul_row(dst, src, c)
-
-    def addmul_col(dst, src, c):
-        A._addmul_col(dst, src, c)
-        V._addmul_col(dst, src, c)
-
-    def negate_row(i):
-        A._scale_row(i, -1)
-        U._scale_row(i, -1)
-
-    t = 0
-    limit = min(n, m)
-    while t < limit:
-        # find minimal-absolute-value nonzero entry in the trailing block
-        best = None
-        for (i, j), v in A.entries.items():
-            if i >= t and j >= t:
-                if best is None or abs(v) < abs(best[2]):
-                    best = (i, j, v)
-        if best is None:
-            break
-        bi, bj, _ = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        if A[t, t] < 0:
-            negate_row(t)
-        # clear the edging; pivot may shrink, so loop
-        dirty = True
-        while dirty:
-            dirty = False
-            piv = A[t, t]
-            for i in range(t + 1, n):
-                v = A[i, t]
-                if v != 0:
-                    q = v // piv
-                    addmul_row(i, t, -q)
-                    if A[i, t] != 0:  # remainder smaller than pivot
-                        swap_rows(t, i)
-                        if A[t, t] < 0:
-                            negate_row(t)
-                        dirty = True
-                        break
-            if dirty:
+    found, U, V = _z_diagonalize(M, transforms)
+    # units first; the gcd/lcm pass then leaves the diagonal in
+    # divisibility order, every d_a dividing each later d_b
+    piv = [list(p) for p in found if p[2] == 1]
+    units = len(piv)
+    piv += [list(p) for p in found if p[2] != 1]
+    for a in range(units, len(piv)):
+        for b in range(a + 1, len(piv)):
+            (ia, ja, da), (ib, jb, db) = piv[a], piv[b]
+            if db % da == 0:
                 continue
-            for j in range(t + 1, m):
-                v = A[t, j]
-                if v != 0:
-                    q = v // piv
-                    addmul_col(j, t, -q)
-                    if A[t, j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-        t += 1
+            g, s, t = _xgcd(da, db)
+            if transforms:
+                # [[s, t], [-db/g, da/g]] diag(da, db) [[1, -t db/g], [1, s da/g]]
+                #   = diag(g, lcm)
+                U[ia], U[ib] = _combine(s, U[ia], t, U[ib]), _combine(-db // g, U[ia], da // g, U[ib])
+                V[ja], V[jb] = _combine(1, V[ja], 1, V[jb]), _combine(-t * db // g, V[ja], s * da // g, V[jb])
+            piv[a][2], piv[b][2] = g, da // g * db
+    n, m = M.nrows, M.ncols
+    D = SparseMatrix(ZZ, n, m)
+    for t, (_, _, d) in enumerate(piv):
+        D[t, t] = d
+    if not transforms:
+        return D, None, None
+    prow = {i for i, _, _ in piv}
+    pcol = {j for _, j, _ in piv}
+    Um = SparseMatrix(ZZ, n, n)
+    for t, i in enumerate([p[0] for p in piv] + [i for i in range(n) if i not in prow]):
+        for c, x in U[i].items():
+            Um[t, c] = x
+    Vm = SparseMatrix(ZZ, m, m)
+    for t, j in enumerate([p[1] for p in piv] + [j for j in range(m) if j not in pcol]):
+        for r, x in V[j].items():
+            Vm[r, t] = x
+    return D, Um, Vm
 
-    # enforce divisibility d1 | d2 | ...
-    r = 0
-    while r < limit and A[r, r] != 0:
-        r += 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = A[i, i], A[i + 1, i + 1]
-            if b % a != 0:
-                # standard 2x2 trick: bring gcd(a, b) to position i
-                addmul_row(i, i + 1, 1)
-                while True:
-                    a0, b0 = A[i, i], A[i, i + 1]
-                    if b0 != 0:
-                        addmul_col(i + 1, i, -(b0 // a0))
-                        if A[i, i + 1] != 0:
-                            swap_cols(i, i + 1)
-                            continue
-                    a0, b0 = A[i, i], A[i + 1, i]
-                    if b0 != 0:
-                        addmul_row(i + 1, i, -(b0 // a0))
-                        if A[i + 1, i] != 0:
-                            swap_rows(i, i + 1)
-                            continue
-                    break
-                if A[i, i] < 0:
-                    negate_row(i)
-                if A[i + 1, i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    return A, U, V
+
+def invariant_factors(M: SparseMatrix):
+    """Nonzero diagonal of the SNF over Z, in divisibility order."""
+    D, _, _ = smith_normal_form(M, transforms=False)
+    return [D.entries[t, t] for t in range(len(D.entries))]
 
 
 def z_rank(M: SparseMatrix) -> int:
-    D, _, _ = smith_normal_form(M)
-    r = 0
-    while r < min(M.nrows, M.ncols) and D[r, r] != 0:
-        r += 1
-    return r
+    return len(invariant_factors(M))
 
 
 def z_kernel_basis(M: SparseMatrix) -> SparseMatrix:
     """Columns form a Z-basis of the (saturated) kernel lattice of M."""
     D, _, V = smith_normal_form(M)
-    r = 0
-    while r < min(M.nrows, M.ncols) and D[r, r] != 0:
-        r += 1
+    r = len(D.entries)
     K = SparseMatrix(ZZ, M.ncols, M.ncols - r)
-    for idx, j in enumerate(range(r, M.ncols)):
-        for i in range(M.ncols):
-            K[i, idx] = V[i, j]
+    for idx in range(M.ncols - r):
+        for i, v in V.column(r + idx).items():
+            K[i, idx] = v
     return K
 
 
 def z_solve(M: SparseMatrix, B: SparseMatrix):
     """Solve M X = B over Z (exact integral solutions); None if none exist."""
     D, U, V = smith_normal_form(M)
-    r = 0
-    while r < min(M.nrows, M.ncols) and D[r, r] != 0:
-        r += 1
-    UB = U @ B
-    X = SparseMatrix(ZZ, M.ncols, B.ncols)
+    r = len(D.entries)
     Y = SparseMatrix(ZZ, M.ncols, B.ncols)
-    for j in range(B.ncols):
-        for i in range(M.nrows):
-            v = UB[i, j]
-            if i < r:
-                if v % D[i, i] != 0:
-                    return None
-                Y[i, j] = v // D[i, i]
-            elif v != 0:
-                return None
+    for (i, j), v in (U @ B).entries.items():
+        if i >= r or v % D[i, i] != 0:
+            return None
+        Y[i, j] = v // D[i, i]
     return V @ Y
 
 
@@ -437,16 +472,6 @@ def rank(M: SparseMatrix) -> int:
 
 def solve(M: SparseMatrix, B: SparseMatrix):
     return z_solve(M, B) if M.ring == ZZ else field_solve(M, B)
-
-
-def invariant_factors(M: SparseMatrix):
-    """Nonzero diagonal of the SNF over Z, in divisibility order."""
-    D, _, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(M.nrows, M.ncols)):
-        if D[i, i] != 0:
-            out.append(D[i, i])
-    return out
 
 
 def is_surjective_onto_cokernel_zero(M: SparseMatrix) -> bool:

@@ -1,3 +1,9 @@
+import random
+from collections import Counter
+
+import pytest
+
+from htwist import sparse
 from htwist.chains import (
     acyclicity_of_universal_bundle,
     chains_map,
@@ -6,7 +12,7 @@ from htwist.chains import (
     verify_aw_axioms,
     verify_pontryagin_axioms,
 )
-from htwist.complexes import homology, verify_differential
+from htwist.complexes import ChainComplex, GradedBasis, homology, verify_differential
 from htwist.rings import GF, QQ, ZZ
 from htwist.simplicial import (
     boundary_delta2,
@@ -14,6 +20,7 @@ from htwist.simplicial import (
     cyclic_constant_group,
     minimal_circle,
     point_space,
+    universal_bundle,
 )
 
 
@@ -122,3 +129,79 @@ def test_universal_bundle_acyclicity_c3():
     G = cyclic_constant_group(3, 7)
     ok, H = acyclicity_of_universal_bundle(G, ZZ, 5)
     assert ok, H.pretty()
+
+
+def wbar_c3_tcp_chains(N):
+    """Normalized chains of W̄C3 ×_ν C3 through degree N, over Z."""
+    tcp, _, _ = universal_bundle(cyclic_constant_group(3, N + 2), N)
+    return normalized_chains(tcp, ZZ, N).complex
+
+
+def wbar_c3_chains(N):
+    return normalized_chains(classifying_space(cyclic_constant_group(3, N + 2), N), ZZ, N).complex
+
+
+def shuffled_basis(X, seed):
+    """The same complex with the basis order of every degree shuffled."""
+    rng = random.Random(seed)
+    by_degree = {}
+    for n in X.basis.degrees():
+        names = list(X.basis.names(n))
+        rng.shuffle(names)
+        by_degree[n] = names
+    Y = ChainComplex(X.ring, GradedBasis(X.truncation, by_degree))
+    for n in range(1, X.truncation + 1):
+        for src in X.basis.names(n):
+            for dst, c in X.d_of(n, src).items():
+                Y.set_d_entry(n, src, dst, c)
+    return Y
+
+
+def sympy_homology(X, through):
+    """{n: (free rank, torsion)} from sympy SNFs of the differentials."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    facs = []
+    for n in range(through + 2):
+        d = X.dmat(n)
+        if d.nrows == 0 or d.ncols == 0:
+            facs.append([])
+            continue
+        S = sympy_snf(sympy.Matrix(d.nrows, d.ncols, lambda i, j: d[i, j]), domain=sympy.ZZ)
+        facs.append(sorted(abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0))
+    return {n: (X.basis.dim(n) - len(facs[n]) - len(facs[n + 1]),
+                [f for f in facs[n + 1] if f > 1])
+            for n in range(through + 1)}
+
+
+@pytest.mark.parametrize("build", [wbar_c3_tcp_chains, wbar_c3_chains])
+def test_z_homology_independent_of_basis_order_and_matches_sympy(build):
+    N = 5
+    X = build(N)
+    H = homology(X, N - 1)
+    assert H.by_degree == sympy_homology(X, N - 1)
+    for seed in (1, 2, 3):
+        Y = shuffled_basis(X, seed)
+        assert [Y.basis.names(n) for n in range(N + 1)] != [X.basis.names(n) for n in range(N + 1)]
+        assert homology(Y, N - 1).by_degree == H.by_degree
+    if build is wbar_c3_tcp_chains:  # contractible total space
+        assert H.by_degree == {0: (1, []), **{n: (0, []) for n in range(1, N)}}
+    else:
+        assert H.torsion(1) == [3] and H.torsion(3) == [3]
+
+
+def test_z_homology_eliminates_each_differential_once_without_transforms(monkeypatch):
+    X = wbar_c3_tcp_chains(4)
+    real = sparse.smith_normal_form
+    calls = []
+
+    def spy(M, transforms=True):
+        calls.append(((M.nrows, M.ncols, frozenset(M.entries.items())), transforms))
+        return real(M) if transforms else real(M, transforms=False)
+
+    monkeypatch.setattr(sparse, "smith_normal_form", spy)
+    homology(X, 3)
+    assert not [key for key, transforms in calls if transforms], "U and V were built"
+    key = lambda M: (M.nrows, M.ncols, frozenset(M.entries.items()))
+    assert Counter(k for k, _ in calls) == Counter(key(X.dmat(n)) for n in range(5))

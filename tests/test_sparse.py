@@ -125,3 +125,112 @@ def test_cokernel_surjectivity():
     assert not is_surjective_onto_cokernel_zero(mat([[2, 0], [0, 1]]))
     assert is_surjective_onto_cokernel_zero(mat([[2, 0], [0, 1]], QQ))
     assert not is_surjective_onto_cokernel_zero(mat([[1, 1], [1, 1]], QQ))
+
+
+# ---------------------------------------------------------------------
+# sympy oracle on sparse matrices shaped like boundary matrices: 1-15 rows
+# and columns, mostly 0 and ±1, with a few larger entries for torsion.
+# ---------------------------------------------------------------------
+
+ENTRY = st.sampled_from([0] * 8 + [1, -1] * 3 + [2, -2, 3])
+
+
+@st.composite
+def sparse_rows(draw, max_dim=15):
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim))
+    return draw(st.lists(st.lists(ENTRY, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+def sympy_det(M):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[sympy.ZZ(int(M[i, j])) for j in range(M.ncols)] for i in range(M.nrows)]
+    return DomainMatrix(rows, (M.nrows, M.ncols), sympy.ZZ).det()
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rows())
+def test_sparse_snf_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    M = mat(rows)
+    S = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    theirs = sorted(abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0)
+    facs = invariant_factors(M)
+    assert facs == theirs
+    assert all(b % a == 0 for a, b in zip(facs, facs[1:]))
+    assert z_rank(M) == len(theirs)
+    D, U, V = smith_normal_form(M)
+    assert U @ M @ V == D
+    assert abs(sympy_det(U)) == 1 and abs(sympy_det(V)) == 1
+    assert [D[i, i] for i in range(len(facs))] == facs and len(D.entries) == len(facs)
+    assert is_surjective_onto_cokernel_zero(M) == (facs == [1] * M.nrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows(), st.integers(0, 10**6))
+def test_sparse_z_kernel_and_solve(rows, seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    M = mat(rows)
+    K = z_kernel_basis(M)
+    assert (M @ K).is_zero()
+    assert K.ncols == M.ncols - sympy.Matrix(rows).rank()
+    if K.ncols:  # saturated: every invariant factor of K is 1
+        S = sympy_snf(sympy.Matrix(K.nrows, K.ncols, lambda i, j: K[i, j]), domain=sympy.ZZ)
+        assert [abs(int(S[i, i])) for i in range(K.ncols)] == [1] * K.ncols
+    rng = random.Random(seed)
+    X0 = SparseMatrix.from_rows(ZZ, [[rng.choice([0, 0, 1, -1, 2]) for _ in range(2)]
+                                     for _ in range(M.ncols)])
+    B = M @ X0
+    X = z_solve(M, B)
+    assert X is not None and M @ X == B
+    # 2B + e_0 is solvable iff some integer vector maps to it; sympy decides
+    # via the invariant factors of [M | b] against those of M
+    b = SparseMatrix.from_rows(ZZ, [[2 * B[i, 0] + (i == 0)] for i in range(M.nrows)])
+    ext = sympy.Matrix([r + [b[i, 0]] for i, r in enumerate(rows)])
+    diag = lambda A: sorted(abs(int(A[i, i])) for i in range(min(A.shape)) if A[i, i] != 0)
+    solvable = diag(sympy_snf(ext, domain=sympy.ZZ)) == diag(sympy_snf(sympy.Matrix(rows),
+                                                                       domain=sympy.ZZ))
+    Y = z_solve(M, b)
+    assert (Y is not None) == solvable
+    if Y is not None:
+        assert M @ Y == b
+
+
+def sympy_rank(rows, ring):
+    sympy = pytest.importorskip("sympy")
+    if ring == QQ:
+        return sympy.Matrix(rows).rank()
+    from sympy.polys.matrices import DomainMatrix
+
+    F = sympy.GF(ring.p)
+    return DomainMatrix([[F(v) for v in r] for r in rows], (len(rows), len(rows[0])), F).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows(), st.sampled_from([QQ, GF(2), GF(3), GF(7)]), st.integers(0, 10**6))
+def test_sparse_field_ops_match_sympy(rows, ring, seed):
+    M = mat(rows, ring)
+    r = sympy_rank(rows, ring)
+    assert field_rank(M) == r
+    K = field_kernel_basis(M)
+    assert K.ncols == M.ncols - r
+    assert (M @ K).is_zero()
+    assert field_rank(K) == K.ncols
+    rng = random.Random(seed)
+    B = SparseMatrix.from_rows(ring, [[rng.choice([0, 0, 1, -1, 2]) for _ in range(3)]
+                                      for _ in range(M.nrows)])
+    consistent = sympy_rank([r_ + [B[i, j] for j in range(3)] for i, r_ in enumerate(rows)],
+                            ring) == r
+    X = field_solve(M, B)
+    assert (X is not None) == consistent
+    if X is not None:
+        assert M @ X == B
+    X0 = SparseMatrix.from_rows(ring, [[rng.choice([0, 1, -1])] for _ in range(M.ncols)])
+    Y = field_solve(M, M @ X0)
+    assert Y is not None and M @ Y == M @ X0
