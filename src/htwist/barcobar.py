@@ -12,7 +12,16 @@ and coderivation checks in the test suite pin the convention down.
 from __future__ import annotations
 
 from .complexes import ChainComplex, ChainMap, GradedBasis, tensor_name
-from .hopf import ChainAlgebra, ChainCoalgebra, Key, NotConnected, NotOneConnected, _sign
+from .hopf import (
+    ChainAlgebra,
+    ChainCoalgebra,
+    Key,
+    NotConnected,
+    NotOneConnected,
+    _comodule_map_failures,
+    _module_map_failures,
+    _sign,
+)
 
 
 class NotCommutative(Exception):
@@ -246,13 +255,10 @@ def is_graded_commutative(A: ChainAlgebra) -> bool:
         for q in range(1, N + 1 - p):
             for a in A.basis(p):
                 for b in A.basis(q):
-                    ab = A.product(p, a, q, b)
-                    ba = A.product(q, b, p, a)
                     sgn = _sign(R, p * q)
-                    keys = set(ab) | set(ba)
-                    for k in keys:
-                        if not R.is_zero(R.sub(ab.get(k, R.zero), R.mul(sgn, ba.get(k, R.zero)))):
-                            return False
+                    ba = A.product(q, b, p, a)
+                    if A.product(p, a, q, b) != R.lincomb((k, sgn * v) for k, v in ba.items()):
+                        return False
     return True
 
 
@@ -273,11 +279,8 @@ def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
         if da + db > N:
             return {}
         wa, wb = index.letters_of[a], index.letters_of[b]
-        out: dict[str, object] = {}
-        for w, sgn in shuffles_with_signs(R, wa, wb, bar_letter_degree):
-            name = index.name_of[w]
-            out[name] = R.add(out.get(name, R.zero), sgn)
-        return {k: v for k, v in out.items() if not R.is_zero(v)}
+        return R.lincomb((index.name_of[w], sgn)
+                         for w, sgn in shuffles_with_signs(R, wa, wb, bar_letter_degree))
 
     S = ChainAlgebra(B.complex, EMPTY_NAME, name=f"Bar({A.name})-shuffle", product_fn=product)
     S.kind = "bar-shuffle"
@@ -323,7 +326,7 @@ def cobar_map(g: ChainMap, OmegaC: ChainAlgebra, OmegaC2: ChainAlgebra) -> Chain
             word = OmegaC.words.letters_of[name]
             images = [((), R.one)]
             for (d, c) in word:
-                val = {k: v for k, v in g.apply(d, c).items()}
+                val = g.apply(d, c)
                 images = [
                     (w + ((d, c2),), R.mul(s, v))
                     for (w, s) in images for c2, v in val.items()
@@ -339,25 +342,13 @@ def cobar_map(g: ChainMap, OmegaC: ChainAlgebra, OmegaC2: ChainAlgebra) -> Chain
 
 def is_algebra_map(f: ChainMap, A: ChainAlgebra, B: ChainAlgebra, through: int | None = None) -> bool:
     """f(unit) = unit and f(a·a') = f(a)·f(a') on all basis pairs."""
-    R = A.ring
     N = min(A.truncation, B.truncation)
     if through is not None:
         N = min(N, through)
-    if f.apply(0, A.unit) != {B.unit: R.one}:
+    if f.apply(0, A.unit) != {B.unit: A.ring.one}:
         return False
-    for p in range(1, N + 1):
-        for q in range(1, N + 1 - p):
-            for a in A.basis(p):
-                for a2 in A.basis(q):
-                    lhs: dict[str, object] = {}
-                    for r, v in A.product(p, a, q, a2).items():
-                        for b, w in f.apply(p + q, r).items():
-                            lhs[b] = R.add(lhs.get(b, R.zero), R.mul(v, w))
-                    rhs = B.mul_combo(p, f.apply(p, a), q, f.apply(q, a2))
-                    keys = set(lhs) | set(rhs)
-                    if any(not R.is_zero(R.sub(lhs.get(k, R.zero), rhs.get(k, R.zero))) for k in keys):
-                        return False
-    return True
+    failures = _module_map_failures(f, f, A.product, B.mul_combo, A, N)
+    return next(failures, None) is None
 
 
 def is_coalgebra_map(f: ChainMap, C: ChainCoalgebra, D: ChainCoalgebra, through: int | None = None) -> bool:
@@ -368,26 +359,10 @@ def is_coalgebra_map(f: ChainMap, C: ChainCoalgebra, D: ChainCoalgebra, through:
         N = min(N, through)
     for n in range(N + 1):
         for c in C.basis(n):
-            img = f.apply(n, c)
-            eps_lhs = sum_counit = R.zero
-            for d1, v in img.items():
-                sum_counit = R.add(sum_counit, R.mul(v, D.counit(n, d1)))
-            if not R.is_zero(R.sub(sum_counit, C.counit(n, c))):
+            if R.of(sum(v * D.counit(n, d) for d, v in f.apply(n, c).items())) != C.counit(n, c):
                 return False
-            lhs: dict = {}
-            for dname, v in img.items():
-                for k1, k2, w in D.coproduct(n, dname):
-                    lhs[(k1, k2)] = R.add(lhs.get((k1, k2), R.zero), R.mul(v, w))
-            rhs: dict = {}
-            for (d1, c1), (d2, c2), v in C.coproduct(n, c):
-                for e1, w1 in f.apply(d1, c1).items():
-                    for e2, w2 in f.apply(d2, c2).items():
-                        key = ((d1, e1), (d2, e2))
-                        rhs[key] = R.add(rhs.get(key, R.zero), R.mul(v, R.mul(w1, w2)))
-            keys = set(lhs) | set(rhs)
-            if any(not R.is_zero(R.sub(lhs.get(k, R.zero), rhs.get(k, R.zero))) for k in keys):
-                return False
-    return True
+    failures = _comodule_map_failures(f, f, C.coproduct, D.coproduct, N)
+    return next(failures, None) is None
 
 
 # ---------------------------------------------------------------------
@@ -442,7 +417,7 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
                 f.set_entry(0, c, EMPTY_NAME, R.one)
                 continue
             # iterated reduced coproducts, refined right-comb style
-            results: dict[str, object] = {}
+            results = []
             frontier = [(((n, c),), R.one)]
             while frontier:
                 # map every splitting through t letterwise
@@ -462,15 +437,14 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
                     for w, s in words:
                         name = index.name_of.get(w)
                         if name is not None:
-                            results[name] = R.add(results.get(name, R.zero), s)
+                            results.append((name, s))
                     # refine the last factor once more via reduced coproduct
                     last = keys[-1]
                     for (d1, c1), (d2, c2), v in C.reduced_coproduct(*last):
                         new_frontier.append((keys[:-1] + ((d1, c1), (d2, c2)), R.mul(coeff, v)))
                 frontier = new_frontier
-            for name, v in results.items():
-                if not R.is_zero(v):
-                    f.set_entry(n, c, name, v)
+            for name, v in R.lincomb(results).items():
+                f.set_entry(n, c, name, v)
     return f
 
 
@@ -511,16 +485,15 @@ def milgram_bar_map(A: ChainAlgebra, B: ChainAlgebra, N: int,
     R = A.ring
     f = ChainMap(tensor_bar, BarAB.complex)
     for n in range(tensor_bar.truncation + 1):
-        for name in tensor_bar.basis.names(n):
-            la, lb = name.split("⊗", 1)
-            wa = BarA.words.letters_of[la]
-            wb = BarB.words.letters_of[lb]
-            wa2 = tuple((d, tensor_name(a, B.unit)) for (d, a) in wa)
-            wb2 = tuple((d, tensor_name(A.unit, b)) for (d, b) in wb)
-            for w, sgn in shuffles_with_signs(R, wa2, wb2, bar_letter_degree):
-                target = BarAB.words.name_of.get(w)
-                if target is not None:
-                    f.set_entry(n, name, target, sgn)
+        for p in range(n + 1):
+            for la in BarA.basis(p):
+                wa = tuple((d, tensor_name(a, B.unit)) for (d, a) in BarA.words.letters_of[la])
+                for lb in BarB.basis(n - p):
+                    wb = tuple((d, tensor_name(A.unit, b)) for (d, b) in BarB.words.letters_of[lb])
+                    for w, sgn in shuffles_with_signs(R, wa, wb, bar_letter_degree):
+                        target = BarAB.words.name_of.get(w)
+                        if target is not None:
+                            f.set_entry(n, tensor_name(la, lb), target, sgn)
     return f
 
 
@@ -534,15 +507,16 @@ def milgram_cobar_map(C: ChainCoalgebra, D: ChainCoalgebra, N: int,
     """
     R = C.ring
     f = ChainMap(OmegaCD.complex, tensor_cobar)
+    # letters c⊗1 and 1⊗d of C⊗D, by (degree, name)
+    left = {(n, tensor_name(c, D.coaug)): c for n in range(C.truncation + 1) for c in C.basis(n)}
+    right = {(n, tensor_name(C.coaug, d)): d for n in range(D.truncation + 1) for d in D.basis(n)}
 
     def letter_image(dc, name):
-        # name is "c⊗d" in the tensor coalgebra
-        c, d = name.split("⊗", 1)
         out = []
-        if d == D.coaug:
-            out.append((((dc, c),), (), R.one))
-        if c == C.coaug:
-            out.append(((), ((dc, d),), R.one))
+        if (dc, name) in left:
+            out.append((((dc, left[dc, name]),), (), R.one))
+        if (dc, name) in right:
+            out.append(((), ((dc, right[dc, name]),), R.one))
         return out
 
     for n in range(N + 1):

@@ -40,6 +40,8 @@ from .hopf import (
     ComoduleStructure,
     Key,
     ModuleStructure,
+    _comodule_map_failures,
+    _module_map_failures,
     _sign,
     cofree_comodule_over,
     free_module_over,
@@ -152,54 +154,22 @@ def verify_mixed_bundle(b: MixedBundle, sample_limit: int | None = None):
         problems.append({"check": "projection-chain", "degree": deg})
 
     A = b.monoid
-    for n in range(N + 1):
-        for a in A.basis(n):
-            for q in range(1, N + 1 - n):
-                for x in A.basis(q):
-                    lhs: dict[str, object] = {}
-                    for r, v in A.product(n, a, q, x).items():
-                        for m2, w in b.inclusion.apply(n + q, r).items():
-                            lhs[m2] = R.add(lhs.get(m2, R.zero), R.mul(v, w))
-                    rhs = b.module.act_combo(n, b.inclusion.apply(n, a), q, {x: R.one})
-                    keys = set(lhs) | set(rhs)
-                    if any(not R.is_zero(R.sub(lhs.get(k, R.zero), rhs.get(k, R.zero)))
-                           for k in keys):
-                        problems.append({"check": "inclusion-module", "pair": (a, x)})
-
-    C = b.comonoid
-    for n in range(N + 1):
-        for m in b.total.basis.names(n):
-            lhs2: dict = {}
-            for c, v in b.projection.apply(n, m).items():
-                for k1, k2, w in C.coproduct(n, c):
-                    lhs2[(k1, k2)] = R.add(lhs2.get((k1, k2), R.zero), R.mul(v, w))
-            rhs2: dict = {}
-            for (dc, c), (dm, m2), v in b.comodule.coact(n, m):
-                for c2, w in b.projection.apply(dm, m2).items():
-                    key = ((dc, c), (dm, c2))
-                    rhs2[key] = R.add(rhs2.get(key, R.zero), R.mul(v, w))
-            keys = set(lhs2) | set(rhs2)
-            if any(not R.is_zero(R.sub(lhs2.get(k, R.zero), rhs2.get(k, R.zero))) for k in keys):
-                problems.append({"check": "projection-comodule", "element": (n, m)})
+    problems += [{"check": "inclusion-module", "pair": pair} for pair in _module_map_failures(
+        b.inclusion, ChainMap.identity(A.complex), A.product, b.module.act_combo, A, N)]
+    problems += [{"check": "projection-comodule", "element": key} for key in _comodule_map_failures(
+        b.projection, ChainMap.identity(b.comonoid.complex), b.comodule.coact, b.comonoid.coproduct, N)]
 
     # mixed compatibility: coaction of (m·a) = (1⊗·a)(coaction of m)
     for n in range(N + 1):
         for m in b.total.basis.names(n):
             for q in range(1, N + 1 - n):
                 for a in A.basis(q):
-                    acted = b.module.act(n, m, q, a)
-                    lhs3: dict = {}
-                    for m2, v in acted.items():
-                        for k1, k2, w in b.comodule.coact(n + q, m2):
-                            lhs3[(k1, k2)] = R.add(lhs3.get((k1, k2), R.zero), R.mul(v, w))
-                    rhs3: dict = {}
-                    for (dc, c), (dm, m2), v in b.comodule.coact(n, m):
-                        for m3, w in b.module.act(dm, m2, q, a).items():
-                            key = ((dc, c), (dm + q, m3))
-                            rhs3[key] = R.add(rhs3.get(key, R.zero), R.mul(v, w))
-                    keys = set(lhs3) | set(rhs3)
-                    if any(not R.is_zero(R.sub(lhs3.get(k, R.zero), rhs3.get(k, R.zero)))
-                           for k in keys):
+                    lhs = R.lincomb(((k1, k2), v * w) for m2, v in b.module.act(n, m, q, a).items()
+                                    for k1, k2, w in b.comodule.coact(n + q, m2))
+                    rhs = R.lincomb((((dc, c), (dm + q, m3)), v * w)
+                                    for (dc, c), (dm, m2), v in b.comodule.coact(n, m)
+                                    for m3, w in b.module.act(dm, m2, q, a).items())
+                    if lhs != rhs:
                         problems.append({"check": "mixed-compatibility", "pair": (m, a)})
     return (not problems), problems
 
@@ -218,9 +188,7 @@ def verify_biprincipal(b: MixedBundle):
                 problems.append({"check": "principal", "element": (n, a)})
     for name, ((dc, c), (da, a)) in b.pairs.items():
         want = {c: b.monoid.aug(0, a)} if da == 0 and not R.is_zero(b.monoid.aug(0, a)) else {}
-        got = b.projection.apply(dc + da, name)
-        got = {k: v for k, v in got.items() if not R.is_zero(v)}
-        if got != want:
+        if b.projection.apply(dc + da, name) != want:
             problems.append({"check": "coprincipal", "element": name})
     return (not problems), problems
 
@@ -314,13 +282,8 @@ def pullback(g: ChainMap, bundle: MixedBundle, N: int,
 
     # (ε⊗1) ∘ D_total on elements (g(c)⊗y), tabulated once per (c, y)
     def eps_D(dc, c_img, dy, y):
-        out: dict[str, object] = {}
-        base = tensor_name(c_img, y)
-        for m2, v in bundle.total.d_of(dc + dy, base).items():
-            (e, cpart), (e2, ypart) = bundle.pairs[m2]
-            if e == 0:
-                out[(e2, ypart)] = R.add(out.get((e2, ypart), R.zero), v)
-        return out
+        d = bundle.total.d_of(dc + dy, tensor_name(c_img, y))
+        return R.lincomb((bundle.pairs[m2][1], v) for m2, v in d.items() if bundle.pairs[m2][0][0] == 0)
 
     for n in range(1, N + 1):
         for name, ((p, c2), (q, y)) in pairs.items():

@@ -14,12 +14,9 @@ import sys
 
 from . import io_json
 from .complexes import TruncationTooLow, homology, verify_differential
+from .io_json import InputError
 from .rings import Ring
 from .simplicial import DEFAULT_SEED
-
-
-class InputError(Exception):
-    pass
 
 
 def _load_json(path: str) -> dict:
@@ -89,8 +86,10 @@ def cmd_homology(args):
     ok, wit = verify_differential(X)
     if not ok:
         return _report("homology", args, {"d-squared-zero": False}, [wit]), 1
-    H = homology(X, min(args.through, X.truncation - 1))
-    return _report("homology", args, {"homology": io_json.homology_to_dict(H)}), 0
+    through = min(args.through, X.truncation - 1)
+    rep = _report("homology", args, {"homology": io_json.homology_to_dict(homology(X, through))})
+    rep["truncation"] = through  # the degree actually computed
+    return rep, 0
 
 
 def cmd_bar(args):

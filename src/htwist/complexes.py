@@ -146,12 +146,6 @@ class ChainComplex:
         names = self.basis.names(degree - 1)
         return {names[i]: v for i, v in column.items()}
 
-    def element_column(self, degree: int, combo: dict[str, object]) -> SparseMatrix:
-        col = SparseMatrix(self.ring, self.basis.dim(degree), 1)
-        for name, c in combo.items():
-            col.add_to(self.basis.index(degree, name), 0, self.ring.of(c))
-        return col
-
 
 def verify_differential(X: ChainComplex):
     """Check d∘d = 0 below the truncation; returns (ok, witness)."""
@@ -411,16 +405,4 @@ def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
         for b in Y.basis.names(n):
             for b2, c in Y.d_of(n, b).items():
                 Z.set_d_entry(n, f"R({b})", f"R({b2})", c)
-    return Z
-
-
-def relabel(X: ChainComplex, renamer) -> ChainComplex:
-    """Same complex with renamed basis elements (basis bijection)."""
-    basis = GradedBasis(X.truncation)
-    for n in X.basis.degrees():
-        for a in X.basis.names(n):
-            basis.add(n, renamer(n, a))
-    Z = ChainComplex(X.ring, basis)
-    for n, m in X.diff.items():
-        Z.diff[n] = m.copy()
     return Z

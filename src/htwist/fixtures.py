@@ -3,7 +3,7 @@ the CLI examples.  Every function builds a fresh object."""
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, GradedBasis
+from .complexes import ChainComplex, GradedBasis, tensor_name
 from .hopf import ChainAlgebra, ChainCoalgebra, tensor_algebra_product, tensor_coalgebra_product
 from .rings import QQ, Ring
 
@@ -165,9 +165,7 @@ def coacyclic_collapse(C: ChainCoalgebra, N: int):
     F = coacyclic_coalgebra(C.ring, N)
     CF = tensor_coalgebra_product(C, F, through=N)
     g = ChainMap(CF.complex, C.complex)
-    for n in range(CF.truncation + 1):
-        for name in CF.complex.basis.names(n):
-            c, fpart = name.split("⊗", 1)
-            if fpart == F.coaug:
-                g.set_entry(n, name, c, 1)
+    for n in range(min(C.truncation, CF.truncation) + 1):
+        for c in C.basis(n):
+            g.set_entry(n, tensor_name(c, F.coaug), c, 1)
     return g, CF

@@ -54,8 +54,8 @@ class ChainAlgebra:
         return self.complex.basis.names(n)
 
     def set_product(self, da: int, a: str, db: int, b: str, result: dict[str, object]):
-        clean = {k: self.ring.of(v) for k, v in result.items() if not self.ring.is_zero(self.ring.of(v))}
-        self.mult[((da, a), (db, b))] = clean
+        R = self.ring
+        self.mult[((da, a), (db, b))] = R.lincomb((k, R.of(v)) for k, v in result.items())
 
     def product(self, da: int, a: str, db: int, b: str) -> dict[str, object]:
         """Product of two basis elements; unit acts strictly."""
@@ -74,13 +74,8 @@ class ChainAlgebra:
         return {}
 
     def mul_combo(self, da: int, ca: dict, db: int, cb: dict) -> dict[str, object]:
-        R = self.ring
-        out: dict[str, object] = {}
-        for a, va in ca.items():
-            for b, vb in cb.items():
-                for r, vr in self.product(da, a, db, b).items():
-                    out[r] = R.add(out.get(r, R.zero), R.mul(R.mul(va, vb), vr))
-        return {k: v for k, v in out.items() if not R.is_zero(v)}
+        return self.ring.lincomb((r, va * vb * vr) for a, va in ca.items() for b, vb in cb.items()
+                                 for r, vr in self.product(da, a, db, b).items())
 
     def aug(self, n: int, name: str):
         """Augmentation functional: 1 on the unit, 0 elsewhere."""
@@ -172,16 +167,11 @@ class ModuleStructure:
     def set_action(self, dm: int, m: str, da: int, a: str, result: dict[str, object]):
         R = self.ring
         key = ((dm, m), (da, a)) if self.side == "right" else ((da, a), (dm, m))
-        self.action[key] = {k: R.of(v) for k, v in result.items() if not R.is_zero(R.of(v))}
+        self.action[key] = R.lincomb((k, R.of(v)) for k, v in result.items())
 
     def act_combo(self, dm: int, cm: dict, da: int, ca: dict) -> dict[str, object]:
-        R = self.ring
-        out: dict[str, object] = {}
-        for m, vm in cm.items():
-            for a, va in ca.items():
-                for r, vr in self.act(dm, m, da, a).items():
-                    out[r] = R.add(out.get(r, R.zero), R.mul(R.mul(vm, va), vr))
-        return {k: v for k, v in out.items() if not R.is_zero(v)}
+        return self.ring.lincomb((r, vm * va * vr) for m, vm in cm.items() for a, va in ca.items()
+                                 for r, vr in self.act(dm, m, da, a).items())
 
 
 class ComoduleStructure:
@@ -239,16 +229,12 @@ def verify_algebra(A: ChainAlgebra):
     if not A.is_connected():
         witnesses.append({"axiom": "connected", "degree0": X.basis.names(0), "unit": A.unit})
 
-    def combos_equal(u, v):
-        keys = set(u) | set(v)
-        return all(R.is_zero(R.sub(u.get(k, R.zero), v.get(k, R.zero))) for k in keys)
-
     # unit acts as identity (strict by construction, but the table may override)
     for n in range(N + 1):
         for a in X.basis.names(n):
-            if not combos_equal(A.product(0, A.unit, n, a), {a: R.one}):
+            if A.product(0, A.unit, n, a) != {a: R.one}:
                 witnesses.append({"axiom": "left-unit", "element": (n, a)})
-            if not combos_equal(A.product(n, a, 0, A.unit), {a: R.one}):
+            if A.product(n, a, 0, A.unit) != {a: R.one}:
                 witnesses.append({"axiom": "right-unit", "element": (n, a)})
 
     # associativity on basis triples with total degree within truncation
@@ -260,7 +246,7 @@ def verify_algebra(A: ChainAlgebra):
                         for c in X.basis.names(r):
                             left = A.mul_combo(p + q, A.product(p, a, q, b), r, {c: R.one})
                             right = A.mul_combo(p, {a: R.one}, q + r, A.product(q, b, r, c))
-                            if not combos_equal(left, right):
+                            if left != right:
                                 witnesses.append({"axiom": "associativity", "triple": (a, b, c)})
 
     # Leibniz: d(ab) = da·b + (-1)^|a| a·db
@@ -268,24 +254,16 @@ def verify_algebra(A: ChainAlgebra):
         for q in range(N + 1 - p):
             if p + q == 0:
                 continue
+            sgn = _sign(R, p)
             for a in X.basis.names(p):
                 for b in X.basis.names(q):
-                    dab = {}
-                    ab = A.product(p, a, q, b)
-                    for r_name, v in ab.items():
-                        for r2, c in X.d_of(p + q, r_name).items():
-                            dab[r2] = R.add(dab.get(r2, R.zero), R.mul(v, c))
-                    lhs = {k: v for k, v in dab.items() if not R.is_zero(v)}
-                    rhs = {}
-                    da = X.d_of(p, a)
-                    for r_name, v in A.mul_combo(p - 1, da, q, {b: R.one}).items():
-                        rhs[r_name] = R.add(rhs.get(r_name, R.zero), v)
-                    db = X.d_of(q, b)
-                    sgn = _sign(R, p)
-                    for r_name, v in A.mul_combo(p, {a: R.one}, q - 1, db).items():
-                        rhs[r_name] = R.add(rhs.get(r_name, R.zero), R.mul(sgn, v))
-                    rhs = {k: v for k, v in rhs.items() if not R.is_zero(v)}
-                    if not combos_equal(lhs, rhs):
+                    lhs = R.lincomb((r2, v * c) for r, v in A.product(p, a, q, b).items()
+                                    for r2, c in X.d_of(p + q, r).items())
+                    rhs = R.lincomb([
+                        *A.mul_combo(p - 1, X.d_of(p, a), q, {b: R.one}).items(),
+                        *((r, sgn * v) for r, v in A.mul_combo(p, {a: R.one}, q - 1, X.d_of(q, b)).items()),
+                    ])
+                    if lhs != rhs:
                         witnesses.append({"axiom": "Leibniz", "pair": ((p, a), (q, b))})
 
     # augmentation is a chain algebra map: aug(d x) = 0 for |x| = 1
@@ -313,194 +291,82 @@ def verify_coalgebra(C: ChainCoalgebra):
             "degree1": X.basis.names(1),
         })
 
-    def norm3(terms):
-        out = {}
-        for k1, k2, k3, v in terms:
-            key = (k1, k2, k3)
-            out[key] = R.add(out.get(key, R.zero), v)
-        return {k: v for k, v in out.items() if not R.is_zero(v)}
+    def coderivation_terms(cop):
+        """(d⊗1 + 1⊗d) applied to a coproduct, Koszul sign on 1⊗d."""
+        for (d1, n1), (d2, n2), v in cop:
+            for m1, cc in X.d_of(d1, n1).items():
+                yield ((d1 - 1, m1), (d2, n2)), v * cc
+            sgn = _sign(R, d1)
+            for m2, cc in X.d_of(d2, n2).items():
+                yield ((d1, n1), (d2 - 1, m2)), sgn * v * cc
 
     for n in range(N + 1):
         for c in X.basis.names(n):
             cop = C.coproduct(n, c)
             # counit on both sides
-            left = {}
-            right = {}
-            for (d1, n1), (d2, n2), v in cop:
-                if d1 == 0:
-                    left[(d2, n2)] = R.add(left.get((d2, n2), R.zero), R.mul(C.counit(d1, n1), v))
-                if d2 == 0:
-                    right[(d1, n1)] = R.add(right.get((d1, n1), R.zero), R.mul(C.counit(d2, n2), v))
+            left = R.lincomb((k2, C.counit(*k1) * v) for k1, k2, v in cop if k1[0] == 0)
+            right = R.lincomb((k1, C.counit(*k2) * v) for k1, k2, v in cop if k2[0] == 0)
             for side_name, got in (("left-counit", left), ("right-counit", right)):
-                want = {(n, c): R.one}
-                keys = set(got) | set(want)
-                if any(not R.is_zero(R.sub(got.get(k, R.zero), want.get(k, R.zero))) for k in keys):
+                if got != {(n, c): R.one}:
                     witnesses.append({"axiom": side_name, "element": (n, c)})
 
             # coassociativity: (Δ⊗1)Δ = (1⊗Δ)Δ, no signs (degree-0 maps)
-            lhs = []
-            rhs = []
-            for (d1, n1), (d2, n2), v in cop:
-                for (e1, m1), (e2, m2), w in C.coproduct(d1, n1):
-                    lhs.append(((e1, m1), (e2, m2), (d2, n2), R.mul(v, w)))
-                for (e1, m1), (e2, m2), w in C.coproduct(d2, n2):
-                    rhs.append(((d1, n1), (e1, m1), (e2, m2), R.mul(v, w)))
-            if norm3(lhs) != norm3(rhs):
+            lhs = R.lincomb(((j1, j2, k2), v * w) for k1, k2, v in cop
+                            for j1, j2, w in C.coproduct(*k1))
+            rhs = R.lincomb(((k1, j1, j2), v * w) for k1, k2, v in cop
+                            for j1, j2, w in C.coproduct(*k2))
+            if lhs != rhs:
                 witnesses.append({"axiom": "coassociativity", "element": (n, c)})
 
-            # coderivation: Δ(dc) = (d⊗1 + 1⊗d) Δc, Koszul sign on 1⊗d
+            # coderivation: Δ(dc) = (d⊗1 + 1⊗d) Δc
             if n >= 1:
-                lhs2 = {}
-                for c2, v in X.d_of(n, c).items():
-                    for (d1, n1), (d2, n2), w in C.coproduct(n - 1, c2):
-                        key = ((d1, n1), (d2, n2))
-                        lhs2[key] = R.add(lhs2.get(key, R.zero), R.mul(v, w))
-                rhs2 = {}
-                for (d1, n1), (d2, n2), v in cop:
-                    for m1, cc in X.d_of(d1, n1).items():
-                        key = ((d1 - 1, m1), (d2, n2))
-                        rhs2[key] = R.add(rhs2.get(key, R.zero), R.mul(v, cc))
-                    sgn = _sign(R, d1)
-                    for m2, cc in X.d_of(d2, n2).items():
-                        key = ((d1, n1), (d2 - 1, m2))
-                        rhs2[key] = R.add(rhs2.get(key, R.zero), R.mul(R.mul(sgn, v), cc))
-                keys = set(lhs2) | set(rhs2)
-                if any(not R.is_zero(R.sub(lhs2.get(k, R.zero), rhs2.get(k, R.zero))) for k in keys):
+                lhs2 = R.lincomb(((k1, k2), v * w) for c2, v in X.d_of(n, c).items()
+                                 for k1, k2, w in C.coproduct(n - 1, c2))
+                if lhs2 != R.lincomb(coderivation_terms(cop)):
                     witnesses.append({"axiom": "coderivation", "element": (n, c)})
 
     return (not witnesses), witnesses
 
 
-def verify_module(M: ModuleStructure):
-    """Unital + associative + chain-map check for an action table."""
-    R = M.ring
-    A = M.algebra
-    X = M.carrier
-    N = X.truncation
-    witnesses = []
+def _module_map_failures(f: ChainMap, phi: ChainMap, act, target_act,
+                         algebra: ChainAlgebra, N: int):
+    """Yield the basis pairs (m, a) with f(m·a) != f(m)·phi(a).
 
-    def eq(u, v):
-        keys = set(u) | set(v)
-        return all(R.is_zero(R.sub(u.get(k, R.zero), v.get(k, R.zero))) for k in keys)
-
+    m runs over the source of f in degrees 0..N and a over the positive
+    degrees of ``algebra``, with |m| + |a| <= N.  ``act(dm, m, da, a)`` is the
+    source action on basis elements, ``target_act(dm, cm, da, ca)`` the target
+    action on combinations.
+    """
+    R = f.source.ring
     for dm in range(N + 1):
-        for m in X.basis.names(dm):
-            if not eq(M.act(dm, m, 0, A.unit), {m: R.one}):
-                witnesses.append({"axiom": "unital", "element": (dm, m)})
-
-    for dm in range(N + 1):
-        for da in range(1, N + 1 - dm):
-            for db in range(1, N + 1 - dm - da):
-                for m in X.basis.names(dm):
-                    for a in A.basis(da):
-                        for b in A.basis(db):
-                            if M.side == "right":
-                                one = M.act_combo(dm + da, M.act(dm, m, da, a), db, {b: R.one})
-                                two = M.act_combo(dm, {m: R.one}, da + db, A.product(da, a, db, b))
-                            else:
-                                # a·(b·m) = (ab)·m
-                                one = M.act_combo(dm + db, M.act(dm, m, db, b), da, {a: R.one})
-                                two = M.act_combo(dm, {m: R.one}, da + db, A.product(da, a, db, b))
-                            if not eq(one, two):
-                                witnesses.append({"axiom": "associativity", "triple": (m, a, b)})
-
-    # chain map: right: d(m·a) = dm·a + (-1)^|m| m·da
-    #            left:  d(a·m) = da·m + (-1)^|a| a·dm
-    for dm in range(N + 1):
-        for da in range(1, N + 1 - dm):
-            for m in X.basis.names(dm):
-                for a in A.basis(da):
-                    lhs = {}
-                    for r, v in M.act(dm, m, da, a).items():
-                        for r2, c in X.d_of(dm + da, r).items():
-                            lhs[r2] = R.add(lhs.get(r2, R.zero), R.mul(v, c))
-                    lhs = {k: v for k, v in lhs.items() if not R.is_zero(v)}
-                    rhs = {}
-                    if M.side == "right":
-                        for r, v in M.act_combo(dm - 1, X.d_of(dm, m), da, {a: R.one}).items():
-                            rhs[r] = R.add(rhs.get(r, R.zero), v)
-                        sgn = _sign(R, dm)
-                        for r, v in M.act_combo(dm, {m: R.one}, da - 1, A.complex.d_of(da, a)).items():
-                            rhs[r] = R.add(rhs.get(r, R.zero), R.mul(sgn, v))
-                    else:
-                        sgn = _sign(R, da)
-                        for r, v in M.act_combo(dm - 1, X.d_of(dm, m), da, {a: R.one}).items():
-                            rhs[r] = R.add(rhs.get(r, R.zero), R.mul(sgn, v))
-                        for r, v in M.act_combo(dm, {m: R.one}, da - 1, A.complex.d_of(da, a)).items():
-                            rhs[r] = R.add(rhs.get(r, R.zero), v)
-                    rhs = {k: v for k, v in rhs.items() if not R.is_zero(v)}
-                    if not eq(lhs, rhs):
-                        witnesses.append({"axiom": "chain-map", "pair": ((dm, m), (da, a))})
-    return (not witnesses), witnesses
+        for m in f.source.basis.names(dm):
+            fm = f.apply(dm, m)
+            for da in range(1, N + 1 - dm):
+                for a in algebra.basis(da):
+                    lhs = R.lincomb((y, v * w) for x, v in act(dm, m, da, a).items()
+                                    for y, w in f.apply(dm + da, x).items())
+                    if lhs != target_act(dm, fm, da, phi.apply(da, a)):
+                        yield m, a
 
 
-def verify_comodule(M: ComoduleStructure):
-    """Counital + coassociative + chain-map check for a coaction table."""
-    R = M.ring
-    C = M.coalgebra
-    X = M.carrier
-    N = X.truncation
-    witnesses = []
+def _comodule_map_failures(f: ChainMap, phi: ChainMap, coact, target_coact, N: int):
+    """Yield the basis elements (n, m) with λ'(f(m)) != (phi⊗f)(λ(m)).
 
-    for dm in range(N + 1):
-        for m in X.basis.names(dm):
-            terms = M.coact(dm, m)
-            got = {}
-            for k1, k2, v in terms:
-                ckey, mkey = (k1, k2) if M.side == "left" else (k2, k1)
-                if ckey[0] == 0:
-                    got[mkey] = R.add(got.get(mkey, R.zero), R.mul(C.counit(*ckey), v))
-            want = {(dm, m): R.one}
-            keys = set(got) | set(want)
-            if any(not R.is_zero(R.sub(got.get(k, R.zero), want.get(k, R.zero))) for k in keys):
-                witnesses.append({"axiom": "counital", "element": (dm, m)})
-
-            # coassociativity: (Δ⊗1)λ = (1⊗λ)λ for left; mirrored for right
-            def norm3(ts):
-                out = {}
-                for a, b, c, v in ts:
-                    out[(a, b, c)] = R.add(out.get((a, b, c), R.zero), v)
-                return {k: v for k, v in out.items() if not R.is_zero(v)}
-
-            lhs, rhs = [], []
-            if M.side == "left":
-                for (dc, c), (dm2, m2), v in terms:
-                    for (e1, c1), (e2, c2), w in C.coproduct(dc, c):
-                        lhs.append(((e1, c1), (e2, c2), (dm2, m2), R.mul(v, w)))
-                    for (dc2, c2), (dm3, m3), w in M.coact(dm2, m2):
-                        rhs.append(((dc, c), (dc2, c2), (dm3, m3), R.mul(v, w)))
-            else:
-                for (dm2, m2), (dc, c), v in terms:
-                    for (dm3, m3), (dc2, c2), w in M.coact(dm2, m2):
-                        lhs.append(((dm3, m3), (dc2, c2), (dc, c), R.mul(v, w)))
-                    for (e1, c1), (e2, c2), w in C.coproduct(dc, c):
-                        rhs.append(((dm2, m2), (e1, c1), (e2, c2), R.mul(v, w)))
-            if norm3(lhs) != norm3(rhs):
-                witnesses.append({"axiom": "coassociativity", "element": (dm, m)})
-
-            # chain map: λ(dm) = (d⊗1 + Koszul 1⊗d) λ(m)
-            lhs2 = {}
-            for m2, v in X.d_of(dm, m).items():
-                for k1, k2, w in M.coact(dm - 1, m2):
-                    lhs2[(k1, k2)] = R.add(lhs2.get((k1, k2), R.zero), R.mul(v, w))
-            rhs2 = {}
-            for k1, k2, v in terms:
-                (d1, n1), (d2, n2) = k1, k2
-                src1 = C.complex if M.side == "left" else X
-                src2 = X if M.side == "left" else C.complex
-                for n1b, cc in src1.d_of(d1, n1).items():
-                    key = ((d1 - 1, n1b), k2)
-                    rhs2[key] = R.add(rhs2.get(key, R.zero), R.mul(v, cc))
-                sgn = _sign(R, d1)
-                for n2b, cc in src2.d_of(d2, n2).items():
-                    key = (k1, (d2 - 1, n2b))
-                    rhs2[key] = R.add(rhs2.get(key, R.zero), R.mul(R.mul(sgn, v), cc))
-            keys = set(lhs2) | set(rhs2)
-            if any(not R.is_zero(R.sub(lhs2.get(k, R.zero), rhs2.get(k, R.zero))) for k in keys):
-                witnesses.append({"axiom": "chain-map", "element": (dm, m)})
-
-    return (not witnesses), witnesses
-
+    m runs over the source of f in degrees 0..N.  ``coact(n, m)`` and
+    ``target_coact(n, y)`` are left coactions as ((dc, c), (dm, m'), coeff)
+    terms.
+    """
+    R = f.source.ring
+    for n in range(N + 1):
+        for m in f.source.basis.names(n):
+            lhs = R.lincomb(((k1, k2), v * w) for y, v in f.apply(n, m).items()
+                            for k1, k2, w in target_coact(n, y))
+            rhs = R.lincomb((((dc, c2), (dm, y)), v * w1 * w2)
+                            for (dc, c), (dm, x), v in coact(n, m)
+                            for c2, w1 in phi.apply(dc, c).items()
+                            for y, w2 in f.apply(dm, x).items())
+            if lhs != rhs:
+                yield n, m
 
 # ---------------------------------------------------------------------
 # Tensor products of algebras and coalgebras (Koszul convention).

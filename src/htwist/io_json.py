@@ -21,6 +21,10 @@ from .hopf import ChainAlgebra, ChainCoalgebra
 from .rings import Ring
 
 
+class InputError(Exception):
+    """Malformed input data (the CLI exits with code 2)."""
+
+
 def _coeff_str(v) -> str:
     return str(v)
 
@@ -57,7 +61,10 @@ def complex_from_dict(data: dict) -> ChainComplex:
             basis.add(int(deg), name)
     X = ChainComplex(ring, basis)
     for e in data.get("d", []):
-        X.set_d_entry(int(e["degree"]), e["from"], e["to"], _coeff_parse(ring, e["coeff"]))
+        try:
+            X.set_d_entry(int(e["degree"]), e["from"], e["to"], _coeff_parse(ring, e["coeff"]))
+        except KeyError as exc:
+            raise InputError(f"d entry {e}: unknown basis element or missing field {exc}") from exc
     return X
 
 
@@ -120,16 +127,6 @@ def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
         ]
         C.set_coproduct_reduced(int(n), c, terms)
     return C
-
-
-def cochain_to_dict(t) -> dict:
-    values = []
-    for (n, c) in sorted(t.values):
-        values.append({
-            "from": [n, c],
-            "to": [[a, _coeff_str(v)] for a, v in sorted(t.value(n, c).items())],
-        })
-    return {"values": values}
 
 
 def homology_to_dict(H) -> dict:

@@ -9,7 +9,7 @@ structure maps are preserved, and every component is a quasi-isomorphism
 through the declared degree.  Certificate *construction* uses a library of
 closed-form bridges, each re-verified at build time; where the source
 text's ladder is strictly unsatisfiable the builder reports the failure
-with a witness instead of papering over it (see the decisions ledger).
+with a witness instead of papering over it (docs/DECISIONS.md, section 2).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .hopf import (
     ChainCoalgebra,
     ComoduleStructure,
     ModuleStructure,
+    _comodule_map_failures,
+    _module_map_failures,
     verify_algebra,
 )
 from .twisting import compose_cochain, couniversal_cochain, universal_cochain
@@ -101,7 +103,6 @@ def verify_elementary_equivalence(m: ExtendedBundleMorphism, through: int):
 
     Returns (ok, report); the report localizes each failed check."""
     S, T = m.source, m.target
-    R = S.monoid.ring
     report = {}
 
     for nm, f in (("alpha", m.alpha), ("mu", m.mu), ("nu", m.nu), ("beta", m.beta)):
@@ -112,42 +113,14 @@ def verify_elementary_equivalence(m: ExtendedBundleMorphism, through: int):
     report["beta-coalgebra-map"] = is_coalgebra_map(m.beta, S.comonoid, T.comonoid)
 
     # mu is a module map over alpha: mu(x·a) = mu(x)·alpha(a)
-    ok_mod = True
-    N = min(S.M.truncation, T.M.truncation)
-    for n in range(N + 1):
-        for x in S.M.basis.names(n):
-            for q in range(1, N + 1 - n):
-                for a in S.monoid.basis(q):
-                    lhs: dict = {}
-                    for x2, v in S.module.act(n, x, q, a).items():
-                        for y, w in m.mu.apply(n + q, x2).items():
-                            lhs[y] = R.add(lhs.get(y, R.zero), R.mul(v, w))
-                    rhs = T.module.act_combo(n, m.mu.apply(n, x), q, m.alpha.apply(q, a))
-                    keys = set(lhs) | set(rhs)
-                    if any(not R.is_zero(R.sub(lhs.get(k, R.zero), rhs.get(k, R.zero)))
-                           for k in keys):
-                        ok_mod = False
-    report["mu-module-map"] = ok_mod
+    failures = _module_map_failures(m.mu, m.alpha, S.module.act, T.module.act_combo, S.monoid,
+                                    min(S.M.truncation, T.M.truncation))
+    report["mu-module-map"] = next(failures, None) is None
 
     # nu is a comodule map over beta: λ' ∘ nu = (beta ⊗ nu) ∘ λ
-    ok_com = True
-    N2 = min(S.N.truncation, T.N.truncation)
-    for n in range(N2 + 1):
-        for x in S.N.basis.names(n):
-            lhs: dict = {}
-            for y, v in m.nu.apply(n, x).items():
-                for k1, k2, w in T.comodule.coact(n, y):
-                    lhs[(k1, k2)] = R.add(lhs.get((k1, k2), R.zero), R.mul(v, w))
-            rhs: dict = {}
-            for (dc, c), (dm, x2), v in S.comodule.coact(n, x):
-                for c2, w1 in m.beta.apply(dc, c).items():
-                    for y2, w2 in m.nu.apply(dm, x2).items():
-                        key = ((dc, c2), (dm, y2))
-                        rhs[key] = R.add(rhs.get(key, R.zero), R.mul(v, R.mul(w1, w2)))
-            keys = set(lhs) | set(rhs)
-            if any(not R.is_zero(R.sub(lhs.get(k, R.zero), rhs.get(k, R.zero))) for k in keys):
-                ok_com = False
-    report["nu-comodule-map"] = ok_com
+    failures = _comodule_map_failures(m.nu, m.beta, S.comodule.coact, T.comodule.coact,
+                                      min(S.N.truncation, T.N.truncation))
+    report["nu-comodule-map"] = next(failures, None) is None
 
     hi = through
     sq1 = m.mu.compose(S.j)
@@ -307,41 +280,6 @@ def bridge_counit_ladder(theta: ExtendedBundle, wl: ExtendedBundle,
                                   label="counit-ladder")
 
 
-def shifted_theta_window(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
-                         BarA: ChainCoalgebra, BarA2: ChainCoalgebra,
-                         OmegaBarA2: ChainAlgebra):
-    """θ_R(Bar f) = (Ω Bar A' -> Bar A'\\Bar A -> Bar A -> Bar A') as an
-    extended bundle, plus the kernel realization."""
-    from .twisting import comodule_via_map
-
-    bf = bar_map(f, BarA, BarA2)
-    kernel = borel_kernel(bf, BarA, BarA2, N, OmegaBarA2)
-    comod = comodule_via_map(BarA2, BarA, bf, side="left")
-    window = ExtendedBundle(
-        monoid=OmegaBarA2,
-        module=kernel.bundle.module,
-        comodule=comod,
-        comonoid=BarA2,
-        j=kernel.del_map,
-        d=kernel.iota,
-        p=bf,
-        label=f"theta_R(Bar f:{A.name}->{A2.name})",
-    )
-    return window, kernel
-
-
-def bridge_shifted_theta_to_tau(window: ExtendedBundle, kernel: BorelKernel,
-                                tau: ExtendedBundle, vA2: ChainMap,
-                                BarA: ChainCoalgebra, BarA2: ChainCoalgebra) -> ExtendedBundleMorphism:
-    """θ_R(Bar f) -> τ(f): components (v_{A'}, 1⊗v_{A'}, id, id); both squares
-    close strictly in the realization (the ladder comparison)."""
-    gamma = _tensor_map_on_pairs(window.N, kernel.bundle.pairs, tau.M, vA2)
-    return ExtendedBundleMorphism(window, tau, vA2, gamma,
-                                  ChainMap.identity(BarA.complex),
-                                  ChainMap.identity(BarA2.complex),
-                                  label="shifted-theta-to-tau")
-
-
 # ---------------------------------------------------------------------
 # Certificate builders.
 # ---------------------------------------------------------------------
@@ -356,7 +294,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     π̃ is a quasi-isomorphism and its left square π̃∘π_{π_f} = δ_f
     commutes.  The companion square Bar(f)∘π̃ = δ_{π_f} is checked and
     reported; it cannot hold strictly in this realization whenever Bar(f)
-    is faithful (composite obstruction, see the ledger), so the final
+    is faithful (composite obstruction, docs/DECISIONS.md section 2), so the final
     arrow of the emitted zigzag fails verification honestly there.
     """
     ctx = context or {}
@@ -439,15 +377,12 @@ def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
     def product(da, aname, db, bname):
         (dw, w), (dx, x) = pairs[aname]
         (dw2, w2), (dx2, x2) = pairs[bname]
-        out: dict[str, object] = {}
         sgn = R.of(-1) if (dx * dw2) % 2 else R.one
         if corrupt_sign:
             sgn = R.one
-        for wname, v in S.product(dw, w, dw2, w2).items():
-            for xname, u in A2.product(dx, x, dx2, x2).items():
-                key = tensor_name(wname, xname)
-                out[key] = R.add(out.get(key, R.zero), R.mul(sgn, R.mul(v, u)))
-        return {k: v for k, v in out.items() if not R.is_zero(v)}
+        return R.lincomb((tensor_name(wname, xname), sgn * v * u)
+                         for wname, v in S.product(dw, w, dw2, w2).items()
+                         for xname, u in A2.product(dx, x, dx2, x2).items())
 
     Q.product_fn = product
     return Q
@@ -555,7 +490,8 @@ def rigid_conormality_certificate(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalg
     ι_g is a coalgebra map for it, ι̃ is a quasi-isomorphism, and the
     strict square ι_{ι_g}∘ι̃ = ∂_g.  Emits the B1-bridge zigzag stub from
     θ(g); the remaining dual rigid arrow carries the mirrored strict-square
-    obstruction (ledger), so the emitted certificate is partial and says so.
+    obstruction (docs/DECISIONS.md, section 2), so the emitted certificate is
+    partial and says so.
     """
     from .hopf import verify_coalgebra
 

@@ -67,6 +67,22 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def lincomb(self, terms) -> dict:
+        """Sum (key, coeff) pairs into {key: coeff}, dropping zero coefficients.
+
+        A coefficient may be an unreduced product of ring elements; each sum
+        is reduced once.  Ring elements are canonical, so two results are
+        the same linear combination exactly when they compare equal.
+        """
+        out: dict = {}
+        get = out.get
+        for k, v in terms:
+            out[k] = get(k, 0) + v
+        p = self.p
+        if p:
+            return {k: r for k, v in out.items() if (r := v % p)}
+        return {k: v for k, v in out.items() if v}
+
     def inv(self, a):
         if self.kind == "Q":
             return Fraction(1) / a

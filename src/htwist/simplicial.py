@@ -5,7 +5,7 @@ homotopy fibers, and the loop-group comparison isomorphism.
 Conventions.  The printed W̄ face list in our source text indexes faces in
 the reverse order and swaps one product; machine-checking the simplicial
 identities together with the couniversal twisting function forced the
-May-coherent variant used here (see the decisions ledger):
+May-coherent variant used here (docs/DECISIONS.md, section 1):
 
     d_0(a_0..a_{n-1}) = (a_0..a_{n-2})
     d_i(a_0..a_{n-1}) = (a_0,...,a_{n-i-2}, d_0(a_{n-i})·a_{n-i-1},
@@ -64,9 +64,6 @@ class SimplicialSet:
 
     def elements(self, n: int):
         raise NotImplementedError
-
-    def is_finite(self) -> bool:
-        return all(self.elements(n) is not None for n in range(self.N + 1))
 
     def face(self, n: int, i: int, x):
         raise NotImplementedError
@@ -228,9 +225,6 @@ class SimplicialGroup(SimplicialSet):
 
     def basepoint(self, n: int):
         return self.neutral(n)
-
-    def is_group_level(self, n: int) -> bool:
-        return True
 
 
 class FiniteSimplicialGroup(SimplicialGroup):
@@ -577,9 +571,6 @@ class KanLoopGroup(SimplicialGroup):
     def inv(self, n: int, a: GroupWord):
         return a.inverse()
 
-    def _map_letter(self, n: int, x, image_word_fn) -> GroupWord:
-        return image_word_fn(x)
-
     def _apply_hom(self, word: GroupWord, letter_image) -> GroupWord:
         out = GroupWord()
         for (lvl_x, e) in word.letters:
@@ -649,10 +640,7 @@ def loop_group_pi0(G: KanLoopGroup):
     rels = []
     for v in G.generators(1):
         w = G.face(1, 0, G.generator(1, v)) * G.face(1, 1, G.generator(1, v)).inverse()
-        row = {}
-        for (key, e) in w.letters:
-            row[key] = row.get(key, 0) + e
-        rels.append(row)
+        rels.append(ZZ.lincomb(w.letters))
     M = SparseMatrix(ZZ, len(gens), len(rels))
     for j, row in enumerate(rels):
         for key, c in row.items():

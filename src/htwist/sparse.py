@@ -125,14 +125,12 @@ class SparseMatrix:
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         assert self.ncols == other.nrows, (self.ncols, other.nrows)
-        R = self.ring
-        out = SparseMatrix(R, self.nrows, other.ncols)
         by_row: dict = {}
         for (k, j), v in other.entries.items():
             by_row.setdefault(k, []).append((j, v))
-        for (i, k), u in self.entries.items():
-            for j, v in by_row.get(k, ()):
-                out.add_to(i, j, R.mul(u, v))
+        out = SparseMatrix(self.ring, self.nrows, other.ncols)
+        out.entries = self.ring.lincomb(((i, j), u * v) for (i, k), u in self.entries.items()
+                                        for j, v in by_row.get(k, ()))
         return out
 
     def transpose(self) -> "SparseMatrix":
@@ -201,8 +199,10 @@ def _field_forward(rows, R: Ring) -> dict:
                 continue
             prow = pivots.get(c)
             if prow is None:  # c leads: a new pivot row
-                inv = R.inv(v)
-                pivots[c] = {k: (w * inv) % p if p else w * inv for k, w in row.items()}
+                if v != 1:
+                    inv = R.inv(v)
+                    row = {k: (w * inv) % p if p else w * inv for k, w in row.items()}
+                pivots[c] = row
                 break
             for k, w in prow.items():
                 x = row.get(k)

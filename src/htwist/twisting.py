@@ -42,7 +42,7 @@ class TwistingCochain:
 
     def set_value(self, dc: int, c: str, combo: dict[str, object]):
         R = self.ring
-        clean = {k: R.of(v) for k, v in combo.items() if not R.is_zero(R.of(v))}
+        clean = R.lincomb((k, R.of(v)) for k, v in combo.items())
         if clean:
             self.values[(dc, c)] = clean
         else:
@@ -52,12 +52,8 @@ class TwistingCochain:
         return self.values.get((dc, c), {})
 
     def value_combo(self, dc: int, combo: dict[str, object]) -> dict[str, object]:
-        R = self.ring
-        out: dict[str, object] = {}
-        for c, v in combo.items():
-            for a, w in self.value(dc, c).items():
-                out[a] = R.add(out.get(a, R.zero), R.mul(v, w))
-        return {k: v for k, v in out.items() if not R.is_zero(v)}
+        return self.ring.lincomb((a, v * w) for c, v in combo.items()
+                                 for a, w in self.value(dc, c).items())
 
 
 def verify_twisting_cochain(t: TwistingCochain, through: int | None = None):
@@ -71,24 +67,19 @@ def verify_twisting_cochain(t: TwistingCochain, through: int | None = None):
         witnesses.append({"element": (0, C.coaug), "reason": "nonzero on coaugmentation"})
     for n in range(1, N + 1):
         for c in C.basis(n):
-            lhs: dict[str, object] = {}
-            # d_A(t(c))
-            for a, v in t.value(n, c).items():
-                for a2, w in A.complex.d_of(n - 1, a).items():
-                    lhs[a2] = R.add(lhs.get(a2, R.zero), R.mul(v, w))
-            # t(d_C(c))
-            for c2, v in C.complex.d_of(n, c).items():
-                for a, w in t.value(n - 1, c2).items():
-                    lhs[a] = R.add(lhs.get(a, R.zero), R.mul(v, w))
+            # d_A(t(c)) + t(d_C(c))
+            lhs = R.lincomb([
+                *((a2, v * w) for a, v in t.value(n, c).items()
+                  for a2, w in A.complex.d_of(n - 1, a).items()),
+                *((a, v * w) for c2, v in C.complex.d_of(n, c).items()
+                  for a, w in t.value(n - 1, c2).items()),
+            ])
             # m(t⊗t)Δ(c): Koszul sign (-1)^{|c1|} from moving t past c1
-            rhs: dict[str, object] = {}
-            for (d1, c1), (d2, c2), v in C.reduced_coproduct(n, c):
-                sgn = _sign(R, d1)
-                prod = A.mul_combo(d1 - 1, t.value(d1, c1), d2 - 1, t.value(d2, c2))
-                for a, w in prod.items():
-                    rhs[a] = R.add(rhs.get(a, R.zero), R.mul(R.mul(sgn, v), w))
-            keys = set(lhs) | set(rhs)
-            if any(not R.is_zero(R.sub(lhs.get(k, R.zero), rhs.get(k, R.zero))) for k in keys):
+            rhs = R.lincomb((a, _sign(R, d1) * v * w)
+                            for (d1, c1), (d2, c2), v in C.reduced_coproduct(n, c)
+                            for a, w in A.mul_combo(d1 - 1, t.value(d1, c1), d2 - 1,
+                                                    t.value(d2, c2)).items())
+            if lhs != rhs:
                 witnesses.append({"element": (n, c), "lhs": lhs, "rhs": rhs})
     return (not witnesses), witnesses
 
@@ -133,11 +124,8 @@ def compose_cochain(g: ChainMap | None, t: TwistingCochain, f: ChainMap | None,
             pre = g.apply(n, c) if g is not None else {c: R.one}
             mid = t.value_combo(n, pre)
             if f is not None:
-                post: dict[str, object] = {}
-                for a, v in mid.items():
-                    for a2, w in f.apply(n - 1, a).items():
-                        post[a2] = R.add(post.get(a2, R.zero), R.mul(v, w))
-                mid = post
+                mid = R.lincomb((a2, v * w) for a, v in mid.items()
+                                for a2, w in f.apply(n - 1, a).items())
             out.set_value(n, c, mid)
     return out
 
@@ -282,12 +270,8 @@ def module_via_map(A: ChainAlgebra, carrier_algebra: ChainAlgebra,
     R = A.ring
 
     def fn(dm, m, da, a):
-        out: dict[str, object] = {}
-        for b, v in f.apply(da, a).items():
-            prod = (carrier_algebra.product(da, b, dm, m) if side == "left"
-                    else carrier_algebra.product(dm, m, da, b))
-            for r, w in prod.items():
-                out[r] = R.add(out.get(r, R.zero), R.mul(v, w))
-        return {k: v for k, v in out.items() if not R.is_zero(v)}
+        return R.lincomb((r, v * w) for b, v in f.apply(da, a).items()
+                         for r, w in (carrier_algebra.product(da, b, dm, m) if side == "left"
+                                      else carrier_algebra.product(dm, m, da, b)).items())
 
     return ModuleStructure(A, carrier_algebra.complex, side, act_fn=fn)

@@ -307,3 +307,18 @@ def test_shuffle_product_bar():
 def test_shuffle_rejects_noncommutative():
     with pytest.raises(NotCommutative):
         shuffle_product_bar(noncommutative_algebra(QQ, 6), 6)
+
+
+def test_map_checks_reject_scaled_generators():
+    # x -> 2x is a chain map but not multiplicative on k[x]/x^3: f(x·x) = x^2
+    # while f(x)·f(x) = 4x^2; dually g1 -> 2 g1 breaks Δ̄(g2) = g1⊗g1
+    A = truncated_polynomial(QQ, 8)
+    f = ChainMap.identity(A.complex)
+    f.set_entry(2, "x", "x", 1)
+    assert is_algebra_map(ChainMap.identity(A.complex), A, A)
+    assert not is_algebra_map(f, A, A)
+    C = dual_truncated_polynomial(QQ, 8)
+    g = ChainMap.identity(C.complex)
+    g.set_entry(2, "g1", "g1", 1)
+    assert is_coalgebra_map(ChainMap.identity(C.complex), C, C)
+    assert not is_coalgebra_map(g, C, C)

@@ -21,7 +21,7 @@ from htwist.bundles import (
     verify_biprincipal,
     verify_mixed_bundle,
 )
-from htwist.complexes import ChainMap, homology, tensor_complex, verify_differential
+from htwist.complexes import ChainMap, homology, is_quasi_iso_through, tensor_complex, verify_differential
 from htwist.fixtures import (
     acyclic_extension_inclusion,
     augmentation_algebra_map,
@@ -165,7 +165,7 @@ def test_borel_quotient_of_inclusion_matches_tensor():
     # A'//A = EA ⊗_A A' collapses to Λ(y) up to quasi-isomorphism: the
     # x-part is divided out, so H = H(Λ(y)) through 5.  (The spec example
     # names Bar(Λx)⊗Λy here; that contradicts its own chcx cross-check and
-    # the topological model ES¹×_{S¹}T² ≃ S¹; see the decisions ledger.)
+    # the topological model ES¹×_{S¹}T² ≃ S¹; see docs/DECISIONS.md, section 3.)
     Lq = exterior(QQ, 7, "y")
     assert homology(q.bundle.total, 5) == homology(Lq.complex, 5)
 
@@ -310,4 +310,30 @@ def test_thc_axioms_small_family():
         "coalgebra_quasi_isos": [(g, CF, C)],
     }
     ok, report = check_thc_axioms(fixtures, N)
+    assert ok, report
+
+
+def test_mixed_bundle_rejects_corrupted_structure():
+    A = exterior(QQ, 6)
+    z = classifying_bundle_zeta(A, 6)
+    # [] ⊗ 1 acted on by x must be [] ⊗ x, not twice it
+    z.module.set_action(0, "[]⊗1", 1, "x", {"[]⊗x": 2})
+    # p(s(x)⊗1) = s(x); doubling it keeps p a chain map but not a comodule map
+    z.projection.set_entry(2, "s(x)⊗1", "s(x)", 1)
+    ok, problems = verify_mixed_bundle(z)
+    assert not ok
+    assert {"check": "inclusion-module", "pair": ("1", "x")} in problems
+    assert {"check": "projection-comodule", "element": (2, "s(x)⊗1")} in problems
+    assert not any(p["check"] == "projection-chain" for p in problems)
+
+
+def test_coacyclic_collapse_on_tensor_coalgebra():
+    # basis names of C = H(S2)⊗H(S3) contain ⊗ themselves
+    from htwist.hopf import tensor_coalgebra_product
+
+    C = tensor_coalgebra_product(sphere_coalgebra(QQ, 7, 2), sphere_coalgebra(QQ, 7, 3), through=7)
+    g, CF = coacyclic_collapse(C, 6)
+    assert g.apply(5, "c2⊗c3⊗1") == {"c2⊗c3": QQ.one}
+    assert is_coalgebra_map(g, CF, C)
+    ok, report = is_quasi_iso_through(g, 5)
     assert ok, report

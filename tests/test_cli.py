@@ -107,3 +107,23 @@ def test_check_axioms_runs():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["results"]["ok"] is True
+
+
+def test_unknown_basis_element_exit_2(tmp_path):
+    data = io_json.complex_to_dict(exterior(QQ, 4).complex)
+    data["d"].append({"degree": 1, "from": "x", "to": "nope", "coeff": "1"})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(["homology", str(path), "--json"])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_homology_reports_degree_computed(tmp_path):
+    path = tmp_path / "ext3.json"
+    io_json.dump(io_json.complex_to_dict(exterior(QQ, 3).complex), str(path))
+    proc = run_cli(["homology", str(path), "--through", "9", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["truncation"] == 2
+    assert sorted(report["results"]["homology"]) == ["0", "1", "2"]

@@ -183,3 +183,29 @@ def test_rigid_conormality_bad_comultiplication():
             g, C2, triv, K, ChainMap(OmegaC.complex, total), 5,
             context={"OmegaC2": cobar(C2, 5), "OmegaC": OmegaC, "kernel": kernel},
         )
+
+
+def test_mu_module_map_detects_non_module_map():
+    A = exterior(QQ, 7)
+    tau = truncated_np(ChainMap.identity(A.complex), A, A, 5)
+    m = identity_morphism(tau)
+    # mu([]⊗x) = 2 []⊗x, while mu([]⊗1)·alpha(x) = []⊗x
+    m.mu.set_entry(1, "[]⊗x", "[]⊗x", 1)
+    ok, report = verify_elementary_equivalence(m, 4)
+    assert not ok
+    assert report["mu-module-map"] is False
+    assert report["nu-comodule-map"] is True
+
+
+def test_trivial_extension_check_on_tensor_names():
+    # basis names of Λx⊗Λy and of H(S2)⊗H(S3) contain ⊗ themselves; the
+    # Milgram comparison maps used to split names at the first ⊗
+    from htwist.hopf import tensor_coalgebra_product
+
+    ok, report = trivial_extension_check(exterior_pair(QQ, 7), exterior(QQ, 7, "z"),
+                                         sphere_coalgebra(QQ, 7, 2), sphere_coalgebra(QQ, 7, 3), 4)
+    assert ok, report
+    C = tensor_coalgebra_product(sphere_coalgebra(QQ, 7, 2), sphere_coalgebra(QQ, 7, 3), through=7)
+    ok, report = trivial_extension_check(exterior(QQ, 7, "x"), exterior(QQ, 7, "z"),
+                                         C, sphere_coalgebra(QQ, 7, 2), 5)
+    assert ok, report

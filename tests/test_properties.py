@@ -74,3 +74,20 @@ def test_suspension_roundtrip_sign(deg):
     assert S.d_of(deg + 1, "s(a)") == {"s(b)": -3}
     back = suspend(S, -1)
     assert back.d_of(deg, "s-1(s(a))") == {"s-1(s(b))": 3}
+
+
+terms = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-6, 6), st.integers(-6, 6)), max_size=12)
+
+
+@given(terms, st.sampled_from(["Z", "Q", "Fp:5"]))
+def test_lincomb_matches_accumulation(ts, tag):
+    from htwist.rings import Ring
+
+    R = Ring.from_tag(tag)
+    want = {}
+    for k, a, b in ts:
+        want[k] = R.add(want.get(k, R.zero), R.mul(R.of(a), R.of(b)))
+    want = {k: v for k, v in want.items() if not R.is_zero(v)}
+    # coefficients may be unreduced products; keys keep first-appearance order
+    got = R.lincomb((k, R.of(a) * R.of(b)) for k, a, b in ts)
+    assert list(got.items()) == list(want.items())
