@@ -129,12 +129,16 @@ def cmd_check_twisting(args):
     C = io_json.coalgebra_from_dict(data["source"])
     A = io_json.algebra_from_dict(data["target"])
     t = TwistingCochain(C, A)
-    for entry in data["cochain"]["values"]:
-        n, c = entry["from"]
-        combo = {a: io_json._coeff_parse(A.ring, v) for a, v in entry["to"]}
-        t.set_value(int(n), c, combo)
+    for n, c, combo in io_json.cochain_values_from_dict(data["cochain"]["values"], C, A):
+        t.set_value(n, c, combo)
     ok, wit = verify_twisting_cochain(t, args.through)
-    return _report("check-twisting", args, {"maurer-cartan": ok}, wit[:3]), 0 if ok else 1
+    # Q coefficients are Fractions, which JSON cannot hold: render them as strings
+    witnesses = [
+        {k: {a: io_json._coeff_str(c) for a, c in v.items()} if k in ("lhs", "rhs") else v
+         for k, v in w.items()}
+        for w in wit[:3]
+    ]
+    return _report("check-twisting", args, {"maurer-cartan": ok}, witnesses), 0 if ok else 1
 
 
 def cmd_borel(args):
@@ -279,9 +283,10 @@ def cmd_wbar(args):
     ok1, w1 = verify_simplicial_identities(W, args.through, samples=args.samples, seed=args.seed)
     nu = couniversal_twisting_function(W)
     ok2, w2 = verify_twisting_function(nu, args.through - 1, samples=args.samples, seed=args.seed)
+    levels = (W.elements(n) for n in range(args.through + 1))
     results = {
-        "levels": {str(n): len(W.elements(n)) if W.elements(n) is not None else "symbolic"
-                   for n in range(args.through + 1)},
+        "levels": {str(n): len(level) if level is not None else "symbolic"
+                   for n, level in enumerate(levels)},
         "simplicial-identities": ok1,
         "couniversal-twisting-function": ok2,
     }

@@ -129,6 +129,27 @@ def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
     return C
 
 
+def cochain_values_from_dict(values: list, C: ChainCoalgebra, A: ChainAlgebra) -> list:
+    """Cochain entries as (n, c, {a: coeff}), with c a basis element of C in
+    degree n and every a a basis element of A in degree n - 1."""
+    out = []
+    for e in values:
+        try:
+            n, c = e["from"]
+            n = int(n)
+            combo = {a: _coeff_parse(A.ring, v) for a, v in e["to"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"cochain value {e}: malformed entry ({exc})") from exc
+        if c not in C.basis(n):
+            raise InputError(f"cochain value {e}: {c!r} is not a source element of degree {n}")
+        for a in combo:
+            if a not in A.basis(n - 1):
+                raise InputError(f"cochain value {e}: {a!r} is not a target element "
+                                 f"of degree {n - 1}")
+        out.append((n, c, combo))
+    return out
+
+
 def homology_to_dict(H) -> dict:
     return {
         str(n): {"rank": H.by_degree[n][0], "torsion": H.by_degree[n][1]}

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from htwist import io_json
-from htwist.fixtures import exterior, sphere_coalgebra
+from htwist.barcobar import bar
+from htwist.fixtures import exterior, sphere_coalgebra, truncated_polynomial
 from htwist.rings import QQ
 
 
@@ -127,3 +128,38 @@ def test_homology_reports_degree_computed(tmp_path):
     report = json.loads(proc.stdout)
     assert report["truncation"] == 2
     assert sorted(report["results"]["homology"]) == ["0", "1", "2"]
+
+
+def write_cochain(tmp_path, values):
+    """A check-twisting input on Bar(k[x]/x^3) -> k[x]/x^3 over Q."""
+    A = truncated_polynomial(QQ, 8)
+    data = {"source": io_json.coalgebra_to_dict(bar(A, 6)),
+            "target": io_json.algebra_to_dict(A),
+            "cochain": {"values": values}}
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_check_twisting_failure_over_q_is_reported(tmp_path):
+    # t(s(x)) = 2x: m(t⊗t)Δ(s(x)|s(x)) = -4x² has no matching dt + td
+    path = write_cochain(tmp_path, [{"from": [3, "s(x)"], "to": [["x", "2"]]}])
+    proc = run_cli(["check-twisting", str(path), "--json"])
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["results"]["maurer-cartan"] is False
+    assert report["witnesses"] == [
+        {"element": [6, "s(x)|s(x)"], "lhs": {}, "rhs": {"x^2": "-4"}}
+    ]
+
+
+@pytest.mark.parametrize("value", [
+    {"from": [6, "s(x)|s(x)"], "to": [["x^2", "1"]]},   # x² lies in degree 4, not 5
+    {"from": [3, "s(y)"], "to": [["x", "1"]]},          # no s(y) in degree 3
+    {"from": [3], "to": [["x", "1"]]},                  # malformed source
+])
+def test_check_twisting_bad_value_exit_2(tmp_path, value):
+    path = write_cochain(tmp_path, [{"from": [3, "s(x)"], "to": [["x", "1"]]}, value])
+    proc = run_cli(["check-twisting", str(path), "--json"])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr

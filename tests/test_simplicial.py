@@ -242,3 +242,24 @@ def test_corrupted_face_table_fails():
     ok, witness = verify_simplicial_identities(S, 5)
     assert not ok
     assert witness is not None
+
+
+def test_corrupted_degeneracy_fails_s_s():
+    # s_0 s_1 (m,1) = (m,2) = s_2 s_0 (m,1) at level 1; move s_0 of (m,1) in level 2
+    S = minimal_circle(5)
+    orig = S.degeneracy
+    S.degeneracy = lambda n, i, x: ("m", 3) if (n, i, x) == (2, 0, ("m", 1)) else orig(n, i, x)
+    ok, witness = verify_simplicial_identities(S, 5)
+    assert not ok
+    assert witness == {"identity": "s0s1", "level": 1, "element": ("m", 1)}
+
+
+def test_corrupted_degeneracy_fails_d_s():
+    # s_0 on level 0 enters no s_i s_j instance (i < j), only d_i s_j at level 1:
+    # d_2 s_0 (c,1) = (c,1), but s_0 d_1 (c,1) is now (m,1)
+    S = minimal_circle(5)
+    orig = S.degeneracy
+    S.degeneracy = lambda n, i, x: ("m", 1) if (n, i, x) == (0, 0, ("c", 0)) else orig(n, i, x)
+    ok, witness = verify_simplicial_identities(S, 5)
+    assert not ok
+    assert witness == {"identity": "d2s0", "level": 1, "element": ("c", 1)}
