@@ -81,6 +81,16 @@ def _simplicial_from_spec(data: dict, N: int):
     raise InputError(f"unknown simplicial kind {kind!r}")
 
 
+def _group_from_spec(data: dict, N: int):
+    """The simplicial group a spec describes; a spec of a bare set is an input error."""
+    from .simplicial import SimplicialGroup
+
+    G = _simplicial_from_spec(data, N)
+    if not isinstance(G, SimplicialGroup):
+        raise InputError(f"simplicial kind {data.get('kind')!r} is not a simplicial group")
+    return G
+
+
 def cmd_homology(args):
     X = io_json.complex_from_dict(_load_json(args.input))
     ok, wit = verify_differential(X)
@@ -132,7 +142,8 @@ def cmd_check_twisting(args):
     for n, c, combo in io_json.cochain_values_from_dict(data["cochain"]["values"], C, A):
         t.set_value(n, c, combo)
     ok, wit = verify_twisting_cochain(t, args.through)
-    # Q coefficients are Fractions, which JSON cannot hold: render them as strings
+    # coefficients go out as strings ("2", "-1/2"), as in every payload: Q values
+    # are ints or Fractions, and _emit would pass an int through as a JSON number
     witnesses = [
         {k: {a: io_json._coeff_str(c) for a, c in v.items()} if k in ("lhs", "rhs") else v
          for k, v in w.items()}
@@ -278,7 +289,7 @@ def cmd_wbar(args):
         verify_twisting_function,
     )
 
-    G = _simplicial_from_spec(_load_json(args.input), args.through + 1)
+    G = _group_from_spec(_load_json(args.input), args.through + 1)
     W = classifying_space(G, args.through)
     ok1, w1 = verify_simplicial_identities(W, args.through, samples=args.samples, seed=args.seed)
     nu = couniversal_twisting_function(W)
@@ -297,7 +308,7 @@ def cmd_wbar(args):
 def cmd_tcp(args):
     from .simplicial import universal_bundle, verify_simplicial_identities
 
-    G = _simplicial_from_spec(_load_json(args.input), args.through + 2)
+    G = _group_from_spec(_load_json(args.input), args.through + 2)
     tcp, W, nu = universal_bundle(G, args.through)
     ok, wit = verify_simplicial_identities(tcp, args.through, samples=args.samples, seed=args.seed)
     return _report("tcp", args, {"simplicial-identities": ok}, [wit] if wit else []), 0 if ok else 1
@@ -324,7 +335,7 @@ def cmd_wbar_homology(args):
     from .chains import acyclicity_of_universal_bundle, normalized_chains
     from .simplicial import classifying_space
 
-    G = _simplicial_from_spec(_load_json(args.input), args.through + 2)
+    G = _group_from_spec(_load_json(args.input), args.through + 2)
     ring = Ring.from_tag(args.ring)
     W = classifying_space(G, args.through + 1)
     CW = normalized_chains(W, ring, args.through + 1)

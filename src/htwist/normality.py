@@ -47,10 +47,6 @@ from .hopf import (
 from .twisting import compose_cochain, couniversal_cochain, universal_cochain
 
 
-class MalformedMorphism(Exception):
-    pass
-
-
 class EndpointMismatch(Exception):
     pass
 

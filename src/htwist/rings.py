@@ -1,13 +1,22 @@
 """Exact ground rings: the integers, the rationals, and prime fields.
 
-Ring elements are plain Python values: ``int`` over Z, ``Fraction`` over Q,
-and canonical representatives ``0..p-1`` over F_p.  A ``Ring`` instance
-bundles the arithmetic so matrices and complexes never branch on the kind.
+Ring elements are plain Python values: ``int`` over Z; over Q ``int`` when
+integral, else ``Fraction``; ``0..p-1`` over F_p.  A ``Ring`` bundles the
+arithmetic so matrices and complexes never branch on the kind.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _q(v):
+    """The canonical value of the rational v: an int when v is integral.
+
+    int and Fraction compare and hash equal, so this changes no verdict."""
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
 
 
 def _is_prime(p: int) -> bool:
@@ -45,20 +54,26 @@ class Ring:
                 return int(n)
             return int(n)
         if self.kind == "Q":
-            return Fraction(n)
+            return n if type(n) is int else _q(Fraction(n))
         return int(n) % self.p
 
     # -- arithmetic ---------------------------------------------------
     def add(self, a, b):
         c = a + b
+        if self.kind == "Q":
+            return _q(c)
         return c % self.p if self.kind == "Fp" else c
 
     def sub(self, a, b):
         c = a - b
+        if self.kind == "Q":
+            return _q(c)
         return c % self.p if self.kind == "Fp" else c
 
     def mul(self, a, b):
         c = a * b
+        if self.kind == "Q":
+            return _q(c)
         return c % self.p if self.kind == "Fp" else c
 
     def neg(self, a):
@@ -81,11 +96,13 @@ class Ring:
         p = self.p
         if p:
             return {k: r for k, v in out.items() if (r := v % p)}
+        if self.kind == "Q":
+            return {k: _q(v) for k, v in out.items() if v}
         return {k: v for k, v in out.items() if v}
 
     def inv(self, a):
         if self.kind == "Q":
-            return Fraction(1) / a
+            return _q(Fraction(1) / a)
         if self.kind == "Fp":
             return pow(a, self.p - 2, self.p)
         if a in (1, -1):

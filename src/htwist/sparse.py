@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .rings import Ring, ZZ
+from .rings import Ring, ZZ, _q
 
 
 class SparseMatrix:
@@ -201,7 +201,7 @@ def _field_forward(rows, R: Ring) -> dict:
             if prow is None:  # c leads: a new pivot row
                 if v != 1:
                     inv = R.inv(v)
-                    row = {k: (w * inv) % p if p else w * inv for k, w in row.items()}
+                    row = {k: (w * inv) % p if p else _q(w * inv) for k, w in row.items()}
                 pivots[c] = row
                 break
             for k, w in prow.items():
@@ -246,7 +246,7 @@ def field_kernel_basis(M: SparseMatrix) -> SparseMatrix:
     for c, row in pivots.items():
         for j, v in row.items():
             if j != c:
-                K[c, slot[j]] = R.neg(v)
+                K[c, slot[j]] = R.neg(_q(v))
     return K
 
 
@@ -266,7 +266,7 @@ def field_solve(M: SparseMatrix, B: SparseMatrix):
     for c, row in pivots.items():
         for k, v in row.items():
             if k >= m:
-                X[c, k - m] = v
+                X[c, k - m] = _q(v)
     return X
 
 

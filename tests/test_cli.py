@@ -163,3 +163,38 @@ def test_check_twisting_bad_value_exit_2(tmp_path, value):
     proc = run_cli(["check-twisting", str(path), "--json"])
     assert proc.returncode == 2
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_check_twisting_fractional_coefficients_are_strings(tmp_path):
+    # t(s(x)) = x/2: m(t⊗t)Δ(s(x)|s(x)) = -x²/4
+    path = write_cochain(tmp_path, [{"from": [3, "s(x)"], "to": [["x", "1/2"]]}])
+    proc = run_cli(["check-twisting", str(path), "--json"])
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["witnesses"][0]["rhs"] == {"x^2": "-1/4"}
+
+
+def test_q_payload_coefficients_are_strings(tmp_path):
+    # integral Q values are ints in memory; the JSON still carries "1", "-1"
+    path = write_sphere(tmp_path)
+    proc = run_cli(["cobar", str(path), "--through", "5", "--ring", "Q", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    coeffs = [e["coeff"] for e in payload["d"]]
+    coeffs += [c for e in payload["mu"] for _, c in e["result"]]
+    assert coeffs and all(isinstance(c, str) for c in coeffs)
+
+
+@pytest.mark.parametrize("command", ["tcp", "wbar", "wbar-homology"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "S1min"},
+    {"kind": "point"},
+    {"kind": "boundary-delta2"},
+    {"kind": "complex", "simplices": [[0, 1], [1, 2], [0, 2]]},
+])
+def test_group_commands_reject_sets_exit_2(tmp_path, command, spec):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli([command, str(path), "--through", "3", "--json"])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+    assert repr(spec["kind"]) in proc.stderr

@@ -1,5 +1,7 @@
 """Property-based checks of the algebraic primitives."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +93,38 @@ def test_lincomb_matches_accumulation(ts, tag):
     # coefficients may be unreduced products; keys keep first-appearance order
     got = R.lincomb((k, R.of(a) * R.of(b)) for k, a, b in ts)
     assert list(got.items()) == list(want.items())
+
+
+# Q values: integers, and fractions of small ints (Fraction(4, 2) is an
+# integral Fraction, the representation the canonical values replace).
+q_values = st.one_of(st.integers(-40, 40),
+                     st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+
+
+def is_canonical_q(v):
+    """Over Q, an int when integral and a Fraction only otherwise."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+@given(q_values, q_values)
+def test_q_arithmetic_is_canonical_and_matches_fraction(a, b):
+    x, y = QQ.of(a), QQ.of(b)
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [(x, fa), (y, fb), (QQ.add(x, y), fa + fb), (QQ.sub(x, y), fa - fb),
+             (QQ.mul(x, y), fa * fb), (QQ.neg(x), -fa)]
+    if fb:
+        cases.append((QQ.inv(y), 1 / fb))
+    for got, want in cases:
+        assert got == want and is_canonical_q(got), (got, want)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcd"), q_values, q_values), max_size=12))
+def test_q_lincomb_is_canonical_and_matches_fraction(ts):
+    want = {}
+    for k, a, b in ts:
+        want[k] = want.get(k, 0) + Fraction(a) * Fraction(b)
+    want = {k: v for k, v in want.items() if v}
+    # products of canonical values, such as 2 * 1/2, may be integral Fractions
+    got = QQ.lincomb((k, QQ.of(a) * QQ.of(b)) for k, a, b in ts)
+    assert list(got.items()) == list(want.items())
+    assert all(is_canonical_q(v) for v in got.values())

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from htwist import sparse
 from htwist.rings import ZZ, QQ, GF
 from htwist.sparse import (
     SparseMatrix,
@@ -136,10 +138,10 @@ ENTRY = st.sampled_from([0] * 8 + [1, -1] * 3 + [2, -2, 3])
 
 
 @st.composite
-def sparse_rows(draw, max_dim=15):
+def sparse_rows(draw, max_dim=15, entry=ENTRY):
     n = draw(st.integers(1, max_dim))
     m = draw(st.integers(1, max_dim))
-    return draw(st.lists(st.lists(ENTRY, min_size=m, max_size=m), min_size=n, max_size=n))
+    return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
 
 
 def sympy_det(M):
@@ -234,3 +236,76 @@ def test_sparse_field_ops_match_sympy(rows, ring, seed):
     X0 = SparseMatrix.from_rows(ring, [[rng.choice([0, 1, -1])] for _ in range(M.ncols)])
     Y = field_solve(M, M @ X0)
     assert Y is not None and M @ Y == M @ X0
+
+
+# ---------------------------------------------------------------------
+# Canonical Q values (an int when integral) against raw Fraction entries,
+# the representation the field kernels also accept.
+# ---------------------------------------------------------------------
+
+Q_ENTRY = st.sampled_from([0] * 8 + [1, -1] * 3 + [2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def canonical_q_entries(M):
+    """Every entry an int when integral, a Fraction only otherwise."""
+    return all(type(v) is int or v.denominator != 1 for v in M.entries.values())
+
+
+def raw_fraction_matrix(rows):
+    """Q matrix holding every entry as a Fraction, bypassing QQ.of."""
+    M = SparseMatrix(QQ, len(rows), len(rows[0]))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            M[i, j] = Fraction(v)
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows(10, Q_ENTRY), st.integers(0, 10**6))
+def test_field_ops_same_on_canonical_and_raw_fraction_entries(rows, seed):
+    M, F = mat(rows, QQ), raw_fraction_matrix(rows)
+    assert all(type(v) is Fraction for v in F.entries.values())
+    assert field_rank(M) == field_rank(F)
+    K = field_kernel_basis(M)
+    assert K == field_kernel_basis(F) and canonical_q_entries(K)
+    rng = random.Random(seed)
+    brows = [[rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in range(2)]
+             for _ in range(len(rows))]
+    X, Y = field_solve(M, mat(brows, QQ)), field_solve(F, raw_fraction_matrix(brows))
+    assert (X is None) == (Y is None)
+    if X is not None:
+        assert X == Y and canonical_q_entries(X) and canonical_q_entries(Y)
+
+
+def test_integer_q_elimination_stays_on_ints(monkeypatch):
+    # node-edge incidence matrix of a directed graph on 4 vertices: integer
+    # valued with ±1 pivots, like the fixtures' differentials; row 0 leads
+    # with -1 and rows 1 and 2 do after reduction, so their pivot rows are
+    # rescaled by inv(-1)
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3)]
+    rows = [[-1 if v == a else 1 if v == b else 0 for a, b in edges] for v in range(4)]
+    M = mat(rows, QQ)
+    assert type(QQ.inv(-1)) is int
+    seen = []
+    forward = sparse._field_forward
+
+    def spy(rows, R):
+        pivots = forward(rows, R)
+        seen.extend(v for row in pivots.values() for v in row.values())
+        return pivots
+
+    monkeypatch.setattr(sparse, "_field_forward", spy)
+    assert field_rank(M) == 3
+    K = field_kernel_basis(M)
+    assert K.ncols == 3 and (M @ K).is_zero()
+    assert seen and all(type(v) is int for v in seen)
+    assert all(type(v) is int for v in K.entries.values())
+
+
+def test_kernel_and_solution_entries_are_canonical():
+    # back-substitution gives 3/2 - 1/2 * 1 = Fraction(1, 1); it is returned as 1
+    M = mat([[2, 1, 3], [0, 1, 1]], QQ)
+    K = field_kernel_basis(M)
+    assert K == mat([[-1], [-1], [1]], QQ) and canonical_q_entries(K)
+    X = field_solve(M, mat([[3], [1]], QQ))
+    assert X == mat([[1], [1], [0]], QQ) and canonical_q_entries(X)
