@@ -294,13 +294,16 @@ def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
 # Functoriality: Bar(f) and Cobar(g), letterwise (degree-0, no signs).
 # ---------------------------------------------------------------------
 
-def bar_map(f: ChainMap, BarA: ChainCoalgebra, BarA2: ChainCoalgebra) -> ChainMap:
-    """Bar(f) for an algebra map f: A -> A'."""
-    R = BarA.ring
-    out = ChainMap(BarA.complex, BarA2.complex)
-    for n in range(BarA.truncation + 1):
-        for name in BarA.basis(n):
-            word = BarA.words.letters_of[name]
+def bar_map(f: ChainMap, source: ChainCoalgebra | ChainAlgebra,
+            target: ChainCoalgebra | ChainAlgebra) -> ChainMap:
+    """Bar(f) for an algebra map f: A -> A', and (as ``cobar_map``) Cobar(g)
+    for a coalgebra map g: C -> C': each word goes to the sum of the words
+    of the letters' images."""
+    R = source.ring
+    out = ChainMap(source.complex, target.complex)
+    for n in range(source.truncation + 1):
+        for name in source.basis(n):
+            word = source.words.letters_of[name]
             images = [((), R.one)]
             for (d, a) in word:
                 val = f.apply(d, a)
@@ -311,33 +314,13 @@ def bar_map(f: ChainMap, BarA: ChainCoalgebra, BarA2: ChainCoalgebra) -> ChainMa
                 if not images:
                     break
             for w, s in images:
-                target = BarA2.words.name_of.get(w)
-                if target is not None:
-                    out.set_entry(n, name, target, s)
+                target_name = target.words.name_of.get(w)
+                if target_name is not None:
+                    out.set_entry(n, name, target_name, s)
     return out
 
 
-def cobar_map(g: ChainMap, OmegaC: ChainAlgebra, OmegaC2: ChainAlgebra) -> ChainMap:
-    """Cobar(g) for a coalgebra map g: C -> C'."""
-    R = OmegaC.ring
-    out = ChainMap(OmegaC.complex, OmegaC2.complex)
-    for n in range(OmegaC.truncation + 1):
-        for name in OmegaC.basis(n):
-            word = OmegaC.words.letters_of[name]
-            images = [((), R.one)]
-            for (d, c) in word:
-                val = g.apply(d, c)
-                images = [
-                    (w + ((d, c2),), R.mul(s, v))
-                    for (w, s) in images for c2, v in val.items()
-                ]
-                if not images:
-                    break
-            for w, s in images:
-                target = OmegaC2.words.name_of.get(w)
-                if target is not None:
-                    out.set_entry(n, name, target, s)
-    return out
+cobar_map = bar_map
 
 
 def is_algebra_map(f: ChainMap, A: ChainAlgebra, B: ChainAlgebra, through: int | None = None) -> bool:

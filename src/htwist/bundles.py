@@ -12,33 +12,23 @@ what the axiom checkers verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .barcobar import (
-    bar,
-    bar_map,
-    cobar,
-    cobar_map,
-    counit_map,
-    is_algebra_map,
-    is_coalgebra_map,
-    unit_map,
-)
+from .barcobar import bar, bar_map, cobar, cobar_map, counit_map, unit_map
 from .complexes import (
     ChainComplex,
     ChainMap,
-    GradedBasis,
     homology,
     induced_zero_on_reduced_homology,
     is_quasi_iso_through,
+    tensor_basis,
+    tensor_map,
     tensor_name,
-    verify_differential,
 )
 from .hopf import (
     ChainAlgebra,
     ChainCoalgebra,
     ComoduleStructure,
-    Key,
     ModuleStructure,
     _comodule_map_failures,
     _module_map_failures,
@@ -54,7 +44,6 @@ from .twisting import (
     self_module_left,
     twisted_tensor,
     universal_cochain,
-    verify_twisting_cochain,
 )
 
 
@@ -73,7 +62,7 @@ class ShapeMismatch(Exception):
 @dataclass
 class MixedBundle:
     """A -> total -> C with compatible module/comodule structure, realized
-    on pair names left⊗right."""
+    on the pair basis C ⊗ A of total."""
 
     monoid: ChainAlgebra
     comonoid: ChainCoalgebra
@@ -82,9 +71,12 @@ class MixedBundle:
     projection: ChainMap         # p: total -> C, left C-comodule map
     module: ModuleStructure      # right action of monoid on total
     comodule: ComoduleStructure  # left coaction of comonoid on total
-    pairs: dict[str, tuple[Key, Key]]
     cochain: TwistingCochain | None = None
     kind: str = ""
+
+    @property
+    def pairs(self):
+        return self.total.basis.pairs
 
     @property
     def ring(self):
@@ -101,19 +93,24 @@ def twisted_bundle(C: ChainCoalgebra, A: ChainAlgebra, t: TwistingCochain, N: in
     i(a) = coaug⊗a, p(c⊗a) = ε(a)·c."""
     T = twisted_tensor(self_comodule_right(C), self_module_left(A), t,
                        "comodule-first", N, verify=verify)
-    total = T.complex
-    R = total.ring
+    return _realize(C, A, T.complex, t, kind)
+
+
+def _realize(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex,
+             cochain: TwistingCochain | None, kind: str) -> MixedBundle:
+    """The bundle (A -> total -> C) on the pair basis C ⊗ A of total:
+    i(a) = coaug⊗a, p(c⊗a) = ε(a)·c, A acting freely on the right factor
+    and C coacting cofreely on the left one."""
     i = ChainMap(A.complex, total)
-    for n in range(min(A.truncation, N) + 1):
+    for n in range(min(A.truncation, total.truncation) + 1):
         for a in A.basis(n):
             i.set_entry(n, a, tensor_name(C.coaug, a), 1)
     p = ChainMap(total, C.complex)
-    for name, ((dc, c), (da, a)) in T.pairs.items():
+    for name, ((dc, c), (da, a)) in total.basis.pairs.items():
         if da == 0:
             p.set_entry(dc, name, c, A.aug(0, a))
-    module = free_module_over(A, C.complex, total)
-    comodule = cofree_comodule_over(C, total, A.complex)
-    return MixedBundle(A, C, total, i, p, module, comodule, T.pairs, t, kind)
+    return MixedBundle(A, C, total, i, p, free_module_over(A, total),
+                       cofree_comodule_over(C, total), cochain, kind)
 
 
 def classifying_bundle_zeta(A: ChainAlgebra, N: int,
@@ -211,50 +208,25 @@ def pushforward(f: ChainMap, bundle: MixedBundle, N: int,
     A, A2 = bundle.monoid, target_algebra
     C = bundle.comonoid
     R = bundle.ring
-    basis = GradedBasis(N)
-    pairs: dict[str, tuple[Key, Key]] = {}
-    for n in range(N + 1):
-        for p in range(n + 1):
-            for c in C.basis(p):
-                for a2 in A2.basis(n - p):
-                    name = tensor_name(c, a2)
-                    basis.add(n, name)
-                    pairs[name] = ((p, c), (n - p, a2))
-    total = ChainComplex(R, basis)
+    total = ChainComplex(R, tensor_basis(C.complex, A2.complex, N))
 
     # transported differential: D(x⊗a') = dec(D(x⊗1))·(f, a') ± x⊗da'
-    for n in range(1, N + 1):
-        for name, ((p, c), (q, a2)) in pairs.items():
-            if p + q != n:
-                continue
-            base = tensor_name(c, A.unit)
-            for m2, v in bundle.total.d_of(p, base).items():
-                (dc2, c2), (da2, a_old) = bundle.pairs[m2]
-                fa = f.apply(da2, a_old)
-                for b2, w in fa.items():
-                    prod = A2.product(da2, b2, q, a2)
-                    for r, u in prod.items():
-                        total.set_d_entry(n, name, tensor_name(c2, r),
-                                          R.mul(R.mul(v, w), u))
-            sgn = _sign(R, p)
-            for a3, v in A2.complex.d_of(q, a2).items():
-                total.set_d_entry(n, name, tensor_name(c, a3), R.mul(sgn, v))
+    for name, ((p, c), (q, a2)) in total.basis.pairs.items():
+        base = tensor_name(c, A.unit)
+        for m2, v in bundle.total.d_of(p, base).items():
+            (dc2, c2), (da2, a_old) = bundle.pairs[m2]
+            for b2, w in f.apply(da2, a_old).items():
+                for r, u in A2.product(da2, b2, q, a2).items():
+                    total.set_d_entry(p + q, name, tensor_name(c2, r),
+                                      R.mul(R.mul(v, w), u))
+        sgn = _sign(R, p)
+        for a3, v in A2.complex.d_of(q, a2).items():
+            total.set_d_entry(p + q, name, tensor_name(c, a3), R.mul(sgn, v))
 
-    i = ChainMap(A2.complex, total)
-    for n in range(min(A2.truncation, N) + 1):
-        for a2 in A2.basis(n):
-            i.set_entry(n, a2, tensor_name(C.coaug, a2), 1)
-    p_map = ChainMap(total, C.complex)
-    for name, ((dc, c), (da, a2)) in pairs.items():
-        if da == 0:
-            p_map.set_entry(dc, name, c, A2.aug(0, a2))
-    module = free_module_over(A2, C.complex, total)
-    comodule = cofree_comodule_over(C, total, A2.complex)
     new_cochain = None
     if bundle.cochain is not None:
         new_cochain = compose_cochain(None, bundle.cochain, f, target=A2)
-    return MixedBundle(A2, C, total, i, p_map, module, comodule, pairs,
-                       new_cochain, kind=f"pushforward({bundle.kind})")
+    return _realize(C, A2, total, new_cochain, f"pushforward({bundle.kind})")
 
 
 def pullback(g: ChainMap, bundle: MixedBundle, N: int,
@@ -266,52 +238,30 @@ def pullback(g: ChainMap, bundle: MixedBundle, N: int,
     ok, _ = verify_biprincipal(bundle)
     if not ok:
         raise NotPrincipal(bundle.kind or "bundle")
-    C, C2 = bundle.comonoid, source_coalgebra
+    C2 = source_coalgebra
     A = bundle.monoid
     R = bundle.ring
-    basis = GradedBasis(N)
-    pairs: dict[str, tuple[Key, Key]] = {}
-    for n in range(N + 1):
-        for p in range(n + 1):
-            for c2 in C2.basis(p):
-                for a in A.basis(n - p):
-                    name = tensor_name(c2, a)
-                    basis.add(n, name)
-                    pairs[name] = ((p, c2), (n - p, a))
-    total = ChainComplex(R, basis)
+    total = ChainComplex(R, tensor_basis(C2.complex, A.complex, N))
+    pairs = bundle.pairs
 
     # (ε⊗1) ∘ D_total on elements (g(c)⊗y), tabulated once per (c, y)
     def eps_D(dc, c_img, dy, y):
         d = bundle.total.d_of(dc + dy, tensor_name(c_img, y))
-        return R.lincomb((bundle.pairs[m2][1], v) for m2, v in d.items() if bundle.pairs[m2][0][0] == 0)
+        return R.lincomb((pairs[m2][1], v) for m2, v in d.items() if pairs[m2][0][0] == 0)
 
-    for n in range(1, N + 1):
-        for name, ((p, c2), (q, y)) in pairs.items():
-            if p + q != n:
-                continue
-            for c3, v in C2.complex.d_of(p, c2).items():
-                total.set_d_entry(n, name, tensor_name(c3, y), v)
-            for (d1, c_l), (d2, c_r), v in C2.coproduct(p, c2):
-                sgn = _sign(R, d1)
-                for c_img, w in g.apply(d2, c_r).items():
-                    for (dy2, y2), u in eps_D(d2, c_img, q, y).items():
-                        total.set_d_entry(n, name, tensor_name(c_l, y2),
-                                          R.mul(R.mul(sgn, v), R.mul(w, u)))
-    i = ChainMap(A.complex, total)
-    for n in range(min(A.truncation, N) + 1):
-        for a in A.basis(n):
-            i.set_entry(n, a, tensor_name(C2.coaug, a), 1)
-    p_map = ChainMap(total, C2.complex)
-    for name, ((dc, c2), (da, a)) in pairs.items():
-        if da == 0:
-            p_map.set_entry(dc, name, c2, A.aug(0, a))
-    module = free_module_over(A, C2.complex, total)
-    comodule = cofree_comodule_over(C2, total, A.complex)
+    for name, ((p, c2), (q, y)) in total.basis.pairs.items():
+        for c3, v in C2.complex.d_of(p, c2).items():
+            total.set_d_entry(p + q, name, tensor_name(c3, y), v)
+        for (d1, c_l), (d2, c_r), v in C2.coproduct(p, c2):
+            sgn = _sign(R, d1)
+            for c_img, w in g.apply(d2, c_r).items():
+                for (dy2, y2), u in eps_D(d2, c_img, q, y).items():
+                    total.set_d_entry(p + q, name, tensor_name(c_l, y2),
+                                      R.mul(R.mul(sgn, v), R.mul(w, u)))
     new_cochain = None
     if bundle.cochain is not None:
         new_cochain = compose_cochain(g, bundle.cochain, None, source=C2)
-    return MixedBundle(A, C2, total, i, p_map, module, comodule, pairs,
-                       new_cochain, kind=f"pullback({bundle.kind})")
+    return _realize(C2, A, total, new_cochain, f"pullback({bundle.kind})")
 
 
 def bundles_equal(b1: MixedBundle, b2: MixedBundle) -> bool:
@@ -364,22 +314,15 @@ class BundleMap:
 def natural_map_to_pushforward(f: ChainMap, bundle: MixedBundle,
                                pushed: MixedBundle) -> BundleMap:
     """ζ -> f_*(ζ): (f, 1⊗f, id) in the free realization."""
-    R = bundle.ring
-    gamma = ChainMap(bundle.total, pushed.total)
-    for name, ((dc, c), (da, a)) in bundle.pairs.items():
-        for a2, v in f.apply(da, a).items():
-            gamma.set_entry(dc + da, name, tensor_name(c, a2), v)
-    return BundleMap(f, gamma, ChainMap.identity(bundle.comonoid.complex))
+    one = ChainMap.identity(bundle.comonoid.complex)
+    return BundleMap(f, tensor_map(one, f, bundle.total, pushed.total), one)
 
 
 def natural_map_from_pullback(g: ChainMap, pulled: MixedBundle,
                               bundle: MixedBundle) -> BundleMap:
     """g^*(ζ) -> ζ: (id, g⊗1, g) in the cofree realization."""
-    gamma = ChainMap(pulled.total, bundle.total)
-    for name, ((dc, c2), (da, a)) in pulled.pairs.items():
-        for c, v in g.apply(dc, c2).items():
-            gamma.set_entry(dc + da, name, tensor_name(c, a), v)
-    return BundleMap(ChainMap.identity(bundle.monoid.complex), gamma, g)
+    one = ChainMap.identity(bundle.monoid.complex)
+    return BundleMap(one, tensor_map(g, one, pulled.total, bundle.total), g)
 
 
 # ---------------------------------------------------------------------
@@ -420,6 +363,17 @@ def borel_kernel(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int,
     return BorelKernel(bundle, bundle.inclusion, bundle.projection, O)
 
 
+def _verify_sequence(maps, middle: MixedBundle, composites, through: int):
+    """Each of the four maps is a chain map, the middle bundle is
+    biprincipal, and each composite of consecutive maps (named by
+    ``composites``) is zero on reduced homology through ``through``."""
+    report = {f"map{idx}-chain": m.is_chain_map()[0] for idx, m in enumerate(maps)}
+    report["middle-biprincipal"] = verify_biprincipal(middle)[0]
+    for nm, first, second in zip(composites, maps, maps[1:]):
+        report[f"{nm}-null"] = induced_zero_on_reduced_homology(second.compose(first), through)
+    return all(report.values()), report
+
+
 @dataclass
 class NomuraPuppe:
     """A -> A' -> A'//A -> Bar(A) -> Bar(A') with the three structure maps."""
@@ -434,20 +388,8 @@ class NomuraPuppe:
         return [self.f, self.quotient.pi, self.quotient.delta, self.bar_f]
 
     def verify(self, through: int):
-        report = {}
-        for idx, m in enumerate(self.maps()):
-            ok, deg = m.is_chain_map()
-            report[f"map{idx}-chain"] = ok
-        okb, _ = verify_biprincipal(self.quotient.bundle)
-        report["middle-biprincipal"] = okb
-        comps = {
-            "pi∘f": self.quotient.pi.compose(self.f),
-            "delta∘pi": self.quotient.delta.compose(self.quotient.pi),
-            "barf∘delta": self.bar_f.compose(self.quotient.delta),
-        }
-        for nm, comp in comps.items():
-            report[f"{nm}-null"] = induced_zero_on_reduced_homology(comp, through)
-        return all(report.values()), report
+        return _verify_sequence(self.maps(), self.quotient.bundle,
+                                ("pi∘f", "delta∘pi", "barf∘delta"), through)
 
 
 def nomura_puppe(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
@@ -474,20 +416,8 @@ class DualNomuraPuppe:
         return [self.cobar_g, self.kernel.del_map, self.kernel.iota, self.g]
 
     def verify(self, through: int):
-        report = {}
-        for idx, m in enumerate(self.maps()):
-            ok, _ = m.is_chain_map()
-            report[f"map{idx}-chain"] = ok
-        okb, _ = verify_biprincipal(self.kernel.bundle)
-        report["middle-biprincipal"] = okb
-        comps = {
-            "del∘cobarg": self.kernel.del_map.compose(self.cobar_g),
-            "iota∘del": self.kernel.iota.compose(self.kernel.del_map),
-            "g∘iota": self.g.compose(self.kernel.iota),
-        }
-        for nm, comp in comps.items():
-            report[f"{nm}-null"] = induced_zero_on_reduced_homology(comp, through)
-        return all(report.values()), report
+        return _verify_sequence(self.maps(), self.kernel.bundle,
+                                ("del∘cobarg", "iota∘del", "g∘iota"), through)
 
 
 def dual_nomura_puppe(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int,
@@ -526,12 +456,14 @@ def amusing_comparison(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int):
     bottom = twisted_bundle(BarA, A2, t_bottom, N, kind="f_*zeta(A)")
 
     v = counit_map(A2, N, BarA2, OmegaBarA2)
-    gamma = ChainMap(top.total, bottom.total)
-    for name, ((dc, w), (du, u)) in top.pairs.items():
-        for a2, coeff in v.apply(du, u).items():
-            gamma.set_entry(dc + du, name, tensor_name(w, a2), coeff)
-    bmap = BundleMap(v, gamma, ChainMap.identity(BarA.complex))
+    one = ChainMap.identity(BarA.complex)
+    return _ladder_report(BundleMap(v, tensor_map(one, v, top.total, bottom.total), one),
+                          top, bottom, N)
 
+
+def _ladder_report(bmap: BundleMap, top: MixedBundle, bottom: MixedBundle, N: int):
+    """Both squares of a bundle ladder as matrices, and its verticals as
+    quasi-isomorphisms through N-1; (ok, report)."""
     ok_sq, squares = bmap.verify(top, bottom, N)
     ok_we, verts = bmap.is_weak_equivalence(N - 1)
     report = {
@@ -545,12 +477,12 @@ def amusing_comparison(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int):
 
 def amusing_comparison_dual(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int):
     """Dual ladder (ΩC -> C\\C' -> C') over (ΩC -> ΩC//ΩC' -> Bar ΩC'),
-    verticals (id, u_{C'}⊗1, u_{C'})."""
+    verticals (id, u_{C'}⊗1, u_{C'}); checked and reported as in
+    amusing_comparison."""
     OmegaC2 = cobar(C2, N)
     OmegaC = cobar(C, N)
     og = cobar_map(g, OmegaC2, OmegaC)
-    top_kernel = borel_kernel(g, C2, C, N, OmegaC)
-    top = top_kernel.bundle
+    top = borel_kernel(g, C2, C, N, OmegaC).bundle
 
     BarOmegaC2 = bar(OmegaC2, N)
     tB = couniversal_cochain(BarOmegaC2, OmegaC2)
@@ -558,30 +490,9 @@ def amusing_comparison_dual(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, 
     bottom = twisted_bundle(BarOmegaC2, OmegaC, t_bottom, N, kind="(Ωg)_*zeta(ΩC')")
 
     u = unit_map(C2, N, OmegaC2, BarOmegaC2)
-    gamma = ChainMap(top.total, bottom.total)
-    for name, ((dc, c2), (du, w)) in top.pairs.items():
-        for b, coeff in u.apply(dc, c2).items():
-            gamma.set_entry(dc + du, name, tensor_name(b, w), coeff)
-    bmap = BundleMap(ChainMap.identity(OmegaC.complex), gamma, u)
-
-    # squares against the *windowed* rows: inclusion square uses ∂ vs π,
-    # projection square uses ι vs δ
-    report = {}
-    lhs = gamma.compose(top.inclusion)
-    rhs = bottom.inclusion.compose(bmap.alpha)
-    report["inclusion-square"] = all(lhs.mat(n) == rhs.mat(n) for n in range(N + 1))
-    lhs2 = bottom.projection.compose(gamma)
-    rhs2_map = ChainMap(top.total, bottom.comonoid.complex)
-    for name, ((dc, c2), (du, w)) in top.pairs.items():
-        for c3, vv in top.projection.apply(dc + du, name).items():
-            for b, ww in u.apply(dc, c3).items():
-                rhs2_map.set_entry(dc + du, name, b, top.ring.mul(vv, ww))
-    report["projection-square"] = all(lhs2.mat(n) == rhs2_map.mat(n) for n in range(N + 1))
-    okc, _ = gamma.is_chain_map()
-    report["total-chain-map"] = okc
-    ok_we, verts = bmap.is_weak_equivalence(N - 1)
-    report["verticals"] = verts
-    return (all(v for k, v in report.items() if k != "verticals") and ok_we), report
+    one = ChainMap.identity(OmegaC.complex)
+    return _ladder_report(BundleMap(one, tensor_map(u, one, top.total, bottom.total), u),
+                          top, bottom, N)
 
 
 # ---------------------------------------------------------------------

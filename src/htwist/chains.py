@@ -98,7 +98,6 @@ def verify_aw_axioms(X: SimplicialSet, ring: Ring, N: int):
     """Coassociativity and counit of the AW diagonal, exhaustively; valid
     for any finite X (reduced or not), using the honest total counit."""
     nd = _nondegenerate_levels(X, N)
-    names = {x: f"<{x}>" for lvl in nd.values() for x in lvl}
     ndsets = {n: set(nd[n]) for n in nd}
 
     def diagonal(n, x):

@@ -227,7 +227,7 @@ def _stringify(obj):
 
 def cmd_check_normal_pair(args):
     from .complexes import ChainMap
-    from .fixtures import exterior, exterior_pair, truncated_polynomial
+    from .fixtures import exterior, truncated_polynomial
     from .normality import (
         abelian_normality,
         chcx_identity_certificate,

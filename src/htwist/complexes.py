@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import Ring, ZZ, QQ
+from .rings import Ring
 from .sparse import (
     SparseMatrix,
     invariant_factors,
@@ -39,7 +39,10 @@ class NegativeDegree(Exception):
 
 
 class GradedBasis:
-    """Ordered named basis elements per degree, 0..truncation."""
+    """Ordered named basis elements per degree, 0..truncation.
+
+    A tensor basis (``tensor_basis``) also records the factors of each name
+    in ``pairs``: name -> ((|x|, x), (|y|, y)), in basis order."""
 
     def __init__(self, truncation: int, by_degree: dict[int, list[str]] | None = None):
         if truncation < 0:
@@ -47,6 +50,7 @@ class GradedBasis:
         self.truncation = truncation
         self.by_degree: dict[int, list[str]] = {}
         self._index: dict[int, dict[str, int]] = {}
+        self.pairs: dict[str, tuple[tuple[int, str], tuple[int, str]]] = {}
         if by_degree:
             for n, names in by_degree.items():
                 for name in names:
@@ -315,6 +319,22 @@ def tensor_name(a: str, b: str) -> str:
     return f"{a}⊗{b}"
 
 
+def tensor_basis(X: ChainComplex, Y: ChainComplex, N: int) -> GradedBasis:
+    """The basis {x⊗y : |x|+|y| <= N}, ordered by degree, then |x|, then X
+    order, then Y order, with the factors of each name in ``pairs``.  This
+    is the one place a pair table is built: factors travel with the basis and
+    are never parsed back from names (which may themselves contain ⊗)."""
+    basis = GradedBasis(N)
+    for n in range(N + 1):
+        for p in range(n + 1):
+            for x in X.basis.names(p):
+                for y in Y.basis.names(n - p):
+                    name = tensor_name(x, y)
+                    basis.add(n, name)
+                    basis.pairs[name] = ((p, x), (n - p, y))
+    return basis
+
+
 def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None) -> ChainComplex:
     """X ⊗ Y with the Koszul differential d(x⊗y) = dx⊗y + (-1)^|x| x⊗dy."""
     if X.ring != Y.ring:
@@ -322,25 +342,29 @@ def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None)
     N = X.truncation + Y.truncation
     if through is not None:
         N = min(N, through)
-    basis = GradedBasis(N)
-    for n in range(N + 1):
-        for p in range(n + 1):
-            for a in X.basis.names(p):
-                for b in Y.basis.names(n - p):
-                    basis.add(n, tensor_name(a, b))
-    Z = ChainComplex(X.ring, basis)
-    sign = lambda p: X.ring.of(-1) if p % 2 else X.ring.one
-    for n in range(1, N + 1):
-        for p in range(n + 1):
-            q = n - p
-            for a in X.basis.names(p):
-                for b in Y.basis.names(q):
-                    src = tensor_name(a, b)
-                    for a2, c in X.d_of(p, a).items():
-                        Z.set_d_entry(n, src, tensor_name(a2, b), c)
-                    for b2, c in Y.d_of(q, b).items():
-                        Z.set_d_entry(n, src, tensor_name(a, b2), X.ring.mul(sign(p), c))
+    R = X.ring
+    Z = ChainComplex(R, tensor_basis(X, Y, N))
+    for name, ((p, a), (q, b)) in Z.basis.pairs.items():
+        for a2, c in X.d_of(p, a).items():
+            Z.set_d_entry(p + q, name, tensor_name(a2, b), c)
+        sgn = R.of(-1) if p % 2 else R.one
+        for b2, c in Y.d_of(q, b).items():
+            Z.set_d_entry(p + q, name, tensor_name(a, b2), R.mul(sgn, c))
     return Z
+
+
+def tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex, dst: ChainComplex) -> ChainMap:
+    """f⊗g: x⊗y -> f(x)⊗g(y) from the pair basis of src to that of dst.
+
+    f and g have degree 0, so there is no Koszul sign; pass
+    ``ChainMap.identity`` for the factor that does not move."""
+    R = src.ring
+    out = ChainMap(src, dst)
+    for name, ((p, x), (q, y)) in src.basis.pairs.items():
+        for x2, u in f.apply(p, x).items():
+            for y2, v in g.apply(q, y).items():
+                out.set_entry(p + q, name, tensor_name(x2, y2), R.mul(u, v))
+    return out
 
 
 def ground_complex(ring: Ring, truncation: int = 0, name: str = "1") -> ChainComplex:

@@ -432,43 +432,25 @@ def tensor_coalgebra_product(C: ChainCoalgebra, D: ChainCoalgebra, through: int 
     return out
 
 
-def free_module_over(A: ChainAlgebra, left_basis: ChainComplex, carrier: ChainComplex,
-                     pair_name=tensor_name) -> ModuleStructure:
-    """Right A-module structure on carrier = left_basis ⊗ A, acting on the
+def free_module_over(A: ChainAlgebra, carrier: ChainComplex) -> ModuleStructure:
+    """Right A-module structure on a pair-basis carrier X ⊗ A, acting on the
     second factor.  Used for every free module in this artifact."""
-    R = A.ring
     M = ModuleStructure(A, carrier, "right")
     N = carrier.truncation
-    for p in range(N + 1):
-        for x in left_basis.basis.names(p):
-            for q in range(N + 1 - p):
-                for a in A.basis(q):
-                    m = pair_name(x, a)
-                    for r in range(1, N + 1 - p - q):
-                        for b in A.basis(r):
-                            res = {
-                                pair_name(x, ab): v
-                                for ab, v in A.product(q, a, r, b).items()
-                            }
-                            if res:
-                                M.set_action(p + q, m, r, b, res)
+    for m, ((p, x), (q, a)) in carrier.basis.pairs.items():
+        for r in range(1, N + 1 - p - q):
+            for b in A.basis(r):
+                res = {tensor_name(x, ab): v for ab, v in A.product(q, a, r, b).items()}
+                if res:
+                    M.set_action(p + q, m, r, b, res)
     return M
 
 
-def cofree_comodule_over(C: ChainCoalgebra, carrier: ChainComplex, right_basis: ChainComplex,
-                         pair_name=tensor_name) -> ComoduleStructure:
-    """Left C-comodule structure on carrier = C ⊗ right_basis, splitting the
+def cofree_comodule_over(C: ChainCoalgebra, carrier: ChainComplex) -> ComoduleStructure:
+    """Left C-comodule structure on a pair-basis carrier C ⊗ Y, splitting the
     first factor by Δ.  Dual of free_module_over."""
-    R = C.ring
     M = ComoduleStructure(C, carrier, "left")
-    N = carrier.truncation
-    for p in range(N + 1):
-        for c in C.basis(p):
-            for q in range(N + 1 - p):
-                for y in right_basis.basis.names(q):
-                    m = pair_name(c, y)
-                    terms = []
-                    for (e1, c1), (e2, c2), v in C.coproduct(p, c):
-                        terms.append(((e1, c1), (e2 + q, pair_name(c2, y)), v))
-                    M.set_coaction(p + q, m, terms)
+    for m, ((p, c), (q, y)) in carrier.basis.pairs.items():
+        M.set_coaction(p + q, m, [((e1, c1), (e2 + q, tensor_name(c2, y)), v)
+                                  for (e1, c1), (e2, c2), v in C.coproduct(p, c)])
     return M

@@ -30,7 +30,12 @@ def _coeff_str(v) -> str:
 
 
 def _coeff_parse(ring: Ring, s: str):
-    return ring.of(Fraction(s)) if ring.kind == "Q" else ring.of(int(Fraction(s)))
+    """A coefficient string ("3", "-1/2") as a ring element; a malformed or
+    (over Z and F_p) non-integral coefficient is an input error."""
+    try:
+        return ring.of(Fraction(s))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"coefficient {s!r} over {ring.tag()}: {exc}") from exc
 
 
 def complex_to_dict(X: ChainComplex) -> dict:

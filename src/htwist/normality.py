@@ -29,12 +29,7 @@ from .barcobar import (
     NotCommutative,
 )
 from .bundles import BorelKernel, BorelQuotient, borel_kernel, borel_quotient, twisted_bundle
-from .complexes import (
-    ChainComplex,
-    ChainMap,
-    is_quasi_iso_through,
-    tensor_name,
-)
+from .complexes import ChainComplex, ChainMap, is_quasi_iso_through, tensor_map, tensor_name
 from .hopf import (
     ChainAlgebra,
     ChainCoalgebra,
@@ -44,7 +39,7 @@ from .hopf import (
     _module_map_failures,
     verify_algebra,
 )
-from .twisting import compose_cochain, couniversal_cochain, universal_cochain
+from .twisting import couniversal_cochain, universal_cochain
 
 
 class EndpointMismatch(Exception):
@@ -182,7 +177,6 @@ def truncated_np(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
                  BarA2: ChainCoalgebra | None = None,
                  quotient: BorelQuotient | None = None) -> ExtendedBundle:
     """τ(f) = (A' -> A'//A -> Bar A -> Bar A')."""
-    from .hopf import cofree_comodule_over
     from .twisting import comodule_via_map
 
     BarA = BarA if BarA is not None else bar(A, N)
@@ -248,32 +242,18 @@ def left_np_window(h: ChainMap, B: ChainAlgebra, B2: ChainAlgebra, N: int,
 
 
 # ---------------------------------------------------------------------
-# Closed-form bridges.  Pair decompositions come from the realized
-# bundles (never from parsing names: word names may contain ⊗).
+# Closed-form bridges.  Pair decompositions come from the pair bases of the
+# realized bundles (never from parsing names: word names may contain ⊗).
 # ---------------------------------------------------------------------
 
-def _tensor_map_on_pairs(src_total: ChainComplex, src_pairs, dst: ChainComplex,
-                         right_map: ChainMap, keep_left=lambda name: name) -> ChainMap:
-    """name = (left ⊗ right) -> Σ keep_left(left) ⊗ right_map(right)."""
-    out = ChainMap(src_total, dst)
-    for name, ((dl, lname), (dr, rname)) in src_pairs.items():
-        n = dl + dr
-        for r2, v in right_map.apply(dr, rname).items():
-            out.set_entry(n, name, tensor_name(keep_left(lname), r2), v)
-    return out
-
-
 def bridge_counit_ladder(theta: ExtendedBundle, wl: ExtendedBundle,
-                         theta_pairs, vB: ChainMap, vB2: ChainMap,
+                         vB: ChainMap, vB2: ChainMap,
                          BarB: ChainCoalgebra) -> ExtendedBundleMorphism:
-    """θ(Bar h) -> W_L(h) for h: B -> B', components (v_B, v_{B'}, 1⊗v_{B'}, id).
-
-    theta_pairs is the pair table of the realized kernel total
-    Bar(B) ⊗ Cobar(Bar B')."""
-    gamma = _tensor_map_on_pairs(theta.N, theta_pairs, wl.N, vB2)
-    return ExtendedBundleMorphism(theta, wl, vB, vB2, gamma,
-                                  ChainMap.identity(BarB.complex),
-                                  label="counit-ladder")
+    """θ(Bar h) -> W_L(h) for h: B -> B', components (v_B, v_{B'}, 1⊗v_{B'}, id)
+    on the kernel total Bar(B) ⊗ Cobar(Bar B')."""
+    one = ChainMap.identity(BarB.complex)
+    return ExtendedBundleMorphism(theta, wl, vB, vB2, tensor_map(one, vB2, theta.N, wl.N),
+                                  one, label="counit-ladder")
 
 
 # ---------------------------------------------------------------------
@@ -318,7 +298,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     theta = truncated_dual_np(bpi, BarA2, BarQ, N, OmegaBarA2, OmegaBarQ, kernel)
     vA2 = counit_map(A2, N, BarA2, OmegaBarA2)
     vQ = counit_map(Q, N, BarQ, OmegaBarQ)
-    arrow1 = bridge_counit_ladder(theta, wl, kernel.bundle.pairs, vA2, vQ, BarA2)
+    arrow1 = bridge_counit_ladder(theta, wl, vA2, vQ, BarA2)
 
     okq, _ = is_quasi_iso_through(pi_tilde, N - 1)
     if not okq:
@@ -385,7 +365,7 @@ def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
 
 
 def natural_quotient_projection(q: BorelQuotient, q2: BorelQuotient,
-                                BarA: ChainCoalgebra, N: int) -> ChainMap:
+                                BarA: ChainCoalgebra) -> ChainMap:
     """(A'//A)//A' -> Bar A: (v ⊗ (w⊗a')) -> ε(v)·ε(a')·w in the realized
     coordinates (the proof's 'obvious projection')."""
     total = q2.bundle.total
@@ -411,18 +391,16 @@ def abelian_normality(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
     if not ok:
         raise HypothesisFailed("algebra-structure", witnesses[:3])
     q2 = borel_quotient(q.pi, A2, Q, N, BarA2)
-    pi_tilde = natural_quotient_projection(q, q2, BarA, N)
+    pi_tilde = natural_quotient_projection(q, q2, BarA)
     return rigid_normality_certificate(
         f, A, A2, Q, pi_tilde, N,
         context={"BarA": BarA, "BarA2": BarA2, "quotient": q, "quotient2": q2},
     )
 
 
-def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra,
-                                       trivial: ChainAlgebra) -> ChainAlgebra:
+def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> ChainAlgebra:
     """For f = η: k -> A the quotient A//k = Bar(k)⊗A is A itself; transport
     the multiplication along the pair names ([]⊗a)."""
-    R = A2.ring
     total = q.bundle.total
     pairs = q.bundle.pairs
     unit = None
@@ -453,7 +431,7 @@ def chcx_unit_certificate(A: ChainAlgebra, N: int, ring=None):
     eta.set_entry(0, "1", A.unit, 1)
     Bark = bar(k, N + 1)
     q = borel_quotient(eta, k, A, N, Bark)
-    Q = unit_algebra_structure_on_quotient(q, A, k)
+    Q = unit_algebra_structure_on_quotient(q, A)
     BarA = bar(A, N + 1)
     q2 = borel_quotient(q.pi, A, Q, N, BarA)
     # π̃: (A//k)//A -> Bar(k) = k: the total augmentation
@@ -507,12 +485,7 @@ def rigid_conormality_certificate(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalg
 
     # strict square: ι_{ι_g} ∘ ι̃ = ∂_g (the half that does hold on the
     # simplicial side); here ι̃: ΩC -> C'\\(C\\C')
-    K = kernel_coalgebra
-    OmegaK_needed = iota_tilde.target
-    kernel2 = ctx.get("kernel2")
-    if kernel2 is None:
-        OmegaC2_b = OmegaC2
-        kernel2 = borel_kernel(kernel.iota, K, C2, N, OmegaC2_b)
+    kernel2 = ctx.get("kernel2") or borel_kernel(kernel.iota, kernel_coalgebra, C2, N, OmegaC2)
     right_ok = all(
         kernel2.iota.compose(iota_tilde).mat(n) == kernel.del_map.mat(n)
         for n in range(N + 1)
@@ -526,15 +499,12 @@ def rigid_conormality_certificate(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalg
     q = borel_quotient(og, OmegaC2, OmegaC, N, BarOmegaC2)
     wl = left_np_window(og, OmegaC2, OmegaC, N, BarOmegaC2, q)
     u = unit_map(C2, N, OmegaC2, BarOmegaC2)
-    gamma = ChainMap(theta.N, wl.N)
-    for name, ((dc, c2), (dw, w)) in kernel.bundle.pairs.items():
-        for b, v in u.apply(dc, c2).items():
-            gamma.set_entry(dc + dw, name, tensor_name(b, w), v)
+    one = ChainMap.identity(OmegaC.complex)
     arrow1 = ExtendedBundleMorphism(
         theta, wl,
         ChainMap.identity(OmegaC2.complex),
-        ChainMap.identity(OmegaC.complex),
-        gamma, u, label="unit-ladder",
+        one,
+        tensor_map(u, one, theta.N, wl.N), u, label="unit-ladder",
     )
     cert = NormalPairCertificate(
         f_label=f"Cobar(iota_g): partial", g_label=f"g:{C2.name}->{C.name}",
@@ -600,12 +570,7 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
     zetaA = twisted_bundle(BarA, A, couniversal_cochain(BarA, A), N)
     EAB = tensor_complex(zetaA.total, B.complex, N)
 
-    ab_pairs = {}
-    for n in range(AB.truncation + 1):
-        for p in range(n + 1):
-            for a in A.basis(p):
-                for b in B.basis(n - p):
-                    ab_pairs[tensor_name(a, b)] = ((p, a), (n - p, b))
+    ab_pairs = AB.complex.basis.pairs
 
     def rename_quotient(n, name):
         (dw, w), (dab, ab) = q.bundle.pairs[name]
@@ -632,15 +597,10 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
 
     # --- conormal side -----------------------------------------------
     CD = tensor_coalgebra_product(C, D, through=N + 1)
-    cd_pairs = {}
-    for n in range(CD.truncation + 1):
-        for p in range(n + 1):
-            for c in C.basis(p):
-                for d in D.basis(n - p):
-                    cd_pairs[tensor_name(c, d)] = ((p, c), (n - p, d))
+    cd_pairs = CD.complex.basis.pairs
     g = ChainMap(CD.complex, D.complex)
     for name, ((dc, c), (dd, d)) in cd_pairs.items():
-        if dc == 0 and dc + dd <= CD.truncation:
+        if dc == 0:
             g.set_entry(dd, name, d, 1)
     OmegaD = cobar(D, N)
     k2 = borel_kernel(g, CD, D, N, OmegaD)

@@ -46,16 +46,13 @@ class Ring:
 
     # -- constructors -------------------------------------------------
     def of(self, n):
-        """Coerce an integer (or Fraction over Q) into the ring."""
-        if self.kind == "Z":
-            if isinstance(n, Fraction):
-                if n.denominator != 1:
-                    raise ValueError(f"{n} is not an integer")
-                return int(n)
-            return int(n)
+        """Coerce an integer (or Fraction over Q) into the ring; over Z and
+        F_p a Fraction must be integral."""
         if self.kind == "Q":
             return n if type(n) is int else _q(Fraction(n))
-        return int(n) % self.p
+        if isinstance(n, Fraction) and n.denominator != 1:
+            raise ValueError(f"{n} is not an integer")
+        return int(n) if self.kind == "Z" else int(n) % self.p
 
     # -- arithmetic ---------------------------------------------------
     def add(self, a, b):

@@ -649,7 +649,7 @@ def loop_group_pi0(G: KanLoopGroup):
     relations d0(v)·d1(v)^{-1} for level-1 generators v.  Returns
     (free rank, torsion list) via Smith normal form."""
     from .rings import ZZ
-    from .sparse import SparseMatrix, invariant_factors, z_rank
+    from .sparse import SparseMatrix, invariant_factors
 
     gens = G.generators(0)
     index = {((0, x)): k for k, x in enumerate(gens)}
@@ -808,7 +808,6 @@ def sampled_pi0_trivial(T: SimplicialSet, samples: int, seed: int) -> bool:
     rng = random.Random(seed)
     base = T.basepoint(0)
     seen = {base}
-    frontier = [base]
     # grow the reachable set via sampled 1-simplices
     edges = []
     for _ in range(samples):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .barcobar import bar_word_name, cobar_word_name
-from .complexes import ChainComplex, ChainMap, GradedBasis, tensor_name
+from .complexes import ChainComplex, ChainMap, tensor_basis, tensor_name
 from .hopf import ChainAlgebra, ChainCoalgebra, ComoduleStructure, Key, ModuleStructure, _sign
 
 
@@ -137,7 +137,6 @@ class TwistedTensorProduct:
     module: ModuleStructure
     cochain: TwistingCochain
     orientation: str
-    pairs: dict[str, tuple[Key, Key]] = None  # pair name -> (left key, right key)
 
 
 def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
@@ -170,53 +169,41 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
             raise StructureMismatch("comodule-first needs a right comodule and a left module")
         left_cx, right_cx = P.carrier, M.carrier
 
-    basis = GradedBasis(N)
-    pairs: dict[str, tuple[Key, Key]] = {}
-    for n in range(N + 1):
-        for p in range(n + 1):
-            for x in left_cx.basis.names(p):
-                for y in right_cx.basis.names(n - p):
-                    name = tensor_name(x, y)
-                    basis.add(n, name)
-                    pairs[name] = ((p, x), (n - p, y))
-    Z = ChainComplex(R, basis)
-
-    for n in range(1, N + 1):
-        for name, ((p, x), (q, y)) in pairs.items():
-            if p + q != n:
-                continue
-            # tensor differential
-            for x2, c in left_cx.d_of(p, x).items():
-                Z.set_d_entry(n, name, tensor_name(x2, y), c)
-            sgn = _sign(R, p)
-            for y2, c in right_cx.d_of(q, y).items():
-                Z.set_d_entry(n, name, tensor_name(x, y2), R.mul(sgn, c))
-            # twist term.  The relative sign between the two orientations is
-            # forced: D_t^2 = 0 must be equivalent to the Maurer-Cartan
-            # identity, and the t-operator crosses the surviving tensor
-            # factor on opposite sides (tested both ways on fixtures with
-            # nontrivial quadratic terms).
-            if orientation == "module-first":
-                # λ(y) = Σ c ⊗ y2;  m⊗y -> (-1)^{|m|} (m·t(c)) ⊗ y2
-                for (dc, c), (dy, y2), v in P.coact(q, y):
-                    tval = t.value(dc, c)
-                    if not tval:
-                        continue
-                    acted = M.act_combo(p, {x: R.one}, dc - 1, tval)
-                    for m2, w in acted.items():
-                        coeff = R.mul(R.mul(_sign(R, p), v), w)
-                        Z.set_d_entry(n, name, tensor_name(m2, y2), coeff)
-            else:
-                # ρ(x) = Σ x2 ⊗ c;  x⊗m -> -(-1)^{|x2|} x2 ⊗ (t(c)·m)
-                for (dx, x2), (dc, c), v in P.coact(p, x):
-                    tval = t.value(dc, c)
-                    if not tval:
-                        continue
-                    acted = M.act_combo(q, {y: R.one}, dc - 1, tval)
-                    for m2, w in acted.items():
-                        coeff = R.neg(R.mul(R.mul(_sign(R, dx), v), w))
-                        Z.set_d_entry(n, name, tensor_name(x2, m2), coeff)
-    return TwistedTensorProduct(Z, P, M, t, orientation, pairs)
+    Z = ChainComplex(R, tensor_basis(left_cx, right_cx, N))
+    for name, ((p, x), (q, y)) in Z.basis.pairs.items():
+        n = p + q
+        # tensor differential
+        for x2, c in left_cx.d_of(p, x).items():
+            Z.set_d_entry(n, name, tensor_name(x2, y), c)
+        sgn = _sign(R, p)
+        for y2, c in right_cx.d_of(q, y).items():
+            Z.set_d_entry(n, name, tensor_name(x, y2), R.mul(sgn, c))
+        # twist term.  The relative sign between the two orientations is
+        # forced: D_t^2 = 0 must be equivalent to the Maurer-Cartan
+        # identity, and the t-operator crosses the surviving tensor
+        # factor on opposite sides (tested both ways on fixtures with
+        # nontrivial quadratic terms).
+        if orientation == "module-first":
+            # λ(y) = Σ c ⊗ y2;  m⊗y -> (-1)^{|m|} (m·t(c)) ⊗ y2
+            for (dc, c), (dy, y2), v in P.coact(q, y):
+                tval = t.value(dc, c)
+                if not tval:
+                    continue
+                acted = M.act_combo(p, {x: R.one}, dc - 1, tval)
+                for m2, w in acted.items():
+                    coeff = R.mul(R.mul(sgn, v), w)
+                    Z.set_d_entry(n, name, tensor_name(m2, y2), coeff)
+        else:
+            # ρ(x) = Σ x2 ⊗ c;  x⊗m -> -(-1)^{|x2|} x2 ⊗ (t(c)·m)
+            for (dx, x2), (dc, c), v in P.coact(p, x):
+                tval = t.value(dc, c)
+                if not tval:
+                    continue
+                acted = M.act_combo(q, {y: R.one}, dc - 1, tval)
+                for m2, w in acted.items():
+                    coeff = R.neg(R.mul(R.mul(_sign(R, dx), v), w))
+                    Z.set_d_entry(n, name, tensor_name(x2, m2), coeff)
+    return TwistedTensorProduct(Z, P, M, t, orientation)
 
 
 # ---------------------------------------------------------------------

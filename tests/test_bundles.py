@@ -21,7 +21,14 @@ from htwist.bundles import (
     verify_biprincipal,
     verify_mixed_bundle,
 )
-from htwist.complexes import ChainMap, homology, is_quasi_iso_through, tensor_complex, verify_differential
+from htwist.complexes import (
+    ChainMap,
+    homology,
+    is_quasi_iso_through,
+    tensor_complex,
+    tensor_name,
+    verify_differential,
+)
 from htwist.fixtures import (
     acyclic_extension_inclusion,
     augmentation_algebra_map,
@@ -36,7 +43,16 @@ from htwist.fixtures import (
     unit_algebra_map,
 )
 from htwist.rings import QQ
-from htwist.twisting import compose_cochain, couniversal_cochain, universal_cochain
+from htwist.twisting import (
+    compose_cochain,
+    couniversal_cochain,
+    self_comodule_left,
+    self_comodule_right,
+    self_module_left,
+    self_module_right,
+    twisted_tensor,
+    universal_cochain,
+)
 
 
 def inclusion_exterior_pair(N):
@@ -337,3 +353,84 @@ def test_coacyclic_collapse_on_tensor_coalgebra():
     assert is_coalgebra_map(g, CF, C)
     ok, report = is_quasi_iso_through(g, 5)
     assert ok, report
+
+
+# ---------------------------------------------------------------------
+# Pair bases: every x⊗y basis carries its factors, built by tensor_basis.
+# ---------------------------------------------------------------------
+
+def _tensor_complex_case():
+    # factor names contain ⊗ themselves, so names cannot be split back
+    X, Y = exterior_pair(QQ, 4).complex, truncated_polynomial(QQ, 4).complex
+    return tensor_complex(X, Y, 5), X, Y
+
+
+def _twisted_tensor_case(orientation):
+    A = exterior_pair(QQ, 5)
+    B = bar(A, 5)
+    t = couniversal_cochain(B, A)
+    if orientation == "module-first":
+        P, M = self_comodule_left(B), self_module_right(A)
+        T = twisted_tensor(P, M, t, orientation, 5)
+        return T.complex, A.complex, B.complex
+    P, M = self_comodule_right(B), self_module_left(A)
+    T = twisted_tensor(P, M, t, orientation, 5)
+    return T.complex, B.complex, A.complex
+
+
+def _bundle_case(bundle):
+    return bundle.total, bundle.comonoid.complex, bundle.monoid.complex
+
+
+def _pushforward_case():
+    f, A, A2 = inclusion_exterior_pair(6)
+    return _bundle_case(pushforward(f, classifying_bundle_zeta(A, 5), 5, A2))
+
+
+def _pullback_case():
+    C = sphere_coalgebra(QQ, 6, 2)
+    g, CF = coacyclic_collapse(C, 6)
+    return _bundle_case(pullback(g, classifying_bundle_xi(C, 5), 5, CF))
+
+
+def _borel_quotient_case():
+    f, A, A2 = inclusion_exterior_pair(6)
+    return _bundle_case(borel_quotient(f, A, A2, 5).bundle)
+
+
+def _borel_kernel_case():
+    C = sphere_coalgebra(QQ, 6, 2)
+    g, CF = coacyclic_collapse(C, 6)
+    return _bundle_case(borel_kernel(g, CF, C, 5).bundle)
+
+
+@pytest.mark.parametrize("case", [
+    _tensor_complex_case,
+    lambda: _twisted_tensor_case("module-first"),
+    lambda: _twisted_tensor_case("comodule-first"),
+    _pushforward_case,
+    _pullback_case,
+    _borel_quotient_case,
+    _borel_kernel_case,
+], ids=["tensor_complex", "twisted_tensor-module-first", "twisted_tensor-comodule-first",
+        "pushforward", "pullback", "borel_quotient", "borel_kernel"])
+def test_pair_table_matches_basis(case):
+    Z, X, Y = case()
+    pairs = Z.basis.pairs
+    assert list(pairs) == [name for n in range(Z.truncation + 1) for name in Z.basis.names(n)]
+    for n in range(Z.truncation + 1):
+        for name in Z.basis.names(n):
+            (p, x), (q, y) = pairs[name]
+            assert tensor_name(x, y) == name
+            assert p + q == n
+            assert x in X.basis.names(p) and y in Y.basis.names(q)
+
+
+def test_ladder_reports_share_keys():
+    A = exterior(QQ, 5)
+    ok1, rep1 = amusing_comparison(ChainMap.identity(A.complex), A, A, 4)
+    C = sphere_coalgebra(QQ, 5, 2)
+    ok2, rep2 = amusing_comparison_dual(ChainMap.identity(C.complex), C, C, 4)
+    assert ok1 and ok2, (rep1, rep2)
+    assert list(rep1) == list(rep2) == ["squares", "verticals", "top-kind", "bottom-kind"]
+    assert list(rep1["squares"]) == list(rep2["squares"])

@@ -198,3 +198,25 @@ def test_group_commands_reject_sets_exit_2(tmp_path, command, spec):
     assert proc.returncode == 2
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
     assert repr(spec["kind"]) in proc.stderr
+
+
+def _two_cell_complex(ring, coeff):
+    """Cells a (degree 0) and b (degree 1) with d(b) = coeff·a."""
+    return {"ring": ring, "truncation": 1, "basis": {"0": ["a"], "1": ["b"]},
+            "d": [{"degree": 1, "from": "b", "to": "a", "coeff": coeff}]}
+
+
+@pytest.mark.parametrize("ring, coeff", [
+    ("Z", "3/2"),     # not integral over Z
+    ("Fp:5", "1/2"),  # not integral over F_p
+    ("Z", "x"),       # not a number
+    ("Q", "1/0"),     # zero denominator
+])
+def test_bad_coefficient_exit_2(tmp_path, ring, coeff):
+    path = tmp_path / "bad_coeff.json"
+    path.write_text(json.dumps(_two_cell_complex(ring, coeff)))
+    proc = run_cli(["homology", str(path), "--through", "0", "--json"])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+    assert repr(coeff) in proc.stderr
+

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from htwist.rings import ZZ, QQ
+from htwist.rings import GF, ZZ, QQ
 from htwist.complexes import (
     ChainComplex,
     ChainMap,
@@ -172,3 +174,11 @@ def test_induced_zero_on_reduced_homology():
     z = ChainMap(X, X)
     z.set_entry(0, "a", "a", 1)
     assert induced_zero_on_reduced_homology(z, 1)
+
+
+@pytest.mark.parametrize("R", [ZZ, GF(5)], ids=["Z", "F5"])
+def test_ring_of_rejects_non_integral_fraction(R):
+    with pytest.raises(ValueError):
+        R.of(Fraction(1, 2))
+    assert R.of(Fraction(6, 2)) == 3
+    assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)
