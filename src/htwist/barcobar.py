@@ -52,23 +52,19 @@ def cobar_word_name(word: Word) -> str:
 def _enumerate_words(letter_pool: list[tuple[Key, int]], N: int) -> dict[int, list[Word]]:
     """All words of total marked degree <= N over the pool, by degree.
 
-    Ordering inside a degree is (length, letter degrees, letter names):
-    deterministic matrices everywhere downstream.
+    A word of degree n is a word of degree n - |l| followed by its last
+    letter l, so each degree is built in one pass over the letters.
+    Ordering inside a degree is (length, letter degrees, letter names), a
+    total order on distinct words: deterministic matrices everywhere
+    downstream.
     """
     by_degree: dict[int, list[Word]] = {0: [()]}
-    frontier: list[tuple[Word, int]] = [((), 0)]
-    while frontier:
-        new_frontier = []
-        for word, deg in frontier:
-            for key, ldeg in letter_pool:
-                d2 = deg + ldeg
-                if d2 <= N:
-                    w2 = word + (key,)
-                    by_degree.setdefault(d2, []).append(w2)
-                    new_frontier.append((w2, d2))
-        frontier = new_frontier
-    for n in by_degree:
-        by_degree[n].sort(key=lambda w: (len(w), tuple(k[0] for k in w), tuple(k[1] for k in w)))
+    for n in range(1, N + 1):
+        words = [w + (key,) for key, ldeg in letter_pool if ldeg <= n
+                 for w in by_degree.get(n - ldeg, ())]
+        if words:
+            words.sort(key=lambda w: (len(w), tuple(k[0] for k in w), tuple(k[1] for k in w)))
+            by_degree[n] = words
     return by_degree
 
 
@@ -76,16 +72,13 @@ class WordIndex:
     """Bookkeeping shared by bar and cobar outputs."""
 
     def __init__(self, words_by_degree: dict[int, list[Word]], namer):
-        self.words_by_degree = words_by_degree
         self.name_of: dict[Word, str] = {}
         self.letters_of: dict[str, Word] = {}
-        self.degree_of: dict[Word, int] = {}
-        for n, words in words_by_degree.items():
+        for words in words_by_degree.values():
             for w in words:
                 name = namer(w)
                 self.name_of[w] = name
                 self.letters_of[name] = w
-                self.degree_of[w] = n
 
 
 # ---------------------------------------------------------------------
@@ -150,8 +143,6 @@ def bar(A: ChainAlgebra, N: int) -> ChainCoalgebra:
                 terms.append(((dl, index.name_of[left]), (n - dl, index.name_of[right]), R.one))
             C.set_coproduct_reduced(n, index.name_of[w], terms)
 
-    C.kind = "bar"
-    C.source_algebra = A
     C.words = index
     return C
 
@@ -215,8 +206,6 @@ def cobar(C: ChainCoalgebra, N: int) -> ChainAlgebra:
         return {index.name_of[wa + wb]: R.one}
 
     A = ChainAlgebra(X, EMPTY_NAME, name=f"Cobar({C.name})", product_fn=concat)
-    A.kind = "cobar"
-    A.source_coalgebra = C
     A.words = index
     return A
 
@@ -283,10 +272,7 @@ def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
                          for w, sgn in shuffles_with_signs(R, wa, wb, bar_letter_degree))
 
     S = ChainAlgebra(B.complex, EMPTY_NAME, name=f"Bar({A.name})-shuffle", product_fn=product)
-    S.kind = "bar-shuffle"
-    S.source_algebra = A
     S.words = index
-    S.bar_coalgebra = B
     return S
 
 

@@ -118,9 +118,7 @@ def classifying_bundle_zeta(A: ChainAlgebra, N: int,
     """ζ(A) = (A -> Bar(A) ⊗_{t_Bar} A -> Bar(A)), the acyclic bar bundle."""
     B = Bar if Bar is not None else bar(A, N)
     t = couniversal_cochain(B, A)
-    bundle = twisted_bundle(B, A, t, N, kind=f"zeta({A.name})")
-    bundle.bar = B
-    return bundle
+    return twisted_bundle(B, A, t, N, kind=f"zeta({A.name})")
 
 
 def classifying_bundle_xi(C: ChainCoalgebra, N: int,
@@ -128,16 +126,14 @@ def classifying_bundle_xi(C: ChainCoalgebra, N: int,
     """ξ(C) = (Cobar(C) -> C ⊗_{t_Ω} Cobar(C) -> C), the acyclic cobar bundle."""
     O = Omega if Omega is not None else cobar(C, N)
     t = universal_cochain(C, O)
-    bundle = twisted_bundle(C, O, t, N, kind=f"xi({C.name})")
-    bundle.cobar = O
-    return bundle
+    return twisted_bundle(C, O, t, N, kind=f"xi({C.name})")
 
 
 # ---------------------------------------------------------------------
 # Structure verification.
 # ---------------------------------------------------------------------
 
-def verify_mixed_bundle(b: MixedBundle, sample_limit: int | None = None):
+def verify_mixed_bundle(b: MixedBundle):
     """i is a module map, p a comodule map, both chain maps, and the
     mixed compatibility (C⊗ρ)(λ⊗A) = λρ holds on basis pairs."""
     R = b.ring
@@ -306,7 +302,7 @@ class BundleMap:
     def is_weak_equivalence(self, through: int):
         out = {}
         for nm, f in (("alpha", self.alpha), ("gamma", self.gamma), ("beta", self.beta)):
-            ok, _ = is_quasi_iso_through(f, through, check_chain_map=False)
+            ok, _ = is_quasi_iso_through(f, through)
             out[nm] = ok
         return all(out.values()), out
 

@@ -153,17 +153,12 @@ def cmd_check_twisting(args):
 
 
 def cmd_borel(args):
-    from .barcobar import bar
     from .bundles import borel_quotient
-    from .complexes import ChainMap
 
     data = _load_json(args.input)
     A = io_json.algebra_from_dict(data["source"])
     A2 = io_json.algebra_from_dict(data["target"])
-    f = ChainMap(A.complex, A2.complex)
-    for e in data["map"]:
-        f.set_entry(int(e["degree"]), e["from"], e["to"],
-                    io_json._coeff_parse(A.ring, e["coeff"]))
+    f = io_json.chain_map_from_dict(data["map"], A.complex, A2.complex)
     q = borel_quotient(f, A, A2, args.through)
     okd, wd = verify_differential(q.bundle.total)
     H = homology(q.bundle.total, args.through - 1)
@@ -175,15 +170,11 @@ def cmd_borel(args):
 
 def cmd_np(args):
     from .bundles import nomura_puppe
-    from .complexes import ChainMap
 
     data = _load_json(args.input)
     A = io_json.algebra_from_dict(data["source"])
     A2 = io_json.algebra_from_dict(data["target"])
-    f = ChainMap(A.complex, A2.complex)
-    for e in data["map"]:
-        f.set_entry(int(e["degree"]), e["from"], e["to"],
-                    io_json._coeff_parse(A.ring, e["coeff"]))
+    f = io_json.chain_map_from_dict(data["map"], A.complex, A2.complex)
     np_ = nomura_puppe(f, A, A2, args.through)
     ok, rep = np_.verify(args.through - 1)
     return _report("np", args, {"nomura-puppe": rep}), 0 if ok else 1

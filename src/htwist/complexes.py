@@ -12,21 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Ring
-from .sparse import (
-    SparseMatrix,
-    invariant_factors,
-    is_surjective_onto_cokernel_zero,
-    kernel_basis,
-    rank,
-    solve,
-)
+from .sparse import SparseMatrix, invariant_factors, kernel_basis, rank, solve
 
 
 class TruncationTooLow(Exception):
-    pass
-
-
-class NotAChainMap(Exception):
     pass
 
 
@@ -247,58 +236,32 @@ class ChainMap:
         return ChainMap(X, X, comps)
 
 
-def is_quasi_iso_through(f: ChainMap, through: int, check_chain_map: bool = True):
+def is_quasi_iso_through(f: ChainMap, through: int):
     """Induced iso on H_n for n <= through?  Returns (ok, per-degree report).
 
-    Over Z both free rank and the full torsion list are compared; over a
-    field ranks only.  Isomorphy is certified as: equal invariants plus
-    surjectivity of the induced map (f.g. modules are Hopfian).
+    Decided on the mapping cone (docs/DECISIONS.md, section 7): f is a
+    quasi-isomorphism through t iff H_n(Cone f) = 0 for n <= t and
+    H_t(X) = H_t(Y), over Z as over a field.  Each report entry holds H_n of
+    source, target and cone as (rank, torsion).  A map that does not commute
+    with d through t + 1 has no cone; it reports {"chain-map": degree}.
     """
-    if check_chain_map:
-        ok, bad = f.is_chain_map(through)
-        if not ok:
-            raise NotAChainMap(f"does not commute with d at degree {bad}")
-    X, Y = f.source, f.target
-    report = {}
-    all_ok = True
-    for n in range(through + 1):
-        hx = homology_in_degree(X, n)
-        hy = homology_in_degree(Y, n)
-        same = hx == hy
-        surj = _induced_surjective(f, n)
-        report[n] = {"source": hx, "target": hy, "match": same, "surjective": surj}
-        all_ok = all_ok and same and surj
-    return all_ok, report
-
-
-def homology_in_degree(X: ChainComplex, n: int):
-    if n + 1 > X.truncation:
-        raise TruncationTooLow(f"degree {n} needs d_{n + 1}")
-    rn, _ = _rank_and_torsion(X, n)
-    rn1, torsion = _rank_and_torsion(X, n + 1)
-    return (X.basis.dim(n) - rn - rn1, torsion)
-
-
-def _induced_surjective(f: ChainMap, n: int) -> bool:
-    X, Y = f.source, f.target
-    KX = kernel_basis(X.dmat(n))
-    KY = kernel_basis(Y.dmat(n))
-    fK = f.mat(n) @ KX
-    W = solve(KY, fK)
-    if W is None:  # cycles not carried to cycles: not even well defined
-        return False
-    RY = solve(KY, Y.dmat(n + 1))
-    assert RY is not None
-    if KY.ncols == 0:
-        return True
-    return is_surjective_onto_cokernel_zero(SparseMatrix.hstack([W, RY]))
+    ok, bad = f.is_chain_map(through)
+    if not ok:
+        return False, {"chain-map": bad}
+    hx = homology(f.source, through).by_degree
+    hy = homology(f.target, through).by_degree
+    hc = homology(mapping_cone(f, through + 1), through).by_degree
+    report = {n: {"source": hx[n], "target": hy[n], "match": hx[n] == hy[n], "cone": hc[n]}
+              for n in range(through + 1)}
+    acyclic = all(r == 0 and not t for r, t in hc.values())
+    return acyclic and report[through]["match"], report
 
 
 def induced_zero_on_reduced_homology(f: ChainMap, through: int) -> bool:
     """True iff H_n(f) = 0 for 1 <= n <= through and the sources are
     connected in degree 0 (so reduced H_0 vanishes)."""
     X, Y = f.source, f.target
-    r0, t0 = homology_in_degree(X, 0)
+    r0, t0 = homology(X, 0).by_degree[0]
     if r0 > 1 or t0:
         return False
     for n in range(1, through + 1):
@@ -392,23 +355,31 @@ def suspend(X: ChainComplex, shift: int) -> ChainComplex:
     return Z
 
 
+def mapping_cone(f: ChainMap, N: int) -> ChainComplex:
+    """Cone(f)_n = X_{n-1} ⊕ Y_n for n <= N, summands named L(x) and R(y),
+    with d(x, y) = (-dx, f(x) + dy): d_n is the block matrix
+    [[-d_{n-1}, 0], [f_{n-1}, d_n]], built without name lookups."""
+    X, Y, R = f.source, f.target, f.source.ring
+    basis = GradedBasis(N)
+    for n in range(N + 1):
+        for x in X.basis.names(n - 1):
+            basis.add(n, f"L({x})")
+        for y in Y.basis.names(n):
+            basis.add(n, f"R({y})")
+    C = ChainComplex(R, basis)
+    for n in range(1, N + 1):
+        top, left = X.basis.dim(n - 2), X.basis.dim(n - 1)
+        d = SparseMatrix(R, basis.dim(n - 1), basis.dim(n))
+        d.entries = {ij: R.neg(v) for ij, v in X.dmat(n - 1).entries.items()}
+        d.entries.update(((top + i, j), v) for (i, j), v in f.mat(n - 1).entries.items())
+        d.entries.update(((top + i, left + j), v) for (i, j), v in Y.dmat(n).entries.items())
+        C.diff[n] = d
+    return C
+
+
 def cone_on_identity(X: ChainComplex) -> ChainComplex:
     """Mapping cone of id_X: contractible; handy as an acyclic fixture."""
-    N = X.truncation + 1
-    basis = GradedBasis(N)
-    for n in X.basis.degrees():
-        for a in X.basis.names(n):
-            basis.add(n, f"c0({a})")
-            if n + 1 <= N:
-                basis.add(n + 1, f"c1({a})")
-    Z = ChainComplex(X.ring, basis)
-    for n in X.basis.degrees():
-        for a in X.basis.names(n):
-            for a2, c in X.d_of(n, a).items():
-                Z.set_d_entry(n, f"c0({a})", f"c0({a2})", c)
-                Z.set_d_entry(n + 1, f"c1({a})", f"c1({a2})", X.ring.neg(c))
-            Z.set_d_entry(n + 1, f"c1({a})", f"c0({a})", 1)
-    return Z
+    return mapping_cone(ChainMap.identity(X), X.truncation + 1)
 
 
 def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:

@@ -123,7 +123,7 @@ def trivial_coalgebra(ring: Ring = QQ, N: int = 8) -> ChainCoalgebra:
     return ChainCoalgebra(ChainComplex(ring, basis), "1", name="k")
 
 
-def unit_algebra_map(A: ChainAlgebra, ring: Ring = None):
+def unit_algebra_map(A: ChainAlgebra):
     """η: k -> A as a ChainMap, together with the trivial algebra."""
     from .complexes import ChainMap
 

@@ -7,6 +7,8 @@ Complex format:
    "d": [{"degree": n, "from": name, "to": name, "coeff": "c"}, ...]}
 
 (Co)algebra formats extend it with "mu"/"delta" entry lists, "unit"/"coaug".
+A chain map (the "map" of `htwist borel` and `htwist np`) is a list of
+entries in the shape of "d" entries.
 Coefficients serialize as strings so Q entries stay exact.  All listings
 are degree-major in basis order, so equal objects serialize identically.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .complexes import ChainComplex, GradedBasis
+from .complexes import ChainComplex, ChainMap, GradedBasis
 from .hopf import ChainAlgebra, ChainCoalgebra
 from .rings import Ring
 
@@ -71,6 +73,20 @@ def complex_from_dict(data: dict) -> ChainComplex:
         except KeyError as exc:
             raise InputError(f"d entry {e}: unknown basis element or missing field {exc}") from exc
     return X
+
+
+def chain_map_from_dict(entries: list, X: ChainComplex, Y: ChainComplex) -> ChainMap:
+    """The map X -> Y with the given entries, each {"degree": n, "from": x,
+    "to": y, "coeff": "c"}; an unknown element or a missing field is an
+    input error."""
+    f = ChainMap(X, Y)
+    for e in entries:
+        try:
+            f.set_entry(int(e["degree"]), e["from"], e["to"], _coeff_parse(X.ring, e["coeff"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"map entry {e}: unknown basis element or malformed entry "
+                             f"({exc})") from exc
+    return f
 
 
 def algebra_to_dict(A: ChainAlgebra, max_degree: int | None = None) -> dict:

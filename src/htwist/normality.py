@@ -125,7 +125,7 @@ def verify_elementary_equivalence(m: ExtendedBundleMorphism, through: int):
     report["p-square"] = all(sq3.mat(n) == sq3b.mat(n) for n in range(hi + 1))
 
     for nm, f in (("alpha", m.alpha), ("mu", m.mu), ("nu", m.nu), ("beta", m.beta)):
-        okq, _ = is_quasi_iso_through(f, through, check_chain_map=False)
+        okq, _ = is_quasi_iso_through(f, through)
         report[f"{nm}-quasi-iso"] = okq
 
     ok = all(v is True for v in report.values())
@@ -421,14 +421,12 @@ def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> Ch
     return Q
 
 
-def chcx_unit_certificate(A: ChainAlgebra, N: int, ring=None):
+def chcx_unit_certificate(A: ChainAlgebra, N: int):
     """The extreme case f = η: k -> A (always h-normal).  Routed through the
     rigid builder with the quotient A//k carrying A's own multiplication."""
-    from .fixtures import trivial_algebra
+    from .fixtures import unit_algebra_map
 
-    k = trivial_algebra(A.ring, A.truncation)
-    eta = ChainMap(k.complex, A.complex)
-    eta.set_entry(0, "1", A.unit, 1)
+    eta, k = unit_algebra_map(A)
     Bark = bar(k, N + 1)
     q = borel_quotient(eta, k, A, N, Bark)
     Q = unit_algebra_structure_on_quotient(q, A)
@@ -591,7 +589,7 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
     nabla = milgram_bar_map(A, B, N, BarA, BarB, BarAB, TB)
     okc, _ = nabla.is_chain_map()
     report["milgram-bar-chain-map"] = okc
-    okq, _ = is_quasi_iso_through(nabla, N - 1, check_chain_map=False)
+    okq, _ = is_quasi_iso_through(nabla, N - 1)
     report["milgram-bar-quasi-iso"] = okq
     report["bar-rank-hypothesis"] = homology(TB, N - 1) == homology(BarAB.complex, N - 1)
 
@@ -626,7 +624,7 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
     qmap = milgram_cobar_map(C, D, N, OmegaCD, OmegaC, OmegaD, TO)
     okc2, _ = qmap.is_chain_map()
     report["milgram-cobar-chain-map"] = okc2
-    okq2, _ = is_quasi_iso_through(qmap, N - 1, check_chain_map=False)
+    okq2, _ = is_quasi_iso_through(qmap, N - 1)
     report["milgram-cobar-quasi-iso"] = okq2
     report["cobar-rank-hypothesis"] = homology(TO, N - 1) == homology(OmegaCD.complex, N - 1)
 

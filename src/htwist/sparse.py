@@ -139,19 +139,6 @@ class SparseMatrix:
             m[j, i] = v
         return m
 
-    @staticmethod
-    def hstack(blocks) -> "SparseMatrix":
-        blocks = list(blocks)
-        nr = blocks[0].nrows
-        assert all(b.nrows == nr for b in blocks)
-        out = SparseMatrix(blocks[0].ring, nr, sum(b.ncols for b in blocks))
-        off = 0
-        for b in blocks:
-            for (i, j), v in b.entries.items():
-                out[i, j + off] = v
-            off += b.ncols
-        return out
-
 
 # ---------------------------------------------------------------------
 # Row dicts, shared by both eliminations.
@@ -473,12 +460,3 @@ def rank(M: SparseMatrix) -> int:
 def solve(M: SparseMatrix, B: SparseMatrix):
     return z_solve(M, B) if M.ring == ZZ else field_solve(M, B)
 
-
-def is_surjective_onto_cokernel_zero(M: SparseMatrix) -> bool:
-    """True iff coker(M) = 0, i.e. M is surjective as a map of free modules."""
-    if M.nrows == 0:
-        return True
-    if M.ring == ZZ:
-        facs = invariant_factors(M)
-        return len(facs) == M.nrows and all(f == 1 for f in facs)
-    return field_rank(M) == M.nrows

@@ -220,3 +220,25 @@ def test_bad_coefficient_exit_2(tmp_path, ring, coeff):
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
     assert repr(coeff) in proc.stderr
 
+
+
+def _map_input(tmp_path, entry):
+    """A borel/np input for Λx -> Λx: the identity, plus one extra entry."""
+    A = io_json.algebra_to_dict(exterior(QQ, 6))
+    entries = [{"degree": 0, "from": "1", "to": "1", "coeff": "1"},
+               {"degree": 1, "from": "x", "to": "x", "coeff": "1"}, entry]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"source": A, "target": A, "map": entries}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["borel", "np"])
+@pytest.mark.parametrize("entry", [
+    {"degree": 1, "from": "x", "to": "nope", "coeff": "1"},  # not a target element
+    {"from": "x", "to": "x", "coeff": "1"},                  # no degree
+])
+def test_bad_map_entry_exit_2(tmp_path, command, entry):
+    proc = run_cli([command, str(_map_input(tmp_path, entry)), "--through", "3", "--json"])
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+    assert "map entry" in proc.stderr

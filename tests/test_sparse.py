@@ -13,7 +13,6 @@ from htwist.sparse import (
     field_rank,
     field_solve,
     invariant_factors,
-    is_surjective_onto_cokernel_zero,
     kernel_basis,
     smith_normal_form,
     solve,
@@ -21,6 +20,7 @@ from htwist.sparse import (
     z_rank,
     z_solve,
 )
+from quasi_iso_oracle import is_surjective_onto_cokernel_zero
 
 
 def mat(rows, ring=ZZ):
