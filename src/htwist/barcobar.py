@@ -68,17 +68,41 @@ def _enumerate_words(letter_pool: list[tuple[Key, int]], N: int) -> dict[int, li
     return by_degree
 
 
-class WordIndex:
-    """Bookkeeping shared by bar and cobar outputs."""
+def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, namer,
+                  letter_term) -> ChainComplex:
+    """The complex on all words of marked degree <= N over the letters of
+    ``inner`` in degrees >= ``lowest`` (marked degree |x| + shift), keyed by
+    word, with d = Σ_j -(-1)^{e_j} (internal d on letter j) + letter_term.
 
-    def __init__(self, words_by_degree: dict[int, list[Word]], namer):
-        self.name_of: dict[Word, str] = {}
-        self.letters_of: dict[str, Word] = {}
-        for words in words_by_degree.values():
-            for w in words:
-                name = namer(w)
-                self.name_of[w] = name
-                self.letters_of[name] = w
+    e_j is the total marked degree of the letters before j, and
+    ``letter_term(w, j, e_j)`` yields the (word, coeff) terms of the bar
+    merge or the cobar split at letter j.  Internal d that leaves the
+    letter degrees >= ``lowest`` is dropped (augmentation, 1-connectivity).
+    """
+    R = inner.ring
+    pool = [((n, x), n + shift) for n in range(lowest, min(inner.truncation, N - shift) + 1)
+            for x in inner.basis.names(n)]
+    words = _enumerate_words(pool, N)
+    basis = GradedBasis(N)
+    for n in sorted(words):
+        for w in words[n]:
+            basis.add(n, namer(w), w)
+    X = ChainComplex(R, basis)
+    for n in sorted(words):
+        if n == 0:
+            continue
+        for src, w in zip(basis.names(n), words[n]):
+            e = 0
+            for j, (dj, xj) in enumerate(w):
+                if dj - 1 >= lowest:
+                    sgn = R.neg(_sign(R, e))
+                    for x2, c in inner.d_of(dj, xj).items():
+                        w2 = w[:j] + ((dj - 1, x2),) + w[j + 1:]
+                        X.set_d_entry(n, src, basis.name_of(n - 1, w2), R.mul(sgn, c))
+                for w2, c in letter_term(w, j, e):
+                    X.set_d_entry(n, src, basis.name_of(n - 1, w2), c)
+                e += dj + shift
+    return X
 
 
 # ---------------------------------------------------------------------
@@ -95,55 +119,27 @@ def bar(A: ChainAlgebra, N: int) -> ChainCoalgebra:
     if not A.is_connected():
         raise NotConnected(f"bar needs a connected algebra, degree 0 = {A.basis(0)}")
     R = A.ring
-    pool = []
-    for n in range(1, N + 1):
-        for a in A.basis(n):
-            ldeg = n + 1
-            if ldeg <= N:
-                pool.append(((n, a), ldeg))
-    words = _enumerate_words(pool, N)
-    index = WordIndex(words, bar_word_name)
 
-    basis = GradedBasis(N)
-    for n in sorted(words):
-        for w in words[n]:
-            basis.add(n, index.name_of[w])
-    X = ChainComplex(R, basis)
+    def merge(w, j, e):
+        if j + 1 < len(w):
+            (dj, aj), (dk, ak) = w[j], w[j + 1]
+            sgn = _sign(R, e + dj + 1)
+            for prod, c in A.product(dj, aj, dk, ak).items():
+                yield w[:j] + ((dj + dk, prod),) + w[j + 2:], R.mul(sgn, c)
 
-    for n in sorted(words):
-        if n == 0:
-            continue
-        for w in words[n]:
-            src = index.name_of[w]
-            e = 0
-            for j, (dj, aj) in enumerate(w):
-                sgn_internal = R.neg(_sign(R, e))
-                for a2, c in A.complex.d_of(dj, aj).items():
-                    if dj - 1 < 1:
-                        continue  # augmentation axiom kills the degree-0 part
-                    w2 = w[:j] + ((dj - 1, a2),) + w[j + 1:]
-                    X.set_d_entry(n, src, index.name_of[w2], R.mul(sgn_internal, c))
-                if j + 1 < len(w):
-                    dk, ak = w[j + 1]
-                    sgn_mult = _sign(R, e + dj + 1)
-                    for prod, c in A.product(dj, aj, dk, ak).items():
-                        w2 = w[:j] + ((dj + dk, prod),) + w[j + 2:]
-                        X.set_d_entry(n, src, index.name_of[w2], R.mul(sgn_mult, c))
-                e += dj + 1
-
+    X = _word_complex(A.complex, 1, 1, N, bar_word_name, merge)
+    basis = X.basis
     C = ChainCoalgebra(X, EMPTY_NAME, name=f"Bar({A.name})")
-    for n in sorted(words):
-        if n == 0:
-            continue
-        for w in words[n]:
+    for n in range(1, N + 1):
+        for name in basis.names(n):
+            w = basis.keys[name]
             terms = []
             for i in range(1, len(w)):
                 left, right = w[:i], w[i:]
                 dl = sum(k[0] + 1 for k in left)
-                terms.append(((dl, index.name_of[left]), (n - dl, index.name_of[right]), R.one))
-            C.set_coproduct_reduced(n, index.name_of[w], terms)
-
-    C.words = index
+                terms.append(((dl, basis.name_of(dl, left)),
+                              (n - dl, basis.name_of(n - dl, right)), R.one))
+            C.set_coproduct_reduced(n, name, terms)
     return C
 
 
@@ -163,51 +159,21 @@ def cobar(C: ChainCoalgebra, N: int) -> ChainAlgebra:
             f"cobar needs a 1-connected coalgebra, degrees 0/1 = {C.basis(0)}/{C.basis(1)}"
         )
     R = C.ring
-    pool = []
-    for n in range(2, C.truncation + 1):
-        for c in C.basis(n):
-            ldeg = n - 1
-            if ldeg <= N:
-                pool.append(((n, c), ldeg))
-    words = _enumerate_words(pool, N)
-    index = WordIndex(words, cobar_word_name)
 
-    basis = GradedBasis(N)
-    for n in sorted(words):
-        for w in words[n]:
-            basis.add(n, index.name_of[w])
-    X = ChainComplex(R, basis)
+    def split(w, j, e):
+        sgn = _sign(R, e)
+        for (d1, c1), (d2, c2), coeff in C.reduced_coproduct(*w[j]):
+            yield w[:j] + ((d1, c1), (d2, c2)) + w[j + 1:], R.mul(R.mul(sgn, _sign(R, d1)), coeff)
 
-    for n in sorted(words):
-        if n == 0:
-            continue
-        for w in words[n]:
-            src = index.name_of[w]
-            e = 0
-            for j, (dj, cj) in enumerate(w):
-                sgn_internal = R.neg(_sign(R, e))
-                for c2, coeff in C.complex.d_of(dj, cj).items():
-                    if dj - 1 < 2:
-                        continue  # 1-connected: no letters from degrees < 2
-                    w2 = w[:j] + ((dj - 1, c2),) + w[j + 1:]
-                    X.set_d_entry(n, src, index.name_of[w2], R.mul(sgn_internal, coeff))
-                sgn_outer = _sign(R, e)
-                for (d1, c1), (d2, c2), coeff in C.reduced_coproduct(dj, cj):
-                    w2 = w[:j] + ((d1, c1), (d2, c2)) + w[j + 1:]
-                    sgn = R.mul(sgn_outer, _sign(R, d1))
-                    X.set_d_entry(n, src, index.name_of[w2], R.mul(sgn, coeff))
-                e += dj - 1
+    X = _word_complex(C.complex, 2, -1, N, cobar_word_name, split)
+    basis = X.basis
 
     def concat(da, a, db, b):
         if da + db > N:
             return {}
-        wa = index.letters_of[a]
-        wb = index.letters_of[b]
-        return {index.name_of[wa + wb]: R.one}
+        return {basis.name_of(da + db, basis.keys[a] + basis.keys[b]): R.one}
 
-    A = ChainAlgebra(X, EMPTY_NAME, name=f"Cobar({C.name})", product_fn=concat)
-    A.words = index
-    return A
+    return ChainAlgebra(X, EMPTY_NAME, name=f"Cobar({C.name})", product_fn=concat)
 
 
 # ---------------------------------------------------------------------
@@ -262,18 +228,15 @@ def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
         raise NotCommutative(f"{A.name or 'algebra'} is not graded-commutative")
     B = bar(A, N)
     R = B.ring
-    index = B.words
+    basis = B.complex.basis
 
     def product(da, a, db, b):
         if da + db > N:
             return {}
-        wa, wb = index.letters_of[a], index.letters_of[b]
-        return R.lincomb((index.name_of[w], sgn)
-                         for w, sgn in shuffles_with_signs(R, wa, wb, bar_letter_degree))
+        return R.lincomb((basis.name_of(da + db, w), sgn) for w, sgn in
+                         shuffles_with_signs(R, basis.keys[a], basis.keys[b], bar_letter_degree))
 
-    S = ChainAlgebra(B.complex, EMPTY_NAME, name=f"Bar({A.name})-shuffle", product_fn=product)
-    S.words = index
-    return S
+    return ChainAlgebra(B.complex, EMPTY_NAME, name=f"Bar({A.name})-shuffle", product_fn=product)
 
 
 # ---------------------------------------------------------------------
@@ -287,11 +250,11 @@ def bar_map(f: ChainMap, source: ChainCoalgebra | ChainAlgebra,
     of the letters' images."""
     R = source.ring
     out = ChainMap(source.complex, target.complex)
+    words, image_basis = source.complex.basis.keys, target.complex.basis
     for n in range(source.truncation + 1):
         for name in source.basis(n):
-            word = source.words.letters_of[name]
             images = [((), R.one)]
-            for (d, a) in word:
+            for (d, a) in words[name]:
                 val = f.apply(d, a)
                 images = [
                     (w + ((d, b),), R.mul(s, v))
@@ -300,7 +263,7 @@ def bar_map(f: ChainMap, source: ChainCoalgebra | ChainAlgebra,
                 if not images:
                     break
             for w, s in images:
-                target_name = target.words.name_of.get(w)
+                target_name = image_basis.name_of(n, w)
                 if target_name is not None:
                     out.set_entry(n, name, target_name, s)
     return out
@@ -345,14 +308,13 @@ def alpha_t(t, Omega: ChainAlgebra, N: int) -> ChainMap:
     """
     A = t.target
     f = ChainMap(Omega.complex, A.complex)
-    index = Omega.words
+    words = Omega.complex.basis.keys
     for n in range(N + 1):
         for name in Omega.basis(n):
-            word = index.letters_of[name]
             combo = {A.unit: A.ring.one}
             deg = 0
             ok = True
-            for (dc, c) in word:
+            for (dc, c) in words[name]:
                 val = t.value(dc, c)
                 if not val:
                     ok = False
@@ -378,7 +340,7 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
     C = t.source
     A = t.target
     R = C.ring
-    index = Bar.words
+    bar_basis = Bar.complex.basis
     f = ChainMap(C.complex, Bar.complex)
     for n in range(N + 1):
         for c in C.basis(n):
@@ -404,7 +366,7 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
                         if not words:
                             break
                     for w, s in words:
-                        name = index.name_of.get(w)
+                        name = bar_basis.name_of(n, w)
                         if name is not None:
                             results.append((name, s))
                     # refine the last factor once more via reduced coproduct
@@ -453,14 +415,15 @@ def milgram_bar_map(A: ChainAlgebra, B: ChainAlgebra, N: int,
     """
     R = A.ring
     f = ChainMap(tensor_bar, BarAB.complex)
+    words_a, words_b = BarA.complex.basis.keys, BarB.complex.basis.keys
     for n in range(tensor_bar.truncation + 1):
         for p in range(n + 1):
             for la in BarA.basis(p):
-                wa = tuple((d, tensor_name(a, B.unit)) for (d, a) in BarA.words.letters_of[la])
+                wa = tuple((d, tensor_name(a, B.unit)) for (d, a) in words_a[la])
                 for lb in BarB.basis(n - p):
-                    wb = tuple((d, tensor_name(A.unit, b)) for (d, b) in BarB.words.letters_of[lb])
+                    wb = tuple((d, tensor_name(A.unit, b)) for (d, b) in words_b[lb])
                     for w, sgn in shuffles_with_signs(R, wa, wb, bar_letter_degree):
-                        target = BarAB.words.name_of.get(w)
+                        target = BarAB.complex.basis.name_of(n, w)
                         if target is not None:
                             f.set_entry(n, tensor_name(la, lb), target, sgn)
     return f
@@ -490,7 +453,7 @@ def milgram_cobar_map(C: ChainCoalgebra, D: ChainCoalgebra, N: int,
 
     for n in range(N + 1):
         for name in OmegaCD.basis(n):
-            word = OmegaCD.words.letters_of[name]
+            word = OmegaCD.complex.basis.keys[name]
             # multiply letter images in Cobar(C) ⊗ Cobar(D)
             terms = [((), (), R.one)]
             for (dc, cname) in word:
@@ -507,8 +470,9 @@ def milgram_cobar_map(C: ChainCoalgebra, D: ChainCoalgebra, N: int,
                 if not terms:
                     break
             for (wa, wb, s) in terms:
-                na = OmegaC.words.name_of.get(wa)
-                nb = OmegaD.words.name_of.get(wb)
+                da = sum(k[0] - 1 for k in wa)
+                na = OmegaC.complex.basis.name_of(da, wa)
+                nb = OmegaD.complex.basis.name_of(n - da, wb)
                 if na is not None and nb is not None:
                     f.set_entry(n, name, tensor_name(na, nb), s)
     return f

@@ -75,10 +75,6 @@ class MixedBundle:
     kind: str = ""
 
     @property
-    def pairs(self):
-        return self.total.basis.pairs
-
-    @property
     def ring(self):
         return self.total.ring
 
@@ -106,7 +102,7 @@ def _realize(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex,
         for a in A.basis(n):
             i.set_entry(n, a, tensor_name(C.coaug, a), 1)
     p = ChainMap(total, C.complex)
-    for name, ((dc, c), (da, a)) in total.basis.pairs.items():
+    for name, ((dc, c), (da, a)) in total.basis.keys.items():
         if da == 0:
             p.set_entry(dc, name, c, A.aug(0, a))
     return MixedBundle(A, C, total, i, p, free_module_over(A, total),
@@ -179,7 +175,7 @@ def verify_biprincipal(b: MixedBundle):
             want = {tensor_name(coaug, a): R.one}
             if b.inclusion.apply(n, a) != want:
                 problems.append({"check": "principal", "element": (n, a)})
-    for name, ((dc, c), (da, a)) in b.pairs.items():
+    for name, ((dc, c), (da, a)) in b.total.basis.keys.items():
         want = {c: b.monoid.aug(0, a)} if da == 0 and not R.is_zero(b.monoid.aug(0, a)) else {}
         if b.projection.apply(dc + da, name) != want:
             problems.append({"check": "coprincipal", "element": name})
@@ -205,12 +201,13 @@ def pushforward(f: ChainMap, bundle: MixedBundle, N: int,
     C = bundle.comonoid
     R = bundle.ring
     total = ChainComplex(R, tensor_basis(C.complex, A2.complex, N))
+    pairs = bundle.total.basis.keys
 
     # transported differential: D(x⊗a') = dec(D(x⊗1))·(f, a') ± x⊗da'
-    for name, ((p, c), (q, a2)) in total.basis.pairs.items():
+    for name, ((p, c), (q, a2)) in total.basis.keys.items():
         base = tensor_name(c, A.unit)
         for m2, v in bundle.total.d_of(p, base).items():
-            (dc2, c2), (da2, a_old) = bundle.pairs[m2]
+            (dc2, c2), (da2, a_old) = pairs[m2]
             for b2, w in f.apply(da2, a_old).items():
                 for r, u in A2.product(da2, b2, q, a2).items():
                     total.set_d_entry(p + q, name, tensor_name(c2, r),
@@ -238,14 +235,14 @@ def pullback(g: ChainMap, bundle: MixedBundle, N: int,
     A = bundle.monoid
     R = bundle.ring
     total = ChainComplex(R, tensor_basis(C2.complex, A.complex, N))
-    pairs = bundle.pairs
+    pairs = bundle.total.basis.keys
 
     # (ε⊗1) ∘ D_total on elements (g(c)⊗y), tabulated once per (c, y)
     def eps_D(dc, c_img, dy, y):
         d = bundle.total.d_of(dc + dy, tensor_name(c_img, y))
         return R.lincomb((pairs[m2][1], v) for m2, v in d.items() if pairs[m2][0][0] == 0)
 
-    for name, ((p, c2), (q, y)) in total.basis.pairs.items():
+    for name, ((p, c2), (q, y)) in total.basis.keys.items():
         for c3, v in C2.complex.d_of(p, c2).items():
             total.set_d_entry(p + q, name, tensor_name(c3, y), v)
         for (d1, c_l), (d2, c_r), v in C2.coproduct(p, c2):

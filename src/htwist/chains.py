@@ -55,42 +55,36 @@ def _iterated_back(X: SimplicialSet, n: int, x, q: int):
 
 
 def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
-    """C_*X with the Alexander-Whitney diagonal.
+    """C_*X with the Alexander-Whitney diagonal, on the nondegenerate
+    simplices x named <x> and keyed by x.
 
     The result always carries a valid complex.  It is a 1-connected
-    coaugmented coalgebra exactly when X is 1-reduced; the flag
-    ``one_connected`` records this, and downstream coalgebra operations
-    refuse inputs where it is False.
+    coaugmented coalgebra (``is_one_connected``) exactly when X is 1-reduced,
+    and downstream coalgebra operations refuse inputs where it is not.
     """
     nd = _nondegenerate_levels(X, N)
-    names = {x: f"<{x}>" for lvl in nd.values() for x in lvl}
     basis = GradedBasis(N)
     for n in range(N + 1):
         for x in nd[n]:
-            basis.add(n, names[x])
+            basis.add(n, f"<{x}>", x)
     Z = ChainComplex(ring, basis)
-    ndsets = {n: set(nd[n]) for n in nd}
     for n in range(1, N + 1):
-        for x in nd[n]:
+        for name, x in zip(basis.names(n), nd[n]):
             for i in range(n + 1):
-                y = X.face(n, i, x)
-                if y in ndsets[n - 1]:
-                    Z.set_d_entry(n, names[x], names[y], (-1) ** i)
+                y = basis.name_of(n - 1, X.face(n, i, x))
+                if y is not None:
+                    Z.set_d_entry(n, name, y, (-1) ** i)
 
-    reduced = X.is_reduced()
-    coaug = names[nd[0][0]] if reduced else names[nd[0][0]]
-    C = ChainCoalgebra(Z, coaug, name=f"C({X.name})")
-    C.one_connected = reduced and not nd[1]
+    C = ChainCoalgebra(Z, basis.names(0)[0], name=f"C({X.name})")
     for n in range(1, N + 1):
-        for x in nd[n]:
+        for name, x in zip(basis.names(n), nd[n]):
             terms = []
             for p in range(1, n):
-                f = _iterated_front(X, n, x, p)
-                b = _iterated_back(X, n, x, n - p)
-                if f in ndsets[p] and b in ndsets[n - p]:
-                    terms.append(((p, names[f]), (n - p, names[b]), 1))
-            C.set_coproduct_reduced(n, names[x], terms)
-    C.simplex_names = names
+                f = basis.name_of(p, _iterated_front(X, n, x, p))
+                b = basis.name_of(n - p, _iterated_back(X, n, x, n - p))
+                if f is not None and b is not None:
+                    terms.append(((p, f), (n - p, b), 1))
+            C.set_coproduct_reduced(n, name, terms)
     return C
 
 
@@ -132,13 +126,11 @@ def chains_map(g, X: SimplicialSet, CX: ChainCoalgebra, Y: SimplicialSet, CY: Ch
     from .complexes import ChainMap
 
     f = ChainMap(CX.complex, CY.complex)
-    inv_x = {v: k for k, v in CX.simplex_names.items()}
+    simplices, image_basis = CX.complex.basis.keys, CY.complex.basis
     for n in range(CX.truncation + 1):
         for name in CX.basis(n):
-            x = inv_x[name]
-            y = g(n, x)
-            yname = CY.simplex_names.get(y)
-            if yname is not None and yname in CY.complex.basis._index.get(n, {}):
+            yname = image_basis.name_of(n, g(n, simplices[name]))
+            if yname is not None:
                 f.set_entry(n, name, yname, 1)
     return f
 
@@ -163,8 +155,7 @@ def pontryagin_product_table(G: SimplicialGroup, ring: Ring, C: ChainCoalgebra, 
 
     EZ(x⊗y) = Σ ± (s_ν x)·(s_μ y) over (p,q)-shuffles, multiplied levelwise
     in G and normalized."""
-    inv = {v: k for k, v in C.simplex_names.items()}
-    nd_names = {n: set(C.basis(n)) for n in range(N + 1)}
+    basis = C.complex.basis
 
     def ez_terms(p, x, q, y):
         for mu, nu, sign in _shuffles(p, q):
@@ -179,9 +170,8 @@ def pontryagin_product_table(G: SimplicialGroup, ring: Ring, C: ChainCoalgebra, 
             for j in sorted(mu):
                 sy = G.degeneracy(lvl, j, sy)
                 lvl += 1
-            z = G.mult(p + q, sx, sy)
-            zn = C.simplex_names.get(z)
-            if zn is not None and zn in nd_names.get(p + q, ()):
+            zn = basis.name_of(p + q, G.mult(p + q, sx, sy))
+            if zn is not None:
                 yield zn, ring.of(sign)
 
     table: dict = {}
@@ -189,7 +179,7 @@ def pontryagin_product_table(G: SimplicialGroup, ring: Ring, C: ChainCoalgebra, 
         for xn in C.basis(p):
             for q in range(N + 1 - p):
                 for yn in C.basis(q):
-                    x, y = inv[xn], inv[yn]
+                    x, y = basis.keys[xn], basis.keys[yn]
                     combo = ring.lincomb(ez_terms(p, x, q, y))
                     if combo and not (p == 0 and x == G.neutral(0)) \
                        and not (q == 0 and y == G.neutral(0)):
@@ -210,7 +200,7 @@ def chains_of_simplicial_group(G: SimplicialGroup, ring: Ring, N: int):
     report = {"connected": reduced}
     algebra = None
     if reduced:
-        unit = C.simplex_names[G.neutral(0)]
+        unit = C.complex.basis.name_of(0, G.neutral(0))
         algebra = ChainAlgebra(C.complex, unit, name=f"C({G.name})")
         for key, combo in table.items():
             (p, xn), (q, yn) = key
@@ -222,7 +212,7 @@ def verify_pontryagin_axioms(G: SimplicialGroup, ring: Ring, N: int):
     """Unit, associativity and the Leibniz rule for the shuffle product,
     exhaustively through degree N, without assuming connectivity."""
     C, table, _, report = chains_of_simplicial_group(G, ring, N)
-    unit = C.simplex_names[G.neutral(0)]
+    unit = C.complex.basis.name_of(0, G.neutral(0))
     R = ring
 
     def prod(p, xn, q, yn):

@@ -14,7 +14,7 @@ import sys
 
 from . import io_json
 from .complexes import TruncationTooLow, homology, verify_differential
-from .io_json import InputError
+from .io_json import InputError, required
 from .rings import Ring
 from .simplicial import DEFAULT_SEED
 
@@ -136,10 +136,11 @@ def cmd_check_twisting(args):
     from .twisting import TwistingCochain, verify_twisting_cochain
 
     data = _load_json(args.input)
-    C = io_json.coalgebra_from_dict(data["source"])
-    A = io_json.algebra_from_dict(data["target"])
+    C = io_json.coalgebra_from_dict(required(data, "source"))
+    A = io_json.algebra_from_dict(required(data, "target"))
     t = TwistingCochain(C, A)
-    for n, c, combo in io_json.cochain_values_from_dict(data["cochain"]["values"], C, A):
+    values = required(required(data, "cochain"), "values")
+    for n, c, combo in io_json.cochain_values_from_dict(values, C, A):
         t.set_value(n, c, combo)
     ok, wit = verify_twisting_cochain(t, args.through)
     # coefficients go out as strings ("2", "-1/2"), as in every payload: Q values
@@ -156,9 +157,9 @@ def cmd_borel(args):
     from .bundles import borel_quotient
 
     data = _load_json(args.input)
-    A = io_json.algebra_from_dict(data["source"])
-    A2 = io_json.algebra_from_dict(data["target"])
-    f = io_json.chain_map_from_dict(data["map"], A.complex, A2.complex)
+    A = io_json.algebra_from_dict(required(data, "source"))
+    A2 = io_json.algebra_from_dict(required(data, "target"))
+    f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
     q = borel_quotient(f, A, A2, args.through)
     okd, wd = verify_differential(q.bundle.total)
     H = homology(q.bundle.total, args.through - 1)
@@ -172,9 +173,9 @@ def cmd_np(args):
     from .bundles import nomura_puppe
 
     data = _load_json(args.input)
-    A = io_json.algebra_from_dict(data["source"])
-    A2 = io_json.algebra_from_dict(data["target"])
-    f = io_json.chain_map_from_dict(data["map"], A.complex, A2.complex)
+    A = io_json.algebra_from_dict(required(data, "source"))
+    A2 = io_json.algebra_from_dict(required(data, "target"))
+    f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
     np_ = nomura_puppe(f, A, A2, args.through)
     ok, rep = np_.verify(args.through - 1)
     return _report("np", args, {"nomura-puppe": rep}), 0 if ok else 1
@@ -315,7 +316,7 @@ def cmd_chains(args):
     H = homology(C.complex, args.through - 1)
     results = {
         "d-squared-zero": okd,
-        "one-connected": bool(getattr(C, "one_connected", False)),
+        "one-connected": C.is_one_connected(),
         "homology": io_json.homology_to_dict(H),
     }
     return _report("chains", args, results, [wd] if wd else [],

@@ -30,8 +30,13 @@ class NegativeDegree(Exception):
 class GradedBasis:
     """Ordered named basis elements per degree, 0..truncation.
 
-    A tensor basis (``tensor_basis``) also records the factors of each name
-    in ``pairs``: name -> ((|x|, x), (|y|, y)), in basis order."""
+    A keyed basis also records what each element is: ``add(n, name, key)``
+    files the key under the name in ``keys`` (name -> key, in basis order).
+    Tensor bases key by factor pair ((|x|, x), (|y|, y)), bar and cobar bases
+    by letter word, normalized chains by simplex (docs/DECISIONS.md, section
+    6).  ``name_of`` inverts the registry degree by degree; the inverse is
+    built on its first call, so a basis only ever read by name never holds
+    it."""
 
     def __init__(self, truncation: int, by_degree: dict[int, list[str]] | None = None):
         if truncation < 0:
@@ -39,13 +44,14 @@ class GradedBasis:
         self.truncation = truncation
         self.by_degree: dict[int, list[str]] = {}
         self._index: dict[int, dict[str, int]] = {}
-        self.pairs: dict[str, tuple[tuple[int, str], tuple[int, str]]] = {}
+        self.keys: dict[str, object] = {}
+        self._names: dict[int, dict[object, str]] | None = None  # degree -> key -> name
         if by_degree:
             for n, names in by_degree.items():
                 for name in names:
                     self.add(n, name)
 
-    def add(self, degree: int, name: str):
+    def add(self, degree: int, name: str, key=None):
         if not (0 <= degree <= self.truncation):
             raise ValueError(f"degree {degree} outside 0..{self.truncation}")
         names = self.by_degree.setdefault(degree, [])
@@ -54,6 +60,18 @@ class GradedBasis:
             raise ValueError(f"duplicate basis name {name!r} in degree {degree}")
         idx[name] = len(names)
         names.append(name)
+        if key is not None:
+            self.keys[name] = key
+            self._names = None
+
+    def name_of(self, degree: int, key) -> str | None:
+        """The name keyed by ``key`` in ``degree``, or None when there is none."""
+        if self._names is None:
+            keys = self.keys
+            self._names = {n: {keys[x]: x for x in names if x in keys}
+                           for n, names in self.by_degree.items()}
+        level = self._names.get(degree)
+        return None if level is None else level.get(key)
 
     def names(self, degree: int) -> list[str]:
         return self.by_degree.get(degree, [])
@@ -284,17 +302,15 @@ def tensor_name(a: str, b: str) -> str:
 
 def tensor_basis(X: ChainComplex, Y: ChainComplex, N: int) -> GradedBasis:
     """The basis {x⊗y : |x|+|y| <= N}, ordered by degree, then |x|, then X
-    order, then Y order, with the factors of each name in ``pairs``.  This
-    is the one place a pair table is built: factors travel with the basis and
+    order, then Y order, keyed by factor pair ((|x|, x), (|y|, y)).  This is
+    the one place a pair basis is built: factors travel with the basis and
     are never parsed back from names (which may themselves contain ⊗)."""
     basis = GradedBasis(N)
     for n in range(N + 1):
         for p in range(n + 1):
             for x in X.basis.names(p):
                 for y in Y.basis.names(n - p):
-                    name = tensor_name(x, y)
-                    basis.add(n, name)
-                    basis.pairs[name] = ((p, x), (n - p, y))
+                    basis.add(n, tensor_name(x, y), ((p, x), (n - p, y)))
     return basis
 
 
@@ -307,7 +323,7 @@ def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None)
         N = min(N, through)
     R = X.ring
     Z = ChainComplex(R, tensor_basis(X, Y, N))
-    for name, ((p, a), (q, b)) in Z.basis.pairs.items():
+    for name, ((p, a), (q, b)) in Z.basis.keys.items():
         for a2, c in X.d_of(p, a).items():
             Z.set_d_entry(p + q, name, tensor_name(a2, b), c)
         sgn = R.of(-1) if p % 2 else R.one
@@ -323,7 +339,7 @@ def tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex, dst: ChainComplex) -
     ``ChainMap.identity`` for the factor that does not move."""
     R = src.ring
     out = ChainMap(src, dst)
-    for name, ((p, x), (q, y)) in src.basis.pairs.items():
+    for name, ((p, x), (q, y)) in src.basis.keys.items():
         for x2, u in f.apply(p, x).items():
             for y2, v in g.apply(q, y).items():
                 out.set_entry(p + q, name, tensor_name(x2, y2), R.mul(u, v))

@@ -31,13 +31,12 @@ def _sign(ring, k: int):
 class ChainAlgebra:
     """Connected augmented chain algebra with a basis-indexed product table."""
 
-    def __init__(self, complex: ChainComplex, unit: str, mult=None, name: str = "",
-                 product_fn=None):
+    def __init__(self, complex: ChainComplex, unit: str, name: str = "", product_fn=None):
         self.complex = complex
         self.unit = unit
         self.name = name
         # ((da, a), (db, b)) -> {result name in degree da+db: coeff}
-        self.mult: dict[tuple[Key, Key], dict[str, object]] = dict(mult or {})
+        self.mult: dict[tuple[Key, Key], dict[str, object]] = {}
         # optional computed product (da, a, db, b) -> combo, consulted after
         # the table; lets free constructions avoid exhaustive tables
         self.product_fn = product_fn
@@ -88,12 +87,12 @@ class ChainAlgebra:
 class ChainCoalgebra:
     """1-connected coaugmented chain coalgebra with a coproduct table."""
 
-    def __init__(self, complex: ChainComplex, coaug: str, comult=None, name: str = ""):
+    def __init__(self, complex: ChainComplex, coaug: str, name: str = ""):
         self.complex = complex
         self.coaug = coaug
         self.name = name
         # (dc, c) -> list of ((d1, n1), (d2, n2), coeff): the FULL coproduct
-        self.comult: dict[Key, list[tuple[Key, Key, object]]] = dict(comult or {})
+        self.comult: dict[Key, list[tuple[Key, Key, object]]] = {}
 
     @property
     def ring(self):
@@ -135,17 +134,15 @@ class ChainCoalgebra:
 
 
 class ModuleStructure:
-    """Action of a ChainAlgebra on a carrier complex (side: left or right)."""
+    """Action of a ChainAlgebra on a carrier complex (side: left or right),
+    computed by ``act_fn(dm, m, da, a)`` -> {result: coeff}."""
 
-    def __init__(self, algebra: ChainAlgebra, carrier: ChainComplex, side: str, action=None,
-                 act_fn=None):
+    def __init__(self, algebra: ChainAlgebra, carrier: ChainComplex, side: str, act_fn):
         assert side in ("left", "right")
         self.algebra = algebra
         self.carrier = carrier
         self.side = side
-        # right: ((dm, m), (da, a)) -> {result: coeff}; left: ((da, a), (dm, m)) -> ...
-        self.action: dict[tuple[Key, Key], dict[str, object]] = dict(action or {})
-        self.act_fn = act_fn  # optional computed action (dm, m, da, a) -> combo
+        self.act_fn = act_fn
 
     @property
     def ring(self):
@@ -157,17 +154,7 @@ class ModuleStructure:
             return {}
         if da == 0:
             return {m: self.ring.one} if a == self.algebra.unit else {}
-        key = ((dm, m), (da, a)) if self.side == "right" else ((da, a), (dm, m))
-        if key in self.action:
-            return self.action[key]
-        if self.act_fn is not None:
-            return self.act_fn(dm, m, da, a)
-        return {}
-
-    def set_action(self, dm: int, m: str, da: int, a: str, result: dict[str, object]):
-        R = self.ring
-        key = ((dm, m), (da, a)) if self.side == "right" else ((da, a), (dm, m))
-        self.action[key] = R.lincomb((k, R.of(v)) for k, v in result.items())
+        return self.act_fn(dm, m, da, a)
 
     def act_combo(self, dm: int, cm: dict, da: int, ca: dict) -> dict[str, object]:
         return self.ring.lincomb((r, vm * va * vr) for m, vm in cm.items() for a, va in ca.items()
@@ -175,40 +162,23 @@ class ModuleStructure:
 
 
 class ComoduleStructure:
-    """Coaction of a ChainCoalgebra on a carrier complex.
+    """Coaction of a ChainCoalgebra on a carrier complex: ``coact(dm, m)`` is
+    the function ``coact_fn``.
 
-    side "left": λ: M -> C⊗M, stored as m -> [((dc, c), (dm2, m2), coeff)].
-    side "right": ρ: M -> M⊗C, stored as m -> [((dm2, m2), (dc, c), coeff)].
+    side "left": λ: M -> C⊗M as [((dc, c), (dm2, m2), coeff)].
+    side "right": ρ: M -> M⊗C as [((dm2, m2), (dc, c), coeff)].
     """
 
-    def __init__(self, coalgebra: ChainCoalgebra, carrier: ChainComplex, side: str, coaction=None,
-                 coact_fn=None):
+    def __init__(self, coalgebra: ChainCoalgebra, carrier: ChainComplex, side: str, coact_fn):
         assert side in ("left", "right")
         self.coalgebra = coalgebra
         self.carrier = carrier
         self.side = side
-        self.coaction: dict[Key, list[tuple[Key, Key, object]]] = dict(coaction or {})
-        self.coact_fn = coact_fn  # optional computed coaction (dm, m) -> terms
+        self.coact = coact_fn
 
     @property
     def ring(self):
         return self.carrier.ring
-
-    def coact(self, dm: int, m: str):
-        default_c = (0, self.coalgebra.coaug)
-        if (dm, m) in self.coaction:
-            return self.coaction[(dm, m)]
-        if self.coact_fn is not None:
-            return self.coact_fn(dm, m)
-        if self.side == "left":
-            return [(default_c, (dm, m), self.ring.one)]
-        return [((dm, m), default_c, self.ring.one)]
-
-    def set_coaction(self, dm: int, m: str, terms):
-        R = self.ring
-        self.coaction[(dm, m)] = [
-            (k1, k2, R.of(c)) for (k1, k2, c) in terms if not R.is_zero(R.of(c))
-        ]
 
 
 # ---------------------------------------------------------------------
@@ -434,23 +404,26 @@ def tensor_coalgebra_product(C: ChainCoalgebra, D: ChainCoalgebra, through: int 
 
 def free_module_over(A: ChainAlgebra, carrier: ChainComplex) -> ModuleStructure:
     """Right A-module structure on a pair-basis carrier X ⊗ A, acting on the
-    second factor.  Used for every free module in this artifact."""
-    M = ModuleStructure(A, carrier, "right")
-    N = carrier.truncation
-    for m, ((p, x), (q, a)) in carrier.basis.pairs.items():
-        for r in range(1, N + 1 - p - q):
-            for b in A.basis(r):
-                res = {tensor_name(x, ab): v for ab, v in A.product(q, a, r, b).items()}
-                if res:
-                    M.set_action(p + q, m, r, b, res)
-    return M
+    second factor: (x⊗a)·b = x⊗(ab), read from the pair keys on demand.
+    Used for every free module in this artifact."""
+    pairs = carrier.basis.keys
+
+    def act(dm, m, db, b):
+        (_, x), (q, a) = pairs[m]
+        return {tensor_name(x, ab): v for ab, v in A.product(q, a, db, b).items()}
+
+    return ModuleStructure(A, carrier, "right", act_fn=act)
 
 
 def cofree_comodule_over(C: ChainCoalgebra, carrier: ChainComplex) -> ComoduleStructure:
     """Left C-comodule structure on a pair-basis carrier C ⊗ Y, splitting the
-    first factor by Δ.  Dual of free_module_over."""
-    M = ComoduleStructure(C, carrier, "left")
-    for m, ((p, c), (q, y)) in carrier.basis.pairs.items():
-        M.set_coaction(p + q, m, [((e1, c1), (e2 + q, tensor_name(c2, y)), v)
-                                  for (e1, c1), (e2, c2), v in C.coproduct(p, c)])
-    return M
+    first factor by Δ: (Δ⊗1)(c⊗y), read from the pair keys on demand.  Dual
+    of free_module_over."""
+    pairs = carrier.basis.keys
+
+    def coact(dm, m):
+        (p, c), (q, y) = pairs[m]
+        return [((e1, c1), (e2 + q, tensor_name(c2, y)), v)
+                for (e1, c1), (e2, c2), v in C.coproduct(p, c)]
+
+    return ComoduleStructure(C, carrier, "left", coact_fn=coact)

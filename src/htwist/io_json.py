@@ -27,6 +27,15 @@ class InputError(Exception):
     """Malformed input data (the CLI exits with code 2)."""
 
 
+def required(data, key: str):
+    """data[key]; a missing key (or data that is not an object) is an input
+    error naming the key."""
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise InputError(f"input has no {key!r}") from None
+
+
 def _coeff_str(v) -> str:
     return str(v)
 
@@ -44,14 +53,10 @@ def complex_to_dict(X: ChainComplex) -> dict:
     basis = {str(n): list(X.basis.names(n)) for n in sorted(X.basis.by_degree)}
     d_entries = []
     for n in sorted(X.basis.by_degree):
-        m = X.dmat(n)
-        for src_idx, src in enumerate(X.basis.names(n)):
-            for dst_idx, dst in enumerate(X.basis.names(n - 1) if n >= 1 else []):
-                v = m[dst_idx, src_idx]
-                if not X.ring.is_zero(v):
-                    d_entries.append(
-                        {"degree": n, "from": src, "to": dst, "coeff": _coeff_str(v)}
-                    )
+        m, below = X.dmat(n), X.basis.names(n - 1)
+        for j, src in enumerate(X.basis.names(n)):
+            for i, v in sorted(m.column(j).items()):
+                d_entries.append({"degree": n, "from": src, "to": below[i], "coeff": _coeff_str(v)})
     return {
         "ring": X.ring.tag(),
         "truncation": X.truncation,
@@ -61,18 +66,34 @@ def complex_to_dict(X: ChainComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> ChainComplex:
-    ring = Ring.from_tag(data["ring"])
-    basis = GradedBasis(int(data["truncation"]))
-    for deg in sorted(data["basis"], key=int):
-        for name in data["basis"][deg]:
-            basis.add(int(deg), name)
+    """The complex a complex file describes; a malformed ring, truncation or
+    basis, or a d entry that is malformed or names an unknown element, is an
+    input error."""
+    ring_tag, truncation, degrees = (required(data, k) for k in ("ring", "truncation", "basis"))
+    try:
+        ring = Ring.from_tag(ring_tag)
+        basis = GradedBasis(int(truncation))
+        for deg in sorted(degrees, key=int):
+            for name in degrees[deg]:
+                basis.add(int(deg), name)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"ring, truncation or basis: {exc}") from exc
     X = ChainComplex(ring, basis)
     for e in data.get("d", []):
         try:
             X.set_d_entry(int(e["degree"]), e["from"], e["to"], _coeff_parse(ring, e["coeff"]))
-        except KeyError as exc:
-            raise InputError(f"d entry {e}: unknown basis element or missing field {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"d entry {e}: unknown basis element or malformed entry "
+                             f"({exc})") from exc
     return X
+
+
+def _check_names(entry, what: str, elements, X: ChainComplex):
+    """Each (degree, name) in ``elements`` must be a basis element of X."""
+    for n, name in elements:
+        if name not in X.basis.names(n):
+            raise InputError(f"{what} entry {entry}: {name!r} is not a basis element "
+                             f"of degree {n}")
 
 
 def chain_map_from_dict(entries: list, X: ChainComplex, Y: ChainComplex) -> ChainMap:
@@ -110,11 +131,16 @@ def algebra_to_dict(A: ChainAlgebra, max_degree: int | None = None) -> dict:
 
 def algebra_from_dict(data: dict) -> ChainAlgebra:
     X = complex_from_dict(data)
-    A = ChainAlgebra(X, data["unit"])
+    A = ChainAlgebra(X, required(data, "unit"))
     for entry in data.get("mu", []):
-        (p, a), (q, b) = entry["a"], entry["b"]
-        combo = {r: _coeff_parse(X.ring, c) for r, c in entry["result"]}
-        A.set_product(int(p), a, int(q), b, combo)
+        try:
+            (p, a), (q, b) = entry["a"], entry["b"]
+            p, q = int(p), int(q)
+            combo = {r: _coeff_parse(X.ring, c) for r, c in entry["result"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"mu entry {entry}: malformed entry ({exc})") from exc
+        _check_names(entry, "mu", [(p, a), (q, b), *((p + q, r) for r in combo)], X)
+        A.set_product(p, a, q, b, combo)
     return A
 
 
@@ -139,14 +165,17 @@ def coalgebra_to_dict(C: ChainCoalgebra) -> dict:
 
 def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
     X = complex_from_dict(data)
-    C = ChainCoalgebra(X, data["coaug"])
+    C = ChainCoalgebra(X, required(data, "coaug"))
     for entry in data.get("delta", []):
-        n, c = entry["c"]
-        terms = [
-            ((int(d1), n1), (int(d2), n2), _coeff_parse(X.ring, v))
-            for (d1, n1), (d2, n2), v in entry["reduced"]
-        ]
-        C.set_coproduct_reduced(int(n), c, terms)
+        try:
+            n, c = entry["c"]
+            n = int(n)
+            terms = [((int(d1), n1), (int(d2), n2), _coeff_parse(X.ring, v))
+                     for (d1, n1), (d2, n2), v in entry["reduced"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"delta entry {entry}: malformed entry ({exc})") from exc
+        _check_names(entry, "delta", [(n, c), *(k for t in terms for k in t[:2])], X)
+        C.set_coproduct_reduced(n, c, terms)
     return C
 
 

@@ -346,7 +346,7 @@ def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
     S = shuffle_product_bar(A, N)
     R = A.ring
     total = q.bundle.total
-    pairs = q.bundle.pairs
+    pairs = total.basis.keys
     unit = tensor_name(BarA.coaug, A2.unit)
     Q = ChainAlgebra(total, unit, name=f"{A2.name}//{A.name}")
 
@@ -370,10 +370,11 @@ def natural_quotient_projection(q: BorelQuotient, q2: BorelQuotient,
     coordinates (the proof's 'obvious projection')."""
     total = q2.bundle.total
     out = ChainMap(total, BarA.complex)
-    for name, ((dv, v), (dq, qname)) in q2.bundle.pairs.items():
+    pairs = q.bundle.total.basis.keys
+    for name, ((dv, v), (dq, qname)) in total.basis.keys.items():
         if dv != 0:
             continue
-        (dw, w), (da, a2) = q.bundle.pairs[qname]
+        (dw, w), (da, a2) = pairs[qname]
         if da == 0:
             out.set_entry(dv + dq, name, w, 1)
     return out
@@ -402,7 +403,7 @@ def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> Ch
     """For f = η: k -> A the quotient A//k = Bar(k)⊗A is A itself; transport
     the multiplication along the pair names ([]⊗a)."""
     total = q.bundle.total
-    pairs = q.bundle.pairs
+    pairs = total.basis.keys
     unit = None
     for name, ((dv, v), (da, a)) in pairs.items():
         if dv == 0 and da == 0:
@@ -434,7 +435,7 @@ def chcx_unit_certificate(A: ChainAlgebra, N: int):
     q2 = borel_quotient(q.pi, A, Q, N, BarA)
     # π̃: (A//k)//A -> Bar(k) = k: the total augmentation
     pi_tilde = ChainMap(q2.bundle.total, Bark.complex)
-    for name, ((dv, v), (dq, qname)) in q2.bundle.pairs.items():
+    for name, ((dv, v), (dq, qname)) in q2.bundle.total.basis.keys.items():
         if dv == 0 and dq == 0:
             pi_tilde.set_entry(0, name, Bark.coaug, 1)
     return rigid_normality_certificate(
@@ -568,10 +569,10 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
     zetaA = twisted_bundle(BarA, A, couniversal_cochain(BarA, A), N)
     EAB = tensor_complex(zetaA.total, B.complex, N)
 
-    ab_pairs = AB.complex.basis.pairs
+    q_pairs, ab_pairs = q.bundle.total.basis.keys, AB.complex.basis.keys
 
     def rename_quotient(n, name):
-        (dw, w), (dab, ab) = q.bundle.pairs[name]
+        (dw, w), (dab, ab) = q_pairs[name]
         (da, a), (db, b) = ab_pairs[ab]
         return tensor_name(tensor_name(w, a), b)
 
@@ -595,7 +596,7 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
 
     # --- conormal side -----------------------------------------------
     CD = tensor_coalgebra_product(C, D, through=N + 1)
-    cd_pairs = CD.complex.basis.pairs
+    cd_pairs = CD.complex.basis.keys
     g = ChainMap(CD.complex, D.complex)
     for name, ((dc, c), (dd, d)) in cd_pairs.items():
         if dc == 0:
@@ -605,8 +606,10 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
     xiD = twisted_bundle(D, OmegaD, universal_cochain(D, OmegaD), N)
     CPD = tensor_complex(C.complex, xiD.total, N)
 
+    k2_pairs = k2.bundle.total.basis.keys
+
     def rename_kernel(n, name):
-        (dcd, cd), (dw, w) = k2.bundle.pairs[name]
+        (dcd, cd), (dw, w) = k2_pairs[name]
         (dc, c), (dd, d) = cd_pairs[cd]
         return tensor_name(c, tensor_name(d, w))
 

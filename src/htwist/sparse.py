@@ -114,9 +114,6 @@ class SparseMatrix:
             m.add_to(*ij, v)
         return m
 
-    def __sub__(self, other):
-        return self + other.scale(self.ring.neg(self.ring.one))
-
     def scale(self, c) -> "SparseMatrix":
         m = SparseMatrix(self.ring, self.nrows, self.ncols)
         for ij, v in self.entries.items():
@@ -132,12 +129,6 @@ class SparseMatrix:
         out.entries = self.ring.lincomb(((i, j), u * v) for (i, k), u in self.entries.items()
                                         for j, v in by_row.get(k, ()))
         return out
-
-    def transpose(self) -> "SparseMatrix":
-        m = SparseMatrix(self.ring, self.ncols, self.nrows)
-        for (i, j), v in self.entries.items():
-            m[j, i] = v
-        return m
 
 
 # ---------------------------------------------------------------------

@@ -170,7 +170,7 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
         left_cx, right_cx = P.carrier, M.carrier
 
     Z = ChainComplex(R, tensor_basis(left_cx, right_cx, N))
-    for name, ((p, x), (q, y)) in Z.basis.pairs.items():
+    for name, ((p, x), (q, y)) in Z.basis.keys.items():
         n = p + q
         # tensor differential
         for x2, c in left_cx.d_of(p, x).items():
@@ -212,11 +212,11 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
 
 def self_comodule_right(C: ChainCoalgebra) -> ComoduleStructure:
     """C as a right comodule over itself via Δ (back part is the C-part)."""
-    return ComoduleStructure(C, C.complex, "right", coact_fn=lambda dm, m: C.coproduct(dm, m))
+    return ComoduleStructure(C, C.complex, "right", coact_fn=C.coproduct)
 
 
 def self_comodule_left(C: ChainCoalgebra) -> ComoduleStructure:
-    return ComoduleStructure(C, C.complex, "left", coact_fn=lambda dm, m: C.coproduct(dm, m))
+    return ComoduleStructure(C, C.complex, "left", coact_fn=C.coproduct)
 
 
 def self_module_left(A: ChainAlgebra) -> ModuleStructure:

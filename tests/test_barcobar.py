@@ -119,16 +119,16 @@ def test_word_length_filtration():
     O = cobar(C, 8)
     for n in range(1, 9):
         for name in O.basis(n):
-            k = len(O.words.letters_of[name])
+            k = len(O.complex.basis.keys[name])
             for name2, v in O.complex.d_of(n, name).items():
-                assert len(O.words.letters_of[name2]) <= k + 1
+                assert len(O.complex.basis.keys[name2]) <= k + 1
     A = truncated_polynomial(QQ, 8)
     B = bar(A, 8)
     for n in range(1, 9):
         for name in B.basis(n):
-            k = len(B.words.letters_of[name])
+            k = len(B.complex.basis.keys[name])
             for name2, v in B.complex.d_of(n, name).items():
-                assert len(B.words.letters_of[name2]) >= k - 1
+                assert len(B.complex.basis.keys[name2]) >= k - 1
 
 
 def test_bar_output_one_connected():

@@ -1,6 +1,6 @@
 import pytest
 
-from htwist.barcobar import bar, beta_t, cobar, is_coalgebra_map
+from htwist.barcobar import bar, bar_word_name, beta_t, cobar, cobar_word_name, is_coalgebra_map
 from htwist.bundles import (
     amusing_comparison,
     amusing_comparison_dual,
@@ -42,7 +42,9 @@ from htwist.fixtures import (
     truncated_polynomial,
     unit_algebra_map,
 )
-from htwist.rings import QQ
+from htwist.chains import normalized_chains
+from htwist.rings import QQ, ZZ
+from htwist.simplicial import cyclic_constant_group, universal_bundle
 from htwist.twisting import (
     compose_cochain,
     couniversal_cochain,
@@ -333,7 +335,9 @@ def test_mixed_bundle_rejects_corrupted_structure():
     A = exterior(QQ, 6)
     z = classifying_bundle_zeta(A, 6)
     # [] ⊗ 1 acted on by x must be [] ⊗ x, not twice it
-    z.module.set_action(0, "[]⊗1", 1, "x", {"[]⊗x": 2})
+    act = z.module.act_fn
+    z.module.act_fn = lambda dm, m, da, a: (
+        {"[]⊗x": 2} if (dm, m, da, a) == (0, "[]⊗1", 1, "x") else act(dm, m, da, a))
     # p(s(x)⊗1) = s(x); doubling it keeps p a chain map but not a comodule map
     z.projection.set_entry(2, "s(x)⊗1", "s(x)", 1)
     ok, problems = verify_mixed_bundle(z)
@@ -356,13 +360,24 @@ def test_coacyclic_collapse_on_tensor_coalgebra():
 
 
 # ---------------------------------------------------------------------
-# Pair bases: every x⊗y basis carries its factors, built by tensor_basis.
+# Keyed bases: every x⊗y basis carries its factors (built by tensor_basis),
+# every bar and cobar basis its words, every chains basis its simplices.
 # ---------------------------------------------------------------------
+
+def _pairs(Z, X, Y):
+    """(Z, render, check) for a pair basis Z of X ⊗ Y."""
+    def check(n, key):
+        (p, x), (q, y) = key
+        assert p + q == n
+        assert x in X.basis.names(p) and y in Y.basis.names(q)
+
+    return Z, lambda key: tensor_name(key[0][1], key[1][1]), check
+
 
 def _tensor_complex_case():
     # factor names contain ⊗ themselves, so names cannot be split back
     X, Y = exterior_pair(QQ, 4).complex, truncated_polynomial(QQ, 4).complex
-    return tensor_complex(X, Y, 5), X, Y
+    return _pairs(tensor_complex(X, Y, 5), X, Y)
 
 
 def _twisted_tensor_case(orientation):
@@ -372,14 +387,14 @@ def _twisted_tensor_case(orientation):
     if orientation == "module-first":
         P, M = self_comodule_left(B), self_module_right(A)
         T = twisted_tensor(P, M, t, orientation, 5)
-        return T.complex, A.complex, B.complex
+        return _pairs(T.complex, A.complex, B.complex)
     P, M = self_comodule_right(B), self_module_left(A)
     T = twisted_tensor(P, M, t, orientation, 5)
-    return T.complex, B.complex, A.complex
+    return _pairs(T.complex, B.complex, A.complex)
 
 
 def _bundle_case(bundle):
-    return bundle.total, bundle.comonoid.complex, bundle.monoid.complex
+    return _pairs(bundle.total, bundle.comonoid.complex, bundle.monoid.complex)
 
 
 def _pushforward_case():
@@ -404,6 +419,28 @@ def _borel_kernel_case():
     return _bundle_case(borel_kernel(g, CF, C, 5).bundle)
 
 
+def _word_case(construction, inner, namer, lowest, shift):
+    """(Z, render, check) for the bar or cobar word basis over ``inner``."""
+    Z = construction(inner, 6).complex
+
+    def check(n, word):
+        assert sum(d + shift for d, _ in word) == n
+        assert all(d >= lowest and x in inner.basis(d) for d, x in word)
+
+    return Z, namer, check
+
+
+def _chains_case():
+    # simplices of the universal bundle of C3 are nested tuples
+    tcp, _, _ = universal_bundle(cyclic_constant_group(3, 5), 4)
+    Z = normalized_chains(tcp, ZZ, 4).complex
+
+    def check(n, simplex):
+        assert simplex in tcp.elements(n)
+
+    return Z, lambda simplex: f"<{simplex}>", check
+
+
 @pytest.mark.parametrize("case", [
     _tensor_complex_case,
     lambda: _twisted_tensor_case("module-first"),
@@ -412,18 +449,24 @@ def _borel_kernel_case():
     _pullback_case,
     _borel_quotient_case,
     _borel_kernel_case,
+    lambda: _word_case(bar, exterior_pair(QQ, 6), bar_word_name, 1, 1),
+    lambda: _word_case(cobar, dual_truncated_polynomial(QQ, 8), cobar_word_name, 2, -1),
+    _chains_case,
 ], ids=["tensor_complex", "twisted_tensor-module-first", "twisted_tensor-comodule-first",
-        "pushforward", "pullback", "borel_quotient", "borel_kernel"])
+        "pushforward", "pullback", "borel_quotient", "borel_kernel",
+        "bar", "cobar", "normalized_chains"])
 def test_pair_table_matches_basis(case):
-    Z, X, Y = case()
-    pairs = Z.basis.pairs
-    assert list(pairs) == [name for n in range(Z.truncation + 1) for name in Z.basis.names(n)]
+    """Every name renders from its key, key -> name inverts name -> key, and
+    the keys run in basis order."""
+    Z, render, check = case()
+    keys = Z.basis.keys
+    assert list(keys) == [name for n in range(Z.truncation + 1) for name in Z.basis.names(n)]
     for n in range(Z.truncation + 1):
         for name in Z.basis.names(n):
-            (p, x), (q, y) = pairs[name]
-            assert tensor_name(x, y) == name
-            assert p + q == n
-            assert x in X.basis.names(p) and y in Y.basis.names(q)
+            key = keys[name]
+            assert render(key) == name
+            assert Z.basis.name_of(n, key) == name
+            check(n, key)
 
 
 def test_ladder_reports_share_keys():

@@ -47,7 +47,7 @@ def test_chains_minimal_circle():
     H = homology(C.complex, 3)
     assert H.by_degree[0] == (1, [])
     assert H.by_degree[1] == (1, [])
-    assert not C.one_connected  # nondegenerate 1-simplex present
+    assert not C.is_one_connected()  # nondegenerate 1-simplex present
 
 
 def test_chains_wbar_c2_integral_homology():
@@ -106,9 +106,8 @@ def test_pontryagin_constant_c2():
     assert C.complex.basis.dim(0) == 2
     assert all(C.complex.basis.dim(n) == 0 for n in range(1, 5))
     # degree-0 Pontryagin product is the group algebra: g·g = e
-    names = C.simplex_names
-    g = names[1]
-    e = names[0]
+    g = C.complex.basis.name_of(0, 1)
+    e = C.complex.basis.name_of(0, 0)
     assert table[((0, g), (0, g))] == {e: GF(2).one}
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from htwist import io_json
 from htwist.barcobar import bar
-from htwist.fixtures import exterior, sphere_coalgebra, truncated_polynomial
+from htwist.fixtures import dual_truncated_polynomial, exterior, sphere_coalgebra, truncated_polynomial
 from htwist.rings import QQ
 
 
@@ -242,3 +242,81 @@ def test_bad_map_entry_exit_2(tmp_path, command, entry):
     assert proc.returncode == 2
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
     assert "map entry" in proc.stderr
+
+
+def _exit_2(proc, *needles):
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
+    for needle in needles:
+        assert needle in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("truncation", "one"),     # malformed truncation
+    ("basis", {"zero": ["a"], "1": ["b"]}),  # malformed basis degree
+    ("basis", {"0": ["a"], "5": ["b"]}),     # basis degree above the truncation
+    ("d", [{"degree": "one", "from": "b", "to": "a", "coeff": "1"}]),  # malformed d degree
+], ids=["truncation", "basis-degree", "basis-above-truncation", "d-degree"])
+def test_malformed_complex_exit_2(tmp_path, field, value):
+    data = _two_cell_complex("Z", "1")
+    data[field] = value
+    path = tmp_path / "bad_complex.json"
+    path.write_text(json.dumps(data))
+    _exit_2(run_cli(["homology", str(path), "--through", "0", "--json"]))
+
+
+def _algebra_with_mu(tmp_path, entry):
+    data = io_json.algebra_to_dict(truncated_polynomial(QQ, 6))
+    data["mu"].append(entry)
+    path = tmp_path / "bad_algebra.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("entry, needle", [
+    ({"a": [2, "x"], "b": [2, "x"]}, "mu entry"),                           # no result
+    ({"a": [2], "b": [2, "x"], "result": [["x^2", "1"]]}, "mu entry"),      # wrong shape
+    ({"a": ["two", "x"], "b": [2, "x"], "result": []}, "mu entry"),         # malformed degree
+    ({"a": [2, "nope"], "b": [2, "x"], "result": []}, "'nope'"),            # not in degree 2
+    ({"a": [2, "x"], "b": [2, "x"], "result": [["nope", "1"]]}, "'nope'"),  # not in degree 4
+    ({"a": [3, "x"], "b": [2, "x"], "result": []}, "'x'"),                  # x is not in degree 3
+], ids=["no-result", "short-a", "bad-degree", "unknown-a", "unknown-result", "wrong-degree"])
+def test_bad_mu_entry_exit_2(tmp_path, entry, needle):
+    proc = run_cli(["bar", str(_algebra_with_mu(tmp_path, entry)), "--through", "4", "--json"])
+    _exit_2(proc, needle)
+
+
+@pytest.mark.parametrize("entry", [
+    {"c": [4, "g2"]},                                                   # no reduced terms
+    {"c": [4], "reduced": []},                                          # wrong shape
+    {"c": [4, "g2"], "reduced": [[[2, "g1"], "1"]]},                    # wrong term shape
+    {"c": [4, "nope"], "reduced": []},                                  # not in degree 4
+    {"c": [4, "g2"], "reduced": [[[2, "g1"], [2, "nope"], "1"]]},       # not in degree 2
+], ids=["no-reduced", "short-c", "short-term", "unknown-c", "unknown-term"])
+def test_bad_delta_entry_exit_2(tmp_path, entry):
+    data = io_json.coalgebra_to_dict(dual_truncated_polynomial(QQ, 6))
+    data["delta"].append(entry)
+    path = tmp_path / "bad_coalgebra.json"
+    path.write_text(json.dumps(data))
+    _exit_2(run_cli(["cobar", str(path), "--through", "4", "--json"]), "delta entry")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("borel", "source"), ("borel", "target"), ("borel", "map"),
+    ("np", "source"), ("np", "target"), ("np", "map"),
+])
+def test_map_input_without_key_exit_2(tmp_path, command, key):
+    path = _map_input(tmp_path, {"degree": 1, "from": "x", "to": "x", "coeff": "0"})
+    data = json.loads(path.read_text())
+    del data[key]
+    path.write_text(json.dumps(data))
+    _exit_2(run_cli([command, str(path), "--through", "3", "--json"]), repr(key))
+
+
+@pytest.mark.parametrize("key", ["source", "target", "cochain"])
+def test_check_twisting_without_key_exit_2(tmp_path, key):
+    path = write_cochain(tmp_path, [{"from": [3, "s(x)"], "to": [["x", "1"]]}])
+    data = json.loads(path.read_text())
+    del data[key]
+    path.write_text(json.dumps(data))
+    _exit_2(run_cli(["check-twisting", str(path), "--json"]), repr(key))
