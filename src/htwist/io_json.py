@@ -92,8 +92,7 @@ def _check_names(entry, what: str, elements, X: ChainComplex):
     """Each (degree, name) in ``elements`` must be a basis element of X."""
     for n, name in elements:
         if name not in X.basis.names(n):
-            raise InputError(f"{what} entry {entry}: {name!r} is not a basis element "
-                             f"of degree {n}")
+            raise InputError(f"{what} {entry}: {name!r} is not a basis element of degree {n}")
 
 
 def chain_map_from_dict(entries: list, X: ChainComplex, Y: ChainComplex) -> ChainMap:
@@ -139,7 +138,7 @@ def algebra_from_dict(data: dict) -> ChainAlgebra:
             combo = {r: _coeff_parse(X.ring, c) for r, c in entry["result"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"mu entry {entry}: malformed entry ({exc})") from exc
-        _check_names(entry, "mu", [(p, a), (q, b), *((p + q, r) for r in combo)], X)
+        _check_names(entry, "mu entry", [(p, a), (q, b), *((p + q, r) for r in combo)], X)
         A.set_product(p, a, q, b, combo)
     return A
 
@@ -174,7 +173,7 @@ def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
                      for (d1, n1), (d2, n2), v in entry["reduced"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"delta entry {entry}: malformed entry ({exc})") from exc
-        _check_names(entry, "delta", [(n, c), *(k for t in terms for k in t[:2])], X)
+        _check_names(entry, "delta entry", [(n, c), *(k for t in terms for k in t[:2])], X)
         C.set_coproduct_reduced(n, c, terms)
     return C
 
@@ -190,12 +189,8 @@ def cochain_values_from_dict(values: list, C: ChainCoalgebra, A: ChainAlgebra) -
             combo = {a: _coeff_parse(A.ring, v) for a, v in e["to"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cochain value {e}: malformed entry ({exc})") from exc
-        if c not in C.basis(n):
-            raise InputError(f"cochain value {e}: {c!r} is not a source element of degree {n}")
-        for a in combo:
-            if a not in A.basis(n - 1):
-                raise InputError(f"cochain value {e}: {a!r} is not a target element "
-                                 f"of degree {n - 1}")
+        _check_names(e, "cochain value", [(n, c)], C.complex)
+        _check_names(e, "cochain value", [(n - 1, a) for a in combo], A.complex)
         out.append((n, c, combo))
     return out
 
