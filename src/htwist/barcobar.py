@@ -11,6 +11,8 @@ and coderivation checks in the test suite pin the convention down.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .complexes import ChainComplex, ChainMap, GradedBasis, tensor_name
 from .hopf import (
     ChainAlgebra,
@@ -69,39 +71,46 @@ def _enumerate_words(letter_pool: list[tuple[Key, int]], N: int) -> dict[int, li
 
 
 def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, namer,
-                  letter_term) -> ChainComplex:
+                  span: int, rewrite) -> ChainComplex:
     """The complex on all words of marked degree <= N over the letters of
     ``inner`` in degrees >= ``lowest`` (marked degree |x| + shift), keyed by
-    word, with d = Σ_j -(-1)^{e_j} (internal d on letter j) + letter_term.
+    word, with d = Σ_j (-1)^{e_j} (-(internal d on letter j) + rewrite).
 
-    e_j is the total marked degree of the letters before j, and
-    ``letter_term(w, j, e_j)`` yields the (word, coeff) terms of the bar
-    merge or the cobar split at letter j.  Internal d that leaves the
-    letter degrees >= ``lowest`` is dropped (augmentation, 1-connectivity).
+    e_j is the total marked degree of the letters before j;
+    ``rewrite(w[j:j+span])`` lists the (letters, coeff) that replace those
+    letters in the bar merge (span 2) or the cobar split (span 1).  Internal
+    d that leaves the letter degrees >= ``lowest`` is dropped (augmentation,
+    1-connectivity).  Both are tabulated once per letter (pair), and each
+    target word is found by the key -> index map of its degree.
     """
-    R = inner.ring
-    pool = [((n, x), n + shift) for n in range(lowest, min(inner.truncation, N - shift) + 1)
-            for x in inner.basis.names(n)]
+    top = min(inner.truncation, N - shift)
+    pool = [((n, x), n + shift) for n in range(lowest, top + 1) for x in inner.basis.names(n)]
     words = _enumerate_words(pool, N)
     basis = GradedBasis(N)
     for n in sorted(words):
         for w in words[n]:
             basis.add(n, namer(w), w)
-    X = ChainComplex(R, basis)
-    for n in sorted(words):
-        if n == 0:
-            continue
-        for src, w in zip(basis.names(n), words[n]):
+    X = ChainComplex(inner.ring, basis)
+    dtab = {(n, x): [((n - 1, below[r]), c) for r, c in inner.dmat(n).column(i).items()]
+            for n in range(lowest + 1, top + 1) for below in [inner.basis.names(n - 1)]
+            for i, x in enumerate(inner.basis.names(n))}
+    rewrite = cache(rewrite)
+
+    def terms(n):
+        rows = basis.positions(n - 1)
+        for col, w in enumerate(words.get(n, ())):
             e = 0
-            for j, (dj, xj) in enumerate(w):
-                if dj - 1 >= lowest:
-                    sgn = R.neg(_sign(R, e))
-                    for x2, c in inner.d_of(dj, xj).items():
-                        w2 = w[:j] + ((dj - 1, x2),) + w[j + 1:]
-                        X.set_d_entry(n, src, basis.name_of(n - 1, w2), R.mul(sgn, c))
-                for w2, c in letter_term(w, j, e):
-                    X.set_d_entry(n, src, basis.name_of(n - 1, w2), c)
-                e += dj + shift
+            for j, letter in enumerate(w):
+                s = -1 if e % 2 else 1
+                for x2, c in dtab.get(letter, ()):
+                    yield (rows[w[:j] + (x2,) + w[j + 1:]], col), -s * c
+                part = w[j:j + span]
+                if len(part) == span:
+                    for rep, c in rewrite(part):
+                        yield (rows[w[:j] + rep + w[j + span:]], col), s * c
+                e += letter[0] + shift
+
+    X._set_d(terms)
     return X
 
 
@@ -120,14 +129,12 @@ def bar(A: ChainAlgebra, N: int) -> ChainCoalgebra:
         raise NotConnected(f"bar needs a connected algebra, degree 0 = {A.basis(0)}")
     R = A.ring
 
-    def merge(w, j, e):
-        if j + 1 < len(w):
-            (dj, aj), (dk, ak) = w[j], w[j + 1]
-            sgn = _sign(R, e + dj + 1)
-            for prod, c in A.product(dj, aj, dk, ak).items():
-                yield w[:j] + ((dj + dk, prod),) + w[j + 2:], R.mul(sgn, c)
+    def merge(pair):
+        (dj, aj), (dk, ak) = pair
+        return [(((dj + dk, prod),), c if dj % 2 else -c)
+                for prod, c in A.product(dj, aj, dk, ak).items()]
 
-    X = _word_complex(A.complex, 1, 1, N, bar_word_name, merge)
+    X = _word_complex(A.complex, 1, 1, N, bar_word_name, 2, merge)
     basis = X.basis
     C = ChainCoalgebra(X, EMPTY_NAME, name=f"Bar({A.name})")
     for n in range(1, N + 1):
@@ -160,12 +167,10 @@ def cobar(C: ChainCoalgebra, N: int) -> ChainAlgebra:
         )
     R = C.ring
 
-    def split(w, j, e):
-        sgn = _sign(R, e)
-        for (d1, c1), (d2, c2), coeff in C.reduced_coproduct(*w[j]):
-            yield w[:j] + ((d1, c1), (d2, c2)) + w[j + 1:], R.mul(R.mul(sgn, _sign(R, d1)), coeff)
+    def split(letter):
+        return [((k1, k2), -v if k1[0] % 2 else v) for k1, k2, v in C.reduced_coproduct(*letter[0])]
 
-    X = _word_complex(C.complex, 2, -1, N, cobar_word_name, split)
+    X = _word_complex(C.complex, 2, -1, N, cobar_word_name, 1, split)
     basis = X.basis
 
     def concat(da, a, db, b):
@@ -338,7 +343,6 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
     so t = t_Bar ∘ beta_t holds on the nose.
     """
     C = t.source
-    A = t.target
     R = C.ring
     bar_basis = Bar.complex.basis
     f = ChainMap(C.complex, Bar.complex)
@@ -358,11 +362,8 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
                     words = [((), coeff)]
                     for (dc, cc) in keys:
                         val = t.value(dc, cc)
-                        words = [
-                            (w + ((dc - 1, aname),), R.mul(s, av))
-                            for (w, s) in words
-                            for aname, av in val.items()
-                        ] if val else []
+                        words = [(w + ((dc - 1, a),), R.mul(s, av))
+                                 for w, s in words for a, av in val.items()]
                         if not words:
                             break
                     for w, s in words:

@@ -13,12 +13,15 @@ what the axiom checkers verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .barcobar import bar, bar_map, cobar, cobar_map, counit_map, unit_map
 from .complexes import (
     ChainComplex,
     ChainMap,
     homology,
+    _tensor_offsets,
+    _tensor_terms,
     induced_zero_on_reduced_homology,
     is_quasi_iso_through,
     tensor_basis,
@@ -32,7 +35,6 @@ from .hopf import (
     ModuleStructure,
     _comodule_map_failures,
     _module_map_failures,
-    _sign,
     cofree_comodule_over,
     free_module_over,
 )
@@ -197,24 +199,27 @@ def pushforward(f: ChainMap, bundle: MixedBundle, N: int,
     ok, _ = verify_biprincipal(bundle)
     if not ok:
         raise NotCoprincipal(bundle.kind or "bundle")
-    A, A2 = bundle.monoid, target_algebra
-    C = bundle.comonoid
-    R = bundle.ring
-    total = ChainComplex(R, tensor_basis(C.complex, A2.complex, N))
-    pairs = bundle.total.basis.keys
+    A, A2, C = bundle.monoid, target_algebra, bundle.comonoid
+    total = ChainComplex(bundle.ring, tensor_basis(C.complex, A2.complex, N))
+    src, cb, ab = bundle.total.basis, C.complex.basis, A2.complex.basis
+    off = _tensor_offsets(C.complex, A2.complex, N)
 
-    # transported differential: D(x⊗a') = dec(D(x⊗1))·(f, a') ± x⊗da'
-    for name, ((p, c), (q, a2)) in total.basis.keys.items():
-        base = tensor_name(c, A.unit)
-        for m2, v in bundle.total.d_of(p, base).items():
-            (dc2, c2), (da2, a_old) = pairs[m2]
-            for b2, w in f.apply(da2, a_old).items():
-                for r, u in A2.product(da2, b2, q, a2).items():
-                    total.set_d_entry(p + q, name, tensor_name(c2, r),
-                                      R.mul(R.mul(v, w), u))
-        sgn = _sign(R, p)
-        for a3, v in A2.complex.d_of(q, a2).items():
-            total.set_d_entry(p + q, name, tensor_name(c, a3), R.mul(sgn, v))
+    @cache
+    def moved(p, i):
+        """dec(D(c⊗1)) through f, c = C_p[i]: [(|c2|, index of c2, |b|, b, coeff)]."""
+        column = bundle.total.dmat(p).column(src.index(p, tensor_name(cb.names(p)[i], A.unit)))
+        return [(dc2, cb.index(dc2, c2), da2, b2, v * w) for r, v in column.items()
+                for (dc2, c2), (da2, a_old) in [src.keys[src.names(p - 1)[r]]]
+                for b2, w in f.apply(da2, a_old).items()]
+
+    # transported differential: D(c⊗a') = ± c⊗da' + dec(D(c⊗1))·(f, a')
+    def transported(n, p, i, j):
+        q = n - p
+        for dc2, i2, da2, b2, v in moved(p, i) if p else ():
+            for r, u in A2.product(da2, b2, q, ab.names(q)[j]).items():
+                yield off[n - 1][dc2] + i2 * ab.dim(da2 + q) + ab.index(da2 + q, r), v * u
+
+    total._set_d(lambda n: _tensor_terms(C.complex, A2.complex, off, n, transported, left=False))
 
     new_cochain = None
     if bundle.cochain is not None:
@@ -231,26 +236,24 @@ def pullback(g: ChainMap, bundle: MixedBundle, N: int,
     ok, _ = verify_biprincipal(bundle)
     if not ok:
         raise NotPrincipal(bundle.kind or "bundle")
-    C2 = source_coalgebra
-    A = bundle.monoid
-    R = bundle.ring
-    total = ChainComplex(R, tensor_basis(C2.complex, A.complex, N))
-    pairs = bundle.total.basis.keys
+    C2, A = source_coalgebra, bundle.monoid
+    total = ChainComplex(bundle.ring, tensor_basis(C2.complex, A.complex, N))
+    src, cb, ab = bundle.total.basis, C2.complex.basis, A.complex.basis
+    off = _tensor_offsets(C2.complex, A.complex, N)
 
-    # (ε⊗1) ∘ D_total on elements (g(c)⊗y), tabulated once per (c, y)
-    def eps_D(dc, c_img, dy, y):
-        d = bundle.total.d_of(dc + dy, tensor_name(c_img, y))
-        return R.lincomb((pairs[m2][1], v) for m2, v in d.items() if pairs[m2][0][0] == 0)
-
-    for name, ((p, c2), (q, y)) in total.basis.keys.items():
-        for c3, v in C2.complex.d_of(p, c2).items():
-            total.set_d_entry(p + q, name, tensor_name(c3, y), v)
-        for (d1, c_l), (d2, c_r), v in C2.coproduct(p, c2):
-            sgn = _sign(R, d1)
+    # D(c⊗y) = dc⊗y + Σ ± c_l ⊗ (ε⊗1) D(g(c_r)⊗y), over Δc = Σ c_l⊗c_r
+    def corestricted(n, p, i, j):
+        q, y = n - p, ab.names(n - p)[j]
+        for (d1, c_l), (d2, c_r), v in C2.coproduct(p, cb.names(p)[i]):
+            il, sv = cb.index(d1, c_l), -v if d1 % 2 else v
             for c_img, w in g.apply(d2, c_r).items():
-                for (dy2, y2), u in eps_D(d2, c_img, q, y).items():
-                    total.set_d_entry(p + q, name, tensor_name(c_l, y2),
-                                      R.mul(R.mul(sgn, v), R.mul(w, u)))
+                column = bundle.total.dmat(d2 + q).column(src.index(d2 + q, tensor_name(c_img, y)))
+                for r, u in column.items():
+                    (dc2, _), (dy2, y2) = src.keys[src.names(d2 + q - 1)[r]]
+                    if dc2 == 0:
+                        yield off[n - 1][d1] + il * ab.dim(dy2) + ab.index(dy2, y2), sv * w * u
+
+    total._set_d(lambda n: _tensor_terms(C2.complex, A.complex, off, n, corestricted, right=False))
     new_cochain = None
     if bundle.cochain is not None:
         new_cochain = compose_cochain(g, bundle.cochain, None, source=C2)

@@ -68,12 +68,10 @@ def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
         for x in nd[n]:
             basis.add(n, f"<{x}>", x)
     Z = ChainComplex(ring, basis)
-    for n in range(1, N + 1):
-        for name, x in zip(basis.names(n), nd[n]):
-            for i in range(n + 1):
-                y = basis.name_of(n - 1, X.face(n, i, x))
-                if y is not None:
-                    Z.set_d_entry(n, name, y, (-1) ** i)
+    Z._set_d(lambda n: (((rows[y], col), -1 if i % 2 else 1)
+                        for rows in [basis.positions(n - 1)]
+                        for col, x in enumerate(nd[n]) for i in range(n + 1)
+                        if (y := X.face(n, i, x)) in rows))
 
     C = ChainCoalgebra(Z, basis.names(0)[0], name=f"C({X.name})")
     for n in range(1, N + 1):

@@ -74,11 +74,21 @@ def _simplicial_from_spec(data: dict, N: int):
     if kind == "boundary-delta2":
         return boundary_delta2(N)
     if kind == "constant-cyclic":
-        return cyclic_constant_group(int(data["order"]), N)
+        order = required(data, "order")
+        if not str(order).isdigit() or int(order) < 1:
+            raise InputError(f"constant-cyclic order {order!r} is not a positive integer")
+        return cyclic_constant_group(int(order), N)
     if kind == "complex":
-        return ComplexSimplicialSet(N, [tuple(s) for s in data["simplices"]],
+        return ComplexSimplicialSet(N, [tuple(s) for s in required(data, "simplices")],
                                     name=data.get("name", "complex"))
     raise InputError(f"unknown simplicial kind {kind!r}")
+
+
+def _ring(tag: str) -> Ring:
+    try:
+        return Ring.from_tag(tag)
+    except ValueError as exc:
+        raise InputError(f"--ring: {exc}") from None
 
 
 def _group_from_spec(data: dict, N: int):
@@ -310,7 +320,7 @@ def cmd_chains(args):
     from .chains import normalized_chains
 
     X = _simplicial_from_spec(_load_json(args.input), args.through)
-    ring = Ring.from_tag(args.ring)
+    ring = _ring(args.ring)
     C = normalized_chains(X, ring, args.through)
     okd, wd = verify_differential(C.complex)
     H = homology(C.complex, args.through - 1)
@@ -328,7 +338,7 @@ def cmd_wbar_homology(args):
     from .simplicial import classifying_space
 
     G = _group_from_spec(_load_json(args.input), args.through + 2)
-    ring = Ring.from_tag(args.ring)
+    ring = _ring(args.ring)
     W = classifying_space(G, args.through + 1)
     CW = normalized_chains(W, ring, args.through + 1)
     H = homology(CW.complex, args.through - 1)
@@ -375,13 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except TruncationTooLow as exc:
+    except (InputError, FileNotFoundError, TruncationTooLow) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args)

@@ -10,8 +10,9 @@ that boundaries coming from degree N are always included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .rings import Ring
+from .rings import Ring, _q
 from .sparse import SparseMatrix, invariant_factors, kernel_basis, rank, solve
 
 
@@ -34,9 +35,9 @@ class GradedBasis:
     files the key under the name in ``keys`` (name -> key, in basis order).
     Tensor bases key by factor pair ((|x|, x), (|y|, y)), bar and cobar bases
     by letter word, normalized chains by simplex (docs/DECISIONS.md, section
-    6).  ``name_of`` inverts the registry degree by degree; the inverse is
-    built on its first call, so a basis only ever read by name never holds
-    it."""
+    6).  ``positions`` inverts the registry degree by degree, key -> index,
+    and ``name_of`` reads through it; the inverse is built on first use, so a
+    basis only ever read by name or by index arithmetic never holds it."""
 
     def __init__(self, truncation: int, by_degree: dict[int, list[str]] | None = None):
         if truncation < 0:
@@ -45,11 +46,10 @@ class GradedBasis:
         self.by_degree: dict[int, list[str]] = {}
         self._index: dict[int, dict[str, int]] = {}
         self.keys: dict[str, object] = {}
-        self._names: dict[int, dict[object, str]] | None = None  # degree -> key -> name
-        if by_degree:
-            for n, names in by_degree.items():
-                for name in names:
-                    self.add(n, name)
+        self._positions: dict[int, dict[object, int]] | None = None  # degree -> key -> index
+        for n, names in (by_degree or {}).items():
+            for name in names:
+                self.add(n, name)
 
     def add(self, degree: int, name: str, key=None):
         if not (0 <= degree <= self.truncation):
@@ -62,16 +62,20 @@ class GradedBasis:
         names.append(name)
         if key is not None:
             self.keys[name] = key
-            self._names = None
+            self._positions = None
+
+    def positions(self, degree: int) -> dict:
+        """key -> index of the keyed elements of ``degree`` (read only)."""
+        if self._positions is None:
+            keys = self.keys
+            self._positions = {n: {keys[x]: i for i, x in enumerate(names) if x in keys}
+                               for n, names in self.by_degree.items()}
+        return self._positions.get(degree, {})
 
     def name_of(self, degree: int, key) -> str | None:
         """The name keyed by ``key`` in ``degree``, or None when there is none."""
-        if self._names is None:
-            keys = self.keys
-            self._names = {n: {keys[x]: x for x in names if x in keys}
-                           for n, names in self.by_degree.items()}
-        level = self._names.get(degree)
-        return None if level is None else level.get(key)
+        i = self.positions(degree).get(key)
+        return None if i is None else self.by_degree[degree][i]
 
     def names(self, degree: int) -> list[str]:
         return self.by_degree.get(degree, [])
@@ -126,10 +130,7 @@ class ChainComplex:
     def __init__(self, ring: Ring, basis: GradedBasis, diff: dict[int, SparseMatrix] | None = None):
         self.ring = ring
         self.basis = basis
-        self.diff: dict[int, SparseMatrix] = {}
-        if diff:
-            for n, m in diff.items():
-                self.diff[n] = m
+        self.diff: dict[int, SparseMatrix] = dict(diff or {})
 
     @property
     def truncation(self) -> int:
@@ -150,6 +151,23 @@ class ChainComplex:
         i = self.basis.index(n - 1, dst)
         j = self.basis.index(n, src)
         self.diff[n].add_to(i, j, self.ring.of(coeff))
+
+    def _set_d(self, terms):
+        """Set d_1..d_N from the ((row, col), coeff) terms ``terms(n)`` yields,
+        summed in place in first-seen order; a coeff may be an unreduced
+        product of ring elements, and zero sums are dropped."""
+        p, q = self.ring.p, self.ring.kind == "Q"
+        for n in range(1, self.truncation + 1):
+            d = self.diff[n] = SparseMatrix(self.ring, self.basis.dim(n - 1), self.basis.dim(n))
+            entries = d.entries
+            get = entries.get
+            for ij, v in terms(n):
+                entries[ij] = get(ij, 0) + v
+            if p or q:
+                for ij, v in entries.items():
+                    entries[ij] = v % p if p else _q(v)
+            for ij in [ij for ij, v in entries.items() if not v]:
+                del entries[ij]
 
     def d_of(self, degree: int, name: str) -> dict[str, object]:
         """d of a basis element as {name_in_degree-1: coeff}."""
@@ -314,6 +332,39 @@ def tensor_basis(X: ChainComplex, Y: ChainComplex, N: int) -> GradedBasis:
     return basis
 
 
+def _tensor_offsets(X: ChainComplex, Y: ChainComplex, N: int) -> list[list[int]]:
+    """off[n][p] is the index in degree n of the first x⊗y with |x| = p, so
+    in tensor_basis order x⊗y sits at off[n][p] + i_x·dim Y_{n-p} + i_y, with
+    i_x, i_y the indices of x in X_p and y in Y_{n-p}."""
+    dx, dy = X.basis.dim, Y.basis.dim
+    return [list(accumulate((dx(p) * dy(n - p) for p in range(n)), initial=0))
+            for n in range(N + 1)]
+
+
+def _tensor_terms(X: ChainComplex, Y: ChainComplex, off, n: int, extra=None,
+                  left=True, right=True):
+    """The ((row, col), coeff) terms of d_n(x⊗y) = dx⊗y + (-1)^|x| x⊗dy on
+    the tensor_basis of X ⊗ Y, column by column, rows by index arithmetic;
+    ``left``/``right`` False leaves out dx⊗y/x⊗dy, and ``extra(n, p, i, j)``
+    yields more (row, coeff) terms for X_p[i] ⊗ Y_{n-p}[j]."""
+    below, dim, col = off[n - 1], Y.basis.dim, 0
+    for p in range(n + 1):
+        q = n - p
+        dx, dy, ny, ny1 = X.dmat(p), Y.dmat(q), dim(q), dim(q - 1)
+        sgn = -1 if p % 2 else 1
+        for i in range(X.basis.dim(p)):
+            xcol = dx.column(i) if left else {}
+            for j in range(ny):
+                for r, c in xcol.items():
+                    yield (below[p - 1] + r * ny + j, col), c
+                for r, c in dy.column(j).items() if right else ():
+                    yield (below[p] + i * ny1 + r, col), sgn * c
+                if extra is not None:
+                    for row, c in extra(n, p, i, j):
+                        yield (row, col), c
+                col += 1
+
+
 def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None) -> ChainComplex:
     """X ⊗ Y with the Koszul differential d(x⊗y) = dx⊗y + (-1)^|x| x⊗dy."""
     if X.ring != Y.ring:
@@ -321,14 +372,9 @@ def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None)
     N = X.truncation + Y.truncation
     if through is not None:
         N = min(N, through)
-    R = X.ring
-    Z = ChainComplex(R, tensor_basis(X, Y, N))
-    for name, ((p, a), (q, b)) in Z.basis.keys.items():
-        for a2, c in X.d_of(p, a).items():
-            Z.set_d_entry(p + q, name, tensor_name(a2, b), c)
-        sgn = R.of(-1) if p % 2 else R.one
-        for b2, c in Y.d_of(q, b).items():
-            Z.set_d_entry(p + q, name, tensor_name(a, b2), R.mul(sgn, c))
+    Z = ChainComplex(X.ring, tensor_basis(X, Y, N))
+    off = _tensor_offsets(X, Y, N)
+    Z._set_d(lambda n: _tensor_terms(X, Y, off, n))
     return Z
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .barcobar import bar_word_name, cobar_word_name
-from .complexes import ChainComplex, ChainMap, tensor_basis, tensor_name
+from .complexes import ChainComplex, ChainMap, _tensor_offsets, _tensor_terms, tensor_basis
 from .hopf import ChainAlgebra, ChainCoalgebra, ComoduleStructure, Key, ModuleStructure, _sign
 
 
@@ -169,40 +169,42 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
             raise StructureMismatch("comodule-first needs a right comodule and a left module")
         left_cx, right_cx = P.carrier, M.carrier
 
-    Z = ChainComplex(R, tensor_basis(left_cx, right_cx, N))
-    for name, ((p, x), (q, y)) in Z.basis.keys.items():
-        n = p + q
-        # tensor differential
-        for x2, c in left_cx.d_of(p, x).items():
-            Z.set_d_entry(n, name, tensor_name(x2, y), c)
-        sgn = _sign(R, p)
-        for y2, c in right_cx.d_of(q, y).items():
-            Z.set_d_entry(n, name, tensor_name(x, y2), R.mul(sgn, c))
-        # twist term.  The relative sign between the two orientations is
-        # forced: D_t^2 = 0 must be equivalent to the Maurer-Cartan
-        # identity, and the t-operator crosses the surviving tensor
-        # factor on opposite sides (tested both ways on fixtures with
-        # nontrivial quadratic terms).
-        if orientation == "module-first":
+    # The twist term.  The relative sign between the two orientations is
+    # forced: D_t^2 = 0 must be equivalent to the Maurer-Cartan identity,
+    # and the t-operator crosses the surviving tensor factor on opposite
+    # sides (tested both ways on fixtures with nontrivial quadratic terms).
+    # twist[n, i] holds (|e'|, index of e', |t(c)|, t(c), v) for each term
+    # c⊗e' or e'⊗c of the coaction of comod_n[i] with t(c) != 0.
+    comod, mod = P.carrier.basis, M.carrier.basis
+    twist = {}
+    for n in range(N + 1):
+        for i, e in enumerate(comod.names(n)):
+            for k1, k2, v in P.coact(n, e):
+                (dc, c), (de, e2) = (k1, k2) if P.side == "left" else (k2, k1)
+                if tval := t.value(dc, c):
+                    twist.setdefault((n, i), []).append(
+                        (de, comod.index(de, e2), dc - 1, tval, v))
+    off, ny = _tensor_offsets(left_cx, right_cx, N), right_cx.basis.dim
+
+    if orientation == "module-first":
+        def twist_terms(n, p, i, j):
             # λ(y) = Σ c ⊗ y2;  m⊗y -> (-1)^{|m|} (m·t(c)) ⊗ y2
-            for (dc, c), (dy, y2), v in P.coact(q, y):
-                tval = t.value(dc, c)
-                if not tval:
-                    continue
-                acted = M.act_combo(p, {x: R.one}, dc - 1, tval)
-                for m2, w in acted.items():
-                    coeff = R.mul(R.mul(sgn, v), w)
-                    Z.set_d_entry(n, name, tensor_name(m2, y2), coeff)
-        else:
+            x = mod.names(p)[i]
+            for dy, j2, da, tval, v in twist.get((n - p, j), ()):
+                for m2, w in M.act_combo(p, {x: R.one}, da, tval).items():
+                    yield off[n - 1][p + da] + mod.index(p + da, m2) * ny(dy) + j2, \
+                        (-v if p % 2 else v) * w
+    else:
+        def twist_terms(n, p, i, j):
             # ρ(x) = Σ x2 ⊗ c;  x⊗m -> -(-1)^{|x2|} x2 ⊗ (t(c)·m)
-            for (dx, x2), (dc, c), v in P.coact(p, x):
-                tval = t.value(dc, c)
-                if not tval:
-                    continue
-                acted = M.act_combo(q, {y: R.one}, dc - 1, tval)
-                for m2, w in acted.items():
-                    coeff = R.neg(R.mul(R.mul(_sign(R, dx), v), w))
-                    Z.set_d_entry(n, name, tensor_name(x2, m2), coeff)
+            q, y = n - p, mod.names(n - p)[j]
+            for dx, i2, da, tval, v in twist.get((p, i), ()):
+                for m2, w in M.act_combo(q, {y: R.one}, da, tval).items():
+                    yield off[n - 1][dx] + i2 * ny(q + da) + mod.index(q + da, m2), \
+                        (v if dx % 2 else -v) * w
+
+    Z = ChainComplex(R, tensor_basis(left_cx, right_cx, N))
+    Z._set_d(lambda n: _tensor_terms(left_cx, right_cx, off, n, twist_terms))
     return TwistedTensorProduct(Z, P, M, t, orientation)
 
 

@@ -320,3 +320,23 @@ def test_check_twisting_without_key_exit_2(tmp_path, key):
     del data[key]
     path.write_text(json.dumps(data))
     _exit_2(run_cli(["check-twisting", str(path), "--json"]), repr(key))
+
+
+@pytest.mark.parametrize("command", ["wbar", "tcp", "chains"])
+@pytest.mark.parametrize("spec, needle", [
+    ({"kind": "constant-cyclic"}, "'order'"),
+    ({"kind": "complex"}, "'simplices'"),
+    ({"kind": "constant-cyclic", "order": "x"}, "'x'"),
+    ({"kind": "constant-cyclic", "order": 0}, "order 0"),
+], ids=["no-order", "no-simplices", "order-x", "order-0"])
+def test_simplicial_spec_without_key_or_bad_order_exit_2(tmp_path, command, spec, needle):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _exit_2(run_cli([command, str(path), "--through", "3", "--json"]), needle)
+
+
+@pytest.mark.parametrize("command", ["chains", "wbar-homology"])
+def test_bad_ring_tag_exit_2(tmp_path, command):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"kind": "constant-cyclic", "order": 2}))
+    _exit_2(run_cli([command, str(path), "--through", "3", "--ring", "bogus", "--json"]), "'bogus'")

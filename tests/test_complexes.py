@@ -14,8 +14,11 @@ from htwist.complexes import (
     homology,
     induced_zero_on_reduced_homology,
     is_quasi_iso_through,
+    _tensor_offsets,
     suspend,
+    tensor_basis,
     tensor_complex,
+    tensor_name,
     verify_differential,
 )
 
@@ -118,6 +121,28 @@ def test_tensor_unit_and_koszul_sign():
     T2 = tensor_complex(A, B)
     d = T2.d_of(2, "x1⊗b")
     assert d == {"x1⊗a": -1}
+
+
+def test_tensor_index_arithmetic_matches_basis():
+    """In tensor_basis order x⊗y sits at off[n][p] + i_x·dim Y_{n-p} + i_y:
+    checked against the name index for factors whose names contain ⊗ (a
+    tensor of tensors) and for a factor with an empty degree."""
+    from htwist.fixtures import exterior_pair, sphere_coalgebra
+
+    X = exterior_pair(QQ, 4).complex          # names contain ⊗
+    S = sphere_coalgebra(QQ, 5, 2).complex    # degree 1 is empty
+    XS = tensor_complex(X, S, 5)              # a tensor of tensors
+    for L, R in [(X, S), (S, X), (XS, X), (S, XS)]:
+        basis, off = tensor_basis(L, R, 6), _tensor_offsets(L, R, 6)
+        for n in range(7):
+            seen = 0
+            for p in range(n + 1):
+                for i, x in enumerate(L.basis.names(p)):
+                    for j, y in enumerate(R.basis.names(n - p)):
+                        index = off[n][p] + i * R.basis.dim(n - p) + j
+                        assert index == basis.index(n, tensor_name(x, y))
+                        seen += 1
+            assert seen == basis.dim(n)
 
 
 def test_tensor_of_two_acyclics_is_acyclic():
