@@ -20,6 +20,7 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     homology,
+    _differing_columns,
     _tensor_offsets,
     _tensor_terms,
     induced_zero_on_reduced_homology,
@@ -33,11 +34,14 @@ from .hopf import (
     ChainCoalgebra,
     ComoduleStructure,
     ModuleStructure,
+    _coaction_table,
     _comodule_map_failures,
     _module_map_failures,
+    _right_factor_action,
     cofree_comodule_over,
     free_module_over,
 )
+from .sparse import SparseMatrix
 from .twisting import (
     TwistingCochain,
     compose_cochain,
@@ -86,27 +90,35 @@ class MixedBundle:
 
 
 def twisted_bundle(C: ChainCoalgebra, A: ChainAlgebra, t: TwistingCochain, N: int,
-                   kind: str = "", verify: bool = False) -> MixedBundle:
+                   kind: str = "") -> MixedBundle:
     """The biprincipal bundle (A -> C ⊗_t A -> C) in the standard realization:
     i(a) = coaug⊗a, p(c⊗a) = ε(a)·c."""
     T = twisted_tensor(self_comodule_right(C), self_module_left(A), t,
-                       "comodule-first", N, verify=verify)
+                       "comodule-first", N, verify=False)
     return _realize(C, A, T.complex, t, kind)
+
+
+def _standard_maps(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex):
+    """(i, p) with i(a) = coaug⊗a and p(c⊗a) = ε(a)·c, written by index on
+    the tensor_basis layout of total = C ⊗ A."""
+    R, cb, ab, tb = total.ring, C.complex.basis, A.complex.basis, total.basis
+    off = _tensor_offsets(C.complex, A.complex, total.truncation)
+    e, u = cb.index(0, C.coaug), ab.index(0, A.unit)
+    i = ChainMap(A.complex, total, {n: SparseMatrix(R, tb.dim(n), ab.dim(n), {
+        (e * ab.dim(n) + j, j): R.one for j in range(ab.dim(n))})
+        for n in range(min(A.truncation, total.truncation) + 1)})
+    p = ChainMap(total, C.complex, {n: SparseMatrix(R, cb.dim(n), tb.dim(n), {
+        (k, off[n][n] + k * ab.dim(0) + u): R.one for k in range(cb.dim(n))})
+        for n in range(total.truncation + 1)})
+    return i, p
 
 
 def _realize(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex,
              cochain: TwistingCochain | None, kind: str) -> MixedBundle:
-    """The bundle (A -> total -> C) on the pair basis C ⊗ A of total:
-    i(a) = coaug⊗a, p(c⊗a) = ε(a)·c, A acting freely on the right factor
-    and C coacting cofreely on the left one."""
-    i = ChainMap(A.complex, total)
-    for n in range(min(A.truncation, total.truncation) + 1):
-        for a in A.basis(n):
-            i.set_entry(n, a, tensor_name(C.coaug, a), 1)
-    p = ChainMap(total, C.complex)
-    for name, ((dc, c), (da, a)) in total.basis.keys.items():
-        if da == 0:
-            p.set_entry(dc, name, c, A.aug(0, a))
+    """The bundle (A -> total -> C) on the pair basis C ⊗ A of total, with
+    the standard i and p, A acting freely on the right factor and C
+    coacting cofreely on the left one."""
+    i, p = _standard_maps(C, A, total)
     return MixedBundle(A, C, total, i, p, free_module_over(A, total),
                        cofree_comodule_over(C, total), cochain, kind)
 
@@ -132,9 +144,9 @@ def classifying_bundle_xi(C: ChainCoalgebra, N: int,
 # ---------------------------------------------------------------------
 
 def verify_mixed_bundle(b: MixedBundle):
-    """i is a module map, p a comodule map, both chain maps, and the
-    mixed compatibility (C⊗ρ)(λ⊗A) = λρ holds on basis pairs."""
-    R = b.ring
+    """i is a module map, p a comodule map, both chain maps, and the mixed
+    compatibility λ(m·a) = λ(m)·a holds: the coaction λ: total -> C⊗total
+    is a module map over id, A acting on the right factor of C⊗total."""
     N = b.truncation
     problems = []
     ok, deg = b.inclusion.is_chain_map()
@@ -144,43 +156,32 @@ def verify_mixed_bundle(b: MixedBundle):
     if not ok:
         problems.append({"check": "projection-chain", "degree": deg})
 
-    A = b.monoid
-    problems += [{"check": "inclusion-module", "pair": pair} for pair in _module_map_failures(
-        b.inclusion, ChainMap.identity(A.complex), A.product, b.module.act_combo, A, N)]
+    A, C = b.monoid, b.comonoid.complex
+    one = ChainMap.identity(A.complex)
+    problems += [{"check": "inclusion-module", "pair": (m, a)} for (_, m), (_, a) in
+                 _module_map_failures(b.inclusion, one, A.product, b.module.act, N)]
     problems += [{"check": "projection-comodule", "element": key} for key in _comodule_map_failures(
-        b.projection, ChainMap.identity(b.comonoid.complex), b.comodule.coact, b.comonoid.coproduct, N)]
+        b.projection, ChainMap.identity(C), b.comodule.coact, b.comonoid.coproduct, N)]
 
-    # mixed compatibility: coaction of (m·a) = (1⊗·a)(coaction of m)
-    for n in range(N + 1):
-        for m in b.total.basis.names(n):
-            for q in range(1, N + 1 - n):
-                for a in A.basis(q):
-                    lhs = R.lincomb(((k1, k2), v * w) for m2, v in b.module.act(n, m, q, a).items()
-                                    for k1, k2, w in b.comodule.coact(n + q, m2))
-                    rhs = R.lincomb((((dc, c), (dm + q, m3)), v * w)
-                                    for (dc, c), (dm, m2), v in b.comodule.coact(n, m)
-                                    for m3, w in b.module.act(dm, m2, q, a).items())
-                    if lhs != rhs:
-                        problems.append({"check": "mixed-compatibility", "pair": (m, a)})
+    CT = ChainComplex(b.ring, tensor_basis(C, b.total, N))
+    coaction = ChainMap(b.total, CT, {n: _coaction_table(b.comodule.coact, C, b.total, n)
+                                      for n in range(N + 1)})
+    problems += [{"check": "mixed-compatibility", "pair": (m, a)} for (_, m), (_, a) in
+                 _module_map_failures(coaction, one, b.module.act,
+                                      _right_factor_action(CT.basis.keys, b.module.act), N)]
     return (not problems), problems
 
 
 def verify_biprincipal(b: MixedBundle):
-    """Matrix identities for principality in the free/cofree realization:
-    i(a) = coaug⊗a and p(c⊗a) = ε(a)·c, with the factors matching the
-    monoid/comonoid bases."""
-    R = b.ring
-    problems = []
-    coaug = b.comonoid.coaug
-    for n in range(min(b.monoid.truncation, b.truncation) + 1):
-        for a in b.monoid.basis(n):
-            want = {tensor_name(coaug, a): R.one}
-            if b.inclusion.apply(n, a) != want:
-                problems.append({"check": "principal", "element": (n, a)})
-    for name, ((dc, c), (da, a)) in b.total.basis.keys.items():
-        want = {c: b.monoid.aug(0, a)} if da == 0 and not R.is_zero(b.monoid.aug(0, a)) else {}
-        if b.projection.apply(dc + da, name) != want:
-            problems.append({"check": "coprincipal", "element": name})
+    """Principality in the free/cofree realization: i and p equal, degree by
+    degree, the standard i(a) = coaug⊗a and p(c⊗a) = ε(a)·c of _realize."""
+    i, p = _standard_maps(b.comonoid, b.monoid, b.total)
+    problems = [{"check": "principal", "element": (n, b.monoid.basis(n)[j])}
+                for n in range(min(b.monoid.truncation, b.truncation) + 1)
+                for j in _differing_columns(b.inclusion.mat(n), i.mat(n))]
+    problems += [{"check": "coprincipal", "element": b.total.basis.names(n)[j]}
+                 for n in range(b.truncation + 1)
+                 for j in _differing_columns(b.projection.mat(n), p.mat(n))]
     return (not problems), problems
 
 
@@ -263,18 +264,10 @@ def pullback(g: ChainMap, bundle: MixedBundle, N: int,
 def bundles_equal(b1: MixedBundle, b2: MixedBundle) -> bool:
     """Exact basis bijection: same pair names degreewise, same differential,
     inclusion and projection matrices."""
-    if b1.total.basis.by_degree != b2.total.basis.by_degree:
-        return False
-    for n in range(1, min(b1.truncation, b2.truncation) + 1):
-        if b1.total.dmat(n) != b2.total.dmat(n):
-            return False
-    hi = min(b1.truncation, b2.truncation)
-    for n in range(hi + 1):
-        if b1.inclusion.mat(n) != b2.inclusion.mat(n):
-            return False
-        if b1.projection.mat(n) != b2.projection.mat(n):
-            return False
-    return True
+    return b1.total.basis.by_degree == b2.total.basis.by_degree and all(
+        b1.total.dmat(n) == b2.total.dmat(n) and b1.inclusion.mat(n) == b2.inclusion.mat(n)
+        and b1.projection.mat(n) == b2.projection.mat(n)
+        for n in range(min(b1.truncation, b2.truncation) + 1))
 
 
 @dataclass
@@ -289,14 +282,10 @@ class BundleMap:
         """Squares commute; returns (ok, report).  Weak equivalence is a
         separate check (see is_weak_equivalence)."""
         report = {}
-        lhs = self.gamma.compose(src.inclusion)
-        rhs = dst.inclusion.compose(self.alpha)
-        report["inclusion-square"] = all(lhs.mat(n) == rhs.mat(n) for n in range(through + 1))
-        lhs2 = self.beta.compose(src.projection)
-        rhs2 = dst.projection.compose(self.gamma)
-        report["projection-square"] = all(lhs2.mat(n) == rhs2.mat(n) for n in range(through + 1))
-        okc, deg = self.gamma.is_chain_map()
-        report["total-chain-map"] = okc
+        for nm, lhs, rhs in (("inclusion", self.gamma.compose(src.inclusion), dst.inclusion.compose(self.alpha)),
+                             ("projection", self.beta.compose(src.projection), dst.projection.compose(self.gamma))):
+            report[f"{nm}-square"] = all(lhs.mat(n) == rhs.mat(n) for n in range(through + 1))
+        report["total-chain-map"] = self.gamma.is_chain_map()[0]
         return all(report.values()), report
 
     def is_weak_equivalence(self, through: int):

@@ -252,12 +252,8 @@ class ChainMap:
         hi = min(self.source.truncation, self.target.truncation)
         if through is not None:
             hi = min(hi, through + 1)
-        for n in range(1, hi + 1):
-            lhs = self.mat(n - 1) @ self.source.dmat(n)
-            rhs = self.target.dmat(n) @ self.mat(n)
-            if lhs != rhs:
-                return False, n
-        return True, None
+        bad = _chain_map_failures(self, hi)
+        return (False, bad[0][0]) if bad else (True, None)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self ∘ other."""
@@ -270,6 +266,18 @@ class ChainMap:
     def identity(X: ChainComplex) -> "ChainMap":
         comps = {n: SparseMatrix.identity(X.ring, X.basis.dim(n)) for n in X.basis.degrees()}
         return ChainMap(X, X, comps)
+
+
+def _differing_columns(L: SparseMatrix, M: SparseMatrix) -> list[int]:
+    """The columns, in order, where two matrices of one shape differ."""
+    a, b = L.entries, M.entries
+    return sorted({ij[1] for ij in a.keys() | b.keys() if a.get(ij) != b.get(ij)})
+
+
+def _chain_map_failures(f: ChainMap, N: int):
+    """The columns (n, j), 1 <= n <= N, in order, where d∘f != f∘d."""
+    return [(n, j) for n in range(1, N + 1) for j in _differing_columns(
+        f.target.dmat(n) @ f.mat(n), f.mat(n - 1) @ f.source.dmat(n))]
 
 
 def is_quasi_iso_through(f: ChainMap, through: int):
@@ -335,9 +343,10 @@ def tensor_basis(X: ChainComplex, Y: ChainComplex, N: int) -> GradedBasis:
 def _tensor_offsets(X: ChainComplex, Y: ChainComplex, N: int) -> list[list[int]]:
     """off[n][p] is the index in degree n of the first x⊗y with |x| = p, so
     in tensor_basis order x⊗y sits at off[n][p] + i_x·dim Y_{n-p} + i_y, with
-    i_x, i_y the indices of x in X_p and y in Y_{n-p}."""
+    i_x, i_y the indices of x in X_p and y in Y_{n-p}; off[n][n + 1] is the
+    dimension of degree n."""
     dx, dy = X.basis.dim, Y.basis.dim
-    return [list(accumulate((dx(p) * dy(n - p) for p in range(n)), initial=0))
+    return [list(accumulate((dx(p) * dy(n - p) for p in range(n + 1)), initial=0))
             for n in range(N + 1)]
 
 
@@ -378,18 +387,30 @@ def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None)
     return Z
 
 
-def tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex, dst: ChainComplex) -> ChainMap:
-    """f⊗g: x⊗y -> f(x)⊗g(y) from the pair basis of src to that of dst.
-
-    f and g have degree 0, so there is no Koszul sign; pass
-    ``ChainMap.identity`` for the factor that does not move."""
-    R = src.ring
-    out = ChainMap(src, dst)
-    for name, ((p, x), (q, y)) in src.basis.keys.items():
-        for x2, u in f.apply(p, x).items():
-            for y2, v in g.apply(q, y).items():
-                out.set_entry(p + q, name, tensor_name(x2, y2), R.mul(u, v))
+def _tensor_kron(f: ChainMap, g: ChainMap, n: int) -> SparseMatrix:
+    """(f⊗g)_n from the tensor_basis layout of f.source ⊗ g.source to that of
+    f.target ⊗ g.target: the block of |x| = p is the Kronecker product
+    f_p ⊗ g_{n-p}, placed by the offsets of _tensor_offsets.  f and g have
+    degree 0, so there is no Koszul sign."""
+    X, Y, X2, Y2 = f.source, g.source, f.target, g.target
+    src, dst = _tensor_offsets(X, Y, n)[n], _tensor_offsets(X2, Y2, n)[n]
+    R = X.ring
+    out = SparseMatrix(R, dst[-1], src[-1])
+    mul, entries = R.mul, out.entries
+    for p in range(n + 1):
+        ny, ny2 = Y.basis.dim(n - p), Y2.basis.dim(n - p)
+        gq = g.mat(n - p).entries.items()
+        for (i2, i), u in f.mat(p).entries.items():
+            r, c = dst[p] + i2 * ny2, src[p] + i * ny
+            for (j2, j), v in gq:
+                entries[r + j2, c + j] = mul(u, v)
     return out
+
+
+def tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex, dst: ChainComplex) -> ChainMap:
+    """f⊗g: x⊗y -> f(x)⊗g(y) from the pair basis of src to that of dst;
+    pass ``ChainMap.identity`` for the factor that does not move."""
+    return ChainMap(src, dst, {n: _tensor_kron(f, g, n) for n in range(src.truncation + 1)})
 
 
 def ground_complex(ring: Ring, truncation: int = 0, name: str = "1") -> ChainComplex:
@@ -409,12 +430,8 @@ def suspend(X: ChainComplex, shift: int) -> ChainComplex:
     for n in X.basis.degrees():
         for a in X.basis.names(n):
             basis.add(n + shift, f"{mark}({a})")
-    Z = ChainComplex(X.ring, basis)
-    for n in X.basis.degrees():
-        for a in X.basis.names(n):
-            for a2, c in X.d_of(n, a).items():
-                Z.set_d_entry(n + shift, f"{mark}({a})", f"{mark}({a2})", X.ring.neg(c))
-    return Z
+    return ChainComplex(X.ring, basis, {n + shift: X.dmat(n).scale(X.ring.of(-1))
+                                        for n in range(1, X.truncation + 1) if n + shift >= 1})
 
 
 def mapping_cone(f: ChainMap, N: int) -> ChainComplex:
@@ -456,10 +473,8 @@ def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
             basis.add(n, f"R({b})")
     Z = ChainComplex(X.ring, basis)
     for n in range(1, N + 1):
-        for a in X.basis.names(n):
-            for a2, c in X.d_of(n, a).items():
-                Z.set_d_entry(n, f"L({a})", f"L({a2})", c)
-        for b in Y.basis.names(n):
-            for b2, c in Y.d_of(n, b).items():
-                Z.set_d_entry(n, f"R({b})", f"R({b2})", c)
+        Z.diff[n] = d = SparseMatrix(X.ring, basis.dim(n - 1), basis.dim(n))
+        d.entries = dict(X.dmat(n).entries)
+        top, left = X.basis.dim(n - 1), X.basis.dim(n)
+        d.entries.update(((top + i, left + j), v) for (i, j), v in Y.dmat(n).entries.items())
     return Z

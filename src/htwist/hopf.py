@@ -10,7 +10,20 @@ within the truncation, which keeps them exact rather than approximate.
 
 from __future__ import annotations
 
-from .complexes import ChainComplex, ChainMap, RingMismatch, tensor_complex, tensor_name
+from bisect import bisect_right
+
+from .complexes import (
+    ChainComplex,
+    ChainMap,
+    RingMismatch,
+    _chain_map_failures,
+    _differing_columns,
+    _tensor_kron,
+    _tensor_offsets,
+    tensor_complex,
+    tensor_name,
+)
+from .sparse import SparseMatrix
 
 
 class NotConnected(Exception):
@@ -182,15 +195,119 @@ class ComoduleStructure:
 
 
 # ---------------------------------------------------------------------
-# Axiom verification.
+# Structure identities as module-map, comodule-map or chain-map identities
+# of sparse matrices, one per degree, on tensor_basis layouts; failing
+# columns are named only for the witnesses (docs/DECISIONS.md, section 8).
 # ---------------------------------------------------------------------
 
+def _pairs(X: ChainComplex, Y: ChainComplex, n: int, lowest: int, cols=None):
+    """(col, |x|, i, |y|, j) for the x = X_{|x|}[i], y = Y_{|y|}[j] with
+    |x| + |y| = n and |y| >= lowest, col the index of x⊗y in the
+    tensor_basis layout of X ⊗ Y; all of them, or those at ``cols``."""
+    off, dim = _tensor_offsets(X, Y, n)[n], Y.basis.dim
+    for col in (range(off[-1]) if cols is None else cols):
+        p = bisect_right(off, col) - 1
+        if n - p >= lowest:
+            i, j = divmod(col - off[p], dim(n - p))
+            yield col, p, i, n - p, j
+
+
+def _action_table(act, M: ChainComplex, A: ChainComplex, n: int, lowest: int,
+                  cols=None) -> SparseMatrix:
+    """The action act(|m|, m, |a|, a) -> {name in M_n: coeff} on the pairs
+    _pairs(M, A, n, lowest, cols), as a matrix from the layout of M ⊗ A."""
+    out = SparseMatrix(M.ring, M.basis.dim(n), _tensor_offsets(M, A, n)[n][-1])
+    index, mn, an, entries = M.basis.index, M.basis.names, A.basis.names, out.entries
+    for col, dm, i, da, j in _pairs(M, A, n, lowest, cols):
+        for r, v in act(dm, mn(dm)[i], da, an(da)[j]).items():
+            entries[index(n, r), col] = v
+    return out
+
+
+def _coaction_table(coact, C: ChainComplex, M: ChainComplex, n: int, cols=None) -> SparseMatrix:
+    """The left coaction coact(|m|, m) -> [((|c|, c), (|m'|, m'), coeff)] on
+    M_n (all columns, or those at ``cols``), as a matrix to the layout of C ⊗ M."""
+    off = _tensor_offsets(C, M, n)[n]
+    out = SparseMatrix(M.ring, off[-1], M.basis.dim(n))
+    cidx, midx, dim, names, entries = C.basis.index, M.basis.index, M.basis.dim, M.basis.names(n), out.entries
+    for j in (range(len(names)) if cols is None else cols):
+        for (dc, c), (dm, m), v in coact(n, names[j]):
+            ij = off[dc] + cidx(dc, c) * dim(dm) + midx(dm, m), j
+            entries[ij] = entries.get(ij, 0) + v
+    return out
+
+
+def _module_map_failures(f: ChainMap, phi: ChainMap, act, target_act, N: int):
+    """The basis pairs ((|m|, m), (|a|, a)) with f(m·a) != f(m)·phi(a) and
+    |m| + |a| <= N, in the order (|m|, m, |a|, a): one identity f∘act =
+    act'∘(f⊗phi) per degree, act and act' = ``target_act`` acting on basis
+    elements; act' is read only where f⊗phi reaches.
+
+    a runs over the degrees >= 1 of phi's algebra, as ``product`` makes the
+    unit act strictly, and over degree 0 too when that holds more than the
+    unit."""
+    M, A, M2, A2 = f.source, phi.source, f.target, phi.target
+    lowest = 0 if A.basis.dim(0) > 1 else 1
+    failures = []
+    for n in range(N + 1):
+        kron = _tensor_kron(f, phi, n)
+        lhs = f.mat(n) @ _action_table(act, M, A, n, lowest)
+        rhs = _action_table(target_act, M2, A2, n, lowest, {i for i, _ in kron.entries}) @ kron
+        failures += _pairs(M, A, n, lowest, _differing_columns(lhs, rhs))
+    return [((dm, M.basis.names(dm)[i]), (da, A.basis.names(da)[j]))
+            for _, dm, i, da, j in sorted(failures, key=lambda k: k[1:])]
+
+
+def _comodule_map_failures(f: ChainMap, phi: ChainMap, coact, target_coact, N: int):
+    """The basis elements (n, m) with λ'(f(m)) != (phi⊗f)(λ(m)) and n <= N, in
+    order: one identity λ'∘f = (phi⊗f)∘λ per degree, λ = ``coact`` and λ' =
+    ``target_coact`` coacting on basis elements; λ' is read only where f
+    reaches."""
+    M, C, M2, C2 = f.source, phi.source, f.target, phi.target
+    failures = []
+    for n in range(N + 1):
+        fn = f.mat(n)
+        lhs = _coaction_table(target_coact, C2, M2, n, {i for i, _ in fn.entries}) @ fn
+        rhs = _tensor_kron(phi, f, n) @ _coaction_table(coact, C, M, n)
+        failures += [(n, M.basis.names(n)[j]) for j in _differing_columns(lhs, rhs)]
+    return failures
+
+
+def _right_factor_action(pairs: dict, act):
+    """(x⊗y)·a = x⊗(y·a) on a pair basis with keys ``pairs``, from the
+    per-basis action ``act`` on the right factor."""
+    def act_fn(dm, m, da, a):
+        (_, x), (q, y) = pairs[m]
+        return {tensor_name(x, r): v for r, v in act(q, y, da, a).items()}
+
+    return act_fn
+
+
+def _product_failures(X: ChainComplex, product, N: int):
+    """The associativity triples ((|a|, a), (|b|, b), (|c|, c)) and Leibniz
+    pairs ((|a|, a), (|b|, b)) of ``product(p, a, q, b)`` on X through N, by
+    degrees, then basis order.  With μ tabulated on X ⊗ X, associativity is
+    "μ is a module map over id, X acting on the right factor of X ⊗ X" and
+    Leibniz is "μ is a chain map"."""
+    XX = tensor_complex(X, X, N)
+    pairs, index = XX.basis.keys, X.basis.index
+    mu = ChainMap(XX, X, {n: _action_table(product, X, X, n, 0) for n in range(N + 1)})
+
+    def order(keys):
+        return tuple(d for d, _ in keys) + tuple(index(d, x) for d, x in keys)
+
+    triples = sorted(((*pairs[m], c) for (_, m), c in _module_map_failures(
+        mu, ChainMap.identity(X), _right_factor_action(pairs, product), product, N)), key=order)
+    leibniz = sorted((pairs[XX.basis.names(n)[j]] for n, j in _chain_map_failures(mu, N)), key=order)
+    return triples, leibniz
+
+
 def verify_algebra(A: ChainAlgebra):
-    """Exhaustive associativity/unit/Leibniz/connectivity/augmentation check.
+    """Exhaustive connectivity/unit/associativity/Leibniz/augmentation check,
+    the middle two by _product_failures.
 
     Returns (ok, witnesses); each witness names the violated axiom and the
-    basis tuple realizing the violation.
-    """
+    basis tuple realizing the violation."""
     R = A.ring
     X = A.complex
     N = A.truncation
@@ -207,34 +324,9 @@ def verify_algebra(A: ChainAlgebra):
             if A.product(n, a, 0, A.unit) != {a: R.one}:
                 witnesses.append({"axiom": "right-unit", "element": (n, a)})
 
-    # associativity on basis triples with total degree within truncation
-    for p in range(1, N + 1):
-        for q in range(1, N + 1 - p):
-            for r in range(1, N + 1 - p - q):
-                for a in X.basis.names(p):
-                    for b in X.basis.names(q):
-                        for c in X.basis.names(r):
-                            left = A.mul_combo(p + q, A.product(p, a, q, b), r, {c: R.one})
-                            right = A.mul_combo(p, {a: R.one}, q + r, A.product(q, b, r, c))
-                            if left != right:
-                                witnesses.append({"axiom": "associativity", "triple": (a, b, c)})
-
-    # Leibniz: d(ab) = da·b + (-1)^|a| a·db
-    for p in range(N + 1):
-        for q in range(N + 1 - p):
-            if p + q == 0:
-                continue
-            sgn = _sign(R, p)
-            for a in X.basis.names(p):
-                for b in X.basis.names(q):
-                    lhs = R.lincomb((r2, v * c) for r, v in A.product(p, a, q, b).items()
-                                    for r2, c in X.d_of(p + q, r).items())
-                    rhs = R.lincomb([
-                        *A.mul_combo(p - 1, X.d_of(p, a), q, {b: R.one}).items(),
-                        *((r, sgn * v) for r, v in A.mul_combo(p, {a: R.one}, q - 1, X.d_of(q, b)).items()),
-                    ])
-                    if lhs != rhs:
-                        witnesses.append({"axiom": "Leibniz", "pair": ((p, a), (q, b))})
+    triples, pairs = _product_failures(X, A.product, N)
+    witnesses += [{"axiom": "associativity", "triple": (a, b, c)} for (_, a), (_, b), (_, c) in triples]
+    witnesses += [{"axiom": "Leibniz", "pair": pair} for pair in pairs]
 
     # augmentation is a chain algebra map: aug(d x) = 0 for |x| = 1
     for a in X.basis.names(1):
@@ -248,7 +340,12 @@ def verify_algebra(A: ChainAlgebra):
 
 
 def verify_coalgebra(C: ChainCoalgebra):
-    """Dual check: coassociativity, counit, coderivation, 1-connectivity."""
+    """Dual check: 1-connectivity, counits, coassociativity, coderivation.
+
+    Δ is tabulated once on X ⊗ X; coassociativity is "Δ is a left comodule
+    map over id, C coacting by Δ⊗1 on X ⊗ X" and coderivation "Δ is a chain
+    map".  Witnesses follow the basis, and per element the order
+    left-counit, right-counit, coassociativity, coderivation."""
     R = C.ring
     X = C.complex
     N = C.truncation
@@ -261,82 +358,25 @@ def verify_coalgebra(C: ChainCoalgebra):
             "degree1": X.basis.names(1),
         })
 
-    def coderivation_terms(cop):
-        """(d⊗1 + 1⊗d) applied to a coproduct, Koszul sign on 1⊗d."""
-        for (d1, n1), (d2, n2), v in cop:
-            for m1, cc in X.d_of(d1, n1).items():
-                yield ((d1 - 1, m1), (d2, n2)), v * cc
-            sgn = _sign(R, d1)
-            for m2, cc in X.d_of(d2, n2).items():
-                yield ((d1, n1), (d2 - 1, m2)), sgn * v * cc
-
+    found = []  # (degree, basis index, axiom rank, witness)
     for n in range(N + 1):
-        for c in X.basis.names(n):
+        for i, c in enumerate(X.basis.names(n)):
             cop = C.coproduct(n, c)
-            # counit on both sides
             left = R.lincomb((k2, C.counit(*k1) * v) for k1, k2, v in cop if k1[0] == 0)
             right = R.lincomb((k1, C.counit(*k2) * v) for k1, k2, v in cop if k2[0] == 0)
-            for side_name, got in (("left-counit", left), ("right-counit", right)):
+            for rank, (side_name, got) in enumerate((("left-counit", left), ("right-counit", right))):
                 if got != {(n, c): R.one}:
-                    witnesses.append({"axiom": side_name, "element": (n, c)})
+                    found.append((n, i, rank, {"axiom": side_name, "element": (n, c)}))
 
-            # coassociativity: (Δ⊗1)Δ = (1⊗Δ)Δ, no signs (degree-0 maps)
-            lhs = R.lincomb(((j1, j2, k2), v * w) for k1, k2, v in cop
-                            for j1, j2, w in C.coproduct(*k1))
-            rhs = R.lincomb(((k1, j1, j2), v * w) for k1, k2, v in cop
-                            for j1, j2, w in C.coproduct(*k2))
-            if lhs != rhs:
-                witnesses.append({"axiom": "coassociativity", "element": (n, c)})
-
-            # coderivation: Δ(dc) = (d⊗1 + 1⊗d) Δc
-            if n >= 1:
-                lhs2 = R.lincomb(((k1, k2), v * w) for c2, v in X.d_of(n, c).items()
-                                 for k1, k2, w in C.coproduct(n - 1, c2))
-                if lhs2 != R.lincomb(coderivation_terms(cop)):
-                    witnesses.append({"axiom": "coderivation", "element": (n, c)})
-
+    XX = tensor_complex(X, X, N)
+    delta = ChainMap(X, XX, {n: _coaction_table(C.coproduct, X, X, n) for n in range(N + 1)})
+    found += [(n, X.basis.index(n, c), 2, {"axiom": "coassociativity", "element": (n, c)})
+              for n, c in _comodule_map_failures(delta, ChainMap.identity(X), C.coproduct,
+                                                 cofree_comodule_over(C, XX).coact, N)]
+    found += [(n, j, 3, {"axiom": "coderivation", "element": (n, X.basis.names(n)[j])})
+              for n, j in _chain_map_failures(delta, N)]
+    witnesses += [w for *_, w in sorted(found, key=lambda t: t[:3])]
     return (not witnesses), witnesses
-
-
-def _module_map_failures(f: ChainMap, phi: ChainMap, act, target_act,
-                         algebra: ChainAlgebra, N: int):
-    """Yield the basis pairs (m, a) with f(m·a) != f(m)·phi(a).
-
-    m runs over the source of f in degrees 0..N and a over the positive
-    degrees of ``algebra``, with |m| + |a| <= N.  ``act(dm, m, da, a)`` is the
-    source action on basis elements, ``target_act(dm, cm, da, ca)`` the target
-    action on combinations.
-    """
-    R = f.source.ring
-    for dm in range(N + 1):
-        for m in f.source.basis.names(dm):
-            fm = f.apply(dm, m)
-            for da in range(1, N + 1 - dm):
-                for a in algebra.basis(da):
-                    lhs = R.lincomb((y, v * w) for x, v in act(dm, m, da, a).items()
-                                    for y, w in f.apply(dm + da, x).items())
-                    if lhs != target_act(dm, fm, da, phi.apply(da, a)):
-                        yield m, a
-
-
-def _comodule_map_failures(f: ChainMap, phi: ChainMap, coact, target_coact, N: int):
-    """Yield the basis elements (n, m) with λ'(f(m)) != (phi⊗f)(λ(m)).
-
-    m runs over the source of f in degrees 0..N.  ``coact(n, m)`` and
-    ``target_coact(n, y)`` are left coactions as ((dc, c), (dm, m'), coeff)
-    terms.
-    """
-    R = f.source.ring
-    for n in range(N + 1):
-        for m in f.source.basis.names(n):
-            lhs = R.lincomb(((k1, k2), v * w) for y, v in f.apply(n, m).items()
-                            for k1, k2, w in target_coact(n, y))
-            rhs = R.lincomb((((dc, c2), (dm, y)), v * w1 * w2)
-                            for (dc, c), (dm, x), v in coact(n, m)
-                            for c2, w1 in phi.apply(dc, c).items()
-                            for y, w2 in f.apply(dm, x).items())
-            if lhs != rhs:
-                yield n, m
 
 # ---------------------------------------------------------------------
 # Tensor products of algebras and coalgebras (Koszul convention).
@@ -392,12 +432,9 @@ def tensor_coalgebra_product(C: ChainCoalgebra, D: ChainCoalgebra, through: int 
                         for (f1, d1), (f2, d2), w in D.coproduct(q, d):
                             sgn = _sign(R, f1 * e2)
                             coeff = R.mul(sgn, R.mul(v, w))
-                            k1 = (e1 + f1, tensor_name(c1, d1))
-                            k2 = (e2 + f2, tensor_name(c2, d2))
-                            if not (k1[0] == 0 and k2 == (p + q, tensor_name(c, d))) and \
-                               not (k2[0] == 0 and k1 == (p + q, tensor_name(c, d))):
-                                if k1[0] > 0 and k2[0] > 0:
-                                    terms.append((k1, k2, coeff))
+                            if e1 + f1 > 0 and e2 + f2 > 0:
+                                terms.append(((e1 + f1, tensor_name(c1, d1)),
+                                              (e2 + f2, tensor_name(c2, d2)), coeff))
                     out.set_coproduct_reduced(p + q, tensor_name(c, d), terms)
     return out
 
@@ -406,13 +443,7 @@ def free_module_over(A: ChainAlgebra, carrier: ChainComplex) -> ModuleStructure:
     """Right A-module structure on a pair-basis carrier X ⊗ A, acting on the
     second factor: (x⊗a)·b = x⊗(ab), read from the pair keys on demand.
     Used for every free module in this artifact."""
-    pairs = carrier.basis.keys
-
-    def act(dm, m, db, b):
-        (_, x), (q, a) = pairs[m]
-        return {tensor_name(x, ab): v for ab, v in A.product(q, a, db, b).items()}
-
-    return ModuleStructure(A, carrier, "right", act_fn=act)
+    return ModuleStructure(A, carrier, "right", act_fn=_right_factor_action(carrier.basis.keys, A.product))
 
 
 def cofree_comodule_over(C: ChainCoalgebra, carrier: ChainComplex) -> ComoduleStructure:

@@ -104,25 +104,17 @@ def verify_elementary_equivalence(m: ExtendedBundleMorphism, through: int):
     report["beta-coalgebra-map"] = is_coalgebra_map(m.beta, S.comonoid, T.comonoid)
 
     # mu is a module map over alpha: mu(x·a) = mu(x)·alpha(a)
-    failures = _module_map_failures(m.mu, m.alpha, S.module.act, T.module.act_combo, S.monoid,
-                                    min(S.M.truncation, T.M.truncation))
-    report["mu-module-map"] = next(failures, None) is None
+    report["mu-module-map"] = not _module_map_failures(
+        m.mu, m.alpha, S.module.act, T.module.act, min(S.M.truncation, T.M.truncation))
 
     # nu is a comodule map over beta: λ' ∘ nu = (beta ⊗ nu) ∘ λ
-    failures = _comodule_map_failures(m.nu, m.beta, S.comodule.coact, T.comodule.coact,
-                                      min(S.N.truncation, T.N.truncation))
-    report["nu-comodule-map"] = next(failures, None) is None
+    report["nu-comodule-map"] = not _comodule_map_failures(
+        m.nu, m.beta, S.comodule.coact, T.comodule.coact, min(S.N.truncation, T.N.truncation))
 
-    hi = through
-    sq1 = m.mu.compose(S.j)
-    sq1b = T.j.compose(m.alpha)
-    report["j-square"] = all(sq1.mat(n) == sq1b.mat(n) for n in range(hi + 1))
-    sq2 = m.nu.compose(S.d)
-    sq2b = T.d.compose(m.mu)
-    report["d-square"] = all(sq2.mat(n) == sq2b.mat(n) for n in range(hi + 1))
-    sq3 = m.beta.compose(S.p)
-    sq3b = T.p.compose(m.nu)
-    report["p-square"] = all(sq3.mat(n) == sq3b.mat(n) for n in range(hi + 1))
+    for nm, lhs, rhs in (("j", m.mu.compose(S.j), T.j.compose(m.alpha)),
+                         ("d", m.nu.compose(S.d), T.d.compose(m.mu)),
+                         ("p", m.beta.compose(S.p), T.p.compose(m.nu))):
+        report[f"{nm}-square"] = all(lhs.mat(n) == rhs.mat(n) for n in range(through + 1))
 
     for nm, f in (("alpha", m.alpha), ("mu", m.mu), ("nu", m.nu), ("beta", m.beta)):
         okq, _ = is_quasi_iso_through(f, through)
@@ -290,8 +282,8 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     q2 = ctx.get("quotient2") or borel_quotient(pi_f, A2, Q, N, BarA2)
     wl = left_np_window(pi_f, A2, Q, N, BarA2, q2)
 
-    OmegaBarA2 = ctx.get("OmegaBarA2") or cobar(BarA2, N)
-    BarQ = ctx.get("BarQ") or bar(Q, N + 1)
+    OmegaBarA2 = cobar(BarA2, N)
+    BarQ = bar(Q, N + 1)
     OmegaBarQ = cobar(BarQ, N)
     bpi = bar_map(pi_f, BarA2, BarQ)
     kernel = borel_kernel(bpi, BarA2, BarQ, N, OmegaBarQ)

@@ -1,0 +1,240 @@
+"""Reference structure checks, kept for the tests only.
+
+These are the per-element loops that `htwist.hopf`, `htwist.bundles` and
+`htwist.chains` used before every structure identity became a module-map,
+comodule-map or chain-map check on sparse matrices (docs/DECISIONS.md,
+section 8).  Each walks basis elements by name, applies maps through
+`ChainMap.apply` and `ChainComplex.d_of`, and compares linear combinations
+as dicts, so it shares no code path with the matrix checks beyond the
+structure maps themselves.  Each returns its witnesses in the order the
+library reported them then.
+"""
+
+from htwist.complexes import ChainMap
+
+
+def _sign(ring, k: int):
+    return ring.of(-1) if k % 2 else ring.one
+
+
+def module_map_failures(f: ChainMap, phi: ChainMap, act, target_act, N: int):
+    """The basis pairs (m, a) with f(m·a) != f(m)·phi(a), a in degrees >= 1,
+    |m| + |a| <= N; ``act`` and ``target_act`` act on basis elements."""
+    R = f.source.ring
+
+    def target_combo(dm, cm, da, ca):
+        return R.lincomb((r, vm * va * vr) for m, vm in cm.items() for a, va in ca.items()
+                         for r, vr in target_act(dm, m, da, a).items())
+
+    out = []
+    for dm in range(N + 1):
+        for m in f.source.basis.names(dm):
+            fm = f.apply(dm, m)
+            for da in range(1, N + 1 - dm):
+                for a in phi.source.basis.names(da):
+                    lhs = R.lincomb((y, v * w) for x, v in act(dm, m, da, a).items()
+                                    for y, w in f.apply(dm + da, x).items())
+                    if lhs != target_combo(dm, fm, da, phi.apply(da, a)):
+                        out.append((m, a))
+    return out
+
+
+def comodule_map_failures(f: ChainMap, phi: ChainMap, coact, target_coact, N: int):
+    """The basis elements (n, m) with λ'(f(m)) != (phi⊗f)(λ(m))."""
+    R = f.source.ring
+    out = []
+    for n in range(N + 1):
+        for m in f.source.basis.names(n):
+            lhs = R.lincomb(((k1, k2), v * w) for y, v in f.apply(n, m).items()
+                            for k1, k2, w in target_coact(n, y))
+            rhs = R.lincomb((((dc, c2), (dm, y)), v * w1 * w2)
+                            for (dc, c), (dm, x), v in coact(n, m)
+                            for c2, w1 in phi.apply(dc, c).items()
+                            for y, w2 in f.apply(dm, x).items())
+            if lhs != rhs:
+                out.append((n, m))
+    return out
+
+
+def verify_algebra(A):
+    """Connectivity, units, associativity, Leibniz and augmentation."""
+    R = A.ring
+    X = A.complex
+    N = A.truncation
+    witnesses = []
+
+    if not A.is_connected():
+        witnesses.append({"axiom": "connected", "degree0": X.basis.names(0), "unit": A.unit})
+
+    for n in range(N + 1):
+        for a in X.basis.names(n):
+            if A.product(0, A.unit, n, a) != {a: R.one}:
+                witnesses.append({"axiom": "left-unit", "element": (n, a)})
+            if A.product(n, a, 0, A.unit) != {a: R.one}:
+                witnesses.append({"axiom": "right-unit", "element": (n, a)})
+
+    for p in range(1, N + 1):
+        for q in range(1, N + 1 - p):
+            for r in range(1, N + 1 - p - q):
+                for a in X.basis.names(p):
+                    for b in X.basis.names(q):
+                        for c in X.basis.names(r):
+                            left = A.mul_combo(p + q, A.product(p, a, q, b), r, {c: R.one})
+                            right = A.mul_combo(p, {a: R.one}, q + r, A.product(q, b, r, c))
+                            if left != right:
+                                witnesses.append({"axiom": "associativity", "triple": (a, b, c)})
+
+    for p in range(N + 1):
+        for q in range(N + 1 - p):
+            if p + q == 0:
+                continue
+            sgn = _sign(R, p)
+            for a in X.basis.names(p):
+                for b in X.basis.names(q):
+                    lhs = R.lincomb((r2, v * c) for r, v in A.product(p, a, q, b).items()
+                                    for r2, c in X.d_of(p + q, r).items())
+                    rhs = R.lincomb([
+                        *A.mul_combo(p - 1, X.d_of(p, a), q, {b: R.one}).items(),
+                        *((r, sgn * v) for r, v in A.mul_combo(p, {a: R.one}, q - 1, X.d_of(q, b)).items()),
+                    ])
+                    if lhs != rhs:
+                        witnesses.append({"axiom": "Leibniz", "pair": ((p, a), (q, b))})
+
+    for a in X.basis.names(1):
+        val = R.zero
+        for r_name, c in X.d_of(1, a).items():
+            val = R.add(val, R.mul(c, A.aug(0, r_name)))
+        if not R.is_zero(val):
+            witnesses.append({"axiom": "augmentation-chain", "element": a})
+
+    return (not witnesses), witnesses
+
+
+def verify_coalgebra(C):
+    """1-connectivity, then counits, coassociativity and coderivation per
+    basis element."""
+    R = C.ring
+    X = C.complex
+    N = C.truncation
+    witnesses = []
+
+    if not C.is_one_connected():
+        witnesses.append({
+            "axiom": "1-connected",
+            "degree0": X.basis.names(0),
+            "degree1": X.basis.names(1),
+        })
+
+    def coderivation_terms(cop):
+        for (d1, n1), (d2, n2), v in cop:
+            for m1, cc in X.d_of(d1, n1).items():
+                yield ((d1 - 1, m1), (d2, n2)), v * cc
+            sgn = _sign(R, d1)
+            for m2, cc in X.d_of(d2, n2).items():
+                yield ((d1, n1), (d2 - 1, m2)), sgn * v * cc
+
+    for n in range(N + 1):
+        for c in X.basis.names(n):
+            cop = C.coproduct(n, c)
+            left = R.lincomb((k2, C.counit(*k1) * v) for k1, k2, v in cop if k1[0] == 0)
+            right = R.lincomb((k1, C.counit(*k2) * v) for k1, k2, v in cop if k2[0] == 0)
+            for side_name, got in (("left-counit", left), ("right-counit", right)):
+                if got != {(n, c): R.one}:
+                    witnesses.append({"axiom": side_name, "element": (n, c)})
+
+            lhs = R.lincomb(((j1, j2, k2), v * w) for k1, k2, v in cop
+                            for j1, j2, w in C.coproduct(*k1))
+            rhs = R.lincomb(((k1, j1, j2), v * w) for k1, k2, v in cop
+                            for j1, j2, w in C.coproduct(*k2))
+            if lhs != rhs:
+                witnesses.append({"axiom": "coassociativity", "element": (n, c)})
+
+            if n >= 1:
+                lhs2 = R.lincomb(((k1, k2), v * w) for c2, v in X.d_of(n, c).items()
+                                 for k1, k2, w in C.coproduct(n - 1, c2))
+                if lhs2 != R.lincomb(coderivation_terms(cop)):
+                    witnesses.append({"axiom": "coderivation", "element": (n, c)})
+
+    return (not witnesses), witnesses
+
+
+def verify_mixed_bundle(b):
+    """Chain, module and comodule maps, then mixed compatibility per pair."""
+    R = b.ring
+    N = b.truncation
+    problems = []
+    ok, deg = b.inclusion.is_chain_map()
+    if not ok:
+        problems.append({"check": "inclusion-chain", "degree": deg})
+    ok, deg = b.projection.is_chain_map()
+    if not ok:
+        problems.append({"check": "projection-chain", "degree": deg})
+
+    A = b.monoid
+    problems += [{"check": "inclusion-module", "pair": pair} for pair in module_map_failures(
+        b.inclusion, ChainMap.identity(A.complex), A.product, b.module.act, N)]
+    problems += [{"check": "projection-comodule", "element": key} for key in comodule_map_failures(
+        b.projection, ChainMap.identity(b.comonoid.complex), b.comodule.coact, b.comonoid.coproduct, N)]
+
+    for n in range(N + 1):
+        for m in b.total.basis.names(n):
+            for q in range(1, N + 1 - n):
+                for a in A.basis(q):
+                    lhs = R.lincomb(((k1, k2), v * w) for m2, v in b.module.act(n, m, q, a).items()
+                                    for k1, k2, w in b.comodule.coact(n + q, m2))
+                    rhs = R.lincomb((((dc, c), (dm + q, m3)), v * w)
+                                    for (dc, c), (dm, m2), v in b.comodule.coact(n, m)
+                                    for m3, w in b.module.act(dm, m2, q, a).items())
+                    if lhs != rhs:
+                        problems.append({"check": "mixed-compatibility", "pair": (m, a)})
+    return (not problems), problems
+
+
+def verify_pontryagin_axioms(G, ring, N: int):
+    """Associativity on all triples and Leibniz on all pairs of the shuffle
+    product, degree 0 included; returns the report's problem list."""
+    from htwist.chains import chains_of_simplicial_group
+
+    C, table, _, _ = chains_of_simplicial_group(G, ring, N)
+    unit = C.complex.basis.name_of(0, G.neutral(0))
+    R = ring
+
+    def prod(p, xn, q, yn):
+        if p == 0 and xn == unit:
+            return {yn: R.one}
+        if q == 0 and yn == unit:
+            return {xn: R.one}
+        return table.get(((p, xn), (q, yn)), {})
+
+    def prod_combo(p, cx, q, cy):
+        return R.lincomb((zn, vx * vy * vz) for xn, vx in cx.items() for yn, vy in cy.items()
+                         for zn, vz in prod(p, xn, q, yn).items())
+
+    problems = []
+    X = C.complex
+    for p in range(N + 1):
+        for q in range(N + 1 - p):
+            for r in range(N + 1 - p - q):
+                for a in C.basis(p):
+                    for b in C.basis(q):
+                        for c in C.basis(r):
+                            one = prod_combo(p + q, prod(p, a, q, b), r, {c: R.one})
+                            two = prod_combo(p, {a: R.one}, q + r, prod(q, b, r, c))
+                            if one != two:
+                                problems.append({"axiom": "associativity", "triple": (a, b, c)})
+    for p in range(N + 1):
+        for q in range(N + 1 - p):
+            if p + q == 0:
+                continue
+            sgn = R.of(-1) if p % 2 else R.one
+            for a in C.basis(p):
+                for b in C.basis(q):
+                    lhs = R.lincomb((z2, v * w) for zn, v in prod(p, a, q, b).items()
+                                    for z2, w in X.d_of(p + q, zn).items())
+                    rhs = R.lincomb([
+                        *prod_combo(p - 1, X.d_of(p, a), q, {b: R.one}).items(),
+                        *((r2, sgn * v) for r2, v in prod_combo(p, {a: R.one}, q - 1, X.d_of(q, b)).items()),
+                    ])
+                    if lhs != rhs:
+                        problems.append({"axiom": "Leibniz", "pair": (a, b)})
+    return problems
