@@ -13,17 +13,19 @@ from __future__ import annotations
 
 from functools import cache
 
-from .complexes import ChainComplex, ChainMap, GradedBasis, tensor_name
+from .complexes import ChainComplex, ChainMap, GradedBasis, _differing_columns, _tensor_offsets, tensor_name
 from .hopf import (
     ChainAlgebra,
     ChainCoalgebra,
     Key,
     NotConnected,
     NotOneConnected,
+    _action_table,
     _comodule_map_failures,
     _module_map_failures,
     _sign,
 )
+from .sparse import SparseMatrix
 
 
 class NotCommutative(Exception):
@@ -209,17 +211,16 @@ def shuffles_with_signs(ring, u: Word, v: Word, degree):
 
 
 def is_graded_commutative(A: ChainAlgebra) -> bool:
-    R = A.ring
-    N = A.truncation
-    for p in range(1, N + 1):
-        for q in range(1, N + 1 - p):
-            for a in A.basis(p):
-                for b in A.basis(q):
-                    sgn = _sign(R, p * q)
-                    ba = A.product(q, b, p, a)
-                    if A.product(p, a, q, b) != R.lincomb((k, sgn * v) for k, v in ba.items()):
-                        return False
-    return True
+    """ab = (-1)^{|a||b|} ba, as one identity of product tables per degree
+    (docs/DECISIONS.md, section 8)."""
+    R, X = A.ring, A.complex
+
+    def swapped(p, a, q, b):
+        return R.lincomb((r, _sign(R, p * q) * v) for r, v in A.product(q, b, p, a).items())
+
+    return not any(_differing_columns(_action_table(A.product, X, X, n, 1),
+                                      _action_table(swapped, X, X, n, 1))
+                   for n in range(A.truncation + 1))
 
 
 def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
@@ -252,26 +253,22 @@ def bar_map(f: ChainMap, source: ChainCoalgebra | ChainAlgebra,
             target: ChainCoalgebra | ChainAlgebra) -> ChainMap:
     """Bar(f) for an algebra map f: A -> A', and (as ``cobar_map``) Cobar(g)
     for a coalgebra map g: C -> C': each word goes to the sum of the words
-    of the letters' images."""
+    of the letters' images; a word that is not in the target is dropped."""
     R = source.ring
-    out = ChainMap(source.complex, target.complex)
-    words, image_basis = source.complex.basis.keys, target.complex.basis
-    for n in range(source.truncation + 1):
-        for name in source.basis(n):
-            images = [((), R.one)]
-            for (d, a) in words[name]:
-                val = f.apply(d, a)
-                images = [
-                    (w + ((d, b),), R.mul(s, v))
-                    for (w, s) in images for b, v in val.items()
-                ]
-                if not images:
-                    break
-            for w, s in images:
-                target_name = image_basis.name_of(n, w)
-                if target_name is not None:
-                    out.set_entry(n, name, target_name, s)
-    return out
+    degree = bar_letter_degree if isinstance(source, ChainCoalgebra) else cobar_letter_degree
+    index, image_names = f.source.basis.index, f.target.basis.names
+    words, names, positions = target.complex.basis.keys, target.basis, target.complex.basis.positions
+
+    def letters(letter):
+        d, a = letter
+        return [((d, image_names(d)[r]), v) for r, v in f.mat(d).column(index(d, a)).items()]
+
+    def append(p, i, b):
+        row = positions(p + degree(b)).get(words[names(p)[i]] + (b,))
+        return () if row is None else ((row, R.one),)
+
+    return _word_extension(source.complex, source.truncation, degree, target.complex,
+                           positions(0)[()], letters, append)
 
 
 cobar_map = bar_map
@@ -303,78 +300,79 @@ def is_coalgebra_map(f: ChainMap, C: ChainCoalgebra, D: ChainCoalgebra, through:
 # alpha_t / beta_t and the adjunction unit and counit.
 # ---------------------------------------------------------------------
 
+def _word_extension(source: ChainComplex, N: int, letter_degree, target: ChainComplex,
+                    unit_row: int, letter_image, times) -> ChainMap:
+    """The map f: source -> target through degree N on a word basis with
+    f([]) = e_unit_row and f(w·ℓ) = Σ v·x·y e_r over v e_i in f(w), (b, x) in
+    letter_image(ℓ) and (r, y) in times(|w|, i, b), |w| = |w·ℓ| - |ℓ|: the
+    multiplicative extension of ℓ -> Σ x·b when ``times`` multiplies by b
+    (docs/DECISIONS.md, section 9).  A prefix precedes its words, so its
+    column is already written."""
+    R, basis = source.ring, source.basis
+    letter_image = cache(letter_image)
+    columns = {0: [{unit_row: R.one}]}  # the empty word spans degree 0
+    for n in range(1, min(N, source.truncation) + 1):
+        columns[n] = []
+        for w in map(basis.keys.get, basis.names(n)):
+            p = n - letter_degree(w[-1])
+            prefix = columns[p][basis.positions(p)[w[:-1]]]
+            columns[n].append(R.lincomb((r, v * x * y) for i, v in prefix.items()
+                                        for b, x in letter_image(w[-1]) for r, y in times(p, i, b)))
+    return _column_map(source, target, columns)
+
+
+def _column_map(source: ChainComplex, target: ChainComplex, columns: dict) -> ChainMap:
+    """The map whose degree-n component has the columns ``columns[n]``, each
+    {row: coeff}."""
+    out = ChainMap(source, target)
+    for n, cols in columns.items():
+        m = out.components[n] = SparseMatrix(source.ring, target.basis.dim(n), len(cols))
+        m.entries = {(r, j): v for j, col in enumerate(cols) for r, v in col.items()}
+    return out
+
+
 def alpha_t(t, Omega: ChainAlgebra, N: int) -> ChainMap:
     """Multiplicative extension ΩC -> A of a twisting cochain t: C -> A.
 
     ``Omega`` must be cobar(t.source, N); letters map by s-1(c) -> t(c).
     """
     A = t.target
-    f = ChainMap(Omega.complex, A.complex)
-    words = Omega.complex.basis.keys
-    for n in range(N + 1):
-        for name in Omega.basis(n):
-            combo = {A.unit: A.ring.one}
-            deg = 0
-            ok = True
-            for (dc, c) in words[name]:
-                val = t.value(dc, c)
-                if not val:
-                    ok = False
-                    break
-                combo = A.mul_combo(deg, combo, dc - 1, val)
-                deg += dc - 1
-                if not combo:
-                    ok = False
-                    break
-            if ok:
-                for r, v in combo.items():
-                    f.set_entry(n, name, r, v)
-    return f
+    names, index = A.basis, A.complex.basis.index
+
+    def times(p, i, b):
+        return [(index(p + b[0], r), y) for r, y in A.product(p, names(p)[i], *b).items()]
+
+    return _word_extension(Omega.complex, N, cobar_letter_degree, A.complex, index(0, A.unit),
+                           lambda c: [((c[0] - 1, a), v) for a, v in t.value(*c).items()], times)
 
 
 def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
     """Adjoint coalgebra map C -> Bar(A) of a twisting cochain t: C -> A.
 
-    The length-k component applies (s t)^{⊗k} to the iterated reduced
-    coproduct; the couniversal cochain picks out exactly length-one words,
-    so t = t_Bar ∘ beta_t holds on the nose.
+    β(c) = [t(c)] + Σ_{Δ̄c = c'⊗c''} [t(c')]|β(c''): the length-k component
+    applies (s t)^{⊗k} to the right-comb k-fold reduced coproduct
+    (docs/DECISIONS.md, section 9).  |c''| < |c|, so each column is written
+    from columns written before it.  The couniversal cochain picks out
+    exactly length-one words, so t = t_Bar ∘ beta_t holds on the nose.
     """
-    C = t.source
-    R = C.ring
-    bar_basis = Bar.complex.basis
-    f = ChainMap(C.complex, Bar.complex)
-    for n in range(N + 1):
-        for c in C.basis(n):
-            if n == 0:
-                f.set_entry(0, c, EMPTY_NAME, R.one)
-                continue
-            # iterated reduced coproducts, refined right-comb style
-            results = []
-            frontier = [(((n, c),), R.one)]
-            while frontier:
-                # map every splitting through t letterwise
-                new_frontier = []
-                for keys, coeff in frontier:
-                    # letterwise t-image of this splitting
-                    words = [((), coeff)]
-                    for (dc, cc) in keys:
-                        val = t.value(dc, cc)
-                        words = [(w + ((dc - 1, a),), R.mul(s, av))
-                                 for w, s in words for a, av in val.items()]
-                        if not words:
-                            break
-                    for w, s in words:
-                        name = bar_basis.name_of(n, w)
-                        if name is not None:
-                            results.append((name, s))
-                    # refine the last factor once more via reduced coproduct
-                    last = keys[-1]
-                    for (d1, c1), (d2, c2), v in C.reduced_coproduct(*last):
-                        new_frontier.append((keys[:-1] + ((d1, c1), (d2, c2)), R.mul(coeff, v)))
-                frontier = new_frontier
-            for name, v in R.lincomb(results).items():
-                f.set_entry(n, c, name, v)
-    return f
+    C, R = t.source, t.ring
+    basis = Bar.complex.basis
+    words, names, positions, index = basis.keys, basis.names, basis.positions, C.complex.basis.index
+    columns = {0: [{positions(0)[()]: R.one} for _ in C.basis(0)]}
+
+    def terms(n, c):
+        for a, x in t.value(n, c).items():
+            yield ((n - 1, a),), x
+        for (d1, c1), (d2, c2), v in C.reduced_coproduct(n, c):
+            for a, x in t.value(d1, c1).items():
+                for r, y in columns[d2][index(d2, c2)].items():
+                    yield ((d1 - 1, a),) + words[names(d2)[r]], v * x * y
+
+    for n in range(1, N + 1):
+        rows = positions(n)
+        columns[n] = [R.lincomb((rows[w], v) for w, v in terms(n, c) if w in rows)
+                      for c in C.basis(n)]
+    return _column_map(C.complex, Bar.complex, columns)
 
 
 def unit_map(C: ChainCoalgebra, N: int, Omega: ChainAlgebra | None = None,
@@ -433,44 +431,37 @@ def milgram_cobar_map(C: ChainCoalgebra, D: ChainCoalgebra, N: int,
     """q: Cobar(C⊗D) -> Cobar(C) ⊗ Cobar(D), the multiplicative comparison.
 
     Generators s-1(c⊗1) -> s-1(c)⊗[], s-1(1⊗d) -> []⊗s-1(d), mixed
-    generators die; extended multiplicatively with Koszul signs.
+    generators die; extended multiplicatively with Koszul signs:
+    (wa⊗wb)·(ua⊗ub) = (-1)^{|wb||ua|} wa·ua ⊗ wb·ub.  ``tensor_cobar`` is
+    tensor_complex(OmegaC.complex, OmegaD.complex, N).
     """
     R = C.ring
-    f = ChainMap(OmegaCD.complex, tensor_cobar)
     # letters c⊗1 and 1⊗d of C⊗D, by (degree, name)
     left = {(n, tensor_name(c, D.coaug)): c for n in range(C.truncation + 1) for c in C.basis(n)}
     right = {(n, tensor_name(C.coaug, d)): d for n in range(D.truncation + 1) for d in D.basis(n)}
 
-    def letter_image(dc, name):
+    def letter_image(letter):
         out = []
-        if (dc, name) in left:
-            out.append((((dc, left[dc, name]),), (), R.one))
-        if (dc, name) in right:
-            out.append(((), ((dc, right[dc, name]),), R.one))
+        if letter in left:
+            out.append(((((letter[0], left[letter]),), ()), R.one))
+        if letter in right:
+            out.append((((), ((letter[0], right[letter]),)), R.one))
         return out
 
-    for n in range(N + 1):
-        for name in OmegaCD.basis(n):
-            word = OmegaCD.complex.basis.keys[name]
-            # multiply letter images in Cobar(C) ⊗ Cobar(D)
-            terms = [((), (), R.one)]
-            for (dc, cname) in word:
-                imgs = letter_image(dc, cname)
-                new_terms = []
-                for (wa, wb, s) in terms:
-                    for (ua, ub, v) in imgs:
-                        # Koszul: (wa⊗wb)·(ua⊗ub) = ±(wa ua)⊗(wb ub)
-                        dwb = sum(k[0] - 1 for k in wb)
-                        dua = sum(k[0] - 1 for k in ua)
-                        sgn = _sign(R, dwb * dua)
-                        new_terms.append((wa + ua, wb + ub, R.mul(R.mul(s, v), sgn)))
-                terms = new_terms
-                if not terms:
-                    break
-            for (wa, wb, s) in terms:
-                da = sum(k[0] - 1 for k in wa)
-                na = OmegaC.complex.basis.name_of(da, wa)
-                nb = OmegaD.complex.basis.name_of(n - da, wb)
-                if na is not None and nb is not None:
-                    f.set_entry(n, name, tensor_name(na, nb), s)
-    return f
+    OC, OD = OmegaC.complex, OmegaD.complex
+    off, pairs, names = _tensor_offsets(OC, OD, N), tensor_cobar.basis.keys, tensor_cobar.basis.names
+
+    def times(p, i, b):
+        # (wa⊗wb)·(ua⊗ub), wa⊗wb the element at row i of degree p
+        (da, wa), (db, wb) = pairs[names(p)[i]]
+        ua, ub = b
+        du = sum(map(cobar_letter_degree, ua))
+        ea, eb = da + du, db + sum(map(cobar_letter_degree, ub))
+        ia = OC.basis.positions(ea).get(OC.basis.keys[wa] + ua)
+        ib = OD.basis.positions(eb).get(OD.basis.keys[wb] + ub)
+        if ia is None or ib is None:
+            return ()
+        return ((off[ea + eb][ea] + ia * OD.basis.dim(eb) + ib, _sign(R, db * du)),)
+
+    return _word_extension(OmegaCD.complex, N, cobar_letter_degree, tensor_cobar, 0,
+                           letter_image, times)

@@ -85,10 +85,6 @@ class ChainAlgebra:
             return self.product_fn(da, a, db, b)
         return {}
 
-    def mul_combo(self, da: int, ca: dict, db: int, cb: dict) -> dict[str, object]:
-        return self.ring.lincomb((r, va * vb * vr) for a, va in ca.items() for b, vb in cb.items()
-                                 for r, vr in self.product(da, a, db, b).items())
-
     def aug(self, n: int, name: str):
         """Augmentation functional: 1 on the unit, 0 elsewhere."""
         return self.ring.one if (n == 0 and name == self.unit) else self.ring.zero
@@ -168,10 +164,6 @@ class ModuleStructure:
         if da == 0:
             return {m: self.ring.one} if a == self.algebra.unit else {}
         return self.act_fn(dm, m, da, a)
-
-    def act_combo(self, dm: int, cm: dict, da: int, ca: dict) -> dict[str, object]:
-        return self.ring.lincomb((r, vm * va * vr) for m, vm in cm.items() for a, va in ca.items()
-                                 for r, vr in self.act(dm, m, da, a).items())
 
 
 class ComoduleStructure:

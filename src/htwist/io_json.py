@@ -138,6 +138,9 @@ def algebra_from_dict(data: dict) -> ChainAlgebra:
             combo = {r: _coeff_parse(X.ring, c) for r, c in entry["result"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"mu entry {entry}: malformed entry ({exc})") from exc
+        if p == 0 or q == 0:
+            # ChainAlgebra.product answers degree-0 factors by the unit rule
+            raise InputError(f"mu entry {entry}: a factor of degree 0 is not read from mu")
         _check_names(entry, "mu entry", [(p, a), (q, b), *((p + q, r) for r in combo)], X)
         A.set_product(p, a, q, b, combo)
     return A

@@ -380,9 +380,6 @@ def abelian_normality(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
     BarA2 = bar(A2, N + 1)
     q = borel_quotient(f, A, A2, N, BarA)
     Q = shuffle_quotient_algebra(A, A2, N, BarA, q, corrupt_sign=corrupt_sign)
-    ok, witnesses = verify_algebra(Q)
-    if not ok:
-        raise HypothesisFailed("algebra-structure", witnesses[:3])
     q2 = borel_quotient(q.pi, A2, Q, N, BarA2)
     pi_tilde = natural_quotient_projection(q, q2, BarA)
     return rigid_normality_certificate(

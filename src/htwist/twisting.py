@@ -5,6 +5,7 @@ couniversal examples, and twisted tensor products with the D_t differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .barcobar import bar_word_name, cobar_word_name
 from .complexes import ChainComplex, ChainMap, _tensor_offsets, _tensor_terms, tensor_basis
@@ -51,10 +52,6 @@ class TwistingCochain:
     def value(self, dc: int, c: str) -> dict[str, object]:
         return self.values.get((dc, c), {})
 
-    def value_combo(self, dc: int, combo: dict[str, object]) -> dict[str, object]:
-        return self.ring.lincomb((a, v * w) for c, v in combo.items()
-                                 for a, w in self.value(dc, c).items())
-
 
 def verify_twisting_cochain(t: TwistingCochain, through: int | None = None):
     """Check dt + td = m(t⊗t)Δ on every basis element; (ok, witnesses)."""
@@ -74,11 +71,15 @@ def verify_twisting_cochain(t: TwistingCochain, through: int | None = None):
                 *((a, v * w) for c2, v in C.complex.d_of(n, c).items()
                   for a, w in t.value(n - 1, c2).items()),
             ])
-            # m(t⊗t)Δ(c): Koszul sign (-1)^{|c1|} from moving t past c1
-            rhs = R.lincomb((a, _sign(R, d1) * v * w)
+            # m(t⊗t)Δ(c): Koszul sign (-1)^{|c1|} from moving t past c1; each
+            # t(c1)·t(c2) is summed on its own, which fixes the order of the
+            # witness terms
+            rhs = R.lincomb((r, _sign(R, d1) * v * w)
                             for (d1, c1), (d2, c2), v in C.reduced_coproduct(n, c)
-                            for a, w in A.mul_combo(d1 - 1, t.value(d1, c1), d2 - 1,
-                                                    t.value(d2, c2)).items())
+                            for r, w in R.lincomb(
+                                (r, x * y * z) for a, x in t.value(d1, c1).items()
+                                for b, y in t.value(d2, c2).items()
+                                for r, z in A.product(d1 - 1, a, d2 - 1, b).items()).items())
             if lhs != rhs:
                 witnesses.append({"element": (n, c), "lhs": lhs, "rhs": rhs})
     return (not witnesses), witnesses
@@ -118,14 +119,18 @@ def compose_cochain(g: ChainMap | None, t: TwistingCochain, f: ChainMap | None,
         raise CompositionMismatch("f must start at the cochain target")
     R = t.ring
     out = TwistingCochain(C2, A2, name=f"({t.name} composed)")
-    N = C2.truncation
-    for n in range(1, N + 1):
+    for n in range(1, C2.truncation + 1):
+        if g is not None:
+            gn, index, names = g.mat(n), g.source.basis.index, g.target.basis.names(n)
+        if f is not None:
+            fn, below, images = f.mat(n - 1), f.source.basis.index, f.target.basis.names(n - 1)
         for c in C2.basis(n):
-            pre = g.apply(n, c) if g is not None else {c: R.one}
-            mid = t.value_combo(n, pre)
+            pre = ({names[r]: v for r, v in gn.column(index(n, c)).items()} if g is not None
+                   else {c: R.one})
+            mid = R.lincomb((a, v * w) for c1, v in pre.items() for a, w in t.value(n, c1).items())
             if f is not None:
-                mid = R.lincomb((a2, v * w) for a, v in mid.items()
-                                for a2, w in f.apply(n - 1, a).items())
+                mid = R.lincomb((images[r], v * w) for a, v in mid.items()
+                                for r, w in fn.column(below(n - 1, a)).items())
             out.set_value(n, c, mid)
     return out
 
@@ -173,35 +178,36 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
     # forced: D_t^2 = 0 must be equivalent to the Maurer-Cartan identity,
     # and the t-operator crosses the surviving tensor factor on opposite
     # sides (tested both ways on fixtures with nontrivial quadratic terms).
-    # twist[n, i] holds (|e'|, index of e', |t(c)|, t(c), v) for each term
-    # c⊗e' or e'⊗c of the coaction of comod_n[i] with t(c) != 0.
+    # twist[n, i] holds (|e'|, index of e', |a|, a, v·x) for each term v c⊗e'
+    # or v e'⊗c of the coaction of comod_n[i] and each term x a of t(c).
     comod, mod = P.carrier.basis, M.carrier.basis
     twist = {}
     for n in range(N + 1):
         for i, e in enumerate(comod.names(n)):
             for k1, k2, v in P.coact(n, e):
                 (dc, c), (de, e2) = (k1, k2) if P.side == "left" else (k2, k1)
-                if tval := t.value(dc, c):
-                    twist.setdefault((n, i), []).append(
-                        (de, comod.index(de, e2), dc - 1, tval, v))
+                twist.setdefault((n, i), []).extend(
+                    (de, comod.index(de, e2), dc - 1, a, v * x) for a, x in t.value(dc, c).items())
     off, ny = _tensor_offsets(left_cx, right_cx, N), right_cx.basis.dim
+
+    @cache
+    def act(dm, i, da, a):
+        # (row, coeff) of m·a (right) or a·m (left), m = mod_dm[i]
+        return [(mod.index(dm + da, r), w) for r, w in M.act(dm, mod.names(dm)[i], da, a).items()]
 
     if orientation == "module-first":
         def twist_terms(n, p, i, j):
             # λ(y) = Σ c ⊗ y2;  m⊗y -> (-1)^{|m|} (m·t(c)) ⊗ y2
-            x = mod.names(p)[i]
-            for dy, j2, da, tval, v in twist.get((n - p, j), ()):
-                for m2, w in M.act_combo(p, {x: R.one}, da, tval).items():
-                    yield off[n - 1][p + da] + mod.index(p + da, m2) * ny(dy) + j2, \
-                        (-v if p % 2 else v) * w
+            for dy, j2, da, a, v in twist.get((n - p, j), ()):
+                for r, w in act(p, i, da, a):
+                    yield off[n - 1][p + da] + r * ny(dy) + j2, (-v if p % 2 else v) * w
     else:
         def twist_terms(n, p, i, j):
             # ρ(x) = Σ x2 ⊗ c;  x⊗m -> -(-1)^{|x2|} x2 ⊗ (t(c)·m)
-            q, y = n - p, mod.names(n - p)[j]
-            for dx, i2, da, tval, v in twist.get((p, i), ()):
-                for m2, w in M.act_combo(q, {y: R.one}, da, tval).items():
-                    yield off[n - 1][dx] + i2 * ny(q + da) + mod.index(q + da, m2), \
-                        (v if dx % 2 else -v) * w
+            q = n - p
+            for dx, i2, da, a, v in twist.get((p, i), ()):
+                for r, w in act(q, j, da, a):
+                    yield off[n - 1][dx] + i2 * ny(q + da) + r, (v if dx % 2 else -v) * w
 
     Z = ChainComplex(R, tensor_basis(left_cx, right_cx, N))
     Z._set_d(lambda n: _tensor_terms(left_cx, right_cx, off, n, twist_terms))

@@ -1,4 +1,5 @@
-"""Reference builds of the construction differentials, kept for the tests only.
+"""Reference builds of the construction differentials and of the maps out
+of word bases, kept for the tests only.
 
 These are the bodies `htwist` used before its constructions wrote d_n by
 integer index: every entry is added one at a time through
@@ -7,12 +8,31 @@ names up in the basis.  Each function rebuilds the complex on the same basis
 as the construction it mirrors and returns it, so the two d_n can be
 compared matrix by matrix.  They share the basis construction with `htwist`
 (`tensor_basis`, `_enumerate_words`), but none of the differential code.
+
+The second half holds the name-by-name bodies of α_t, β_t, Bar(f)/Cobar(g),
+the Milgram cobar map, `compose_cochain`, `verify_twisting_cochain` and
+`is_graded_commutative` from before these were built from each word's
+prefix: words are multiplied out letter by letter through `mul_combo` and
+entries set through `ChainMap.set_entry`.
 """
 
 from htwist.barcobar import _enumerate_words, bar_word_name, cobar_word_name
-from htwist.complexes import ChainComplex, GradedBasis, tensor_basis, tensor_name
+from htwist.complexes import ChainComplex, ChainMap, GradedBasis, tensor_basis, tensor_name
 from htwist.hopf import _sign
 from htwist.rings import Ring
+from htwist.twisting import TwistingCochain
+
+
+def mul_combo(A, da: int, ca: dict, db: int, cb: dict) -> dict:
+    """The product of two linear combinations in A, term by term."""
+    return A.ring.lincomb((r, va * vb * vr) for a, va in ca.items() for b, vb in cb.items()
+                          for r, vr in A.product(da, a, db, b).items())
+
+
+def act_combo(M, dm: int, cm: dict, da: int, ca: dict) -> dict:
+    """The action of a linear combination on one, term by term."""
+    return M.ring.lincomb((r, vm * va * vr) for m, vm in cm.items() for a, va in ca.items()
+                          for r, vr in M.act(dm, m, da, a).items())
 
 
 def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, namer,
@@ -104,7 +124,7 @@ def twisted_tensor_complex(P, M, t, orientation: str, N: int) -> ChainComplex:
                 tval = t.value(dc, c)
                 if not tval:
                     continue
-                acted = M.act_combo(p, {x: R.one}, dc - 1, tval)
+                acted = act_combo(M, p, {x: R.one}, dc - 1, tval)
                 for m2, w in acted.items():
                     Z.set_d_entry(n, name, tensor_name(m2, y2), R.mul(R.mul(sgn, v), w))
         else:
@@ -112,7 +132,7 @@ def twisted_tensor_complex(P, M, t, orientation: str, N: int) -> ChainComplex:
                 tval = t.value(dc, c)
                 if not tval:
                     continue
-                acted = M.act_combo(q, {y: R.one}, dc - 1, tval)
+                acted = act_combo(M, q, {y: R.one}, dc - 1, tval)
                 for m2, w in acted.items():
                     coeff = R.neg(R.mul(R.mul(_sign(R, dx), v), w))
                     Z.set_d_entry(n, name, tensor_name(x2, m2), coeff)
@@ -170,3 +190,191 @@ def chains_complex(X, ring: Ring, N: int, basis: GradedBasis) -> ChainComplex:
                 if y is not None:
                     Z.set_d_entry(n, name, y, (-1) ** i)
     return Z
+
+
+# ---------------------------------------------------------------------
+# Maps out of word bases, cochain composition and the Maurer-Cartan and
+# commutativity checks, name by name.
+# ---------------------------------------------------------------------
+
+def bar_map(f, source, target) -> ChainMap:
+    """Bar(f) or Cobar(g): each word goes to the words of its letters' images."""
+    R = source.ring
+    out = ChainMap(source.complex, target.complex)
+    words, image_basis = source.complex.basis.keys, target.complex.basis
+    for n in range(source.truncation + 1):
+        for name in source.basis(n):
+            images = [((), R.one)]
+            for (d, a) in words[name]:
+                val = f.apply(d, a)
+                images = [
+                    (w + ((d, b),), R.mul(s, v))
+                    for (w, s) in images for b, v in val.items()
+                ]
+                if not images:
+                    break
+            for w, s in images:
+                target_name = image_basis.name_of(n, w)
+                if target_name is not None:
+                    out.set_entry(n, name, target_name, s)
+    return out
+
+
+def alpha_t(t, Omega, N: int) -> ChainMap:
+    """The multiplicative extension ΩC -> A of t, letter by letter."""
+    A = t.target
+    f = ChainMap(Omega.complex, A.complex)
+    words = Omega.complex.basis.keys
+    for n in range(N + 1):
+        for name in Omega.basis(n):
+            combo = {A.unit: A.ring.one}
+            deg = 0
+            ok = True
+            for (dc, c) in words[name]:
+                val = t.value(dc, c)
+                if not val:
+                    ok = False
+                    break
+                combo = mul_combo(A, deg, combo, dc - 1, val)
+                deg += dc - 1
+                if not combo:
+                    ok = False
+                    break
+            if ok:
+                for r, v in combo.items():
+                    f.set_entry(n, name, r, v)
+    return f
+
+
+def beta_t(t, Bar, N: int) -> ChainMap:
+    """The adjoint C -> Bar(A) of t, by refining a frontier of right-comb
+    splittings of the iterated reduced coproduct."""
+    C = t.source
+    R = C.ring
+    bar_basis = Bar.complex.basis
+    f = ChainMap(C.complex, Bar.complex)
+    for n in range(N + 1):
+        for c in C.basis(n):
+            if n == 0:
+                f.set_entry(0, c, "[]", R.one)
+                continue
+            results = []
+            frontier = [(((n, c),), R.one)]
+            while frontier:
+                new_frontier = []
+                for keys, coeff in frontier:
+                    words = [((), coeff)]
+                    for (dc, cc) in keys:
+                        val = t.value(dc, cc)
+                        words = [(w + ((dc - 1, a),), R.mul(s, av))
+                                 for w, s in words for a, av in val.items()]
+                        if not words:
+                            break
+                    for w, s in words:
+                        name = bar_basis.name_of(n, w)
+                        if name is not None:
+                            results.append((name, s))
+                    last = keys[-1]
+                    for (d1, c1), (d2, c2), v in C.reduced_coproduct(*last):
+                        new_frontier.append((keys[:-1] + ((d1, c1), (d2, c2)), R.mul(coeff, v)))
+                frontier = new_frontier
+            for name, v in R.lincomb(results).items():
+                f.set_entry(n, c, name, v)
+    return f
+
+
+def milgram_cobar_map(C, D, N: int, OmegaCD, OmegaC, OmegaD, tensor_cobar) -> ChainMap:
+    """q: Cobar(C⊗D) -> Cobar(C) ⊗ Cobar(D), letter by letter."""
+    R = C.ring
+    f = ChainMap(OmegaCD.complex, tensor_cobar)
+    left = {(n, tensor_name(c, D.coaug)): c for n in range(C.truncation + 1) for c in C.basis(n)}
+    right = {(n, tensor_name(C.coaug, d)): d for n in range(D.truncation + 1) for d in D.basis(n)}
+
+    def letter_image(dc, name):
+        out = []
+        if (dc, name) in left:
+            out.append((((dc, left[dc, name]),), (), R.one))
+        if (dc, name) in right:
+            out.append(((), ((dc, right[dc, name]),), R.one))
+        return out
+
+    for n in range(N + 1):
+        for name in OmegaCD.basis(n):
+            word = OmegaCD.complex.basis.keys[name]
+            terms = [((), (), R.one)]
+            for (dc, cname) in word:
+                imgs = letter_image(dc, cname)
+                new_terms = []
+                for (wa, wb, s) in terms:
+                    for (ua, ub, v) in imgs:
+                        dwb = sum(k[0] - 1 for k in wb)
+                        dua = sum(k[0] - 1 for k in ua)
+                        sgn = _sign(R, dwb * dua)
+                        new_terms.append((wa + ua, wb + ub, R.mul(R.mul(s, v), sgn)))
+                terms = new_terms
+                if not terms:
+                    break
+            for (wa, wb, s) in terms:
+                da = sum(k[0] - 1 for k in wa)
+                na = OmegaC.complex.basis.name_of(da, wa)
+                nb = OmegaD.complex.basis.name_of(n - da, wb)
+                if na is not None and nb is not None:
+                    f.set_entry(n, name, tensor_name(na, nb), s)
+    return f
+
+
+def compose_cochain(g, t, f, source=None, target=None):
+    """f ∘ t ∘ g, through ChainMap.apply."""
+    C2 = source if source is not None else t.source
+    A2 = target if target is not None else t.target
+    R = t.ring
+    out = TwistingCochain(C2, A2, name=f"({t.name} composed)")
+    for n in range(1, C2.truncation + 1):
+        for c in C2.basis(n):
+            pre = g.apply(n, c) if g is not None else {c: R.one}
+            mid = R.lincomb((a, v * w) for c1, v in pre.items() for a, w in t.value(n, c1).items())
+            if f is not None:
+                mid = R.lincomb((a2, v * w) for a, v in mid.items()
+                                for a2, w in f.apply(n - 1, a).items())
+            out.set_value(n, c, mid)
+    return out
+
+
+def verify_twisting_cochain(t, through=None):
+    """dt + td = m(t⊗t)Δ on every basis element; (ok, witnesses)."""
+    C, A, R = t.source, t.target, t.ring
+    N = min(C.truncation, A.truncation + 1)
+    if through is not None:
+        N = min(N, through)
+    witnesses = []
+    if t.value(0, C.coaug):
+        witnesses.append({"element": (0, C.coaug), "reason": "nonzero on coaugmentation"})
+    for n in range(1, N + 1):
+        for c in C.basis(n):
+            lhs = R.lincomb([
+                *((a2, v * w) for a, v in t.value(n, c).items()
+                  for a2, w in A.complex.d_of(n - 1, a).items()),
+                *((a, v * w) for c2, v in C.complex.d_of(n, c).items()
+                  for a, w in t.value(n - 1, c2).items()),
+            ])
+            rhs = R.lincomb((a, _sign(R, d1) * v * w)
+                            for (d1, c1), (d2, c2), v in C.reduced_coproduct(n, c)
+                            for a, w in mul_combo(A, d1 - 1, t.value(d1, c1), d2 - 1,
+                                                  t.value(d2, c2)).items())
+            if lhs != rhs:
+                witnesses.append({"element": (n, c), "lhs": lhs, "rhs": rhs})
+    return (not witnesses), witnesses
+
+
+def is_graded_commutative(A) -> bool:
+    R = A.ring
+    N = A.truncation
+    for p in range(1, N + 1):
+        for q in range(1, N + 1 - p):
+            for a in A.basis(p):
+                for b in A.basis(q):
+                    sgn = _sign(R, p * q)
+                    ba = A.product(q, b, p, a)
+                    if A.product(p, a, q, b) != R.lincomb((k, sgn * v) for k, v in ba.items()):
+                        return False
+    return True

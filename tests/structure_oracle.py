@@ -17,6 +17,12 @@ def _sign(ring, k: int):
     return ring.of(-1) if k % 2 else ring.one
 
 
+def mul_combo(A, da: int, ca: dict, db: int, cb: dict) -> dict:
+    """The product of two linear combinations in A, term by term."""
+    return A.ring.lincomb((r, va * vb * vr) for a, va in ca.items() for b, vb in cb.items()
+                          for r, vr in A.product(da, a, db, b).items())
+
+
 def module_map_failures(f: ChainMap, phi: ChainMap, act, target_act, N: int):
     """The basis pairs (m, a) with f(m·a) != f(m)·phi(a), a in degrees >= 1,
     |m| + |a| <= N; ``act`` and ``target_act`` act on basis elements."""
@@ -79,8 +85,8 @@ def verify_algebra(A):
                 for a in X.basis.names(p):
                     for b in X.basis.names(q):
                         for c in X.basis.names(r):
-                            left = A.mul_combo(p + q, A.product(p, a, q, b), r, {c: R.one})
-                            right = A.mul_combo(p, {a: R.one}, q + r, A.product(q, b, r, c))
+                            left = mul_combo(A, p + q, A.product(p, a, q, b), r, {c: R.one})
+                            right = mul_combo(A, p, {a: R.one}, q + r, A.product(q, b, r, c))
                             if left != right:
                                 witnesses.append({"axiom": "associativity", "triple": (a, b, c)})
 
@@ -94,8 +100,8 @@ def verify_algebra(A):
                     lhs = R.lincomb((r2, v * c) for r, v in A.product(p, a, q, b).items()
                                     for r2, c in X.d_of(p + q, r).items())
                     rhs = R.lincomb([
-                        *A.mul_combo(p - 1, X.d_of(p, a), q, {b: R.one}).items(),
-                        *((r, sgn * v) for r, v in A.mul_combo(p, {a: R.one}, q - 1, X.d_of(q, b)).items()),
+                        *mul_combo(A, p - 1, X.d_of(p, a), q, {b: R.one}).items(),
+                        *((r, sgn * v) for r, v in mul_combo(A, p, {a: R.one}, q - 1, X.d_of(q, b)).items()),
                     ])
                     if lhs != rhs:
                         witnesses.append({"axiom": "Leibniz", "pair": ((p, a), (q, b))})

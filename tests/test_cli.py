@@ -280,7 +280,10 @@ def _algebra_with_mu(tmp_path, entry):
     ({"a": [2, "nope"], "b": [2, "x"], "result": []}, "'nope'"),            # not in degree 2
     ({"a": [2, "x"], "b": [2, "x"], "result": [["nope", "1"]]}, "'nope'"),  # not in degree 4
     ({"a": [3, "x"], "b": [2, "x"], "result": []}, "'x'"),                  # x is not in degree 3
-], ids=["no-result", "short-a", "bad-degree", "unknown-a", "unknown-result", "wrong-degree"])
+    ({"a": [0, "1"], "b": [2, "x"], "result": [["x", "2"]]}, "degree 0"),   # 1·x = 2x: unit acts strictly
+    ({"a": [2, "x"], "b": [0, "1"], "result": [["x", "2"]]}, "degree 0"),   # x·1 = 2x
+], ids=["no-result", "short-a", "bad-degree", "unknown-a", "unknown-result", "wrong-degree",
+        "left-unit", "right-unit"])
 def test_bad_mu_entry_exit_2(tmp_path, entry, needle):
     proc = run_cli(["bar", str(_algebra_with_mu(tmp_path, entry)), "--through", "4", "--json"])
     _exit_2(proc, needle)

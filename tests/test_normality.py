@@ -84,6 +84,28 @@ def test_abelian_corruption_detected():
     assert exc.value.axiom in ("algebra-structure", "algebra-map")
 
 
+def test_abelian_build_verifies_the_quotient_algebra_once(monkeypatch):
+    """The shuffle quotient Q is checked by the rigid builder alone, clean
+    or corrupted."""
+    from htwist import normality
+
+    calls = []
+    real = normality.verify_algebra
+
+    def spy(Q):
+        calls.append(Q)
+        return real(Q)
+
+    monkeypatch.setattr(normality, "verify_algebra", spy)
+    A = exterior_pair(QQ, 7)
+    abelian_normality(ChainMap.identity(A.complex), A, A, 5)
+    assert len(calls) == 1
+    with pytest.raises(HypothesisFailed) as exc:
+        abelian_normality(ChainMap.identity(A.complex), A, A, 5, corrupt_sign=True)
+    assert len(calls) == 2 and exc.value.axiom == "algebra-structure"
+    assert exc.value.detail == real(calls[1])[1][:3]
+
+
 def test_abelian_on_inclusion_fixture():
     A = exterior(QQ, 7, "x")
     A2 = exterior_pair(QQ, 7)
