@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .rings import Ring, _q
-from .sparse import SparseMatrix, invariant_factors, kernel_basis, rank, solve
+from .sparse import SparseMatrix, kernel_basis, reduce_differential, solve
 
 
 class TruncationTooLow(Exception):
@@ -190,28 +190,24 @@ def verify_differential(X: ChainComplex):
     return True, None
 
 
-def _rank_and_torsion(X: ChainComplex, n: int):
-    """(rank of d_n, its invariant factors > 1): one elimination of d_n."""
-    dn = X.dmat(n)
-    if X.ring.is_field:
-        return rank(dn), []
-    facs = invariant_factors(dn)
-    return len(facs), [f for f in facs if f > 1]
-
-
 def homology(X: ChainComplex, through: int) -> HomologySummary:
     """H_n = ker d_n / im d_{n+1} for n <= through.
 
     H_n = free^(dim C_n - rk d_n - rk d_{n+1}) + sum of Z/f over the
-    invariant factors f > 1 of d_{n+1}; each differential is eliminated
-    once, without transforms.
+    invariant factors f > 1 of d_{n+1}.  The differentials are eliminated
+    in order, each once and without transforms, and d_{n+1} without the
+    rows that the elimination of d_n settled (`sparse.reduce_differential`;
+    docs/DECISIONS.md, section 10).
     """
     if through >= X.truncation and not (X.truncation == 0 and through == 0):
         raise TruncationTooLow(
             f"homology through {through} needs differentials up to degree "
             f"{through + 1}, but truncation is {X.truncation}"
         )
-    d = [_rank_and_torsion(X, n) for n in range(through + 2)]
+    d, settled = [], frozenset()
+    for n in range(through + 2):
+        rank, torsion, settled = reduce_differential(X.dmat(n), settled)
+        d.append((rank, torsion))
     summary = HomologySummary()
     for n in range(through + 1):
         summary.by_degree[n] = (X.basis.dim(n) - d[n][0] - d[n + 1][0], d[n + 1][1])

@@ -25,6 +25,14 @@ division; a nonzero remainder is a smaller entry and the search starts
 again.  The diagonal is put in divisibility order by gcd/lcm at the end.
 The transforms U and V are recorded only when asked for (kernels and
 solving); rank and invariant factors run without them.
+
+`reduce_differential` serves homology.  It eliminates one differential
+without the rows that the elimination of the previous one settled, and
+returns its own settled columns, the rows the next differential may lose
+in turn: over a field every pivot column, over Z the columns of the unit
+pivots taken before the first non-unit step.  Its rank and invariant
+factors are those of the whole differential (docs/DECISIONS.md, section
+10).
 """
 
 from __future__ import annotations
@@ -135,12 +143,13 @@ class SparseMatrix:
 # Row dicts, shared by both eliminations.
 # ---------------------------------------------------------------------
 
-def _row_dicts(M: SparseMatrix) -> dict:
-    """{row: {col: v}} for the nonzero rows of M, rows in increasing order."""
+def _row_dicts(M: SparseMatrix, drop=()) -> dict:
+    """{row: {col: v}} for the nonzero rows of M not in `drop`, rows in
+    increasing order."""
     rows: dict = {}
     for (i, j), v in M.entries.items():
         rows.setdefault(i, {})[j] = v
-    return {i: rows[i] for i in sorted(rows)}
+    return {i: rows[i] for i in sorted(rows) if i not in drop}
 
 
 def _axpy(dst: dict, c, src: dict, p=None):
@@ -252,21 +261,22 @@ def field_solve(M: SparseMatrix, B: SparseMatrix):
 # Diagonalisation and Smith normal form over Z.
 # ---------------------------------------------------------------------
 
-def _z_diagonalize(M: SparseMatrix, transforms: bool):
-    """Diagonalise M by unimodular row and column operations.
+def _z_diagonalize(rows: dict, U: dict | None, V: dict | None):
+    """Diagonalise the row dicts `rows` (consumed) by unimodular row and
+    column operations.
 
-    Returns (pivots, U, V).  `pivots` lists (row, col, d) with d > 0; its
-    length is the rank.  With transforms, U (rows as dicts) and V (columns as
-    dicts) satisfy U M V = the matrix holding d at each (row, col) of
-    `pivots`; without, both are None.
+    Returns (pivots, settled).  `pivots` lists (row, col, d) with d > 0; its
+    length is the rank.  `settled` is the set of columns of the unit pivots
+    taken before the first non-unit step: a column operation of that phase
+    changes only the coordinate of its pivot column.  U (rows as dicts) and
+    V (columns as dicts), when given, start as identities and are updated in
+    place so that U M V = the matrix holding d at each (row, col) of
+    `pivots`, M being the matrix of `rows`.
     """
-    rows = _row_dicts(M)
     cols: dict = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    U = {i: {i: 1} for i in range(M.nrows)} if transforms else None
-    V = {j: {j: 1} for j in range(M.ncols)} if transforms else None
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
@@ -311,9 +321,14 @@ def _z_diagonalize(M: SparseMatrix, transforms: bool):
         if U is not None:
             _axpy(U[k], c, U[i])
 
-    pivots = []
+    pivots, settled = [], set()
+    unit_phase = True
     while rows:
-        i, j = unit_pivot() or small_pivot()
+        pivot = unit_pivot()
+        if pivot is None:
+            unit_phase = False
+            pivot = small_pivot()
+        i, j = pivot
         v = rows[i][j]
         clean = True
         for k in [k for k in cols[j] if k != i]:
@@ -341,7 +356,9 @@ def _z_diagonalize(M: SparseMatrix, transforms: bool):
         if v < 0 and U is not None:
             U[i] = {c: -x for c, x in U[i].items()}
         pivots.append((i, j, abs(v)))
-    return pivots, U, V
+        if unit_phase:
+            settled.add(j)
+    return pivots, settled
 
 
 def _xgcd(a: int, b: int):
@@ -362,17 +379,10 @@ def _combine(a, x: dict, b, y: dict) -> dict:
     return out
 
 
-def smith_normal_form(M: SparseMatrix, transforms: bool = True):
-    """Smith normal form over Z.
-
-    Returns (D, U, V) with U @ M @ V == D, U and V unimodular, and the
-    diagonal of D positive with d1 | d2 | ... .  With transforms=False only
-    D is computed and U, V are None.
-    """
-    assert M.ring == ZZ
-    found, U, V = _z_diagonalize(M, transforms)
-    # units first; the gcd/lcm pass then leaves the diagonal in
-    # divisibility order, every d_a dividing each later d_b
+def _divisibility_order(found, U=None, V=None) -> list:
+    """The pivots `found` of `_z_diagonalize` as [row, col, d], units first,
+    the diagonal put in divisibility order (every d_a dividing each later
+    d_b) by gcd/lcm steps, each also applied to U and V when given."""
     piv = [list(p) for p in found if p[2] == 1]
     units = len(piv)
     piv += [list(p) for p in found if p[2] != 1]
@@ -382,13 +392,28 @@ def smith_normal_form(M: SparseMatrix, transforms: bool = True):
             if db % da == 0:
                 continue
             g, s, t = _xgcd(da, db)
-            if transforms:
+            if U is not None:
                 # [[s, t], [-db/g, da/g]] diag(da, db) [[1, -t db/g], [1, s da/g]]
                 #   = diag(g, lcm)
                 U[ia], U[ib] = _combine(s, U[ia], t, U[ib]), _combine(-db // g, U[ia], da // g, U[ib])
                 V[ja], V[jb] = _combine(1, V[ja], 1, V[jb]), _combine(-t * db // g, V[ja], s * da // g, V[jb])
             piv[a][2], piv[b][2] = g, da // g * db
+    return piv
+
+
+def smith_normal_form(M: SparseMatrix, transforms: bool = True):
+    """Smith normal form over Z.
+
+    Returns (D, U, V) with U @ M @ V == D, U and V unimodular, and the
+    diagonal of D positive with d1 | d2 | ... .  With transforms=False only
+    D is computed and U, V are None.
+    """
+    assert M.ring == ZZ
     n, m = M.nrows, M.ncols
+    U = {i: {i: 1} for i in range(n)} if transforms else None
+    V = {j: {j: 1} for j in range(m)} if transforms else None
+    found, _ = _z_diagonalize(_row_dicts(M), U, V)
+    piv = _divisibility_order(found, U, V)
     D = SparseMatrix(ZZ, n, m)
     for t, (_, _, d) in enumerate(piv):
         D[t, t] = d
@@ -438,6 +463,27 @@ def z_solve(M: SparseMatrix, B: SparseMatrix):
             return None
         Y[i, j] = v // D[i, i]
     return V @ Y
+
+
+def reduce_differential(M: SparseMatrix, settled):
+    """(rank, invariant factors > 1, settled columns) of M with the rows in
+    `settled` deleted, in one elimination without transforms.
+
+    For d_n of a complex, pass the settled columns returned for d_{n-1}:
+    deleting those rows changes neither the rank nor the invariant factors
+    of d_n (docs/DECISIONS.md, section 10).  The columns returned are those
+    the next differential may lose in turn: over a field every pivot
+    column, over Z the unit pivots taken before the first non-unit step.
+    Over a field there is no torsion and the list is empty.
+    """
+    R = M.ring
+    rows = _row_dicts(M, settled)
+    if R.is_field:
+        pivots = _field_forward(rows.values(), R)
+        return len(pivots), [], set(pivots)
+    found, unit_cols = _z_diagonalize(rows, None, None)
+    torsion = [d for *_, d in _divisibility_order(found) if d > 1]
+    return len(found), torsion, unit_cols
 
 
 def kernel_basis(M: SparseMatrix) -> SparseMatrix:

