@@ -22,6 +22,7 @@ from .hopf import (
     NotOneConnected,
     _action_table,
     _comodule_map_failures,
+    _full_coproduct,
     _module_map_failures,
     _sign,
 )
@@ -125,7 +126,8 @@ def bar(A: ChainAlgebra, N: int) -> ChainCoalgebra:
 
     d(s a1|...|s an) = Σ_j -(-1)^{e_j} (internal d on letter j)
                      + Σ_j (-1)^{e_{j+1}} (merge letters j, j+1),
-    where e_j is the total marked degree of the letters before j.
+    where e_j is the total marked degree of the letters before j.  The
+    coproduct is deconcatenation, read from the word keys.
     """
     if not A.is_connected():
         raise NotConnected(f"bar needs a connected algebra, degree 0 = {A.basis(0)}")
@@ -138,18 +140,16 @@ def bar(A: ChainAlgebra, N: int) -> ChainCoalgebra:
 
     X = _word_complex(A.complex, 1, 1, N, bar_word_name, 2, merge)
     basis = X.basis
-    C = ChainCoalgebra(X, EMPTY_NAME, name=f"Bar({A.name})")
-    for n in range(1, N + 1):
-        for name in basis.names(n):
-            w = basis.keys[name]
-            terms = []
-            for i in range(1, len(w)):
-                left, right = w[:i], w[i:]
-                dl = sum(k[0] + 1 for k in left)
-                terms.append(((dl, basis.name_of(dl, left)),
-                              (n - dl, basis.name_of(n - dl, right)), R.one))
-            C.set_coproduct_reduced(n, name, terms)
-    return C
+
+    @cache
+    def deconcatenate(n, name):
+        w, terms, dl = basis.keys[name], [], 0
+        for i in range(1, len(w)):
+            dl += w[i - 1][0] + 1
+            terms.append(((dl, basis.name_of(dl, w[:i])), (n - dl, basis.name_of(n - dl, w[i:])), R.one))
+        return _full_coproduct(R, EMPTY_NAME, n, name, terms)
+
+    return ChainCoalgebra(X, EMPTY_NAME, deconcatenate, name=f"Bar({A.name})")
 
 
 # ---------------------------------------------------------------------
@@ -176,11 +176,9 @@ def cobar(C: ChainCoalgebra, N: int) -> ChainAlgebra:
     basis = X.basis
 
     def concat(da, a, db, b):
-        if da + db > N:
-            return {}
         return {basis.name_of(da + db, basis.keys[a] + basis.keys[b]): R.one}
 
-    return ChainAlgebra(X, EMPTY_NAME, name=f"Cobar({C.name})", product_fn=concat)
+    return ChainAlgebra(X, EMPTY_NAME, concat, name=f"Cobar({C.name})")
 
 
 # ---------------------------------------------------------------------
@@ -237,12 +235,10 @@ def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
     basis = B.complex.basis
 
     def product(da, a, db, b):
-        if da + db > N:
-            return {}
         return R.lincomb((basis.name_of(da + db, w), sgn) for w, sgn in
                          shuffles_with_signs(R, basis.keys[a], basis.keys[b], bar_letter_degree))
 
-    return ChainAlgebra(B.complex, EMPTY_NAME, name=f"Bar({A.name})-shuffle", product_fn=product)
+    return ChainAlgebra(B.complex, EMPTY_NAME, product, name=f"Bar({A.name})-shuffle")
 
 
 # ---------------------------------------------------------------------

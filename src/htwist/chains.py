@@ -11,10 +11,11 @@ of scope here.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .complexes import ChainComplex, GradedBasis
-from .hopf import ChainAlgebra, ChainCoalgebra, _product_failures
+from .hopf import ChainAlgebra, ChainCoalgebra, _product_failures, _full_coproduct, table_product
 from .rings import Ring, ZZ
 from .simplicial import NotFinite, SimplicialGroup, SimplicialSet
 
@@ -38,25 +39,23 @@ def _nondegenerate_levels(X: SimplicialSet, N: int):
     return nd
 
 
-def _iterated_front(X: SimplicialSet, n: int, x, p: int):
-    """Front p-face: d_{p+1} d_{p+2} ... d_n applied to x (last faces)."""
-    out = x
-    for k in range(n, p, -1):
-        out = X.face(k, k, out)
-    return out
-
-
-def _iterated_back(X: SimplicialSet, n: int, x, q: int):
-    """Back q-face: d_0^{n-q} applied to x."""
-    out = x
-    for k in range(n, q, -1):
-        out = X.face(k, 0, out)
-    return out
+def _aw_faces(X: SimplicialSet, n: int, x, nondegenerate):
+    """(p, front, back) for p = 0..n, front = d_{p+1}...d_n x the front
+    p-face and back = d_0^{n-p} x the back (n-p)-face of x in X_n, where
+    ``nondegenerate(k, y)`` holds for both: the Alexander-Whitney terms."""
+    fronts, backs = [x], [x]  # index i: in level n - i
+    for k in range(n, 0, -1):
+        fronts.append(X.face(k, k, fronts[-1]))
+        backs.append(X.face(k, 0, backs[-1]))
+    for p in range(n + 1):
+        front, back = fronts[n - p], backs[p]
+        if nondegenerate(p, front) and nondegenerate(n - p, back):
+            yield p, front, back
 
 
 def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
     """C_*X with the Alexander-Whitney diagonal, on the nondegenerate
-    simplices x named <x> and keyed by x.
+    simplices x named <x> and keyed by x; Δx is computed when first read.
 
     The result always carries a valid complex.  It is a 1-connected
     coaugmented coalgebra (``is_one_connected``) exactly when X is 1-reduced,
@@ -72,18 +71,16 @@ def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
                         for rows in [basis.positions(n - 1)]
                         for col, x in enumerate(nd[n]) for i in range(n + 1)
                         if (y := X.face(n, i, x)) in rows))
+    coaug = basis.names(0)[0]
 
-    C = ChainCoalgebra(Z, basis.names(0)[0], name=f"C({X.name})")
-    for n in range(1, N + 1):
-        for name, x in zip(basis.names(n), nd[n]):
-            terms = []
-            for p in range(1, n):
-                f = basis.name_of(p, _iterated_front(X, n, x, p))
-                b = basis.name_of(n - p, _iterated_back(X, n, x, n - p))
-                if f is not None and b is not None:
-                    terms.append(((p, f), (n - p, b), 1))
-            C.set_coproduct_reduced(n, name, terms)
-    return C
+    @cache
+    def diagonal(n, name):
+        return _full_coproduct(ring, coaug, n, name, [
+            ((p, basis.name_of(p, front)), (n - p, basis.name_of(n - p, back)), ring.one)
+            for p, front, back in _aw_faces(X, n, basis.keys[name], lambda k, y: y in basis.positions(k))
+            if 0 < p < n])
+
+    return ChainCoalgebra(Z, coaug, diagonal, name=f"C({X.name})")
 
 
 def verify_aw_axioms(X: SimplicialSet, ring: Ring, N: int):
@@ -93,13 +90,7 @@ def verify_aw_axioms(X: SimplicialSet, ring: Ring, N: int):
     ndsets = {n: set(nd[n]) for n in nd}
 
     def diagonal(n, x):
-        out = []
-        for p in range(0, n + 1):
-            f = _iterated_front(X, n, x, p)
-            b = _iterated_back(X, n, x, n - p)
-            if f in ndsets[p] and b in ndsets[n - p]:
-                out.append(((p, f), (n - p, b), 1))
-        return out
+        return [((p, f), (n - p, b), 1) for p, f, b in _aw_faces(X, n, x, lambda k, y: y in ndsets[k])]
 
     for n in range(N + 1):
         for x in nd[n]:
@@ -186,11 +177,12 @@ def pontryagin_product_table(G: SimplicialGroup, ring: Ring, C: ChainCoalgebra, 
 
 
 def chains_of_simplicial_group(G: SimplicialGroup, ring: Ring, N: int):
-    """(C_*G, product table, report): the Pontryagin chain algebra.
+    """(C_*G, product table, algebra, report): the Pontryagin chain algebra.
 
-    When G is reduced (single vertex e) the result wraps into a connected
-    ChainAlgebra; otherwise the connectivity failure is reported and the
-    raw table returned for the direct axiom checks.
+    When G is reduced (single vertex e) the algebra is a connected
+    ChainAlgebra that reads the table; otherwise it is None, the
+    connectivity failure is reported and the raw table returned for the
+    direct axiom checks.
     """
     C = normalized_chains(G, ring, N)
     table = pontryagin_product_table(G, ring, C, N)
@@ -199,10 +191,7 @@ def chains_of_simplicial_group(G: SimplicialGroup, ring: Ring, N: int):
     algebra = None
     if reduced:
         unit = C.complex.basis.name_of(0, G.neutral(0))
-        algebra = ChainAlgebra(C.complex, unit, name=f"C({G.name})")
-        for key, combo in table.items():
-            (p, xn), (q, yn) = key
-            algebra.set_product(p, xn, q, yn, combo)
+        algebra = ChainAlgebra(C.complex, unit, table_product(ring, table), name=f"C({G.name})")
     return C, table, algebra, report
 
 

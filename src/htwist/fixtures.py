@@ -4,7 +4,14 @@ the CLI examples.  Every function builds a fresh object."""
 from __future__ import annotations
 
 from .complexes import ChainComplex, GradedBasis, tensor_name
-from .hopf import ChainAlgebra, ChainCoalgebra, tensor_algebra_product, tensor_coalgebra_product
+from .hopf import (
+    ChainAlgebra,
+    ChainCoalgebra,
+    table_coproduct,
+    table_product,
+    tensor_algebra_product,
+    tensor_coalgebra_product,
+)
 from .rings import QQ, Ring
 
 
@@ -12,21 +19,15 @@ def exterior(ring: Ring = QQ, N: int = 8, gen: str = "x", deg: int = 1) -> Chain
     """Exterior algebra on one generator of odd degree; x^2 = 0, d = 0."""
     assert deg % 2 == 1
     basis = GradedBasis(N, {0: ["1"], deg: [gen]})
-    A = ChainAlgebra(ChainComplex(ring, basis), "1", name=f"Λ({gen}{deg})")
-    A.set_product(deg, gen, deg, gen, {})
-    return A
+    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {}), name=f"Λ({gen}{deg})")
 
 
 def truncated_polynomial(ring: Ring = QQ, N: int = 8, gen: str = "x") -> ChainAlgebra:
     """k[x]/(x^3) with |x| = 2, d = 0."""
     x2 = f"{gen}^2"
     basis = GradedBasis(N, {0: ["1"], 2: [gen], 4: [x2]})
-    A = ChainAlgebra(ChainComplex(ring, basis), "1", name=f"{ring}[{gen}2]/({gen}^3)")
-    A.set_product(2, gen, 2, gen, {x2: 1})
-    A.set_product(2, gen, 4, x2, {})
-    A.set_product(4, x2, 2, gen, {})
-    A.set_product(4, x2, 4, x2, {})
-    return A
+    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {((2, gen), (2, gen)): {x2: 1}}),
+                        name=f"{ring}[{gen}2]/({gen}^3)")
 
 
 def acyclic_algebra(ring: Ring = QQ, N: int = 8) -> ChainAlgebra:
@@ -34,26 +35,14 @@ def acyclic_algebra(ring: Ring = QQ, N: int = 8) -> ChainAlgebra:
     basis = GradedBasis(N, {0: ["1"], 2: ["y"], 3: ["z"]})
     X = ChainComplex(ring, basis)
     X.set_d_entry(3, "z", "y", 1)
-    A = ChainAlgebra(X, "1", name="E")
-    for (p, a) in ((2, "y"), (3, "z")):
-        for (q, b) in ((2, "y"), (3, "z")):
-            A.set_product(p, a, q, b, {})
-    return A
+    return ChainAlgebra(X, "1", table_product(ring, {}), name="E")
 
 
 def noncommutative_algebra(ring: Ring = QQ, N: int = 6) -> ChainAlgebra:
     """Two degree-1 generators with xy != 0 = yx: a noncommutativity probe."""
     basis = GradedBasis(N, {0: ["1"], 1: ["x", "y"], 2: ["xy"]})
-    A = ChainAlgebra(ChainComplex(ring, basis), "1", name="NC")
-    A.set_product(1, "x", 1, "y", {"xy": 1})
-    for (p, a), (q, b) in [
-        ((1, "x"), (1, "x")), ((1, "y"), (1, "y")), ((1, "y"), (1, "x")),
-        ((1, "x"), (2, "xy")), ((2, "xy"), (1, "x")),
-        ((1, "y"), (2, "xy")), ((2, "xy"), (1, "y")),
-        ((2, "xy"), (2, "xy")),
-    ]:
-        A.set_product(p, a, q, b, {})
-    return A
+    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {((1, "x"), (1, "y")): {"xy": 1}}),
+                        name="NC")
 
 
 def sphere_coalgebra(ring: Ring = QQ, N: int = 8, dim: int = 2) -> ChainCoalgebra:
@@ -61,18 +50,15 @@ def sphere_coalgebra(ring: Ring = QQ, N: int = 8, dim: int = 2) -> ChainCoalgebr
     assert dim >= 2
     gen = f"c{dim}"
     basis = GradedBasis(N, {0: ["1"], dim: [gen]})
-    C = ChainCoalgebra(ChainComplex(ring, basis), "1", name=f"H(S{dim})")
-    C.set_coproduct_reduced(dim, gen, [])
-    return C
+    return ChainCoalgebra(ChainComplex(ring, basis), "1", table_coproduct(ring, "1", {}), name=f"H(S{dim})")
 
 
 def dual_truncated_polynomial(ring: Ring = QQ, N: int = 8) -> ChainCoalgebra:
     """Linear dual of k[x2]/(x^3): divided-power pattern Δ̄γ2 = γ1⊗γ1."""
     basis = GradedBasis(N, {0: ["1"], 2: ["g1"], 4: ["g2"]})
-    C = ChainCoalgebra(ChainComplex(ring, basis), "1", name="(k[x2]/(x^3))^")
-    C.set_coproduct_reduced(2, "g1", [])
-    C.set_coproduct_reduced(4, "g2", [((2, "g1"), (2, "g1"), 1)])
-    return C
+    return ChainCoalgebra(ChainComplex(ring, basis), "1",
+                          table_coproduct(ring, "1", {(4, "g2"): [((2, "g1"), (2, "g1"), 1)]}),
+                          name="(k[x2]/(x^3))^")
 
 
 def coacyclic_coalgebra(ring: Ring = QQ, N: int = 8) -> ChainCoalgebra:
@@ -80,10 +66,7 @@ def coacyclic_coalgebra(ring: Ring = QQ, N: int = 8) -> ChainCoalgebra:
     basis = GradedBasis(N, {0: ["1"], 2: ["u"], 3: ["v"]})
     X = ChainComplex(ring, basis)
     X.set_d_entry(3, "v", "u", 1)
-    C = ChainCoalgebra(X, "1", name="F")
-    C.set_coproduct_reduced(2, "u", [])
-    C.set_coproduct_reduced(3, "v", [])
-    return C
+    return ChainCoalgebra(X, "1", table_coproduct(ring, "1", {}), name="F")
 
 
 def exterior_pair(ring: Ring = QQ, N: int = 8) -> ChainAlgebra:
@@ -115,12 +98,12 @@ def coalgebra_corpus(ring: Ring = QQ, N: int = 8):
 
 def trivial_algebra(ring: Ring = QQ, N: int = 8) -> ChainAlgebra:
     basis = GradedBasis(N, {0: ["1"]})
-    return ChainAlgebra(ChainComplex(ring, basis), "1", name="k")
+    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {}), name="k")
 
 
 def trivial_coalgebra(ring: Ring = QQ, N: int = 8) -> ChainCoalgebra:
     basis = GradedBasis(N, {0: ["1"]})
-    return ChainCoalgebra(ChainComplex(ring, basis), "1", name="k")
+    return ChainCoalgebra(ChainComplex(ring, basis), "1", table_coproduct(ring, "1", {}), name="k")
 
 
 def unit_algebra_map(A: ChainAlgebra):

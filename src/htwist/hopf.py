@@ -1,5 +1,6 @@
-"""Chain algebras and coalgebras presented by exhaustive structure-constant
-tables, plus module/comodule structures over them.
+"""Chain algebras and coalgebras, each given by one structure function
+(its product or its full coproduct), plus module/comodule structures over
+them.
 
 Conventions enforced throughout: algebras are connected (degree 0 spanned by
 the unit), coalgebras are 1-connected (degree 0 spanned by the coaugmentation,
@@ -11,6 +12,7 @@ within the truncation, which keeps them exact rather than approximate.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cache
 
 from .complexes import (
     ChainComplex,
@@ -42,17 +44,16 @@ def _sign(ring, k: int):
 
 
 class ChainAlgebra:
-    """Connected augmented chain algebra with a basis-indexed product table."""
+    """Connected augmented chain algebra whose product is one function,
+    ``product(|a|, a, |b|, b) -> {name in degree |a| + |b|: coeff}``, asked
+    only for basis elements of positive degree with |a| + |b| within the
+    truncation."""
 
-    def __init__(self, complex: ChainComplex, unit: str, name: str = "", product_fn=None):
+    def __init__(self, complex: ChainComplex, unit: str, product, name: str = ""):
         self.complex = complex
         self.unit = unit
         self.name = name
-        # ((da, a), (db, b)) -> {result name in degree da+db: coeff}
-        self.mult: dict[tuple[Key, Key], dict[str, object]] = {}
-        # optional computed product (da, a, db, b) -> combo, consulted after
-        # the table; lets free constructions avoid exhaustive tables
-        self.product_fn = product_fn
+        self._product = product
 
     @property
     def ring(self):
@@ -65,25 +66,15 @@ class ChainAlgebra:
     def basis(self, n: int):
         return self.complex.basis.names(n)
 
-    def set_product(self, da: int, a: str, db: int, b: str, result: dict[str, object]):
-        R = self.ring
-        self.mult[((da, a), (db, b))] = R.lincomb((k, R.of(v)) for k, v in result.items())
-
     def product(self, da: int, a: str, db: int, b: str) -> dict[str, object]:
         """Product of two basis elements; unit acts strictly."""
-        n = da + db
-        if n > self.truncation:
+        if da + db > self.truncation:
             return {}
         if da == 0:
             return {b: self.ring.one} if a == self.unit else {}
         if db == 0:
             return {a: self.ring.one} if b == self.unit else {}
-        key = ((da, a), (db, b))
-        if key in self.mult:
-            return self.mult[key]
-        if self.product_fn is not None:
-            return self.product_fn(da, a, db, b)
-        return {}
+        return self._product(da, a, db, b)
 
     def aug(self, n: int, name: str):
         """Augmentation functional: 1 on the unit, 0 elsewhere."""
@@ -94,14 +85,16 @@ class ChainAlgebra:
 
 
 class ChainCoalgebra:
-    """1-connected coaugmented chain coalgebra with a coproduct table."""
+    """1-connected coaugmented chain coalgebra whose coproduct is one
+    function, ``coproduct(|c|, c) -> [((|c1|, c1), (|c2|, c2), coeff)]``: the
+    full Δc, counit terms c⊗1 and 1⊗c included, asked only for basis
+    elements of positive degree (``_full_coproduct`` adds those terms)."""
 
-    def __init__(self, complex: ChainComplex, coaug: str, name: str = ""):
+    def __init__(self, complex: ChainComplex, coaug: str, coproduct, name: str = ""):
         self.complex = complex
         self.coaug = coaug
         self.name = name
-        # (dc, c) -> list of ((d1, n1), (d2, n2), coeff): the FULL coproduct
-        self.comult: dict[Key, list[tuple[Key, Key, object]]] = {}
+        self._coproduct = coproduct
 
     @property
     def ring(self):
@@ -114,23 +107,10 @@ class ChainCoalgebra:
     def basis(self, n: int):
         return self.complex.basis.names(n)
 
-    def set_coproduct_reduced(self, dc: int, c: str, terms):
-        """Store Δc = c⊗1 + 1⊗c + (reduced terms), c in positive degree."""
-        R = self.ring
-        full = [((dc, c), (0, self.coaug), R.one), ((0, self.coaug), (dc, c), R.one)]
-        for (d1, n1), (d2, n2), coeff in terms:
-            v = R.of(coeff)
-            if not R.is_zero(v):
-                full.append(((d1, n1), (d2, n2), v))
-        self.comult[(dc, c)] = full
-
     def coproduct(self, dc: int, c: str):
         if dc == 0:
             return [((0, self.coaug), (0, self.coaug), self.ring.one)] if c == self.coaug else []
-        return self.comult.get((dc, c), [
-            ((dc, c), (0, self.coaug), self.ring.one),
-            ((0, self.coaug), (dc, c), self.ring.one),
-        ])
+        return self._coproduct(dc, c)
 
     def reduced_coproduct(self, dc: int, c: str):
         return [t for t in self.coproduct(dc, c) if t[0][0] > 0 and t[1][0] > 0]
@@ -140,6 +120,30 @@ class ChainCoalgebra:
 
     def is_one_connected(self) -> bool:
         return self.basis(0) == [self.coaug] and not self.basis(1)
+
+
+def _full_coproduct(ring, coaug: str, n: int, c: str, reduced) -> list:
+    """Δc = c⊗1 + 1⊗c + the ``reduced`` terms ((|c1|, c1), (|c2|, c2), coeff)
+    in their order, c in positive degree; zero terms are dropped."""
+    full = [((n, c), (0, coaug), ring.one), ((0, coaug), (n, c), ring.one)]
+    for k1, k2, coeff in reduced:
+        v = ring.of(coeff)
+        if not ring.is_zero(v):
+            full.append((k1, k2, v))
+    return full
+
+
+def table_product(ring, table: dict):
+    """The product listed in ``table``, {((|a|, a), (|b|, b)): {name: coeff}};
+    a pair not listed multiplies to 0."""
+    table = {k: ring.lincomb((r, ring.of(v)) for r, v in combo.items()) for k, combo in table.items()}
+    return lambda da, a, db, b: table.get(((da, a), (db, b)), {})
+
+
+def table_coproduct(ring, coaug: str, table: dict):
+    """The coproduct whose reduced part is listed in ``table``, {(|c|, c):
+    [((|c1|, c1), (|c2|, c2), coeff)]}; an element not listed is primitive."""
+    return cache(lambda n, c: _full_coproduct(ring, coaug, n, c, table.get((n, c), ())))
 
 
 class ModuleStructure:
@@ -308,7 +312,7 @@ def verify_algebra(A: ChainAlgebra):
     if not A.is_connected():
         witnesses.append({"axiom": "connected", "degree0": X.basis.names(0), "unit": A.unit})
 
-    # unit acts as identity (strict by construction, but the table may override)
+    # unit acts as identity (strict by construction in ChainAlgebra.product)
     for n in range(N + 1):
         for a in X.basis.names(n):
             if A.product(0, A.unit, n, a) != {a: R.one}:
@@ -320,13 +324,13 @@ def verify_algebra(A: ChainAlgebra):
     witnesses += [{"axiom": "associativity", "triple": (a, b, c)} for (_, a), (_, b), (_, c) in triples]
     witnesses += [{"axiom": "Leibniz", "pair": pair} for pair in pairs]
 
-    # augmentation is a chain algebra map: aug(d x) = 0 for |x| = 1
-    for a in X.basis.names(1):
-        val = R.zero
-        for r_name, c in X.d_of(1, a).items():
-            val = R.add(val, R.mul(c, A.aug(0, r_name)))
-        if not R.is_zero(val):
-            witnesses.append({"axiom": "augmentation-chain", "element": a})
+    # augmentation is a chain algebra map: aug(d x) = 0 for |x| = 1, i.e.
+    # the unit's row of d_1 is zero
+    if A.unit in X.basis.names(0):
+        row = X.basis.index(0, A.unit)
+        cols = {j for (i, j), v in X.dmat(1).entries.items() if i == row and not R.is_zero(v)}
+        witnesses += [{"axiom": "augmentation-chain", "element": a}
+                      for j, a in enumerate(X.basis.names(1)) if j in cols]
 
     return (not witnesses), witnesses
 
@@ -375,60 +379,45 @@ def verify_coalgebra(C: ChainCoalgebra):
 # ---------------------------------------------------------------------
 
 def tensor_algebra_product(A: ChainAlgebra, B: ChainAlgebra, through: int | None = None) -> ChainAlgebra:
-    """(a⊗b)·(a'⊗b') = (-1)^{|b||a'|} aa' ⊗ bb'."""
+    """(a⊗b)·(a'⊗b') = (-1)^{|b||a'|} aa' ⊗ bb', read from the pair keys."""
     if A.ring != B.ring:
         raise RingMismatch(f"{A.ring} vs {B.ring}")
     R = A.ring
     Z = tensor_complex(A.complex, B.complex, through)
-    out = ChainAlgebra(Z, tensor_name(A.unit, B.unit), name=f"{A.name}⊗{B.name}")
-    N = Z.truncation
-    for p1 in range(N + 1):
-        for q1 in range(N + 1 - p1):
-            for p2 in range(N + 1 - p1 - q1):
-                for q2 in range(N + 1 - p1 - q1 - p2):
-                    if p1 + q1 == 0 or p2 + q2 == 0:
-                        continue
-                    for a in A.basis(p1):
-                        for b in B.basis(q1):
-                            for a2 in A.basis(p2):
-                                for b2 in B.basis(q2):
-                                    sgn = _sign(R, q1 * p2)
-                                    res = {}
-                                    for ra, va in A.product(p1, a, p2, a2).items():
-                                        for rb, vb in B.product(q1, b, q2, b2).items():
-                                            res[tensor_name(ra, rb)] = R.mul(sgn, R.mul(va, vb))
-                                    if res:
-                                        out.set_product(
-                                            p1 + q1, tensor_name(a, b),
-                                            p2 + q2, tensor_name(a2, b2), res,
-                                        )
-    return out
+    pairs = Z.basis.keys
+
+    @cache
+    def product(dx, x, dy, y):
+        (p1, a), (q1, b) = pairs[x]
+        (p2, a2), (q2, b2) = pairs[y]
+        sgn = _sign(R, q1 * p2)
+        return R.lincomb((tensor_name(ra, rb), R.mul(sgn, R.mul(va, vb)))
+                         for ra, va in A.product(p1, a, p2, a2).items()
+                         for rb, vb in B.product(q1, b, q2, b2).items())
+
+    return ChainAlgebra(Z, tensor_name(A.unit, B.unit), product, name=f"{A.name}⊗{B.name}")
 
 
 def tensor_coalgebra_product(C: ChainCoalgebra, D: ChainCoalgebra, through: int | None = None) -> ChainCoalgebra:
-    """Δ(c⊗d) = Σ ± (c1⊗d1) ⊗ (c2⊗d2), sign (-1)^{|d1||c2|}."""
+    """Δ(c⊗d) = Σ ± (c1⊗d1) ⊗ (c2⊗d2), sign (-1)^{|d1||c2|}, read from the
+    pair keys."""
     if C.ring != D.ring:
         raise RingMismatch(f"{C.ring} vs {D.ring}")
     R = C.ring
     Z = tensor_complex(C.complex, D.complex, through)
-    out = ChainCoalgebra(Z, tensor_name(C.coaug, D.coaug), name=f"{C.name}⊗{D.name}")
-    N = Z.truncation
-    for p in range(N + 1):
-        for q in range(N + 1 - p):
-            if p + q == 0:
-                continue
-            for c in C.basis(p):
-                for d in D.basis(q):
-                    terms = []
-                    for (e1, c1), (e2, c2), v in C.coproduct(p, c):
-                        for (f1, d1), (f2, d2), w in D.coproduct(q, d):
-                            sgn = _sign(R, f1 * e2)
-                            coeff = R.mul(sgn, R.mul(v, w))
-                            if e1 + f1 > 0 and e2 + f2 > 0:
-                                terms.append(((e1 + f1, tensor_name(c1, d1)),
-                                              (e2 + f2, tensor_name(c2, d2)), coeff))
-                    out.set_coproduct_reduced(p + q, tensor_name(c, d), terms)
-    return out
+    pairs, coaug = Z.basis.keys, tensor_name(C.coaug, D.coaug)
+
+    @cache
+    def coproduct(n, z):
+        (p, c), (q, d) = pairs[z]
+        return _full_coproduct(R, coaug, n, z, [
+            ((e1 + f1, tensor_name(c1, d1)), (e2 + f2, tensor_name(c2, d2)),
+             R.mul(_sign(R, f1 * e2), R.mul(v, w)))
+            for (e1, c1), (e2, c2), v in C.coproduct(p, c)
+            for (f1, d1), (f2, d2), w in D.coproduct(q, d)
+            if e1 + f1 > 0 and e2 + f2 > 0])
+
+    return ChainCoalgebra(Z, coaug, coproduct, name=f"{C.name}⊗{D.name}")
 
 
 def free_module_over(A: ChainAlgebra, carrier: ChainComplex) -> ModuleStructure:

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 
 from .complexes import ChainComplex, ChainMap, GradedBasis
-from .hopf import ChainAlgebra, ChainCoalgebra
+from .hopf import ChainAlgebra, ChainCoalgebra, table_coproduct, table_product
 from .rings import Ring
 
 
@@ -130,7 +130,7 @@ def algebra_to_dict(A: ChainAlgebra, max_degree: int | None = None) -> dict:
 
 def algebra_from_dict(data: dict) -> ChainAlgebra:
     X = complex_from_dict(data)
-    A = ChainAlgebra(X, required(data, "unit"))
+    unit, table = required(data, "unit"), {}
     for entry in data.get("mu", []):
         try:
             (p, a), (q, b) = entry["a"], entry["b"]
@@ -142,8 +142,8 @@ def algebra_from_dict(data: dict) -> ChainAlgebra:
             # ChainAlgebra.product answers degree-0 factors by the unit rule
             raise InputError(f"mu entry {entry}: a factor of degree 0 is not read from mu")
         _check_names(entry, "mu entry", [(p, a), (q, b), *((p + q, r) for r in combo)], X)
-        A.set_product(p, a, q, b, combo)
-    return A
+        table[(p, a), (q, b)] = combo
+    return ChainAlgebra(X, unit, table_product(X.ring, table))
 
 
 def coalgebra_to_dict(C: ChainCoalgebra) -> dict:
@@ -167,7 +167,7 @@ def coalgebra_to_dict(C: ChainCoalgebra) -> dict:
 
 def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
     X = complex_from_dict(data)
-    C = ChainCoalgebra(X, required(data, "coaug"))
+    coaug, table = required(data, "coaug"), {}
     for entry in data.get("delta", []):
         try:
             n, c = entry["c"]
@@ -177,8 +177,8 @@ def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"delta entry {entry}: malformed entry ({exc})") from exc
         _check_names(entry, "delta entry", [(n, c), *(k for t in terms for k in t[:2])], X)
-        C.set_coproduct_reduced(n, c, terms)
-    return C
+        table[n, c] = terms
+    return ChainCoalgebra(X, coaug, table_coproduct(X.ring, coaug, table))
 
 
 def cochain_values_from_dict(values: list, C: ChainCoalgebra, A: ChainAlgebra) -> list:

@@ -340,7 +340,6 @@ def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
     total = q.bundle.total
     pairs = total.basis.keys
     unit = tensor_name(BarA.coaug, A2.unit)
-    Q = ChainAlgebra(total, unit, name=f"{A2.name}//{A.name}")
 
     def product(da, aname, db, bname):
         (dw, w), (dx, x) = pairs[aname]
@@ -352,8 +351,7 @@ def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
                          for wname, v in S.product(dw, w, dw2, w2).items()
                          for xname, u in A2.product(dx, x, dx2, x2).items())
 
-    Q.product_fn = product
-    return Q
+    return ChainAlgebra(total, unit, product, name=f"{A2.name}//{A.name}")
 
 
 def natural_quotient_projection(q: BorelQuotient, q2: BorelQuotient,
@@ -397,7 +395,6 @@ def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> Ch
     for name, ((dv, v), (da, a)) in pairs.items():
         if dv == 0 and da == 0:
             unit = name
-    Q = ChainAlgebra(total, unit, name=f"{A2.name}//k")
 
     def product(da_, aname, db_, bname):
         (_, _), (dx, x) = pairs[aname]
@@ -407,8 +404,7 @@ def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> Ch
             out[tensor_name(q.bar_source.coaug, r)] = v
         return out
 
-    Q.product_fn = product
-    return Q
+    return ChainAlgebra(total, unit, product, name=f"{A2.name}//k")
 
 
 def chcx_unit_certificate(A: ChainAlgebra, N: int):

@@ -25,7 +25,7 @@ what makes the TCP face identities close up, which the test suite checks
 exhaustively on finite fixtures and by seeded sampling on symbolic ones.
 
 `verify_simplicial_identities` compares every instance of d_i d_j (i < j),
-s_i s_j (i < j) and d_i s_j on each finite level.  It computes the faces
+s_i s_j (i <= j) and d_i s_j on each finite level.  It computes the faces
 and degeneracies of each simplex once, and memoises the faces of the level
 below for one level at a time, so a face shared by many simplices is taken
 once.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 
 class NotReduced(Exception):
@@ -162,8 +163,8 @@ def verify_simplicial_identities(X: SimplicialSet, N: int, samples: int = DEFAUL
         for x in elements_at(n):
             s = [X.degeneracy(n, j, x) for j in range(n + 1)]
             for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    # s_i s_j = s_{j+1} s_i  (i < j)
+                for j in range(i, n + 1):
+                    # s_i s_j = s_{j+1} s_i  (i <= j)
                     if X.degeneracy(n + 1, i, s[j]) != X.degeneracy(n + 1, j + 1, s[i]):
                         return False, {"identity": f"s{i}s{j}", "level": n, "element": x}
     for n in range(1, N):
@@ -985,11 +986,9 @@ class ComplexSimplicialSet(FiniteSimplicialSet):
 
     def __init__(self, N: int, simplices: list[tuple], name: str = "",
                  basepoint_vertex=None):
-        self.simplices = {tuple(sorted(set(s))) for s in simplices}
-        for s in list(self.simplices):
-            for i in range(len(s)):
-                if len(s) > 1:
-                    self.simplices.add(s[:i] + s[i + 1:])
+        # every nonempty face of every listed simplex
+        self.simplices = {face for s in simplices for top in [tuple(sorted(set(s)))]
+                          for k in range(1, len(top) + 1) for face in combinations(top, k)}
         levels: dict[int, list] = {}
         for n in range(N + 1):
             lv = []

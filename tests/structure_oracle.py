@@ -8,6 +8,12 @@ section 8).  Each walks basis elements by name, applies maps through
 as dicts, so it shares no code path with the matrix checks beyond the
 structure maps themselves.  Each returns its witnesses in the order the
 library reported them then.
+
+The second half keeps the table builders the constructions ran before each
+(co)algebra became one structure function (docs/DECISIONS.md, section 11):
+the eager tensor-product loops, bar's deconcatenation loop and the
+Alexander-Whitney loop of normalized chains, with the lookup rules of the
+old tables.
 """
 
 from htwist.complexes import ChainMap
@@ -244,3 +250,147 @@ def verify_pontryagin_axioms(G, ring, N: int):
                     if lhs != rhs:
                         problems.append({"axiom": "Leibniz", "pair": (a, b)})
     return problems
+
+
+# ---------------------------------------------------------------------
+# Structure tables as the constructions filled them before each (co)algebra
+# became one structure function (docs/DECISIONS.md, section 11): eagerly,
+# name by name, into {((|a|, a), (|b|, b)): combo} and {(|c|, c): full Δc}.
+# ---------------------------------------------------------------------
+
+def full_coproduct(R, coaug, n, c, terms):
+    """c⊗1 + 1⊗c + the nonzero ``terms``, as a coproduct table stored it."""
+    full = [((n, c), (0, coaug), R.one), ((0, coaug), (n, c), R.one)]
+    for k1, k2, coeff in terms:
+        v = R.of(coeff)
+        if not R.is_zero(v):
+            full.append((k1, k2, v))
+    return full
+
+
+def table_product(A, table, da, a, db, b):
+    """A product read as ChainAlgebra read its table: strict unit, nothing
+    above the truncation, a pair not in the table multiplies to 0."""
+    R = A.ring
+    if da + db > A.truncation:
+        return {}
+    if da == 0:
+        return {b: R.one} if a == A.unit else {}
+    if db == 0:
+        return {a: R.one} if b == A.unit else {}
+    combo = table.get(((da, a), (db, b)), {})
+    return R.lincomb((r, R.of(v)) for r, v in combo.items())
+
+
+def table_coproduct(C, table, dc, c):
+    """A coproduct read as ChainCoalgebra read its table: an element not in
+    the table is primitive."""
+    R = C.ring
+    if dc == 0:
+        return [((0, C.coaug), (0, C.coaug), R.one)] if c == C.coaug else []
+    return table.get((dc, c), full_coproduct(R, C.coaug, dc, c, []))
+
+
+def tensor_algebra_table(A, B, N):
+    """(a⊗b)·(a'⊗b') = (-1)^{|b||a'|} aa' ⊗ bb' on every quadruple of basis
+    elements through N."""
+    from htwist.complexes import tensor_name
+
+    R = A.ring
+    table = {}
+    for p1 in range(N + 1):
+        for q1 in range(N + 1 - p1):
+            for p2 in range(N + 1 - p1 - q1):
+                for q2 in range(N + 1 - p1 - q1 - p2):
+                    if p1 + q1 == 0 or p2 + q2 == 0:
+                        continue
+                    for a in A.basis(p1):
+                        for b in B.basis(q1):
+                            for a2 in A.basis(p2):
+                                for b2 in B.basis(q2):
+                                    sgn = _sign(R, q1 * p2)
+                                    res = {}
+                                    for ra, va in A.product(p1, a, p2, a2).items():
+                                        for rb, vb in B.product(q1, b, q2, b2).items():
+                                            res[tensor_name(ra, rb)] = R.mul(sgn, R.mul(va, vb))
+                                    if res:
+                                        key = ((p1 + q1, tensor_name(a, b)), (p2 + q2, tensor_name(a2, b2)))
+                                        table[key] = res
+    return table
+
+
+def tensor_coalgebra_table(C, D, N):
+    """Δ(c⊗d) = Σ ± (c1⊗d1) ⊗ (c2⊗d2), sign (-1)^{|d1||c2|}, on every basis
+    pair through N."""
+    from htwist.complexes import tensor_name
+
+    R = C.ring
+    coaug = tensor_name(C.coaug, D.coaug)
+    table = {}
+    for p in range(N + 1):
+        for q in range(N + 1 - p):
+            if p + q == 0:
+                continue
+            for c in C.basis(p):
+                for d in D.basis(q):
+                    terms = []
+                    for (e1, c1), (e2, c2), v in C.coproduct(p, c):
+                        for (f1, d1), (f2, d2), w in D.coproduct(q, d):
+                            coeff = R.mul(_sign(R, f1 * e2), R.mul(v, w))
+                            if e1 + f1 > 0 and e2 + f2 > 0:
+                                terms.append(((e1 + f1, tensor_name(c1, d1)),
+                                              (e2 + f2, tensor_name(c2, d2)), coeff))
+                    name = tensor_name(c, d)
+                    table[(p + q, name)] = full_coproduct(R, coaug, p + q, name, terms)
+    return table
+
+
+def bar_coproduct_table(B):
+    """Deconcatenation on every word of the bar construction B."""
+    R, basis = B.ring, B.complex.basis
+    table = {}
+    for n in range(1, B.truncation + 1):
+        for name in basis.names(n):
+            w = basis.keys[name]
+            terms = []
+            for i in range(1, len(w)):
+                left, right = w[:i], w[i:]
+                dl = sum(k[0] + 1 for k in left)
+                terms.append(((dl, basis.name_of(dl, left)),
+                              (n - dl, basis.name_of(n - dl, right)), R.one))
+            table[(n, name)] = full_coproduct(R, B.coaug, n, name, terms)
+    return table
+
+
+def _iterated_front(X, n, x, p):
+    """Front p-face: d_{p+1} d_{p+2} ... d_n applied to x (last faces)."""
+    out = x
+    for k in range(n, p, -1):
+        out = X.face(k, k, out)
+    return out
+
+
+def _iterated_back(X, n, x, q):
+    """Back q-face: d_0^{n-q} applied to x."""
+    out = x
+    for k in range(n, q, -1):
+        out = X.face(k, 0, out)
+    return out
+
+
+def aw_coproduct_table(X, C):
+    """The Alexander-Whitney diagonal on every simplex of C = C_*X, the
+    front and back faces taken one face at a time for each p."""
+    R, basis = C.ring, C.complex.basis
+    table = {}
+    for n in range(1, C.truncation + 1):
+        for name in basis.names(n):
+            x = basis.keys[name]
+            terms = []
+            for p in range(1, n):
+                f = basis.name_of(p, _iterated_front(X, n, x, p))
+                b = basis.name_of(n - p, _iterated_back(X, n, x, n - p))
+                if f is not None and b is not None:
+                    terms.append(((p, f), (n - p, b), 1))
+            table[(n, name)] = full_coproduct(R, C.coaug, n, name, terms)
+    return table

@@ -64,9 +64,9 @@ def test_bar_truncated_polynomial_multiplication_term():
 
 def test_bar_of_ground_is_ground():
     from htwist.complexes import ChainComplex, GradedBasis
-    from htwist.hopf import ChainAlgebra
+    from htwist.hopf import ChainAlgebra, table_product
 
-    k = ChainAlgebra(ChainComplex(QQ, GradedBasis(6, {0: ["1"]})), "1", name="k")
+    k = ChainAlgebra(ChainComplex(QQ, GradedBasis(6, {0: ["1"]})), "1", table_product(QQ, {}), name="k")
     B = bar(k, 6)
     assert B.complex.basis.total_dim() == 1
     assert B.basis(0) == [EMPTY_NAME]
@@ -96,9 +96,9 @@ def test_cobar_sphere3():
 
 def test_cobar_of_trivial_coalgebra():
     from htwist.complexes import ChainComplex, GradedBasis
-    from htwist.hopf import ChainCoalgebra
+    from htwist.hopf import ChainCoalgebra, table_coproduct
 
-    k = ChainCoalgebra(ChainComplex(QQ, GradedBasis(6, {0: ["1"]})), "1", name="k")
+    k = ChainCoalgebra(ChainComplex(QQ, GradedBasis(6, {0: ["1"]})), "1", table_coproduct(QQ, "1", {}), name="k")
     O = cobar(k, 6)
     assert O.complex.basis.total_dim() == 1
 

@@ -96,6 +96,33 @@ def test_chains_boundary_delta2(tmp_path):
     assert report["results"]["homology"]["1"]["rank"] == 1
 
 
+def _chains_report(tmp_path, simplices, name):
+    path = tmp_path / name
+    path.write_text(json.dumps({"kind": "complex", "simplices": simplices}))
+    proc = run_cli(["chains", str(path), "--through", "3", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_chains_complex_closes_under_all_faces(tmp_path):
+    # a triangle and a point: the vertices of the triangle come in as faces
+    # of its edges, so H_0 = Z^2 and H_1 = 0
+    report = _chains_report(tmp_path, [[0, 1, 2], [5]], "two.json")
+    homology = report["results"]["homology"]
+    assert homology["0"] == {"rank": 2, "torsion": []}
+    assert homology["1"] == {"rank": 0, "torsion": []}
+    assert len(report["payload"]["basis"]["0"]) == 4
+
+
+def test_chains_complex_equals_its_explicit_closure(tmp_path):
+    top = _chains_report(tmp_path, [[0, 1, 2]], "top.json")
+    closed = _chains_report(tmp_path, [[0, 1, 2], [0, 1], [0, 2], [1, 2], [0], [1], [2]], "closed.json")
+    assert top["results"] == closed["results"]
+    assert top["payload"] == closed["payload"]
+    assert top["results"]["homology"]["0"] == {"rank": 1, "torsion": []}
+
+
 def test_determinism(tmp_path):
     path = write_sphere(tmp_path)
     out1 = run_cli(["cobar", str(path), "--through", "5", "--json"]).stdout

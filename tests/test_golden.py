@@ -78,6 +78,7 @@ def _write_inputs():
         "s1.json": {"kind": "S1min"},
         "c2.json": {"kind": "constant-cyclic", "order": 2},
         "circle.json": {"kind": "boundary-delta2"},
+        "disk.json": {"kind": "complex", "simplices": [[0, 1, 2], [0, 1], [0, 2], [1, 2]]},
     }
     for name, data in files.items():
         with open(name, "w") as fh:
@@ -97,6 +98,8 @@ CLI_RUNS = {
     "wbar": ["wbar", "c2.json", "--through", "3"],
     "tcp": ["tcp", "c2.json", "--through", "3"],
     "chains": ["chains", "circle.json", "--through", "3"],
+    # the 2-simplex: its diagonal has the term <012> -> <01>⊗<12>
+    "chains-disk": ["chains", "disk.json", "--through", "3"],
     "wbar-homology": ["wbar-homology", "c2.json", "--through", "3"],
 }
 
@@ -115,6 +118,8 @@ GOLDEN_CLI = {
     "borel:json": "3c7234d60c5a990f2a47e5c4ee7d52db14c962a8f99a74bb74f9c48aa4911027",
     "chains:text": "720322d64f7d4424ebc74749494a77d2ff7996654515b2f36e1193f437debd8b",
     "chains:json": "2c2317969bb8dc8e318c776b952961ad047dd73a9b555ef172bfb16cbf506277",
+    "chains-disk:text": "edf32ebd97f04218c344ef6f5826a6ab48f982a969f336747c873e2fab5e6bbe",
+    "chains-disk:json": "cf45b3f1086025ed607e257b822fb9eeaf7d8c909ef895e30c8c06497e1240a3",
     "check-axioms:text": "e17bde54dd86187f991a77d2cca3869b2e2ca2ead8ee459681bbc979fe59127b",
     "check-axioms:json": "495654d89cc2d4a60f5d3fdc521cb434c031827486d62650df7914fa5e47e9c4",
     "check-normal-pair:text": "283e2e3731f51f7aac24f82d4995d739c3c2c85ff77fdb88a9e1534c6c330e50",

@@ -152,7 +152,7 @@ def test_trivial_extension_exterior_pair():
 
 def test_rigid_conormality_hypotheses():
     # g: C' -> trivial coalgebra; the Borel kernel is C' itself (renamed)
-    from htwist.hopf import ChainCoalgebra
+    from htwist.hopf import ChainCoalgebra, table_coproduct
     from htwist.bundles import borel_kernel
 
     C2 = sphere_coalgebra(QQ, 7, 2)
@@ -164,13 +164,10 @@ def test_rigid_conormality_hypotheses():
     # transport C2's coalgebra structure to the kernel total (c' ⊗ [])
     total = kernel.bundle.total
     names = {c: f"{c}⊗[]" for n in range(6) for c in C2.basis(n)}
-    K = ChainCoalgebra(total, names["1"], name="kernel")
-    for n in range(1, 6):
-        for c in C2.basis(n):
-            terms = []
-            for (d1, c1), (d2, c2), v in C2.reduced_coproduct(n, c):
-                terms.append(((d1, names[c1]), (d2, names[c2]), v))
-            K.set_coproduct_reduced(n, names[c], terms)
+    K = ChainCoalgebra(total, names["1"], table_coproduct(QQ, names["1"], {
+        (n, names[c]): [((d1, names[c1]), (d2, names[c2]), v)
+                        for (d1, c1), (d2, c2), v in C2.reduced_coproduct(n, c)]
+        for n in range(1, 6) for c in C2.basis(n)}), name="kernel")
     OmegaC2 = cobar(C2, 5)
     kernel2 = borel_kernel(kernel.iota, K, C2, 5, OmegaC2)
     iota_tilde = ChainMap(OmegaC.complex, kernel2.bundle.total)
@@ -186,7 +183,7 @@ def test_rigid_conormality_hypotheses():
 
 
 def test_rigid_conormality_bad_comultiplication():
-    from htwist.hopf import ChainCoalgebra
+    from htwist.hopf import ChainCoalgebra, table_coproduct
     from htwist.bundles import borel_kernel
 
     C2 = sphere_coalgebra(QQ, 7, 2)
@@ -196,10 +193,11 @@ def test_rigid_conormality_bad_comultiplication():
     OmegaC = cobar(triv, 5)
     kernel = borel_kernel(g, C2, triv, 5, OmegaC)
     total = kernel.bundle.total
-    K = ChainCoalgebra(total, "1⊗[]", name="bad")
     # corrupt: make the generator non-counital by doubling the coproduct
-    K.comult[(2, "c2⊗[]")] = [((2, "c2⊗[]"), (0, "1⊗[]"), QQ.of(2)),
-                              ((0, "1⊗[]"), (2, "c2⊗[]"), QQ.one)]
+    bad = [((2, "c2⊗[]"), (0, "1⊗[]"), QQ.of(2)), ((0, "1⊗[]"), (2, "c2⊗[]"), QQ.one)]
+    primitive = table_coproduct(QQ, "1⊗[]", {})
+    K = ChainCoalgebra(total, "1⊗[]", lambda n, c: bad if (n, c) == (2, "c2⊗[]") else primitive(n, c),
+                       name="bad")
     with pytest.raises(HypothesisFailed):
         rigid_conormality_certificate(
             g, C2, triv, K, ChainMap(OmegaC.complex, total), 5,

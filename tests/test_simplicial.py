@@ -255,11 +255,12 @@ def test_corrupted_degeneracy_fails_s_s():
 
 
 def test_corrupted_degeneracy_fails_d_s():
-    # s_0 on level 0 enters no s_i s_j instance (i < j), only d_i s_j at level 1:
-    # d_2 s_0 (c,1) = (c,1), but s_0 d_1 (c,1) is now (m,1)
+    # s_0 (c,0) = (m,1) breaks d_2 s_0 (c,1) = (c,1) at level 1, since s_0 d_1 (c,1)
+    # is now (m,1); the s_i s_i instance catches it first, at level 0:
+    # s_0 s_0 (c,0) = s_0 (m,1) = (m,2), but s_1 s_0 (c,0) = s_1 (m,1) = (m,1)
     S = minimal_circle(5)
     orig = S.degeneracy
     S.degeneracy = lambda n, i, x: ("m", 1) if (n, i, x) == (0, 0, ("c", 0)) else orig(n, i, x)
     ok, witness = verify_simplicial_identities(S, 5)
     assert not ok
-    assert witness == {"identity": "d2s0", "level": 1, "element": ("c", 1)}
+    assert witness == {"identity": "s0s0", "level": 0, "element": ("c", 0)}

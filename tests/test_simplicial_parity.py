@@ -51,7 +51,7 @@ def reference_identities(X, N, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
                     if n + 2 > N + 1:
                         continue
                     si = X.degeneracy(n, j, x)
-                    if i < j:
+                    if i <= j:
                         lhs = X.degeneracy(n + 1, i, si)
                         rhs = X.degeneracy(n + 1, j + 1, X.degeneracy(n, i, x))
                         if lhs != rhs:

@@ -3,7 +3,7 @@
 against the per-element loops of `structure_oracle`: equal witness lists,
 in the same order.
 
-Cases: seeded corruptions of the product and coproduct tables of the
+Cases: seeded corruptions of the products and coproducts of the
 algebra and coalgebra corpora over Q, Z and F_3; maps between a corpus
 fixture and a corrupted copy of it; corrupted classifying bundles; the
 Pontryagin algebras of a group with two vertices, of one with three, and
@@ -21,7 +21,7 @@ from htwist.bundles import classifying_bundle_xi, classifying_bundle_zeta, verif
 from htwist.chains import verify_pontryagin_axioms
 from htwist.complexes import ChainMap
 from htwist.fixtures import algebra_corpus, coalgebra_corpus, exterior, exterior_pair, sphere_coalgebra
-from htwist.hopf import verify_algebra, verify_coalgebra
+from htwist.hopf import ChainAlgebra, ChainCoalgebra, verify_algebra, verify_coalgebra
 from htwist.normality import shuffle_quotient_algebra
 from htwist.rings import GF, QQ, ZZ
 from htwist.simplicial import FiniteSimplicialGroup, classifying_space, cyclic_constant_group
@@ -37,14 +37,14 @@ def _positive_basis(X, lo, hi):
 
 
 def corrupt_algebra(A, rng):
-    """Perturb the product of one pair of positive-degree basis elements:
-    add a basis element of the product degree, scale a term by 2, or drop
-    the product."""
+    """A copy of A with the product of one pair of positive-degree basis
+    elements perturbed: a basis element of the product degree added, a term
+    scaled by 2, or the product dropped."""
     R = A.ring
     pairs = [(a, b) for a in _positive_basis(A.complex, 1, N - 1)
              for b in _positive_basis(A.complex, 1, N - a[0]) if A.basis(a[0] + b[0])]
     if not pairs:  # Λ(x): no product lands in a nonzero degree
-        return
+        return A
     (p, a), (q, b) = rng.choice(pairs)
     res = dict(A.product(p, a, q, b))
     kind = rng.randrange(3)
@@ -56,13 +56,14 @@ def corrupt_algebra(A, rng):
         res[r] = R.mul(R.of(2), res[r])
     else:
         res = {}
-    A.mult[((p, a), (q, b))] = R.lincomb(res.items())
+    res = R.lincomb(res.items())
+    return ChainAlgebra(A.complex, A.unit, lambda *k: res if k == (p, a, q, b) else A.product(*k), A.name)
 
 
 def corrupt_coalgebra(C, rng):
-    """Perturb the coproduct of one basis element: add a term c1⊗c2 of the
-    right degree, scale a term by 2, or drop a term (a primitive one breaks
-    a counit)."""
+    """A copy of C with the coproduct of one basis element perturbed: a term
+    c1⊗c2 of the right degree added, a term scaled by 2, or a term dropped
+    (a primitive one breaks a counit)."""
     R = C.ring
     n, c = rng.choice(_positive_basis(C.complex, 2, N))
     terms = list(C.coproduct(n, c))
@@ -79,7 +80,7 @@ def corrupt_coalgebra(C, rng):
         terms[i] = (k1, k2, R.mul(R.of(2), v))
     else:
         terms.pop(rng.randrange(len(terms)))
-    C.comult[(n, c)] = terms
+    return ChainCoalgebra(C.complex, C.coaug, lambda *k: terms if k == (n, c) else C.coproduct(*k), C.name)
 
 
 @pytest.mark.parametrize("R", RINGS, ids=IDS)
@@ -90,7 +91,7 @@ def test_algebra_witnesses_match_reference(R):
             A = algebra_corpus(R, N)[idx]
             rng = random.Random(seed)
             for _ in range(1 + seed % 3):
-                corrupt_algebra(A, rng)
+                A = corrupt_algebra(A, rng)
             ok, witnesses = verify_algebra(A)
             assert (ok, witnesses) == reference.verify_algebra(A), (A.name, seed)
             seen |= {w["axiom"] for w in witnesses}
@@ -105,7 +106,7 @@ def test_coalgebra_witnesses_match_reference(R):
             C = coalgebra_corpus(R, N)[idx]
             rng = random.Random(seed)
             for _ in range(1 + seed % 3):
-                corrupt_coalgebra(C, rng)
+                C = corrupt_coalgebra(C, rng)
             ok, witnesses = verify_coalgebra(C)
             assert (ok, witnesses) == reference.verify_coalgebra(C), (C.name, seed)
             seen |= {w["axiom"] for w in witnesses}
@@ -137,7 +138,7 @@ def test_algebra_map_into_corrupted_copy(R):
         for seed in SEEDS:
             A, B = algebra_corpus(R, N)[idx], algebra_corpus(R, N)[idx]
             rng = random.Random(seed)
-            corrupt_algebra(B, rng)
+            B = corrupt_algebra(B, rng)
             f = ChainMap(A.complex, B.complex, ChainMap.identity(A.complex).components)
             got = hopf._module_map_failures(f, f, A.product, B.product, N)
             assert _names(got) == reference.module_map_failures(f, f, A.product, B.product, N)
@@ -156,7 +157,7 @@ def test_coalgebra_map_into_corrupted_copy(R):
     for idx in range(len(coalgebra_corpus(R, N))):
         for seed in SEEDS:
             C, D = coalgebra_corpus(R, N)[idx], coalgebra_corpus(R, N)[idx]
-            corrupt_coalgebra(D, random.Random(seed))
+            D = corrupt_coalgebra(D, random.Random(seed))
             f = ChainMap(C.complex, D.complex, ChainMap.identity(C.complex).components)
             got = hopf._comodule_map_failures(f, f, C.coproduct, D.coproduct, N)
             assert got == reference.comodule_map_failures(f, f, C.coproduct, D.coproduct, N)
