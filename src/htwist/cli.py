@@ -79,9 +79,22 @@ def _simplicial_from_spec(data: dict, N: int):
             raise InputError(f"constant-cyclic order {order!r} is not a positive integer")
         return cyclic_constant_group(int(order), N)
     if kind == "complex":
-        return ComplexSimplicialSet(N, [tuple(s) for s in required(data, "simplices")],
-                                    name=data.get("name", "complex"))
+        return ComplexSimplicialSet(N, _complex_simplices(data), name=data.get("name", "complex"))
     raise InputError(f"unknown simplicial kind {kind!r}")
+
+
+def _complex_simplices(data: dict) -> list[tuple]:
+    """The simplices of a `complex` spec: vertex lists, at least one of them
+    nonempty, with vertices all integers or all strings so that they sort."""
+    simplices = required(data, "simplices")
+    if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+        raise InputError("complex 'simplices' is not a list of vertex lists")
+    kinds = {type(v).__name__ for s in simplices for v in s}
+    if not kinds:
+        raise InputError("complex 'simplices' has no nonempty simplex")
+    if kinds not in ({"int"}, {"str"}):
+        raise InputError(f"complex vertices must be all integers or all strings, not {sorted(kinds)}")
+    return [tuple(s) for s in simplices]
 
 
 def _ring(tag: str) -> Ring:

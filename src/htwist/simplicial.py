@@ -25,10 +25,11 @@ what makes the TCP face identities close up, which the test suite checks
 exhaustively on finite fixtures and by seeded sampling on symbolic ones.
 
 `verify_simplicial_identities` compares every instance of d_i d_j (i < j),
-s_i s_j (i <= j) and d_i s_j on each finite level.  It computes the faces
-and degeneracies of each simplex once, and memoises the faces of the level
-below for one level at a time, so a face shared by many simplices is taken
-once.
+s_i s_j (i <= j) and d_i s_j on each finite level.  It numbers each level's
+simplices once and computes each face and degeneracy once, into per-level
+integer tables; the instances are then compared as table lookups, a level
+at a time.  Only s_i s_j x with x in level N - 1 leaves the tables: it
+lands in level N + 1 and compares simplices.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+
+from . import _simplicial_identities
 
 
 class NotReduced(Exception):
@@ -128,63 +131,18 @@ def verify_simplicial_identities(X: SimplicialSet, N: int, samples: int = DEFAUL
     """All face/degeneracy identities through level N: exhaustive on finite
     levels, seeded sampling on symbolic ones.  Returns (ok, witness).
 
-    Every identity instance is compared, in (family, n, x, i, j) order, and
-    the first failure is the witness.  The faces and degeneracies of each x
-    are computed once; the faces of the level below are memoised for one
-    level and interned to one object per simplex, so equal simplices
-    reached from different x share storage.  The memo is filled on demand
-    and does not assume that a face lands in the listed level below."""
-    rng = random.Random(seed)
-
-    def elements_at(n):
-        elems = X.elements(n)
-        if elems is not None:
-            return elems
-        return [X.sample(n, rng) for _ in range(max(1, samples // max(1, N)))]
-
-    for n in range(2, N + 1):
-        below, canon = {}, {}
-        for x in elements_at(n):
-            dd = []  # dd[j][i] = d_i d_j x
-            for j in range(n + 1):
-                z = X.face(n, j, x)
-                faces = below.get(z)
-                if faces is None:
-                    faces = below[z] = tuple(canon.setdefault(w, w)
-                                             for w in (X.face(n - 1, k, z) for k in range(n)))
-                dd.append(faces)
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    # d_i d_j = d_{j-1} d_i  (i < j)
-                    if dd[j][i] != dd[i][j - 1]:
-                        return False, {"identity": f"d{i}d{j}", "level": n, "element": x}
-    below = canon = None  # free the last level's memo before the degeneracy passes
-    for n in range(0, N):
-        for x in elements_at(n):
-            s = [X.degeneracy(n, j, x) for j in range(n + 1)]
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    # s_i s_j = s_{j+1} s_i  (i <= j)
-                    if X.degeneracy(n + 1, i, s[j]) != X.degeneracy(n + 1, j + 1, s[i]):
-                        return False, {"identity": f"s{i}s{j}", "level": n, "element": x}
-    for n in range(1, N):
-        for x in elements_at(n):
-            # sd[k][m] = s_m d_k x
-            sd = [[X.degeneracy(n - 1, m, z) for m in range(n)]
-                  for z in (X.face(n, k, x) for k in range(n + 1))]
-            for j in range(n + 1):
-                sx = X.degeneracy(n, j, x)
-                for i in range(n + 2):
-                    # d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1)
-                    if i < j:
-                        want = sd[i][j - 1]
-                    elif i in (j, j + 1):
-                        want = x
-                    else:
-                        want = sd[i - 1][j]
-                    if X.face(n + 1, i, sx) != want:
-                        return False, {"identity": f"d{i}s{j}", "level": n, "element": x}
-    return True, None
+    Every instance of d_i d_j (i < j), s_i s_j (i <= j) and d_i s_j is
+    compared, and the first failure in (family, n, x, i, j) order is the
+    witness.  Each level's simplices are numbered once (a sampled level
+    adds one draw per family, in the order of the families), and every
+    face and degeneracy that an instance reads is computed once into the
+    level's integer tables (`_simplicial_identities`); an instance is then a
+    comparison of table lookups, made for a whole level at a time.  The
+    instances s_i s_j x with x in level N - 1 land in level N + 1, beyond
+    the tables, and compare simplices.  The tables do not assume that a
+    face or degeneracy lands in the listed level: such a simplex is
+    numbered where it lands (docs/DECISIONS.md, section 12)."""
+    return _simplicial_identities.verify(X, N, samples, seed)
 
 
 # ---------------------------------------------------------------------
@@ -251,29 +209,15 @@ class FiniteSimplicialGroup(SimplicialGroup):
                  mult, inv, neutral, name: str = ""):
         super().__init__(N, name)
         self.levels = levels
-        self._faces = faces
-        self._degens = degeneracies
-        self._mult = mult
-        self._inv = inv
-        self._neutral = neutral
+        # the structure callables are the methods themselves, one call each
+        self.face = faces
+        self.degeneracy = degeneracies
+        self.mult = mult
+        self.inv = inv
+        self.neutral = neutral
 
     def elements(self, n: int):
         return list(self.levels[n])
-
-    def face(self, n: int, i: int, x):
-        return self._faces(n, i, x)
-
-    def degeneracy(self, n: int, i: int, x):
-        return self._degens(n, i, x)
-
-    def mult(self, n: int, a, b):
-        return self._mult(n, a, b)
-
-    def inv(self, n: int, a):
-        return self._inv(n, a)
-
-    def neutral(self, n: int):
-        return self._neutral(n)
 
 
 def constant_group(table_elements, mult, inv, neutral, N: int, name: str = "") -> FiniteSimplicialGroup:

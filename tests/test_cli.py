@@ -365,6 +365,28 @@ def test_simplicial_spec_without_key_or_bad_order_exit_2(tmp_path, command, spec
     _exit_2(run_cli([command, str(path), "--through", "3", "--json"]), needle)
 
 
+@pytest.mark.parametrize("command", ["wbar", "tcp", "chains"])
+@pytest.mark.parametrize("simplices, needle", [
+    ([], "no nonempty simplex"),
+    ([[]], "no nonempty simplex"),
+    ([[0, "a"]], "all integers or all strings"),
+    ([[0, 1], ["a"]], "all integers or all strings"),
+    ([[0, [1]]], "all integers or all strings"),
+    ([0, 1], "not a list of vertex lists"),
+], ids=["empty", "only-empty-simplex", "mixed-in-simplex", "mixed-across-simplices",
+        "list-vertex", "flat-list"])
+def test_complex_spec_without_vertices_or_with_mixed_vertices_exit_2(tmp_path, command,
+                                                                     simplices, needle):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "complex", "simplices": simplices}))
+    _exit_2(run_cli([command, str(path), "--through", "3", "--json"]), needle)
+
+
+def test_complex_spec_with_string_vertices(tmp_path):
+    report = _chains_report(tmp_path, [["a", "b"], ["b", "c"], ["a", "c"]], "strings.json")
+    assert report["results"]["homology"]["1"]["rank"] == 1
+
+
 @pytest.mark.parametrize("command", ["chains", "wbar-homology"])
 def test_bad_ring_tag_exit_2(tmp_path, command):
     path = tmp_path / "c2.json"

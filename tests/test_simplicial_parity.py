@@ -8,12 +8,14 @@ a face lands outside the listed level below.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from htwist.simplicial import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    ComplexSimplicialSet,
     boundary_delta2,
     classifying_space,
     cyclic_constant_group,
@@ -216,3 +218,159 @@ def test_sampled_path_draws_in_the_same_order():
     new, old = both(make, 4, samples=40)
     assert new == old == (True, None)
     assert draws[0] == draws[1] and len(draws[0]) == 10 * (3 + 4 + 3)
+
+
+class SphereQuotient(ComplexSimplicialSet):
+    """Δ[2]/∂Δ[2]: the boundary collapsed to the base point *, each level
+    listing the degeneracies of the 2-simplex σ before *.  σ has
+    d_0 = d_1 = d_2 = * as s_0 * does, and s_0 σ has d_2 = d_3 = * as s_2 *
+    does: in levels 2 and 3 a degenerate * shares the faces by which it is
+    placed with a simplex listed before it."""
+
+    def __init__(self, N):
+        super().__init__(N, [(0, 1, 2)], name="S2")
+        self.levels = {n: [x for x in level if x[0] == (0, 1, 2)] + [self.basepoint(n)]
+                       for n, level in self.levels.items()}
+
+    def _collapse(self, n, x):
+        return x if x[0] == (0, 1, 2) else self.basepoint(n)
+
+    def face(self, n, i, x):
+        return self._collapse(n - 1, super().face(n, i, x))
+
+    def degeneracy(self, n, i, x):
+        return self._collapse(n + 1, super().degeneracy(n, i, x))
+
+
+# FINITE and a space whose top level has simplices with equal faces d_j,
+# d_{j+1} that are not s_j of that face
+TOP = dict(FINITE, S2=(lambda: SphereQuotient(5), 3, lambda z: ((0, 1, 3), z[1])))
+
+
+@pytest.mark.parametrize("name", sorted(TOP))
+def test_parity_with_degeneracy_outside_top_level(name):
+    """s_j x at level N - 1 moved to a simplex not listed in level N: the
+    top level has no dict, so the image is appended there unmatched."""
+    build, N, foreign = TOP[name]
+    failures = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        j = rng.randint(0, N - 1)
+        x = rng.choice(build().elements(N - 1))
+        assert foreign(build().degeneracy(N - 1, j, x)) not in build().elements(N)
+
+        def make():
+            X = build()
+            corrupt(X, "degeneracy", N - 1, j, lambda y: y == x, foreign)
+            return X
+
+        new, old = both(make, N)
+        assert new == old, (name, seed)
+        failures += not new[0]
+    assert failures >= 4, (name, failures)
+
+
+def with_duplicate(X, n, k, m):
+    """X whose listed level n holds its m-th simplex a second time, at k."""
+    orig = X.elements
+
+    def elements(level):
+        elems = orig(level)
+        if level == n:
+            elems.insert(k, elems[m])
+        return elems
+
+    X.elements = elements
+    return X
+
+
+@pytest.mark.parametrize("name", sorted(TOP))
+def test_parity_with_duplicate_in_top_level(name):
+    build, N, _ = TOP[name]
+    size = len(build().elements(N))
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        k, m = rng.randint(0, size), rng.randrange(size)
+
+        def make():
+            X = build()
+            if seed % 4:
+                seeded_corruption(X, N, seed)
+            return with_duplicate(X, N, k, m)
+
+        new, old = both(make, N)
+        assert new == old, (name, seed)
+        if seed % 4 == 0:
+            assert new == (True, None), (name, seed)
+
+
+def top_corruption(X, N, seed):
+    """A corruption confined to levels N - 1 and N.  Even seeds move one or
+    two face or degeneracy values there to other listed simplices.  Odd
+    seeds swap a degenerate simplex y = s_j x of level N with another, w,
+    in the degeneracies into level N and out of it, but not in its faces:
+    d_i d_j and s_i s_j still hold, and only d_i s_j can fail."""
+    rng = random.Random(seed)
+    if seed % 2:
+        x = rng.choice(X.elements(N - 1))
+        y = X.degeneracy(N - 1, rng.randint(0, N - 1), x)
+        w = rng.choice(X.elements(N))
+        swap = {y: w, w: y}
+        orig = X.degeneracy
+
+        def swapped(n, i, z):
+            value = orig(n, i, swap.get(z, z) if n == N else z)
+            return swap.get(value, value) if n == N - 1 else value
+
+        X.degeneracy = swapped
+        return
+    for _ in range(1 + seed % 4 // 2):
+        kind = rng.choice(("face", "degeneracy"))
+        n = rng.choice((N - 1, N))
+        i = rng.randint(0, n)
+        x = rng.choice(X.elements(n))
+        bad = rng.choice(X.elements(n - 1 if kind == "face" else n + 1))
+        corrupt(X, kind, n, i, lambda y, x=x: y == x, lambda value, bad=bad: bad)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_parity_on_corruptions_of_the_two_top_levels(name):
+    build, N, _ = FINITE[name]
+    families = set()
+    for seed in range(48):
+        def make():
+            X = build()
+            top_corruption(X, N, seed)
+            return X
+
+        new, old = both(make, N)
+        assert new == old, (name, seed)
+        if not new[0]:
+            families.add("".join(c for c in new[1]["identity"] if c.isalpha()))
+    assert families == {"dd", "ss", "ds"}, (name, families)
+
+
+SPIED = dict(TOP, tcpC3=(lambda: universal_bundle(cyclic_constant_group(3, 6), 4)[0], 3, None))
+
+
+@pytest.mark.parametrize("name", sorted(SPIED))
+def test_each_face_and_degeneracy_requested_once(name):
+    """Every (n, i, simplex) face and degeneracy is computed at most once,
+    save s_i of level N, which the s_i s_j instances at level N - 1 read
+    and which lands beyond the tables."""
+    build, N, _ = SPIED[name]
+    X = build()
+    requests = Counter()
+    for kind in ("face", "degeneracy"):
+        orig = getattr(X, kind)
+
+        def spy(n, i, y, kind=kind, orig=orig):
+            requests[kind, n, i, y] += 1
+            return orig(n, i, y)
+
+        setattr(X, kind, spy)
+    assert verify_simplicial_identities(X, N) == (True, None)
+    repeated = {key: c for key, c in requests.items()
+                if c > 1 and key[:2] != ("degeneracy", N)}
+    assert not repeated, list(repeated.items())[:5]
+    assert {key[:2] for key in requests} >= {("face", N), ("degeneracy", N - 1), ("degeneracy", N)}
