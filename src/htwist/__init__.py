@@ -4,3 +4,6 @@ machine-checked homotopy-(co)normality certificates for chain complexes
 and simplicial sets."""
 
 __version__ = "0.1.0"
+
+# the sampler seed of every seeded check and of the CLI's --seed
+DEFAULT_SEED = 20260811

@@ -12,11 +12,17 @@ import argparse
 import json
 import sys
 
-from . import io_json
+from . import DEFAULT_SEED, io_json
 from .complexes import TruncationTooLow, homology, verify_differential
 from .io_json import InputError, required
 from .rings import Ring
-from .simplicial import DEFAULT_SEED
+
+
+def _truncation(text: str) -> int:
+    """The --through value: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
 
 
 def _load_json(path: str) -> dict:
@@ -388,7 +394,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         if name not in ("check-axioms",):
             p.add_argument("input", help="input JSON file")
-        p.add_argument("--through", type=int, default=6, help="truncation degree (default 6)")
+        p.add_argument("--through", type=_truncation, default=6, help="truncation degree (default 6)")
         p.add_argument("--ring", default="Z", help="Z | Q | Fp:<p> (default Z)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampler seed")
         p.add_argument("--samples", type=int, default=1000, help="sample count for symbolic levels")

@@ -24,6 +24,16 @@ d_i and s_i componentwise otherwise.  These four identities are exactly
 what makes the TCP face identities close up, which the test suite checks
 exhaustively on finite fixtures and by seeded sampling on symbolic ones.
 
+A constant group (``constant`` true, set only by `constant_group`) has
+identity faces and degeneracies, and the formulas above become slices,
+with j = n - i (docs/DECISIONS.md, section 13):
+
+    d_0 a = a[:n-1]     d_n a = a[1:]     s_i a = a[:j] + (e,) + a[j:]
+    d_i a = a[:j-1] + (a_j·a_{j-1},) + a[j+1:]                  0<i<n
+
+W̄G and a TCP with a constant fibre bind these in place of the per-entry
+bodies, which stay the one path for any other group.
+
 `verify_simplicial_identities` compares every instance of d_i d_j (i < j),
 s_i s_j (i <= j) and d_i s_j on each finite level.  It numbers each level's
 simplices once and computes each face and degeneracy once, into per-level
@@ -38,7 +48,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import _simplicial_identities
+from . import DEFAULT_SEED, _simplicial_identities
 
 
 class NotReduced(Exception):
@@ -54,7 +64,6 @@ class NoExtension(Exception):
 
 
 DEFAULT_SAMPLES = 1000
-DEFAULT_SEED = 20260811
 
 
 # ---------------------------------------------------------------------
@@ -66,7 +75,11 @@ class SimplicialSet:
 
     Levels may be finite (``elements(n)`` returns a list) or symbolic
     (``elements(n)`` returns None and only ``sample`` produces elements).
+    ``constant`` is true when every face and degeneracy is the identity;
+    only `constant_group` sets it.
     """
+
+    constant = False
 
     def __init__(self, N: int, name: str = ""):
         self.N = N
@@ -223,7 +236,7 @@ class FiniteSimplicialGroup(SimplicialGroup):
 def constant_group(table_elements, mult, inv, neutral, N: int, name: str = "") -> FiniteSimplicialGroup:
     """Constant simplicial group on a finite group (all faces/degens = id)."""
     levels = {n: list(table_elements) for n in range(N + 1)}
-    return FiniteSimplicialGroup(
+    G = FiniteSimplicialGroup(
         N, levels,
         faces=lambda n, i, x: x,
         degeneracies=lambda n, i, x: x,
@@ -232,6 +245,8 @@ def constant_group(table_elements, mult, inv, neutral, N: int, name: str = "") -
         neutral=lambda n: neutral,
         name=name,
     )
+    G.constant = True
+    return G
 
 
 def cyclic_constant_group(k: int, N: int) -> FiniteSimplicialGroup:
@@ -335,11 +350,18 @@ def not_identity_check(G: SimplicialGroup, n: int, value) -> bool:
 # ---------------------------------------------------------------------
 
 class ClassifyingSpace(SimplicialSet):
-    """W̄G: level n is G_0 × ... × G_{n-1} (tuples), reduced."""
+    """W̄G: level n is G_0 × ... × G_{n-1} (tuples), reduced.
+
+    For a constant G the structure maps are tuple slices with no group face
+    or degeneracy (docs/DECISIONS.md, section 13); `face` and `degeneracy`
+    below are the per-entry formulas, the one path for any other G."""
 
     def __init__(self, G: SimplicialGroup, N: int):
         super().__init__(N, name=f"Wbar({G.name})")
         self.G = G
+        if G.constant:
+            self.face = self._constant_face
+            self.degeneracy = self._constant_degeneracy
 
     def elements(self, n: int):
         if n == 0:
@@ -380,6 +402,18 @@ class ClassifyingSpace(SimplicialSet):
         tail = tuple(G.degeneracy(j + k, k, a[j + k]) for k in range(n - j))
         return head + (G.neutral(j),) + tail
 
+    def _constant_face(self, n: int, i: int, a):
+        if i == 0:
+            return a[: n - 1]
+        j = n - i
+        if j == 0:
+            return a[1:]
+        return a[: j - 1] + (self.G.mult(j - 1, a[j], a[j - 1]),) + a[j + 1:]
+
+    def _constant_degeneracy(self, n: int, i: int, a):
+        j = n - i
+        return a[:j] + (self.G.neutral(j),) + a[j:]
+
 
 def classifying_space(G: SimplicialGroup, N: int) -> ClassifyingSpace:
     return ClassifyingSpace(G, N)
@@ -400,7 +434,8 @@ class NotATwistingFunction(Exception):
 
 class TwistedCartesianProduct(SimplicialSet):
     """X ×_τ Y: pairs with d_0(x, y) = (d_0 x, d_0 y · τ(x)); the action of
-    G on Y is a callable act(n, y, g)."""
+    G on Y is a callable act(n, y, g).  For a constant Y the y slot is
+    left as it is, save the twist of d_0."""
 
     def __init__(self, X: SimplicialSet, tau: TwistingFunction, Y: SimplicialSet,
                  act, N: int):
@@ -409,6 +444,9 @@ class TwistedCartesianProduct(SimplicialSet):
         self.Y = Y
         self.tau = tau
         self.act = act
+        if Y.constant:
+            self.face = self._constant_face
+            self.degeneracy = self._constant_degeneracy
 
     def elements(self, n: int):
         ex = self.X.elements(n)
@@ -437,6 +475,16 @@ class TwistedCartesianProduct(SimplicialSet):
     def degeneracy(self, n: int, i: int, xy):
         x, y = xy
         return (self.X.degeneracy(n, i, x), self.Y.degeneracy(n, i, y))
+
+    def _constant_face(self, n: int, i: int, xy):
+        x, y = xy
+        if i == 0:
+            return (self.X.face(n, 0, x), self.act(n - 1, y, self.tau(n, x)))
+        return (self.X.face(n, i, x), y)
+
+    def _constant_degeneracy(self, n: int, i: int, xy):
+        x, y = xy
+        return (self.X.degeneracy(n, i, x), y)
 
 
 def twisted_cartesian_product(X: SimplicialSet, tau: TwistingFunction, Y: SimplicialSet,

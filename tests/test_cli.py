@@ -392,3 +392,24 @@ def test_bad_ring_tag_exit_2(tmp_path, command):
     path = tmp_path / "c2.json"
     path.write_text(json.dumps({"kind": "constant-cyclic", "order": 2}))
     _exit_2(run_cli([command, str(path), "--through", "3", "--ring", "bogus", "--json"]), "'bogus'")
+
+
+@pytest.mark.parametrize("command", ["tcp", "wbar", "wbar-homology", "chains", "homology"])
+@pytest.mark.parametrize("through", ["-1", "x"])
+def test_bad_through_exit_2(tmp_path, command, through):
+    path = tmp_path / "input.json"
+    if command == "homology":
+        path.write_text(json.dumps(_two_cell_complex("Z", "1")))
+    else:
+        path.write_text(json.dumps({"kind": "constant-cyclic", "order": 3}))
+    proc = run_cli([command, str(path), "--through", through, "--json"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert f"argument --through: must be an integer >= 0, not '{through}'" in proc.stderr
+
+
+def test_cli_import_leaves_simplicial_unloaded():
+    code = "import sys, htwist.cli; print('htwist.simplicial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

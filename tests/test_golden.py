@@ -77,6 +77,7 @@ def _write_inputs():
         "cert.json": {"builder": "chcx-unit"},
         "s1.json": {"kind": "S1min"},
         "c2.json": {"kind": "constant-cyclic", "order": 2},
+        "c5.json": {"kind": "constant-cyclic", "order": 5},
         "circle.json": {"kind": "boundary-delta2"},
         "disk.json": {"kind": "complex", "simplices": [[0, 1, 2], [0, 1], [0, 2], [1, 2]]},
     }
@@ -101,6 +102,9 @@ CLI_RUNS = {
     # the 2-simplex: its diagonal has the term <012> -> <01>⊗<12>
     "chains-disk": ["chains", "disk.json", "--through", "3"],
     "wbar-homology": ["wbar-homology", "c2.json", "--through", "3"],
+    "tcp-c5": ["tcp", "c5.json", "--through", "4"],
+    "wbar-c5": ["wbar", "c5.json", "--through", "4"],
+    "wbar-homology-c5": ["wbar-homology", "c5.json", "--through", "4"],
 }
 
 
@@ -140,6 +144,13 @@ GOLDEN_CLI = {
     "wbar:json": "45ac8984e0633191364243128135a1731da24c42458326986ea071d6987aa63d",
     "wbar-homology:text": "3fb472e5535a7780b69cf118d4d75d0197daabcd98e07c8500e103511fa1555f",
     "wbar-homology:json": "9b8bb108fa3d159380e557029e07302482be2565e8601768ea61d48f4ca3ccd2",
+    # C5 through 4, recorded before the constant-group structure maps
+    "tcp-c5:text": "1adcf77242fad83fd79dc9070006bc7655911e4940efe5c36e9bdce96883417a",
+    "tcp-c5:json": "0ced165b7cb1ec0b359a8f2e86a0b853f91d9832f6f226c0491de5f41e38016e",
+    "wbar-c5:text": "37f4f7523ef8de4753621530931cb63b0fb4b3bda66bedebd2196967c8f73f81",
+    "wbar-c5:json": "058882012b4bec483664ef4fd7fed94c70968c70740afda2cc93d4e34f80e496",
+    "wbar-homology-c5:text": "9d52a5d359777942a588bee2fce3156e1dd9f5e49a0a22e6838f2ba0ada799ab",
+    "wbar-homology-c5:json": "e541c5d921237379c2bc6081d579485c634389aca4b6020b284d86a175dd600f",
 }
 
 
