@@ -7,3 +7,9 @@ __version__ = "0.1.0"
 
 # the sampler seed of every seeded check and of the CLI's --seed
 DEFAULT_SEED = 20260811
+
+
+class NotReduced(Exception):
+    """A simplicial set with more than one vertex where a reduced one is
+    needed.  It lives here, not in `simplicial`, so that the CLI can catch
+    it without importing that module."""

@@ -3,6 +3,8 @@
 Each level's simplices are numbered once, and each face and degeneracy is
 computed once into per-level `array('i')` tables; the identity instances
 are then comparisons of table lookups (docs/DECISIONS.md, section 12).
+Where `_simplicial_tables.formula_levels` builds a space's tables whole,
+the check reads those and fills nothing (section 14).
 This sits in its own module because `simplicial`, which every CLI command
 imports, is the largest module: without a bytecode cache each import
 compiles it from source, the compiler's peak memory grows with the module,
@@ -14,55 +16,17 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from operator import eq, ne
 
-
-class Level:
-    """The simplices of one level, numbered in the order they are met, with
-    their face and degeneracy tables: faces[i][p] numbers d_i of simplex p
-    in the level below, degens[j][p] numbers s_j of it in the level above,
-    and -1 marks an entry not computed yet.
-
-    A level below the top numbers through a dict, so equal simplices share
-    one number.  The top level keeps each simplex it is given at a position
-    of its own, so two of its positions may hold equal simplices; it has no
-    degeneracy table."""
-
-    __slots__ = ("n", "simplices", "index", "faces", "degens")
-
-    def __init__(self, n: int, top: bool):
-        self.n = n
-        self.simplices = []
-        self.index = None if top else {}
-        self.faces = [array("i") for _ in range(n + 1)] if n else []
-        self.degens = [] if top else [array("i") for _ in range(n + 1)]
-
-    def number(self, y) -> int:
-        simplices = self.simplices
-        p = len(simplices)
-        if self.index is not None:
-            p = self.index.setdefault(y, p)
-            if p < len(simplices):
-                return p
-        simplices.append(y)
-        return p
-
-    def number_all(self, ys):
-        if self.index is None:
-            start = len(self.simplices)
-            self.simplices.extend(ys)
-            return range(start, len(self.simplices))
-        return array("i", map(self.number, ys))
-
-    def grow(self):
-        """Pad the tables with -1 to the simplices numbered so far."""
-        size = len(self.simplices)
-        for table in chain(self.faces, self.degens):
-            table.extend(repeat(-1, size - len(table)))
+from ._simplicial_tables import Level, formula_levels
 
 
 def column(table, positions):
+    """The entries of a table at these positions: the table itself when
+    they are all of its positions, in order."""
+    if positions == range(len(table)):
+        return table
     return map(table.__getitem__, positions)
 
 
@@ -175,11 +139,14 @@ def verify(X, N: int, samples: int, seed: int):
     """See `simplicial.verify_simplicial_identities`."""
     rng = random.Random(seed)
     draw = max(1, samples // max(1, N))
-    levels = [Level(n, top=n == N) for n in range(N + 1)]
+    filled = formula_levels(X, N)
+    levels = filled or [Level(n, top=n == N) for n in range(N + 1)]
     listed = {}
 
     def rows_at(n):
         """(simplices, numbers) that one family runs over at level n."""
+        if filled:
+            return levels[n].simplices, range(len(levels[n].simplices))
         if n not in listed:
             elems = X.elements(n)
             listed[n] = None if elems is None else (elems, levels[n].number_all(elems))
@@ -196,7 +163,8 @@ def verify(X, N: int, samples: int, seed: int):
         k, label = fail
         return False, {"identity": label, "level": n, "element": family[n][0][k]}
 
-    face_tables(X, levels, dd, ds)
+    if not filled:
+        face_tables(X, levels, dd, ds)
 
     # d_i d_j = d_{j-1} d_i  (i < j)
     for n, (_, rows) in dd.items():
@@ -207,13 +175,14 @@ def verify(X, N: int, samples: int, seed: int):
         if fail:
             return witness(dd, n, fail)
 
-    degeneracy_tables(X, levels, dd, ss, ds)
+    if not filled:
+        degeneracy_tables(X, levels, dd, ss, ds)
 
     # s_i s_j = s_{j+1} s_i  (i <= j)
     for n, (_, rows) in ss.items():
         s = [array("i", column(t, rows)) for t in levels[n].degens]
         pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-        if n == N - 1:
+        if n == N - 1 and not filled:
             degeneracy, simplices = X.degeneracy, levels[N].simplices
             for k in range(len(rows)):
                 sx = [simplices[t[k]] for t in s]
@@ -222,7 +191,7 @@ def verify(X, N: int, samples: int, seed: int):
                         return witness(ss, n, (k, f"s{i}s{j}"))
             continue
         above = levels[n + 1].degens
-        if n + 2 < N:
+        if filled or n + 2 < N:
             differ = ne
         else:  # top positions: equal ones hold one simplex, unequal ones may too
             top = levels[N].simplices
@@ -236,7 +205,8 @@ def verify(X, N: int, samples: int, seed: int):
     # d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1)
     for n, (_, rows) in ds.items():
         s = [array("i", column(t, rows)) for t in levels[n].degens]
-        fill_faces(X, levels[n + 1], levels[n], chain.from_iterable(s))
+        if not filled:
+            fill_faces(X, levels[n + 1], levels[n], chain.from_iterable(s))
         d = [array("i", column(t, rows)) for t in levels[n].faces]
         up, down = levels[n + 1].faces, levels[n - 1].degens
         fail = first_failure(

@@ -11,9 +11,11 @@ of scope here.
 
 from __future__ import annotations
 
+from array import array
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 
+from ._simplicial_tables import call_levels, formula_levels
 from .complexes import ChainComplex, GradedBasis
 from .hopf import ChainAlgebra, ChainCoalgebra, _product_failures, _full_coproduct, table_product
 from .rings import Ring, ZZ
@@ -21,22 +23,45 @@ from .simplicial import NotFinite, SimplicialGroup, SimplicialSet
 
 
 def _nondegenerate_levels(X: SimplicialSet, N: int):
-    """Nondegenerate elements per level (complement of degeneracy images)."""
-    nd: dict[int, list] = {}
-    for n in range(N + 1):
-        elems = X.elements(n)
-        if elems is None:
-            raise NotFinite(f"{X.name} level {n}")
-        if n == 0:
-            nd[n] = list(elems)
-            continue
-        below = X.elements(n - 1)
-        degenerate = set()
-        for y in below:
-            for i in range(n):
-                degenerate.add(X.degeneracy(n - 1, i, y))
-        nd[n] = [x for x in elems if x not in degenerate]
-    return nd
+    """(levels, nd): X's index tables through level N, by formula where
+    `_simplicial_tables.formula_levels` has one and otherwise one call per
+    simplex, and per level the positions of its nondegenerate simplices,
+    those on which no degeneracy of the level below lands."""
+    levels = formula_levels(X, N, top=False) or call_levels(X, N)
+    if levels is None:
+        symbolic = next(n for n in range(N + 1) if X.elements(n) is None)
+        raise NotFinite(f"{X.name} level {symbolic}")
+    nd = []
+    for n, level in enumerate(levels):
+        # one spare slot at the end, which a -1 (a degeneracy that is not
+        # listed) marks
+        alive = bytearray(b"\x01") * (len(level.simplices) + 1)
+        for table in levels[n - 1].degens if n else ():
+            for q in table:
+                alive[q] = 0
+        nd.append(list(compress(range(len(level.simplices)), alive)))
+    return levels, nd
+
+
+def _basis_and_faces(X: SimplicialSet, N: int):
+    """(basis, faces): the nondegenerate simplices x through level N, named
+    <x> and keyed by x, and faces[n][i][col], the basis row of d_i of the
+    col-th basis simplex of degree n, or -1 for a face off the basis.  The
+    simplices and full tables are dropped on return, before d is built."""
+    levels, nd = _nondegenerate_levels(X, N)
+    basis, faces, below = GradedBasis(N), [], None
+    for n, level in enumerate(levels):
+        # position -> basis row; the spare last slot is what a -1 face (one
+        # that is not listed) reads
+        rows = array("i", [-1]) * (len(level.simplices) + 1)
+        for row, p in enumerate(nd[n]):
+            x = level.simplices[p]
+            basis.add(n, f"<{x}>", x)
+            rows[p] = row
+        faces.append([array("i", map(below.__getitem__, map(table.__getitem__, nd[n])))
+                      for table in level.faces])
+        below = rows
+    return basis, faces
 
 
 def _aw_faces(X: SimplicialSet, n: int, x, nondegenerate):
@@ -61,16 +86,12 @@ def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
     coaugmented coalgebra (``is_one_connected``) exactly when X is 1-reduced,
     and downstream coalgebra operations refuse inputs where it is not.
     """
-    nd = _nondegenerate_levels(X, N)
-    basis = GradedBasis(N)
-    for n in range(N + 1):
-        for x in nd[n]:
-            basis.add(n, f"<{x}>", x)
+    basis, faces = _basis_and_faces(X, N)
     Z = ChainComplex(ring, basis)
-    Z._set_d(lambda n: (((rows[y], col), -1 if i % 2 else 1)
-                        for rows in [basis.positions(n - 1)]
-                        for col, x in enumerate(nd[n]) for i in range(n + 1)
-                        if (y := X.face(n, i, x)) in rows))
+    # row[r], not r: the keys of d share one int per row
+    Z._set_d(lambda n: (((row[r], col), -1 if i % 2 else 1)
+                        for row in [list(range(basis.dim(n - 1)))]
+                        for col, rs in enumerate(zip(*faces[n])) for i, r in enumerate(rs) if r >= 0))
     coaug = basis.names(0)[0]
 
     @cache
@@ -86,8 +107,9 @@ def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
 def verify_aw_axioms(X: SimplicialSet, ring: Ring, N: int):
     """Coassociativity and counit of the AW diagonal, exhaustively; valid
     for any finite X (reduced or not), using the honest total counit."""
-    nd = _nondegenerate_levels(X, N)
-    ndsets = {n: set(nd[n]) for n in nd}
+    levels, positions = _nondegenerate_levels(X, N)
+    nd = [[level.simplices[p] for p in ps] for level, ps in zip(levels, positions)]
+    ndsets = [set(simplices) for simplices in nd]
 
     def diagonal(n, x):
         return [((p, f), (n - p, b), 1) for p, f, b in _aw_faces(X, n, x, lambda k, y: y in ndsets[k])]

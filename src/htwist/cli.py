@@ -12,17 +12,21 @@ import argparse
 import json
 import sys
 
-from . import DEFAULT_SEED, io_json
+from . import DEFAULT_SEED, NotReduced, io_json
 from .complexes import TruncationTooLow, homology, verify_differential
 from .io_json import InputError, required
 from .rings import Ring
 
 
-def _truncation(text: str) -> int:
-    """The --through value: an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type that takes a decimal integer >= low."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _load_json(path: str) -> dict:
@@ -394,17 +398,17 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         if name not in ("check-axioms",):
             p.add_argument("input", help="input JSON file")
-        p.add_argument("--through", type=_truncation, default=6, help="truncation degree (default 6)")
+        p.add_argument("--through", type=_at_least(0), default=6, help="truncation degree (default 6)")
         p.add_argument("--ring", default="Z", help="Z | Q | Fp:<p> (default Z)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampler seed")
-        p.add_argument("--samples", type=int, default=1000, help="sample count for symbolic levels")
+        p.add_argument("--samples", type=_at_least(1), default=1000, help="sample count for symbolic levels")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
         report, code = args.fn(args)
-    except (InputError, FileNotFoundError, TruncationTooLow) as exc:
+    except (InputError, FileNotFoundError, TruncationTooLow, NotReduced) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args)

@@ -35,11 +35,14 @@ W̄G and a TCP with a constant fibre bind these in place of the per-entry
 bodies, which stay the one path for any other group.
 
 `verify_simplicial_identities` compares every instance of d_i d_j (i < j),
-s_i s_j (i <= j) and d_i s_j on each finite level.  It numbers each level's
-simplices once and computes each face and degeneracy once, into per-level
-integer tables; the instances are then compared as table lookups, a level
-at a time.  Only s_i s_j x with x in level N - 1 leaves the tables: it
-lands in level N + 1 and compares simplices.
+s_i s_j (i <= j) and d_i s_j on each finite level, as lookups in per-level
+integer tables of simplex numbers, a level at a time.  For W̄G of a
+constant group and a TCP with a constant fibre over it, while their bound
+maps are intact, the tables are built whole by digit arithmetic with no
+face or degeneracy call (`_simplicial_tables`, section 14), and
+`chains.normalized_chains` reads them too.  Otherwise each face and
+degeneracy is computed once into the tables; only s_i s_j x with x in
+level N - 1 then leaves them for level N + 1 and compares simplices.
 """
 
 from __future__ import annotations
@@ -48,11 +51,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import DEFAULT_SEED, _simplicial_identities
-
-
-class NotReduced(Exception):
-    pass
+from . import DEFAULT_SEED, NotReduced, _simplicial_identities
 
 
 class NotFinite(Exception):
@@ -154,7 +153,8 @@ def verify_simplicial_identities(X: SimplicialSet, N: int, samples: int = DEFAUL
     instances s_i s_j x with x in level N - 1 land in level N + 1, beyond
     the tables, and compare simplices.  The tables do not assume that a
     face or degeneracy lands in the listed level: such a simplex is
-    numbered where it lands (docs/DECISIONS.md, section 12)."""
+    numbered where it lands (docs/DECISIONS.md, section 12).  Tables that
+    `_simplicial_tables.formula_levels` builds whole are read as given."""
     return _simplicial_identities.verify(X, N, samples, seed)
 
 
@@ -528,7 +528,7 @@ class KanLoopGroup(SimplicialGroup):
 
     def __init__(self, X: SimplicialSet, N: int):
         if not X.is_reduced():
-            raise NotReduced(X.name)
+            raise NotReduced(f"{X.name} is not reduced: a Kan loop group needs one vertex")
         super().__init__(N, name=f"G({X.name})")
         self.X = X
         self._s0_images: dict[int, set] = {}
@@ -689,7 +689,7 @@ def homotopy_fiber(g, X: SimplicialSet, Y: SimplicialSet, N: int,
                    GY: KanLoopGroup | None = None) -> HomotopyFiber:
     """hofib(g) = X ×_{τ_Y g} GY for reduced X, Y; ι is projection onto X."""
     if not X.is_reduced() or not Y.is_reduced():
-        raise NotReduced(f"{X.name}, {Y.name}")
+        raise NotReduced(f"{X.name} or {Y.name} is not reduced")
     GY = GY if GY is not None else kan_loop_group(Y, N)
     tau = TwistingFunction(X, GY, lambda n, x: GY.generator(n - 1, g(n, x)),
                            name=f"tau_Y∘{getattr(g, 'name', 'g')}")

@@ -413,3 +413,22 @@ def test_cli_import_leaves_simplicial_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["loopgroup", "tcp", "wbar"])
+@pytest.mark.parametrize("samples", ["-5", "0", "x"])
+def test_bad_samples_exit_2(tmp_path, command, samples):
+    path = tmp_path / "input.json"
+    spec = {"kind": "S1min"} if command == "loopgroup" else {"kind": "constant-cyclic", "order": 3}
+    path.write_text(json.dumps(spec))
+    proc = run_cli([command, str(path), "--through", "3", "--samples", samples, "--json"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert f"argument --samples: must be an integer >= 1, not '{samples}'" in proc.stderr
+
+
+def test_loopgroup_of_a_set_with_several_vertices_exit_2(tmp_path):
+    """The constant group C5 has five vertices, so it has no Kan loop group."""
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps({"kind": "constant-cyclic", "order": 5}))
+    _exit_2(run_cli(["loopgroup", str(path), "--through", "3", "--json"]), "C5 is not reduced")

@@ -6,7 +6,8 @@ and ``--json`` form, on inputs written from ``fixtures`` into the working
 directory (so the report's ``inputs`` field is a stable relative name).  The
 construction group serializes bundle totals with ``io_json.complex_to_dict``
 and chain maps as their sorted (degree, source, target, coefficient)
-entries.  A change that alters one of these outputs on purpose updates the
+entries, and the chains group serializes the normalized chains of W̄ and
+of the universal bundle the same way.  A change that alters one of these outputs on purpose updates the
 table here and says so in CHANGES.md.
 """
 
@@ -35,8 +36,10 @@ from htwist.fixtures import (
     sphere_coalgebra,
     truncated_polynomial,
 )
+from htwist.chains import chains_of_simplicial_group, normalized_chains
 from htwist.normality import abelian_normality
-from htwist.rings import QQ
+from htwist.rings import QQ, ZZ
+from htwist.simplicial import classifying_space, cyclic_constant_group, universal_bundle
 
 
 def _digest(obj) -> str:
@@ -216,3 +219,33 @@ GOLDEN_CONSTRUCTIONS = {
 def test_construction_digests():
     got = {k: _digest(v) for k, v in _constructions().items()}
     assert got == GOLDEN_CONSTRUCTIONS
+
+
+# ---------------------------------------------------------------------
+# Normalized chains of W̄ and of the universal bundle.
+# ---------------------------------------------------------------------
+
+def _chain_complexes():
+    return {
+        "Wbar C5 at 5": normalized_chains(classifying_space(cyclic_constant_group(5, 5), 5), ZZ, 5),
+        "Wbar C5 x_nu C5 at 4": normalized_chains(
+            universal_bundle(cyclic_constant_group(5, 6), 4)[0], ZZ, 4),
+        # the set-up of the zhomology bench job
+        "Wbar C4 x_nu C4 at 4": normalized_chains(
+            universal_bundle(cyclic_constant_group(4, 6), 4)[0], ZZ, 4),
+        "Pontryagin C3 at 3": chains_of_simplicial_group(cyclic_constant_group(3, 3), ZZ, 3)[0],
+    }
+
+
+# recorded before W̄ and the bundle took their index tables by formula
+GOLDEN_CHAINS = {
+    "Wbar C5 at 5": "88d06ed4bff2623acd783ab1d9cac4c8093ecf2b9fee3117c6684fae0c5fbf22",
+    "Wbar C5 x_nu C5 at 4": "cc2e9a937b803e85fa45ceae45a7a2075777c5b945bf097729dcabfd1b997e96",
+    "Wbar C4 x_nu C4 at 4": "7a39ce85bdb5b632bca0ff8b13aee6c8f58443a12039a362da0dc0c37cc1cf83",
+    "Pontryagin C3 at 3": "6edebbdc8a7e43d4bfcde848f23054ad8fa4b1df04081d781c49a37aa530af16",
+}
+
+
+def test_chain_digests():
+    got = {k: _digest(io_json.complex_to_dict(C.complex)) for k, C in _chain_complexes().items()}
+    assert got == GOLDEN_CHAINS

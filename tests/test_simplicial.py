@@ -29,6 +29,7 @@ from htwist.simplicial import (
     verify_twisting_function,
     NoExtension,
 )
+from test_constant_group_parity import symmetric_group_s3
 
 
 def test_group_words():
@@ -50,23 +51,7 @@ def test_wbar_c2_sizes_and_identities():
 
 
 def test_wbar_s3_identities_nonabelian():
-    # symmetric group S3 as permutations, constant simplicial group
-    import itertools
-
-    perms = list(itertools.permutations(range(3)))
-
-    def mult(a, b):
-        return tuple(a[b[i]] for i in range(3))
-
-    def inv(a):
-        out = [0] * 3
-        for i, v in enumerate(a):
-            out[v] = i
-        return tuple(out)
-
-    from htwist.simplicial import constant_group
-
-    G = constant_group(perms, mult, inv, tuple(range(3)), 4, name="S3")
+    G = symmetric_group_s3(4)
     W = classifying_space(G, 4)
     ok, w = verify_simplicial_identities(W, 4)
     assert ok, w
