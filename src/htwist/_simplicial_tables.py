@@ -119,16 +119,18 @@ def formula_levels(X, N: int, top: bool = True):
         # twist[m][t][py]: act(m, y, h) for y, h at positions py, t, less py
         twist = act and [[array("i", (ys.index(act(m, y, h)) - py for py, y in enumerate(ys)))
                           for h in hs] for m in range(N)]
+        # the numbers of the largest level a table points into
+        ramp = array("i", range(g ** (N + 1 if top else N) * ny))
         levels = []
         for n in range(N + 1):
             simplices = X.elements(n)
-            faces = _wbar_faces(n, g, ny, merge) if n else []
+            faces = _wbar_faces(n, g, ny, merge, ramp) if n else []
             if n and act:
                 xs = map(itemgetter(0), simplices[::ny])
                 ts = map(hs.index, map(X.tau, repeat(n), xs))
                 shifts = chain.from_iterable(map(twist[n - 1].__getitem__, ts))
                 faces[0] = array("i", map(add, faces[0], shifts))
-            degens = _wbar_degens(n, g, ny, unit) if top or n < N else []
+            degens = _wbar_degens(n, g, ny, unit, ramp) if top or n < N else []
             levels.append(Level.filled(n, simplices, faces, degens))
     except ValueError:  # a product, action or τ value outside the listed group
         return None
@@ -144,36 +146,40 @@ def _intact(X, cls) -> bool:
             and own.get("degeneracy") == X._constant_degeneracy)
 
 
-def _wbar_faces(n: int, g: int, t: int, merge):
+def _wbar_faces(n: int, g: int, t: int, merge, ramp):
     """d_0..d_n of level n of W̄G, |G| = g, a simplex's number followed by
     t trailing positions (a fibre coordinate): d_0 drops the last digit,
     d_n the first, and d_i merges digits j - 1, j (j = n - i) into
     merge[j - 1] of them."""
     zeros = [0] * g
-    inner = (_affine(g ** (n - i - 1), g * g, g, g ** (i - 1) * t, merge[n - i - 1])
+    inner = (_affine(g ** (n - i - 1), g * g, g, g ** (i - 1) * t, merge[n - i - 1], ramp)
              for i in range(1, n))
-    return [_affine(g ** (n - 1), g, 1, t, zeros), *inner, _affine(1, g, 1, g ** (n - 1) * t, zeros)]
+    return [_affine(g ** (n - 1), g, 1, t, zeros, ramp), *inner,
+            _affine(1, g, 1, g ** (n - 1) * t, zeros, ramp)]
 
 
-def _wbar_degens(n: int, g: int, t: int, unit):
+def _wbar_degens(n: int, g: int, t: int, unit, ramp):
     """s_0..s_n of level n of W̄G, as `_wbar_faces`: s_i inserts the digit
     unit[j] of the neutral element at digit j = n - i."""
-    return [_affine(g ** (n - i), 1, g, g ** i * t, [unit[n - i]]) for i in range(n + 1)]
+    return [_affine(g ** (n - i), 1, g, g ** i * t, [unit[n - i]], ramp) for i in range(n + 1)]
 
 
-def _affine(A: int, B: int, C: int, L: int, f):
+def _affine(A: int, B: int, C: int, L: int, f, ramp):
     """The table of a level map that rewrites one window of digits by f and
     keeps those before and after it: p = (P·B + w)·L + T goes to
-    (P·C + f[w])·L + T, for P < A, w < B and T < L.  It is filled one range
-    per (P, w) when A <= L, else one strided range per (w, T)."""
+    (P·C + f[w])·L + T, for P < A, w < B and T < L.
+
+    Every value is copied out of ramp, array('i', range(k)) for some
+    k >= A·C·L, one slice per (P, w) when A <= L, else one strided slice
+    per (w, T): no entry costs a Python int of its own."""
     if A <= L:
         table = array("i")
         for P, w in product(range(A), range(B)):
             q = (P * C + f[w]) * L
-            table.extend(range(q, q + L))
+            table += ramp[q:q + L]
         return table
     table = array("i", [0]) * (A * B * L)
     for w, T in product(range(B), range(L)):
         q = f[w] * L + T
-        table[w * L + T::B * L] = array("i", range(q, q + A * C * L, C * L))
+        table[w * L + T::B * L] = ramp[q:q + A * C * L:C * L]
     return table
