@@ -117,8 +117,8 @@ def formula_levels(X, N: int, top: bool = True):
         merge = [[gs.index(G.mult(k, b, a)) for a, b in product(gs, gs)] for k in range(N - 1)]
         unit = [gs.index(G.neutral(j)) for j in range(N + 1)]
         # twist[m][t][py]: act(m, y, h) for y, h at positions py, t, less py
-        twist = act and [[array("i", (ys.index(act(m, y, h)) - py for py, y in enumerate(ys)))
-                          for h in hs] for m in range(N)]
+        twist = [[array("i", (ys.index(act(m, y, h)) - py for py, y in enumerate(ys)))
+                  for h in hs] for m in range(N)] if act else None
         # the numbers of the largest level a table points into
         ramp = array("i", range(g ** (N + 1 if top else N) * ny))
         levels = []

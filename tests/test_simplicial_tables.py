@@ -179,7 +179,8 @@ def test_spied_space_takes_the_per_call_fill(name):
     assert set(calls.values()) == {1}
     assert len(calls) == sum((n + 1) * len(X.elements(n)) for n in range(1, N + 1)) \
         + sum((n + 1) * len(X.elements(n)) for n in range(N))
-    assert io_json.complex_to_dict(chains.complex) == io_json.complex_to_dict(normalized_chains(build(), ZZ, N).complex)
+    by_formula = normalized_chains(build(), ZZ, N)
+    assert io_json.complex_to_dict(chains.complex) == io_json.complex_to_dict(by_formula.complex)
 
 
 def test_bundle_over_a_spied_base_takes_the_per_call_fill():
