@@ -1,6 +1,6 @@
 """Per-level index tables of a finite simplicial set: each level's simplices
 numbered by position, with integer tables of their faces and degeneracies
-(docs/DECISIONS.md, sections 12 and 14).
+(docs/DECISIONS.md, section 14).
 
 `formula_levels` builds complete tables by arithmetic on base-|G| digits
 for W̄G of a constant group G, and for X ×_τ Y with a constant Y over such
@@ -17,55 +17,14 @@ from operator import add, itemgetter
 
 
 class Level:
-    """The simplices of one level, numbered in the order they are met, with
-    their face and degeneracy tables: faces[i][p] numbers d_i of simplex p
-    in the level below, degens[j][p] numbers s_j of it in the level above,
-    and -1 marks an entry not computed yet.
+    """The simplices of one level, numbered by position, with their face
+    and degeneracy tables: faces[i][p] numbers d_i of simplex p in the
+    level below, degens[j][p] numbers s_j of it in the level above."""
 
-    A level below the top numbers through a dict, so equal simplices share
-    one number.  The top level keeps each simplex it is given at a position
-    of its own, so two of its positions may hold equal simplices; it has no
-    degeneracy table.  A level given whole (`filled`) has no dict either,
-    and its numbers are positions in a listing."""
+    __slots__ = ("simplices", "faces", "degens")
 
-    __slots__ = ("n", "simplices", "index", "faces", "degens")
-
-    def __init__(self, n: int, top: bool):
-        self.n = n
-        self.simplices = []
-        self.index = None if top else {}
-        self.faces = [array("i") for _ in range(n + 1)] if n else []
-        self.degens = [] if top else [array("i") for _ in range(n + 1)]
-
-    @classmethod
-    def filled(cls, n: int, simplices: list, faces: list, degens: list) -> "Level":
-        """A level whose tables are given whole; it numbers through no dict."""
-        level = cls(n, top=True)
-        level.simplices, level.faces, level.degens = simplices, faces, degens
-        return level
-
-    def number(self, y) -> int:
-        simplices = self.simplices
-        p = len(simplices)
-        if self.index is not None:
-            p = self.index.setdefault(y, p)
-            if p < len(simplices):
-                return p
-        simplices.append(y)
-        return p
-
-    def number_all(self, ys):
-        if self.index is None:
-            start = len(self.simplices)
-            self.simplices.extend(ys)
-            return range(start, len(self.simplices))
-        return array("i", map(self.number, ys))
-
-    def grow(self):
-        """Pad the tables with -1 to the simplices numbered so far."""
-        size = len(self.simplices)
-        for table in chain(self.faces, self.degens):
-            table.extend(repeat(-1, size - len(table)))
+    def __init__(self, simplices: list, faces: list, degens: list):
+        self.simplices, self.faces, self.degens = simplices, faces, degens
 
 
 def call_levels(X, N: int):
@@ -83,7 +42,7 @@ def call_levels(X, N: int):
                  for i in range(n + 1)] if n else []
         degens = [array("i", (index[n + 1].get(X.degeneracy(n, j, x), -1) for x in elems))
                   for j in range(n + 1)] if n < N else []
-        levels.append(Level.filled(n, elems, faces, degens))
+        levels.append(Level(elems, faces, degens))
     return levels
 
 
@@ -131,7 +90,7 @@ def formula_levels(X, N: int, top: bool = True):
                 shifts = chain.from_iterable(map(twist[n - 1].__getitem__, ts))
                 faces[0] = array("i", map(add, faces[0], shifts))
             degens = _wbar_degens(n, g, ny, unit, ramp) if top or n < N else []
-            levels.append(Level.filled(n, simplices, faces, degens))
+            levels.append(Level(simplices, faces, degens))
     except ValueError:  # a product, action or τ value outside the listed group
         return None
     return levels

@@ -31,9 +31,12 @@ def _at_least(low: int):
 
 def _load_json(path: str) -> dict:
     try:
-        return io_json.load(path)
+        data = io_json.load(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the top level is a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def _emit(report: dict, args) -> None:
@@ -47,8 +50,11 @@ def _emit(report: dict, args) -> None:
             lines.append(f"  witness: {w}")
         text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text)
 
@@ -360,6 +366,8 @@ def cmd_wbar_homology(args):
     from .chains import acyclicity_of_universal_bundle, normalized_chains
     from .simplicial import classifying_space
 
+    if args.through < 1:
+        raise InputError("wbar-homology computes homology through --through - 1, so --through must be >= 1")
     G = _group_from_spec(_load_json(args.input), args.through + 2)
     ring = _ring(args.ring)
     W = classifying_space(G, args.through + 1)
@@ -408,10 +416,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.fn(args)
+        _emit(report, args)
     except (InputError, FileNotFoundError, TruncationTooLow, NotReduced) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return code
 
 

@@ -35,14 +35,13 @@ W̄G and a TCP with a constant fibre bind these in place of the per-entry
 bodies, which stay the one path for any other group.
 
 `verify_simplicial_identities` compares every instance of d_i d_j (i < j),
-s_i s_j (i <= j) and d_i s_j on each finite level, as lookups in per-level
-integer tables of simplex numbers, a level at a time.  For W̄G of a
-constant group and a TCP with a constant fibre over it, while their bound
-maps are intact, the tables are built whole by digit arithmetic with no
-face or degeneracy call (`_simplicial_tables`, section 14), and
-`chains.normalized_chains` reads them too.  Otherwise each face and
-degeneracy is computed once into the tables; only s_i s_j x with x in
-level N - 1 then leaves them for level N + 1 and compares simplices.
+s_i s_j (i <= j) and d_i s_j on each finite level.  For W̄G of a constant
+group and a TCP with a constant fibre over it, while their bound maps are
+intact, it compares lookups in per-level integer tables built whole by
+digit arithmetic, with no face or degeneracy call (`_simplicial_tables`,
+section 14), a level at a time; `chains.normalized_chains` reads the
+tables too.  Any other space is checked by the plain loop over its own
+maps, memoised so that each face and degeneracy is computed once.
 """
 
 from __future__ import annotations
@@ -145,16 +144,14 @@ def verify_simplicial_identities(X: SimplicialSet, N: int, samples: int = DEFAUL
 
     Every instance of d_i d_j (i < j), s_i s_j (i <= j) and d_i s_j is
     compared, and the first failure in (family, n, x, i, j) order is the
-    witness.  Each level's simplices are numbered once (a sampled level
-    adds one draw per family, in the order of the families), and every
-    face and degeneracy that an instance reads is computed once into the
-    level's integer tables (`_simplicial_identities`); an instance is then a
-    comparison of table lookups, made for a whole level at a time.  The
-    instances s_i s_j x with x in level N - 1 land in level N + 1, beyond
-    the tables, and compare simplices.  The tables do not assume that a
-    face or degeneracy lands in the listed level: such a simplex is
-    numbered where it lands (docs/DECISIONS.md, section 12).  Tables that
-    `_simplicial_tables.formula_levels` builds whole are read as given."""
+    witness.  Where `_simplicial_tables.formula_levels` builds X's tables,
+    an instance is a comparison of table lookups, made for a whole level
+    at a time.  Otherwise the loop runs over the listed simplices, or over
+    one fresh draw per family and level of a symbolic one, and stops at
+    the first failure; X's face and degeneracy are memoised for the call,
+    so each (n, i, simplex) is computed once, and a face or degeneracy
+    that lands outside the listed levels is compared as it is
+    (docs/DECISIONS.md, section 12)."""
     return _simplicial_identities.verify(X, N, samples, seed)
 
 
@@ -801,7 +798,7 @@ def sampled_pi0_trivial(T: SimplicialSet, samples: int, seed: int) -> bool:
     rng = random.Random(seed)
     base = T.basepoint(0)
     seen = {base}
-    # grow the reachable set via sampled 1-simplices
+    # extend the reachable set via sampled 1-simplices
     edges = []
     for _ in range(samples):
         e = T.sample(1, rng)

@@ -432,3 +432,33 @@ def test_loopgroup_of_a_set_with_several_vertices_exit_2(tmp_path):
     path = tmp_path / "c5.json"
     path.write_text(json.dumps({"kind": "constant-cyclic", "order": 5}))
     _exit_2(run_cli(["loopgroup", str(path), "--through", "3", "--json"]), "C5 is not reduced")
+
+
+INPUT_COMMANDS = ["homology", "bar", "cobar", "check-twisting", "borel", "np", "check-normal-pair",
+                  "loopgroup", "wbar", "tcp", "chains", "wbar-homology"]
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+@pytest.mark.parametrize("top, kind", [([1, 2], "list"), (7, "int")], ids=["list", "number"])
+def test_input_that_is_not_an_object_exit_2(tmp_path, command, top, kind):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(top))
+    _exit_2(run_cli([command, str(path), "--through", "3", "--json"]),
+            f"the top level is a JSON {kind}, not an object")
+
+
+def test_unwritable_out_exit_2(tmp_path):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"kind": "constant-cyclic", "order": 2}))
+    out = tmp_path / "no such dir" / "r.json"
+    proc = run_cli(["wbar", str(path), "--through", "2", "--json", "--out", str(out)])
+    _exit_2(proc, f"cannot write {out}")
+    assert not proc.stdout
+
+
+def test_wbar_homology_through_0_exit_2(tmp_path):
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps({"kind": "constant-cyclic", "order": 5}))
+    proc = run_cli(["wbar-homology", str(path), "--through", "0", "--json"])
+    _exit_2(proc, "homology through --through - 1", "--through must be >= 1")
+    assert not proc.stdout

@@ -30,6 +30,7 @@ from htwist.simplicial import (
     NoExtension,
 )
 from test_constant_group_parity import symmetric_group_s3
+from test_simplicial_parity import corrupt, reference_identities
 
 
 def test_group_words():
@@ -249,3 +250,27 @@ def test_corrupted_degeneracy_fails_d_s():
     ok, witness = verify_simplicial_identities(S, 5)
     assert not ok
     assert witness == {"identity": "s0s0", "level": 0, "element": ("c", 0)}
+
+
+def test_check_asks_only_for_the_maps_the_loop_reaches():
+    """In W̄C3 through 3, d_1 (1, 2) is moved to another vertex, which
+    fails d_1 d_2 at (0, 1, 2), and d_0 (2, 2, 2) is sent to an unlisted
+    simplex whose faces raise KeyError.  The loop stops at the first
+    failure and never asks for those faces."""
+    def make():
+        W = classifying_space(cyclic_constant_group(3, 4), 3)
+        corrupt(W, "face", 2, 1, lambda y: y == (1, 2), lambda value: (1,))
+        corrupt(W, "face", 3, 0, lambda y: y == (2, 2, 2), lambda value: ("outside",))
+        face = W.face
+
+        def guarded(n, i, y):
+            if y == ("outside",):
+                raise KeyError(y)
+            return face(n, i, y)
+
+        W.face = guarded
+        return W
+
+    witness = {"identity": "d1d2", "level": 3, "element": (0, 1, 2)}
+    assert reference_identities(make(), 3) == (False, witness)
+    assert verify_simplicial_identities(make(), 3) == (False, witness)
