@@ -798,7 +798,7 @@ def sampled_pi0_trivial(T: SimplicialSet, samples: int, seed: int) -> bool:
     rng = random.Random(seed)
     base = T.basepoint(0)
     seen = {base}
-    # extend the reachable set via sampled 1-simplices
+    # grow the reachable set via sampled 1-simplices
     edges = []
     for _ in range(samples):
         e = T.sample(1, rng)

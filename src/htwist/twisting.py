@@ -123,13 +123,13 @@ def compose_cochain(g: ChainMap | None, t: TwistingCochain, f: ChainMap | None,
         if g is not None:
             gn, index, names = g.mat(n), g.source.basis.index, g.target.basis.names(n)
         if f is not None:
-            fn, below, fnames = f.mat(n - 1), f.source.basis.index, f.target.basis.names(n - 1)
+            fn, below, images = f.mat(n - 1), f.source.basis.index, f.target.basis.names(n - 1)
         for c in C2.basis(n):
             pre = ({names[r]: v for r, v in gn.column(index(n, c)).items()} if g is not None
                    else {c: R.one})
             mid = R.lincomb((a, v * w) for c1, v in pre.items() for a, w in t.value(n, c1).items())
             if f is not None:
-                mid = R.lincomb((fnames[r], v * w) for a, v in mid.items()
+                mid = R.lincomb((images[r], v * w) for a, v in mid.items()
                                 for r, w in fn.column(below(n - 1, a)).items())
             out.set_value(n, c, mid)
     return out

@@ -204,16 +204,16 @@ def bar_map(f, source, target) -> ChainMap:
     words, image_basis = source.complex.basis.keys, target.complex.basis
     for n in range(source.truncation + 1):
         for name in source.basis(n):
-            terms = [((), R.one)]
+            images = [((), R.one)]
             for (d, a) in words[name]:
                 val = f.apply(d, a)
-                terms = [
+                images = [
                     (w + ((d, b),), R.mul(s, v))
-                    for (w, s) in terms for b, v in val.items()
+                    for (w, s) in images for b, v in val.items()
                 ]
-                if not terms:
+                if not images:
                     break
-            for w, s in terms:
+            for w, s in images:
                 target_name = image_basis.name_of(n, w)
                 if target_name is not None:
                     out.set_entry(n, name, target_name, s)

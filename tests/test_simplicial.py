@@ -274,3 +274,26 @@ def test_check_asks_only_for_the_maps_the_loop_reaches():
     witness = {"identity": "d1d2", "level": 3, "element": (0, 1, 2)}
     assert reference_identities(make(), 3) == (False, witness)
     assert verify_simplicial_identities(make(), 3) == (False, witness)
+
+
+def test_maps_are_asked_in_the_reference_loop_order():
+    """The check asks for each face and degeneracy where the reference loop
+    first does.  On the sampled path fibration of the circle the draws of
+    one family are not those of another, so in d_i s_j both sides are new
+    requests, and the side got is asked first."""
+    def spied(log):
+        total = homotopy_fiber(lambda m, y: y, minimal_circle(6), minimal_circle(6), 5).total
+        for kind in ("face", "degeneracy"):
+            orig = getattr(total, kind)
+
+            def spy(n, i, y, kind=kind, orig=orig):
+                log.append((kind, n, i, y))
+                return orig(n, i, y)
+
+            setattr(total, kind, spy)
+        return total
+
+    new, old = [], []
+    assert verify_simplicial_identities(spied(new), 4, samples=40) == (True, None)
+    assert reference_identities(spied(old), 4, samples=40) == (True, None)
+    assert new == list(dict.fromkeys(old))
