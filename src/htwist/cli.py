@@ -367,7 +367,8 @@ def cmd_wbar_homology(args):
     from .simplicial import classifying_space
 
     if args.through < 1:
-        raise InputError("wbar-homology computes homology through --through - 1, so --through must be >= 1")
+        raise InputError("wbar-homology computes homology through --through - 1, "
+                         "so --through must be >= 1")
     G = _group_from_spec(_load_json(args.input), args.through + 2)
     ring = _ring(args.ring)
     W = classifying_space(G, args.through + 1)
