@@ -53,21 +53,22 @@ def formula_levels(X, N: int, top: bool = True):
     `X.elements`, and level N gets degeneracy tables into level N + 1 when
     top is true.
 
-    The formula stands in for X's maps only while they are the ones its
-    class bound in `__init__`, and its listing is the class's own (for
-    X ×_τ Y, its base's too).  It reads the group's mult and neutral, the
-    action and τ through calls: |G|² mult calls and |Y|·|H| act calls (H
-    the group τ lands in) per level they are read at, and one τ call per
-    base simplex (docs/DECISIONS.md, section 14)."""
+    The formula stands in for X's maps only while they and its listing
+    are the class's own, none of them set on the instance, and its group
+    is marked `constant` (for X ×_τ Y, its fibre and its base's group).
+    It reads the group's mult and neutral, the action and τ through
+    calls: |G|² mult calls and |Y|·|H| act calls (H the group τ lands in)
+    per level they are read at, and one τ call per base simplex
+    (docs/DECISIONS.md, section 14)."""
     from .simplicial import ClassifyingSpace, TwistedCartesianProduct
 
     W, ny, act = X, 1, None
-    if _intact(X, TwistedCartesianProduct):
+    if _intact(X, TwistedCartesianProduct) and X.Y.constant:
         W, ys, hs = X.X, X.Y.elements(0), X.tau.target.elements(0)
         if hs is None or any(X.Y.elements(n) != ys for n in range(N + 1)):
             return None
         ny, act = len(ys), X.act
-    G = W.G if _intact(W, ClassifyingSpace) else None
+    G = W.G if _intact(W, ClassifyingSpace) and W.G.constant else None
     if G is None or any(G.elements(k) != G.elements(0) for k in range(N)):
         return None
     gs = G.elements(0)
@@ -97,12 +98,9 @@ def formula_levels(X, N: int, top: bool = True):
 
 
 def _intact(X, cls) -> bool:
-    """X is a cls whose face and degeneracy are still the constant-group
-    maps `cls.__init__` bound, and whose elements are the class's own."""
-    own = vars(X)
-    return (type(X) is cls and "elements" not in own
-            and own.get("face") == X._constant_face
-            and own.get("degeneracy") == X._constant_degeneracy)
+    """X is a cls with no face, degeneracy or elements set on the instance,
+    so its maps and listing are the class's own."""
+    return type(X) is cls and not {"face", "degeneracy", "elements"} & vars(X).keys()
 
 
 def _wbar_faces(n: int, g: int, t: int, merge, ramp):

@@ -59,6 +59,15 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
+def _homology_top(args) -> int:
+    """--through - 1, the last degree a command reports homology in; an
+    input error when that is below 0."""
+    if args.through < 1:
+        raise InputError(f"{args.command} computes homology through --through - 1, "
+                         "so --through must be >= 1")
+    return args.through - 1
+
+
 def _report(command: str, args, results: dict, witnesses=None, payload=None) -> dict:
     rep = {
         "command": command,
@@ -195,13 +204,14 @@ def cmd_check_twisting(args):
 def cmd_borel(args):
     from .bundles import borel_quotient
 
+    top = _homology_top(args)
     data = _load_json(args.input)
     A = io_json.algebra_from_dict(required(data, "source"))
     A2 = io_json.algebra_from_dict(required(data, "target"))
     f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
     q = borel_quotient(f, A, A2, args.through)
     okd, wd = verify_differential(q.bundle.total)
-    H = homology(q.bundle.total, args.through - 1)
+    H = homology(q.bundle.total, top)
     rep = _report("borel", args,
                   {"d-squared-zero": okd, "homology": io_json.homology_to_dict(H)},
                   [wd] if wd else [])
@@ -348,11 +358,12 @@ def cmd_tcp(args):
 def cmd_chains(args):
     from .chains import normalized_chains
 
+    top = _homology_top(args)
     X = _simplicial_from_spec(_load_json(args.input), args.through)
     ring = _ring(args.ring)
     C = normalized_chains(X, ring, args.through)
     okd, wd = verify_differential(C.complex)
-    H = homology(C.complex, args.through - 1)
+    H = homology(C.complex, top)
     results = {
         "d-squared-zero": okd,
         "one-connected": C.is_one_connected(),
@@ -366,14 +377,12 @@ def cmd_wbar_homology(args):
     from .chains import acyclicity_of_universal_bundle, normalized_chains
     from .simplicial import classifying_space
 
-    if args.through < 1:
-        raise InputError("wbar-homology computes homology through --through - 1, "
-                         "so --through must be >= 1")
+    top = _homology_top(args)
     G = _group_from_spec(_load_json(args.input), args.through + 2)
     ring = _ring(args.ring)
     W = classifying_space(G, args.through + 1)
     CW = normalized_chains(W, ring, args.through + 1)
-    H = homology(CW.complex, args.through - 1)
+    H = homology(CW.complex, top)
     acyc, HU = acyclicity_of_universal_bundle(G, ring, args.through)
     results = {
         "wbar-homology": io_json.homology_to_dict(H),

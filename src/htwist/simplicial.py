@@ -24,24 +24,20 @@ d_i and s_i componentwise otherwise.  These four identities are exactly
 what makes the TCP face identities close up, which the test suite checks
 exhaustively on finite fixtures and by seeded sampling on symbolic ones.
 
-A constant group (``constant`` true, set only by `constant_group`) has
-identity faces and degeneracies, and the formulas above become slices,
-with j = n - i (docs/DECISIONS.md, section 13):
-
-    d_0 a = a[:n-1]     d_n a = a[1:]     s_i a = a[:j] + (e,) + a[j:]
-    d_i a = a[:j-1] + (a_j·a_{j-1},) + a[j+1:]                  0<i<n
-
-W̄G and a TCP with a constant fibre bind these in place of the per-entry
-bodies, which stay the one path for any other group.
+W̄G and X ×_τ Y have one face and one degeneracy each, the per-entry
+formulas above, whatever the group.  A constant group (``constant`` true,
+set only by `constant_group`) has identity faces and degeneracies, and
+there the formulas only move, drop, insert or merge tuple entries.
 
 `verify_simplicial_identities` compares every instance of d_i d_j (i < j),
 s_i s_j (i <= j) and d_i s_j on each finite level.  For W̄G of a constant
-group and a TCP with a constant fibre over it, while their bound maps are
-intact, it compares lookups in per-level integer tables built whole by
-digit arithmetic, with no face or degeneracy call (`_simplicial_tables`,
-section 14), a level at a time; `chains.normalized_chains` reads the
-tables too.  Any other space is checked by the plain loop over its own
-maps, memoised so that each face and degeneracy is computed once.
+group and a TCP with a constant fibre over it, while their maps are the
+class's own, it compares lookups in per-level integer tables built whole
+by digit arithmetic, with no face or degeneracy call (`_simplicial_tables`,
+docs/DECISIONS.md, section 14), a level at a time;
+`chains.normalized_chains` reads the tables too.  Any other space is
+checked by the plain loop over its own maps, memoised so that each face
+and degeneracy is computed once.
 """
 
 from __future__ import annotations
@@ -107,25 +103,17 @@ class SimplicialSet:
 
 
 class FiniteSimplicialSet(SimplicialSet):
-    """Simplicial set given by explicit element lists and face/degeneracy
-    tables: {(n, i, x): y}."""
+    """Simplicial set given by explicit element lists; a subclass gives the
+    face and degeneracy rules."""
 
-    def __init__(self, N: int, levels: dict[int, list], faces: dict, degeneracies: dict,
+    def __init__(self, N: int, levels: dict[int, list],
                  basepoints: dict[int, object] | None = None, name: str = ""):
         super().__init__(N, name)
         self.levels = levels
-        self.faces = faces
-        self.degens = degeneracies
         self.basepoints = basepoints or {}
 
     def elements(self, n: int):
         return list(self.levels.get(n, []))
-
-    def face(self, n: int, i: int, x):
-        return self.faces[(n, i, x)]
-
-    def degeneracy(self, n: int, i: int, x):
-        return self.degens[(n, i, x)]
 
     def basepoint(self, n: int):
         if n in self.basepoints:
@@ -333,13 +321,9 @@ def verify_twisting_function(tau: TwistingFunction, N: int, samples: int = DEFAU
         pool = elems if elems is not None else [X.sample(n, rng)
                                                 for _ in range(max(1, samples // N))]
         for x in pool:
-            if not_identity_check(G, n, tau(n + 1, X.degeneracy(n, 0, x))):
+            if tau(n + 1, X.degeneracy(n, 0, x)) != G.neutral(n):
                 return False, {"identity": "s0-normalization", "level": n, "element": x}
     return True, None
-
-
-def not_identity_check(G: SimplicialGroup, n: int, value) -> bool:
-    return value != G.neutral(n)
 
 
 # ---------------------------------------------------------------------
@@ -349,16 +333,14 @@ def not_identity_check(G: SimplicialGroup, n: int, value) -> bool:
 class ClassifyingSpace(SimplicialSet):
     """W̄G: level n is G_0 × ... × G_{n-1} (tuples), reduced.
 
-    For a constant G the structure maps are tuple slices with no group face
-    or degeneracy (docs/DECISIONS.md, section 13); `face` and `degeneracy`
-    below are the per-entry formulas, the one path for any other G."""
+    `face` and `degeneracy` are the per-entry formulas for every G.  The
+    identity check and normalized chains of W̄G for a constant G read index
+    tables built from the same formulas instead (docs/DECISIONS.md,
+    section 14)."""
 
     def __init__(self, G: SimplicialGroup, N: int):
         super().__init__(N, name=f"Wbar({G.name})")
         self.G = G
-        if G.constant:
-            self.face = self._constant_face
-            self.degeneracy = self._constant_degeneracy
 
     def elements(self, n: int):
         if n == 0:
@@ -399,18 +381,6 @@ class ClassifyingSpace(SimplicialSet):
         tail = tuple(G.degeneracy(j + k, k, a[j + k]) for k in range(n - j))
         return head + (G.neutral(j),) + tail
 
-    def _constant_face(self, n: int, i: int, a):
-        if i == 0:
-            return a[: n - 1]
-        j = n - i
-        if j == 0:
-            return a[1:]
-        return a[: j - 1] + (self.G.mult(j - 1, a[j], a[j - 1]),) + a[j + 1:]
-
-    def _constant_degeneracy(self, n: int, i: int, a):
-        j = n - i
-        return a[:j] + (self.G.neutral(j),) + a[j:]
-
 
 def classifying_space(G: SimplicialGroup, N: int) -> ClassifyingSpace:
     return ClassifyingSpace(G, N)
@@ -431,8 +401,7 @@ class NotATwistingFunction(Exception):
 
 class TwistedCartesianProduct(SimplicialSet):
     """X ×_τ Y: pairs with d_0(x, y) = (d_0 x, d_0 y · τ(x)); the action of
-    G on Y is a callable act(n, y, g).  For a constant Y the y slot is
-    left as it is, save the twist of d_0."""
+    G on Y is a callable act(n, y, g)."""
 
     def __init__(self, X: SimplicialSet, tau: TwistingFunction, Y: SimplicialSet,
                  act, N: int):
@@ -441,9 +410,6 @@ class TwistedCartesianProduct(SimplicialSet):
         self.Y = Y
         self.tau = tau
         self.act = act
-        if Y.constant:
-            self.face = self._constant_face
-            self.degeneracy = self._constant_degeneracy
 
     def elements(self, n: int):
         ex = self.X.elements(n)
@@ -472,16 +438,6 @@ class TwistedCartesianProduct(SimplicialSet):
     def degeneracy(self, n: int, i: int, xy):
         x, y = xy
         return (self.X.degeneracy(n, i, x), self.Y.degeneracy(n, i, y))
-
-    def _constant_face(self, n: int, i: int, xy):
-        x, y = xy
-        if i == 0:
-            return (self.X.face(n, 0, x), self.act(n - 1, y, self.tau(n, x)))
-        return (self.X.face(n, i, x), y)
-
-    def _constant_degeneracy(self, n: int, i: int, xy):
-        x, y = xy
-        return (self.X.degeneracy(n, i, x), y)
 
 
 def twisted_cartesian_product(X: SimplicialSet, tau: TwistingFunction, Y: SimplicialSet,
@@ -940,7 +896,7 @@ class MinimalCircle(FiniteSimplicialSet):
 
     def __init__(self, N: int):
         levels = {n: [("c", n)] + [("m", a) for a in range(1, n + 1)] for n in range(N + 1)}
-        super().__init__(N, levels, {}, {}, basepoints={n: ("c", n) for n in range(N + 1)},
+        super().__init__(N, levels, basepoints={n: ("c", n) for n in range(N + 1)},
                          name="S1min")
 
     def _canon(self, n: int, a: int):
@@ -995,7 +951,7 @@ class ComplexSimplicialSet(FiniteSimplicialSet):
         for n in range(N + 1):
             J = tuple(range(n - 1, -1, -1))
             bps[n] = ((bp,), J)
-        super().__init__(N, levels, {}, {}, basepoints=bps, name=name or "complex")
+        super().__init__(N, levels, basepoints=bps, name=name or "complex")
 
     def face(self, n: int, i: int, x):
         nd, J = x

@@ -462,3 +462,33 @@ def test_wbar_homology_through_0_exit_2(tmp_path):
     proc = run_cli(["wbar-homology", str(path), "--through", "0", "--json"])
     _exit_2(proc, "homology through --through - 1", "--through must be >= 1")
     assert not proc.stdout
+
+
+def _through_input(tmp_path, command):
+    """A valid input for a command that reports homology through --through - 1."""
+    path = tmp_path / f"{command}.json"
+    if command == "borel":
+        A = io_json.algebra_to_dict(exterior(QQ, 6))
+        identity = [{"degree": 0, "from": "1", "to": "1", "coeff": "1"},
+                    {"degree": 1, "from": "x", "to": "x", "coeff": "1"}]
+        path.write_text(json.dumps({"source": A, "target": A, "map": identity}))
+    else:
+        path.write_text(json.dumps({"kind": "constant-cyclic", "order": 3}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["chains", "borel", "wbar-homology"])
+def test_homology_commands_through_0_exit_2(tmp_path, command):
+    """--through 0 leaves no degree to report homology in: the same input
+    error for every command that reports through --through - 1, and no
+    report; --through 1 reports degree 0."""
+    path = _through_input(tmp_path, command)
+    proc = run_cli([command, str(path), "--through", "0", "--json"])
+    _exit_2(proc)
+    assert proc.stderr == (f"input error: {command} computes homology through --through - 1, "
+                           "so --through must be >= 1\n")
+    assert not proc.stdout
+    proc = run_cli([command, str(path), "--through", "1", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["results"]
+    assert list(report["wbar-homology" if command == "wbar-homology" else "homology"]) == ["0"]

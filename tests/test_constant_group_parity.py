@@ -1,19 +1,18 @@
-"""Parity of the constant-group structure maps with the per-entry formulas.
+"""The constant-group flag and the one set of structure maps of W̄G and
+W̄G ×_ν G.
 
-For a constant group G, `ClassifyingSpace` and `TwistedCartesianProduct`
-bind `face` and `degeneracy` to tuple slices that call no group face or
-degeneracy (docs/DECISIONS.md, section 13).  The per-entry class methods,
-called unbound, are the reference: every face and every degeneracy of every
-simplex must agree.  S3 is non-abelian, so the order of the merged product
-a_j·a_{j-1} is checked as well.
+`constant_group` marks its group with `constant = True`; the flag lets
+`formula_levels` build the index tables (docs/DECISIONS.md, section 14),
+and nothing else reads it.  `face` and `degeneracy` are the per-entry
+formulas for every group; `tests/test_simplicial_tables.py` compares them
+with every table entry.  S3 is non-abelian, so the order of the merged
+product a_j·a_{j-1} is checked here.
 """
 
 import itertools
 
-import pytest
-
+from htwist._simplicial_tables import formula_levels
 from htwist.simplicial import (
-    ClassifyingSpace,
     FiniteSimplicialGroup,
     TwistedCartesianProduct,
     classifying_space,
@@ -22,7 +21,6 @@ from htwist.simplicial import (
     cyclic_constant_group,
     kan_loop_group,
     minimal_circle,
-    universal_bundle,
 )
 
 
@@ -41,37 +39,13 @@ def symmetric_group_s3(N):
     return constant_group(perms, mult, inv, tuple(range(3)), N, name="S3")
 
 
-def assert_structure_parity(X, cls, N):
-    """Every face (levels 1..N) and degeneracy (levels 0..N) of X against
-    the per-entry methods of cls."""
-    assert "face" in vars(X) and "degeneracy" in vars(X)
-    for n in range(N + 1):
-        for x in X.elements(n):
-            for i in range(n + 1):
-                if n:
-                    assert X.face(n, i, x) == cls.face(X, n, i, x), ("face", n, i, x)
-                assert X.degeneracy(n, i, x) == cls.degeneracy(X, n, i, x), ("degeneracy", n, i, x)
-
-
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_wbar_cyclic_slices_equal_per_entry(k):
-    W = classifying_space(cyclic_constant_group(k, 6), 5)
-    assert_structure_parity(W, ClassifyingSpace, 5)
-
-
-def test_wbar_s3_slices_equal_per_entry():
+def test_wbar_s3_merge_keeps_the_product_order():
+    """The merged entry is a_j·a_{j-1}, not a_{j-1}·a_j, on a pair that does
+    not commute."""
     W = classifying_space(symmetric_group_s3(5), 4)
-    assert_structure_parity(W, ClassifyingSpace, 4)
-    # the merged entry is a_j·a_{j-1}, not a_{j-1}·a_j, on a pair that does not commute
     a, b = (1, 0, 2), (0, 2, 1)
     assert W.G.mult(0, b, a) != W.G.mult(0, a, b)
     assert W.face(2, 1, (a, b)) == (W.G.mult(0, b, a),)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_universal_bundle_slices_equal_per_entry(k):
-    T, W, _ = universal_bundle(cyclic_constant_group(k, 6), 4)
-    assert_structure_parity(T, TwistedCartesianProduct, 4)
 
 
 def test_only_constant_group_sets_the_flag():
@@ -83,7 +57,8 @@ def test_only_constant_group_sets_the_flag():
 
 def test_identity_maps_without_the_flag_take_the_per_entry_path():
     """A group whose faces and degeneracies are identities, built without
-    `constant_group`, keeps the per-entry bodies, which ask the group."""
+    `constant_group`, gets no formula tables: its W̄ and bundle ask the
+    group."""
     asked = []
 
     def face(n, i, x):
@@ -103,6 +78,7 @@ def test_identity_maps_without_the_flag_take_the_per_entry_path():
     assert not G.constant
     for X in (W, T):
         assert "face" not in vars(X) and "degeneracy" not in vars(X)
+        assert formula_levels(X, 3) is None
     assert W.face(3, 3, (0, 1, 2)) == (1, 2) and ("face", 1, 1) in asked
     asked.clear()
     assert W.degeneracy(2, 1, (1, 2)) == (1, 0, 2) and ("degeneracy", 1, 0) in asked

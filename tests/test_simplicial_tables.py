@@ -198,21 +198,33 @@ def test_replaced_listing_takes_the_per_call_fill():
     assert formula_levels(W, 3) is None
 
 
+@pytest.mark.parametrize("kind", ["face", "degeneracy"])
+def test_map_set_on_the_instance_takes_the_per_call_fill(kind):
+    """W̄S3 and the C3 bundle, built with the flagged group and setting no
+    map of their own, take the tables.  Once W̄'s face or degeneracy is set
+    on the instance, even to the class's own map, neither does."""
+    S3, T = classifying_space(symmetric_group_s3(4), 3), bundle(3, 3)
+    for X, W in ((S3, S3), (T, T.X)):
+        assert formula_levels(X, 3) is not None
+        setattr(W, kind, getattr(W, kind))
+        assert formula_levels(X, 3) is None
+
+
 @pytest.mark.parametrize("name", ["WbarC3", "tcpC3"])
 def test_intact_space_makes_no_face_or_degeneracy_call(name, monkeypatch):
-    """The class's constant-group maps, counted where the class defines them
-    (so the instance still holds the maps `__init__` bound), are never
-    called by the identity check or by normalized chains."""
+    """The class's face and degeneracy, counted where the class defines them
+    (so the instance sets none of its own), are never called by the
+    identity check or by normalized chains."""
     calls = Counter()
     for cls in (ClassifyingSpace, TwistedCartesianProduct):
         for kind in ("face", "degeneracy"):
-            orig = getattr(cls, f"_constant_{kind}")
+            orig = getattr(cls, kind)
 
             def counted(self, n, i, y, kind=kind, orig=orig):
                 calls[kind] += 1
                 return orig(self, n, i, y)
 
-            monkeypatch.setattr(cls, f"_constant_{kind}", counted)
+            monkeypatch.setattr(cls, kind, counted)
     build, N = CORRUPTED[name]
     X = build()
     assert formula_levels(X, N) is not None
