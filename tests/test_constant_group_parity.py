@@ -57,8 +57,8 @@ def test_only_constant_group_sets_the_flag():
 
 def test_identity_maps_without_the_flag_take_the_per_entry_path():
     """A group whose faces and degeneracies are identities, built without
-    `constant_group`, gets no formula tables: its W̄ and bundle ask the
-    group."""
+    `constant_group`, gets no formula tables, as W̄, as a bundle over its W̄
+    or as the fibre over a flagged W̄: they ask the group."""
     asked = []
 
     def face(n, i, x):
@@ -75,8 +75,11 @@ def test_identity_maps_without_the_flag_take_the_per_entry_path():
     W = classifying_space(G, 4)
     T = TwistedCartesianProduct(W, couniversal_twisting_function(W), G,
                                 lambda n, y, g: G.mult(n, y, g), 3)
-    assert not G.constant
-    for X in (W, T):
+    flagged = classifying_space(cyclic_constant_group(3, 4), 4)
+    over_flagged = TwistedCartesianProduct(flagged, couniversal_twisting_function(flagged), G,
+                                           lambda n, y, g: G.mult(n, y, g), 3)
+    assert not G.constant and formula_levels(flagged, 3) is not None
+    for X in (W, T, over_flagged):
         assert "face" not in vars(X) and "degeneracy" not in vars(X)
         assert formula_levels(X, 3) is None
     assert W.face(3, 3, (0, 1, 2)) == (1, 2) and ("face", 1, 1) in asked

@@ -1,12 +1,11 @@
 """The index tables of W̄G and W̄G ×_ν G that `formula_levels` builds by
 digit arithmetic for a constant group (docs/DECISIONS.md, section 14).
 
-Every entry must number the simplex that the space's bound face or
-degeneracy gives, and the one the per-entry class method gives, called
-unbound.  A corrupted table entry must make `verify_simplicial_identities`
-return what the earlier triple loop returns on maps corrupted the same
-way.  A space whose maps were replaced on the instance must not get the
-formula.
+Every entry must number the simplex that the space's face or degeneracy
+gives: the per-entry formulas, the one set of maps the class has.  A
+corrupted table entry must make `verify_simplicial_identities` return
+what the earlier triple loop returns on maps corrupted the same way.  A
+space whose maps were replaced on the instance must not get the formula.
 """
 
 import random
@@ -39,27 +38,27 @@ def bundle(k, N):
     return universal_bundle(cyclic_constant_group(k, N + 2), N)[0]
 
 
-# name -> (fresh space, through N, class with the per-entry methods)
+# name -> (fresh space, through N)
 SPACES = {
-    **{f"WbarC{k}": (lambda k=k: wbar(k, 5), 5, ClassifyingSpace) for k in (2, 3, 4, 5)},
-    "WbarS3": (lambda: classifying_space(symmetric_group_s3(5), 4), 4, ClassifyingSpace),
-    "tcpC2": (lambda: bundle(2, 4), 4, TwistedCartesianProduct),
-    "tcpC3": (lambda: bundle(3, 4), 4, TwistedCartesianProduct),
-    "tcpC5": (lambda: bundle(5, 5), 5, TwistedCartesianProduct),
-    "WbarC3-N0": (lambda: wbar(3, 0), 0, ClassifyingSpace),
-    "WbarC3-N1": (lambda: wbar(3, 1), 1, ClassifyingSpace),
-    "tcpC3-N0": (lambda: bundle(3, 0), 0, TwistedCartesianProduct),
-    "tcpC3-N1": (lambda: bundle(3, 1), 1, TwistedCartesianProduct),
+    **{f"WbarC{k}": (lambda k=k: wbar(k, 5), 5) for k in (2, 3, 4, 5)},
+    "WbarS3": (lambda: classifying_space(symmetric_group_s3(5), 4), 4),
+    "tcpC2": (lambda: bundle(2, 4), 4),
+    "tcpC3": (lambda: bundle(3, 4), 4),
+    "tcpC5": (lambda: bundle(5, 5), 5),
+    "WbarC3-N0": (lambda: wbar(3, 0), 0),
+    "WbarC3-N1": (lambda: wbar(3, 1), 1),
+    "tcpC3-N0": (lambda: bundle(3, 0), 0),
+    "tcpC3-N1": (lambda: bundle(3, 1), 1),
     # C3 listed as 2, 0, 1: the neutral element is not the first digit
     "WbarC3-listed-210": (lambda: classifying_space(
         constant_group([2, 0, 1], lambda a, b: (a + b) % 3, lambda a: -a % 3, 0, 5), 4),
-        4, ClassifyingSpace),
+        4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_every_entry_equals_bound_and_per_entry_maps(name):
-    build, N, cls = SPACES[name]
+    build, N = SPACES[name]
     X = build()
     levels = formula_levels(X, N)
     assert levels is not None and len(levels) == N + 1
@@ -70,11 +69,9 @@ def test_every_entry_equals_bound_and_per_entry_maps(name):
         for i, table in enumerate(level.faces):
             got = [listed[n - 1][q] for q in table]
             assert got == [X.face(n, i, x) for x in listed[n]], ("face", n, i)
-            assert got == [cls.face(X, n, i, x) for x in listed[n]], ("face", n, i)
         for j, table in enumerate(level.degens):
             got = [listed[n + 1][q] for q in table]
             assert got == [X.degeneracy(n, j, x) for x in listed[n]], ("degeneracy", n, j)
-            assert got == [cls.degeneracy(X, n, j, x) for x in listed[n]], ("degeneracy", n, j)
 
 
 def test_s3_merge_keeps_the_product_order():
