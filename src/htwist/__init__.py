@@ -7,6 +7,8 @@ __version__ = "0.1.0"
 
 # the sampler seed of every seeded check and of the CLI's --seed
 DEFAULT_SEED = 20260811
+# the sample count of the CLI's --samples and of simplicial's sampled checks
+DEFAULT_SAMPLES = 1000
 
 
 class NotReduced(Exception):

@@ -270,22 +270,18 @@ def bar_map(f: ChainMap, source: ChainCoalgebra | ChainAlgebra,
 cobar_map = bar_map
 
 
-def is_algebra_map(f: ChainMap, A: ChainAlgebra, B: ChainAlgebra, through: int | None = None) -> bool:
+def is_algebra_map(f: ChainMap, A: ChainAlgebra, B: ChainAlgebra) -> bool:
     """f(unit) = unit and f(a·a') = f(a)·f(a') on all basis pairs."""
     N = min(A.truncation, B.truncation)
-    if through is not None:
-        N = min(N, through)
     if f.apply(0, A.unit) != {B.unit: A.ring.one}:
         return False
     return not _module_map_failures(f, f, A.product, B.product, N)
 
 
-def is_coalgebra_map(f: ChainMap, C: ChainCoalgebra, D: ChainCoalgebra, through: int | None = None) -> bool:
+def is_coalgebra_map(f: ChainMap, C: ChainCoalgebra, D: ChainCoalgebra) -> bool:
     """Δ_D ∘ f = (f⊗f) ∘ Δ_C on every basis element, plus counit compat."""
     R = C.ring
     N = min(C.truncation, D.truncation)
-    if through is not None:
-        N = min(N, through)
     for c in C.basis(0):  # counits vanish above degree 0
         if R.of(sum(v * D.counit(0, d) for d, v in f.apply(0, c).items())) != C.counit(0, c):
             return False
@@ -371,24 +367,18 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
     return _column_map(C.complex, Bar.complex, columns)
 
 
-def unit_map(C: ChainCoalgebra, N: int, Omega: ChainAlgebra | None = None,
-             BarOmega: ChainCoalgebra | None = None) -> ChainMap:
-    """η_C : C -> Bar(Cobar(C)), the adjunction unit (a coalgebra map)."""
+def unit_map(C: ChainCoalgebra, N: int, Omega: ChainAlgebra, BarOmega: ChainCoalgebra) -> ChainMap:
+    """η_C : C -> BarOmega = Bar(Omega), Omega = Cobar(C): the adjunction unit (a coalgebra map)."""
     from .twisting import universal_cochain
 
-    Omega = Omega if Omega is not None else cobar(C, N)
-    BarOmega = BarOmega if BarOmega is not None else bar(Omega, N)
     t = universal_cochain(C, Omega)
     return beta_t(t, BarOmega, N)
 
 
-def counit_map(A: ChainAlgebra, N: int, Bar: ChainCoalgebra | None = None,
-               OmegaBar: ChainAlgebra | None = None) -> ChainMap:
-    """v_A : Cobar(Bar(A)) -> A, the adjunction counit (an algebra map)."""
+def counit_map(A: ChainAlgebra, N: int, Bar: ChainCoalgebra, OmegaBar: ChainAlgebra) -> ChainMap:
+    """v_A : OmegaBar = Cobar(Bar) -> A, Bar = Bar(A): the adjunction counit (an algebra map)."""
     from .twisting import couniversal_cochain
 
-    Bar = Bar if Bar is not None else bar(A, N)
-    OmegaBar = OmegaBar if OmegaBar is not None else cobar(Bar, N)
     t = couniversal_cochain(Bar, A)
     return alpha_t(t, OmegaBar, N)
 
@@ -397,7 +387,7 @@ def counit_map(A: ChainAlgebra, N: int, Bar: ChainCoalgebra | None = None,
 # Milgram comparison maps (used by the trivial-extension machinery).
 # ---------------------------------------------------------------------
 
-def milgram_bar_map(A: ChainAlgebra, B: ChainAlgebra, N: int,
+def milgram_bar_map(A: ChainAlgebra, B: ChainAlgebra,
                     BarA: ChainCoalgebra, BarB: ChainCoalgebra,
                     BarAB: ChainCoalgebra, tensor_bar: ChainComplex) -> ChainMap:
     """∇: Bar(A) ⊗ Bar(B) -> Bar(A⊗B), interleaving words by shuffles.

@@ -377,11 +377,9 @@ class NomuraPuppe:
                                 ("pi∘f", "delta∘pi", "barf∘delta"), through)
 
 
-def nomura_puppe(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
-                 BarA: ChainCoalgebra | None = None,
-                 BarA2: ChainCoalgebra | None = None) -> NomuraPuppe:
-    BarA = BarA if BarA is not None else bar(A, N)
-    BarA2 = BarA2 if BarA2 is not None else bar(A2, N)
+def nomura_puppe(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int) -> NomuraPuppe:
+    BarA = bar(A, N)
+    BarA2 = bar(A2, N)
     q = borel_quotient(f, A, A2, N, BarA)
     bf = bar_map(f, BarA, BarA2)
     return NomuraPuppe(f, q, bf, BarA, BarA2)
@@ -405,11 +403,9 @@ class DualNomuraPuppe:
                                 ("del∘cobarg", "iota∘del", "g∘iota"), through)
 
 
-def dual_nomura_puppe(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int,
-                      OmegaC2: ChainAlgebra | None = None,
-                      OmegaC: ChainAlgebra | None = None) -> DualNomuraPuppe:
-    OmegaC2 = OmegaC2 if OmegaC2 is not None else cobar(C2, N)
-    OmegaC = OmegaC if OmegaC is not None else cobar(C, N)
+def dual_nomura_puppe(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int) -> DualNomuraPuppe:
+    OmegaC2 = cobar(C2, N)
+    OmegaC = cobar(C, N)
     k = borel_kernel(g, C2, C, N, OmegaC)
     og = cobar_map(g, OmegaC2, OmegaC)
     return DualNomuraPuppe(g, k, og, OmegaC2, OmegaC)
@@ -484,17 +480,14 @@ def amusing_comparison_dual(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, 
 # Twisting-structure axioms (exact basis bijections) and thc conditions.
 # ---------------------------------------------------------------------
 
-def twist_axiom_1(g: ChainMap, C: ChainCoalgebra, A: ChainAlgebra, N: int,
-                  BarA: ChainCoalgebra | None = None,
-                  OmegaC: ChainAlgebra | None = None):
-    """g^*(zeta(A)) == (g♭)_*(xi(C)) for a coalgebra map g: C -> Bar(A).
+def twist_axiom_1(g: ChainMap, C: ChainCoalgebra, A: ChainAlgebra, N: int, BarA: ChainCoalgebra):
+    """g^*(zeta(A)) == (g♭)_*(xi(C)) for a coalgebra map g: C -> BarA = Bar(A).
 
     The transpose g♭ = v_A ∘ Cobar(g) is realized as α of the composed
     cochain; both sides are built through independent code paths (cofree
     pullback vs free pushforward) and compared as exact basis bijections.
     """
-    BarA = BarA if BarA is not None else bar(A, N)
-    OmegaC = OmegaC if OmegaC is not None else cobar(C, N)
+    OmegaC = cobar(C, N)
     zeta = classifying_bundle_zeta(A, N, BarA)
     left = pullback(g, zeta, N, C)
 
@@ -539,13 +532,10 @@ def pushforward_pullback_commute(f: ChainMap, g: ChainMap, bundle: MixedBundle,
     return bundles_equal(one, two)
 
 
-def is_classifiable(bundle: MixedBundle, g: ChainMap, A: ChainAlgebra, N: int,
-                    BarA: ChainCoalgebra | None = None,
-                    OmegaC: ChainAlgebra | None = None):
-    """bundle ≅ g^*(zeta(A)) for the candidate classifying map g: C -> Bar(A),
-    checked as an exact basis bijection, plus the equivalent transpose form
-    (g♭)_*(xi(C))."""
-    BarA = BarA if BarA is not None else bar(A, N)
+def is_classifiable(bundle: MixedBundle, g: ChainMap, A: ChainAlgebra, N: int, BarA: ChainCoalgebra):
+    """bundle ≅ g^*(zeta(A)) for the candidate classifying map g: C -> BarA =
+    Bar(A), checked as an exact basis bijection, plus the equivalent
+    transpose form (g♭)_*(xi(C))."""
     if bundle.comonoid.complex.basis.by_degree != g.source.basis.by_degree:
         raise ShapeMismatch("candidate map must start at the bundle comonoid")
     zeta = classifying_bundle_zeta(A, N, BarA)
@@ -554,7 +544,7 @@ def is_classifiable(bundle: MixedBundle, g: ChainMap, A: ChainAlgebra, N: int,
 
     from .barcobar import alpha_t
 
-    OmegaC = OmegaC if OmegaC is not None else cobar(bundle.comonoid, N)
+    OmegaC = cobar(bundle.comonoid, N)
     t_flat = compose_cochain(g, couniversal_cochain(BarA, A), None, source=bundle.comonoid)
     g_flat = alpha_t(t_flat, OmegaC, N)
     xi = classifying_bundle_xi(bundle.comonoid, N, OmegaC)

@@ -104,9 +104,9 @@ def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
     return ChainCoalgebra(Z, coaug, diagonal, name=f"C({X.name})")
 
 
-def verify_aw_axioms(X: SimplicialSet, ring: Ring, N: int):
-    """Coassociativity and counit of the AW diagonal, exhaustively; valid
-    for any finite X (reduced or not), using the honest total counit."""
+def verify_aw_axioms(X: SimplicialSet, N: int):
+    """Coassociativity and counit of the AW diagonal, exhaustively over Z;
+    valid for any finite X (reduced or not), using the honest total counit."""
     levels, positions = _nondegenerate_levels(X, N)
     nd = [[level.simplices[p] for p in ps] for level, ps in zip(levels, positions)]
     ndsets = [set(simplices) for simplices in nd]
@@ -131,7 +131,7 @@ def verify_aw_axioms(X: SimplicialSet, ring: Ring, N: int):
     return True, None
 
 
-def chains_map(g, X: SimplicialSet, CX: ChainCoalgebra, Y: SimplicialSet, CY: ChainCoalgebra):
+def chains_map(g, CX: ChainCoalgebra, CY: ChainCoalgebra):
     """C_*(g) for a simplicial map g given as a callable (n, x) -> y;
     degenerate images die."""
     from .complexes import ChainMap

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import DEFAULT_SEED, NotReduced, io_json
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, NotReduced, io_json
 from .complexes import TruncationTooLow, homology, verify_differential
 from .io_json import InputError, required
 from .rings import Ring
@@ -144,7 +144,7 @@ def cmd_homology(args):
     ok, wit = verify_differential(X)
     if not ok:
         return _report("homology", args, {"d-squared-zero": False}, [wit]), 1
-    through = min(args.through, X.truncation - 1)
+    through = max(0, min(args.through, X.truncation - 1))
     rep = _report("homology", args, {"homology": io_json.homology_to_dict(homology(X, through))})
     rep["truncation"] = through  # the degree actually computed
     return rep, 0
@@ -221,12 +221,13 @@ def cmd_borel(args):
 def cmd_np(args):
     from .bundles import nomura_puppe
 
+    top = _homology_top(args)
     data = _load_json(args.input)
     A = io_json.algebra_from_dict(required(data, "source"))
     A2 = io_json.algebra_from_dict(required(data, "target"))
     f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
     np_ = nomura_puppe(f, A, A2, args.through)
-    ok, rep = np_.verify(args.through - 1)
+    ok, rep = np_.verify(top)
     return _report("np", args, {"nomura-puppe": rep}), 0 if ok else 1
 
 
@@ -256,8 +257,7 @@ def cmd_check_axioms(args):
         "coalgebra_quasi_isos": [(g1, CF1, C1)],
     }
     ok, rep = check_thc_axioms(fixtures, N)
-    flat = {k: v for k, v in rep.items()}
-    return _report("check-axioms", args, {"ok": ok, "detail": _stringify(flat)}), 0 if ok else 1
+    return _report("check-axioms", args, {"ok": ok, "detail": _stringify(rep)}), 0 if ok else 1
 
 
 def _stringify(obj):
@@ -392,34 +392,41 @@ def cmd_wbar_homology(args):
     return _report("wbar-homology", args, results), 0 if acyc else 1
 
 
+# name: (function, help, the options it takes besides --through, --seed, --json
+# and --out).  A command that reads an algebraic file uses that file's ring.
 COMMANDS = {
-    "homology": (cmd_homology, "homology of a complex JSON through --through"),
-    "bar": (cmd_bar, "bar construction of an algebra JSON"),
-    "cobar": (cmd_cobar, "cobar construction of a coalgebra JSON"),
-    "check-twisting": (cmd_check_twisting, "Maurer-Cartan check of a cochain JSON"),
-    "borel": (cmd_borel, "Borel quotient of an algebra map JSON"),
-    "np": (cmd_np, "Nomura-Puppe sequence verification"),
-    "check-axioms": (cmd_check_axioms, "twisted-homotopical-category conditions on the standing fixtures"),
-    "check-normal-pair": (cmd_check_normal_pair, "verify a normal-pair certificate description"),
-    "loopgroup": (cmd_loopgroup, "Kan loop group of a reduced simplicial set"),
-    "wbar": (cmd_wbar, "classifying space of a simplicial group"),
-    "tcp": (cmd_tcp, "universal twisted cartesian product identities"),
-    "chains": (cmd_chains, "normalized chains of a finite simplicial set"),
-    "wbar-homology": (cmd_wbar_homology, "homology of the classifying space and universal bundle"),
+    "homology": (cmd_homology, "homology of a complex JSON through --through", ("input", "--ring")),
+    "bar": (cmd_bar, "bar construction of an algebra JSON", ("input", "--ring")),
+    "cobar": (cmd_cobar, "cobar construction of a coalgebra JSON", ("input", "--ring")),
+    "check-twisting": (cmd_check_twisting, "Maurer-Cartan check of a cochain JSON", ("input", "--ring")),
+    "borel": (cmd_borel, "Borel quotient of an algebra map JSON", ("input", "--ring")),
+    "np": (cmd_np, "Nomura-Puppe sequence verification", ("input", "--ring")),
+    "check-axioms": (cmd_check_axioms, "twisted-homotopical-category conditions on the standing fixtures",
+                     ()),
+    "check-normal-pair": (cmd_check_normal_pair, "verify a normal-pair certificate description", ("input",)),
+    "loopgroup": (cmd_loopgroup, "Kan loop group of a reduced simplicial set", ("input", "--samples")),
+    "wbar": (cmd_wbar, "classifying space of a simplicial group", ("input", "--samples")),
+    "tcp": (cmd_tcp, "universal twisted cartesian product identities", ("input", "--samples")),
+    "chains": (cmd_chains, "normalized chains of a finite simplicial set", ("input", "--ring")),
+    "wbar-homology": (cmd_wbar_homology, "homology of the classifying space and universal bundle",
+                      ("input", "--ring")),
 }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="htwist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in COMMANDS.items():
+    for name, (fn, help_text, reads) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name not in ("check-axioms",):
+        if "input" in reads:
             p.add_argument("input", help="input JSON file")
         p.add_argument("--through", type=_at_least(0), default=6, help="truncation degree (default 6)")
-        p.add_argument("--ring", default="Z", help="Z | Q | Fp:<p> (default Z)")
+        if "--ring" in reads:
+            p.add_argument("--ring", default="Z", help="Z | Q | Fp:<p> (default Z)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampler seed")
-        p.add_argument("--samples", type=_at_least(1), default=1000, help="sample count for symbolic levels")
+        if "--samples" in reads:
+            p.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES,
+                           help="sample count for symbolic levels")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", default=None, help="write the report to a file")
         p.set_defaults(fn=fn)

@@ -409,9 +409,9 @@ def tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex, dst: ChainComplex) -
     return ChainMap(src, dst, {n: _tensor_kron(f, g, n) for n in range(src.truncation + 1)})
 
 
-def ground_complex(ring: Ring, truncation: int = 0, name: str = "1") -> ChainComplex:
+def ground_complex(ring: Ring, truncation: int = 0) -> ChainComplex:
     basis = GradedBasis(truncation)
-    basis.add(0, name)
+    basis.add(0, "1")
     return ChainComplex(ring, basis)
 
 

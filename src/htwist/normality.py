@@ -175,7 +175,7 @@ def truncated_np(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
     BarA2 = BarA2 if BarA2 is not None else bar(A2, N)
     q = quotient if quotient is not None else borel_quotient(f, A, A2, N, BarA)
     bf = bar_map(f, BarA, BarA2)
-    comod = comodule_via_map(BarA2, BarA, bf, side="left")
+    comod = comodule_via_map(BarA2, BarA, bf)
     return ExtendedBundle(
         monoid=A2,
         module=q.bundle.module,
@@ -199,7 +199,7 @@ def truncated_dual_np(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int
     OmegaC = OmegaC if OmegaC is not None else cobar(C, N)
     k = kernel if kernel is not None else borel_kernel(g, C2, C, N, OmegaC)
     og = cobar_map(g, OmegaC2, OmegaC)
-    module = module_via_map(OmegaC2, OmegaC, og, side="right")
+    module = module_via_map(OmegaC2, OmegaC, og)
     return ExtendedBundle(
         monoid=OmegaC2,
         module=module,
@@ -212,23 +212,21 @@ def truncated_dual_np(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int
     )
 
 
-def left_np_window(h: ChainMap, B: ChainAlgebra, B2: ChainAlgebra, N: int,
-                   BarB: ChainCoalgebra | None = None,
-                   quotient: BorelQuotient | None = None) -> ExtendedBundle:
-    """The shifted window (B -> B' -> B'//B -> Bar B) of the NP sequence of h."""
-    BarB = BarB if BarB is not None else bar(B, N)
-    q = quotient if quotient is not None else borel_quotient(h, B, B2, N, BarB)
+def left_np_window(h: ChainMap, B: ChainAlgebra, B2: ChainAlgebra, BarB: ChainCoalgebra,
+                   quotient: BorelQuotient) -> ExtendedBundle:
+    """The shifted window (B -> B' -> B'//B -> Bar B) of the NP sequence of h,
+    for ``quotient`` = borel_quotient(h, B, B2, N, BarB)."""
     from .twisting import module_via_map
 
-    module = module_via_map(B, B2, h, side="right")
+    module = module_via_map(B, B2, h)
     return ExtendedBundle(
         monoid=B,
         module=module,
-        comodule=q.bundle.comodule,
+        comodule=quotient.bundle.comodule,
         comonoid=BarB,
         j=h,
-        d=q.pi,
-        p=q.delta,
+        d=quotient.pi,
+        p=quotient.delta,
         label=f"W_L({B.name}->{B2.name})",
     )
 
@@ -253,9 +251,11 @@ def bridge_counit_ladder(theta: ExtendedBundle, wl: ExtendedBundle,
 # ---------------------------------------------------------------------
 
 def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
-                                quotient_algebra: ChainAlgebra, pi_tilde: ChainMap,
-                                N: int, context: dict | None = None):
-    """The rigid route with normality structure g = Bar(π_f).
+                                quotient_algebra: ChainAlgebra, pi_tilde: ChainMap, N: int, *,
+                                BarA: ChainCoalgebra, BarA2: ChainCoalgebra,
+                                quotient: BorelQuotient, quotient2: BorelQuotient):
+    """The rigid route with normality structure g = Bar(π_f), given Bar A and
+    Bar A' through N + 1 and the Borel quotients of f and of π_f.
 
     Verified hypotheses (HypothesisFailed otherwise): the supplied
     multiplication is a chain algebra, π_f is an algebra map for it,
@@ -265,11 +265,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     is faithful (composite obstruction, docs/DECISIONS.md section 2), so the final
     arrow of the emitted zigzag fails verification honestly there.
     """
-    ctx = context or {}
-    BarA = ctx.get("BarA") or bar(A, N + 1)
-    BarA2 = ctx.get("BarA2") or bar(A2, N + 1)
-    q = ctx.get("quotient") or borel_quotient(f, A, A2, N, BarA)
-    Q = quotient_algebra
+    q, q2, Q = quotient, quotient2, quotient_algebra
 
     ok, witnesses = verify_algebra(Q)
     if not ok:
@@ -279,8 +275,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
         raise HypothesisFailed("algebra-map", "pi_f is not multiplicative for the supplied product")
 
     tau = truncated_np(f, A, A2, N, BarA, BarA2, q)
-    q2 = ctx.get("quotient2") or borel_quotient(pi_f, A2, Q, N, BarA2)
-    wl = left_np_window(pi_f, A2, Q, N, BarA2, q2)
+    wl = left_np_window(pi_f, A2, Q, BarA2, q2)
 
     OmegaBarA2 = cobar(BarA2, N)
     BarQ = bar(Q, N + 1)
@@ -380,10 +375,8 @@ def abelian_normality(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
     Q = shuffle_quotient_algebra(A, A2, N, BarA, q, corrupt_sign=corrupt_sign)
     q2 = borel_quotient(q.pi, A2, Q, N, BarA2)
     pi_tilde = natural_quotient_projection(q, q2, BarA)
-    return rigid_normality_certificate(
-        f, A, A2, Q, pi_tilde, N,
-        context={"BarA": BarA, "BarA2": BarA2, "quotient": q, "quotient2": q2},
-    )
+    return rigid_normality_certificate(f, A, A2, Q, pi_tilde, N,
+                                       BarA=BarA, BarA2=BarA2, quotient=q, quotient2=q2)
 
 
 def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> ChainAlgebra:
@@ -423,10 +416,8 @@ def chcx_unit_certificate(A: ChainAlgebra, N: int):
     for name, ((dv, v), (dq, qname)) in q2.bundle.total.basis.keys.items():
         if dv == 0 and dq == 0:
             pi_tilde.set_entry(0, name, Bark.coaug, 1)
-    return rigid_normality_certificate(
-        eta, k, A, Q, pi_tilde, N,
-        context={"BarA": Bark, "BarA2": BarA, "quotient": q, "quotient2": q2},
-    )
+    return rigid_normality_certificate(eta, k, A, Q, pi_tilde, N,
+                                       BarA=Bark, BarA2=BarA, quotient=q, quotient2=q2)
 
 
 def chcx_identity_certificate(A: ChainAlgebra, N: int):
@@ -479,9 +470,9 @@ def rigid_conormality_certificate(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalg
 
     # B1 bridge: θ(g) -> W_L(Ωg) with components (id, id, u⊗1, u)
     og = cobar_map(g, OmegaC2, OmegaC)
-    BarOmegaC2 = ctx.get("BarOmegaC2") or bar(OmegaC2, N)
+    BarOmegaC2 = bar(OmegaC2, N)
     q = borel_quotient(og, OmegaC2, OmegaC, N, BarOmegaC2)
-    wl = left_np_window(og, OmegaC2, OmegaC, N, BarOmegaC2, q)
+    wl = left_np_window(og, OmegaC2, OmegaC, BarOmegaC2, q)
     u = unit_map(C2, N, OmegaC2, BarOmegaC2)
     one = ChainMap.identity(OmegaC.complex)
     arrow1 = ExtendedBundleMorphism(
@@ -572,7 +563,7 @@ def trivial_extension_check(A: ChainAlgebra, B: ChainAlgebra,
     BarB = bar(B, N + 1)
     BarAB = bar(AB, N)
     TB = tensor_complex(BarA.complex, BarB.complex, N)
-    nabla = milgram_bar_map(A, B, N, BarA, BarB, BarAB, TB)
+    nabla = milgram_bar_map(A, B, BarA, BarB, BarAB, TB)
     okc, _ = nabla.is_chain_map()
     report["milgram-bar-chain-map"] = okc
     okq, _ = is_quasi_iso_through(nabla, N - 1)

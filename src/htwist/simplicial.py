@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import DEFAULT_SEED, NotReduced, _simplicial_identities
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, NotReduced, _simplicial_identities
 
 
 class NotFinite(Exception):
@@ -55,9 +55,6 @@ class NotFinite(Exception):
 
 class NoExtension(Exception):
     pass
-
-
-DEFAULT_SAMPLES = 1000
 
 
 # ---------------------------------------------------------------------
@@ -395,10 +392,6 @@ def couniversal_twisting_function(W: ClassifyingSpace) -> TwistingFunction:
 # Twisted cartesian products.
 # ---------------------------------------------------------------------
 
-class NotATwistingFunction(Exception):
-    pass
-
-
 class TwistedCartesianProduct(SimplicialSet):
     """X ×_τ Y: pairs with d_0(x, y) = (d_0 x, d_0 y · τ(x)); the action of
     G on Y is a callable act(n, y, g)."""
@@ -441,12 +434,7 @@ class TwistedCartesianProduct(SimplicialSet):
 
 
 def twisted_cartesian_product(X: SimplicialSet, tau: TwistingFunction, Y: SimplicialSet,
-                              act, N: int, verify: bool = True,
-                              samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
-    if verify:
-        ok, witness = verify_twisting_function(tau, min(N, X.N), samples, seed)
-        if not ok:
-            raise NotATwistingFunction(str(witness))
+                              act, N: int):
     return TwistedCartesianProduct(X, tau, Y, act, N)
 
 
@@ -456,7 +444,7 @@ def universal_bundle(G: SimplicialGroup, N: int):
     W = classifying_space(G, N + 1)
     nu = couniversal_twisting_function(W)
     tcp = twisted_cartesian_product(
-        W, nu, G, act=lambda n, y, g: G.mult(n, y, g), N=N, verify=False
+        W, nu, G, act=lambda n, y, g: G.mult(n, y, g), N=N
     )
     return tcp, W, nu
 
@@ -514,12 +502,12 @@ class KanLoopGroup(SimplicialGroup):
             raise NotFinite(f"{self.X.name} level {n + 1}")
         return [x for x in elems if not self._is_s0_image(n + 1, x)]
 
-    def sample(self, n: int, rng: random.Random, max_len: int = 4) -> GroupWord:
+    def sample(self, n: int, rng: random.Random) -> GroupWord:
         gens = self.generators(n)
         word = GroupWord()
         if not gens:
             return word
-        for _ in range(rng.randint(0, max_len)):
+        for _ in range(rng.randint(0, 4)):
             g = rng.choice(gens)
             word = word * GroupWord([((n, g), rng.choice((1, -1)))])
         return word
@@ -573,7 +561,7 @@ def universal_twisting_function(G: KanLoopGroup) -> TwistingFunction:
                             name=f"tau({G.X.name})")
 
 
-def loop_group_morphism_from_twisting(G: KanLoopGroup, tau: TwistingFunction):
+def loop_group_morphism_from_twisting(tau: TwistingFunction):
     """The universal bijection: a twisting function X -> H induces the
     simplicial group morphism GX -> H with x̄ -> τ(x)."""
     H = tau.target
@@ -613,7 +601,7 @@ def loop_group_pi0(G: KanLoopGroup):
     return rank, torsion
 
 
-def loop_group_map(G1: KanLoopGroup, G2: KanLoopGroup, g):
+def loop_group_map(G2: KanLoopGroup, g):
     """G(g) for a simplicial map g: X -> Y (g given as a callable (n, x))."""
 
     def fn(n: int, w: GroupWord) -> GroupWord:
@@ -647,7 +635,7 @@ def homotopy_fiber(g, X: SimplicialSet, Y: SimplicialSet, N: int,
     tau = TwistingFunction(X, GY, lambda n, x: GY.generator(n - 1, g(n, x)),
                            name=f"tau_Y∘{getattr(g, 'name', 'g')}")
     tcp = twisted_cartesian_product(
-        X, tau, GY, act=lambda n, v, w: GY.mult(n, v, w), N=N, verify=False
+        X, tau, GY, act=lambda n, v, w: GY.mult(n, v, w), N=N
     )
     return HomotopyFiber(tcp, lambda n, xv: xv[0], GY, tau)
 
@@ -684,13 +672,13 @@ def simpl_good_iso(g, X: SimplicialSet, Y: SimplicialSet, N: int):
         name="tau_X∘iota",
     )
     source = twisted_cartesian_product(
-        hf.total, tau_x_iota, GX, act=lambda n, v, w: GX.mult(n, v, w), N=N, verify=False
+        hf.total, tau_x_iota, GX, act=lambda n, v, w: GX.mult(n, v, w), N=N
     )
     tau_x = universal_twisting_function(GX)
     path = twisted_cartesian_product(
-        X, tau_x, GX, act=lambda n, v, w: GX.mult(n, v, w), N=N, verify=False
+        X, tau_x, GX, act=lambda n, v, w: GX.mult(n, v, w), N=N
     )
-    Gg = loop_group_map(GX, GY, g)
+    Gg = loop_group_map(GY, g)
     return LoopComparison(source, path, GX, GY, Gg), hf
 
 
@@ -817,16 +805,14 @@ def allsimpl_certificate(g, X: SimplicialSet, Y: SimplicialSet, N: int,
 # The couniversal bijection: twisting functions <-> maps into W̄G.
 # ---------------------------------------------------------------------
 
-def classify_twisting_function(tau: TwistingFunction, N: int,
-                               W: ClassifyingSpace | None = None):
-    """The unique simplicial map φ: X -> W̄G with ν_G ∘ φ = τ.
+def classify_twisting_function(tau: TwistingFunction, N: int, W: ClassifyingSpace):
+    """The unique simplicial map φ: X -> W = W̄G with ν_G ∘ φ = τ.
 
     Forced level by level: the 0-th face of W̄G drops the last tuple entry,
     so φ(x) = φ(d_0 x) + (τ(x),).  Simpliciality of the result is then
     verified on the finite levels; failure raises NoExtension (a τ bug).
     """
-    X, G = tau.source, tau.target
-    W = W if W is not None else classifying_space(G, N)
+    X = tau.source
 
     cache: dict = {}
 
@@ -872,7 +858,7 @@ def check_unit_counit_triangle(G: SimplicialGroup, N: int, samples: int = 200,
     GW = kan_loop_group(W, N)
     tauW = universal_twisting_function(GW)
     # ε_G: GW̄G -> G is the group morphism classified by ν_G
-    eps = loop_group_morphism_from_twisting(GW, nu)
+    eps = loop_group_morphism_from_twisting(nu)
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randint(1, N)
@@ -929,8 +915,7 @@ class ComplexSimplicialSet(FiniteSimplicialSet):
     form.  Faces and degeneracies rewrite through the simplicial identities.
     """
 
-    def __init__(self, N: int, simplices: list[tuple], name: str = "",
-                 basepoint_vertex=None):
+    def __init__(self, N: int, simplices: list[tuple], name: str = ""):
         # every nonempty face of every listed simplex
         self.simplices = {face for s in simplices for top in [tuple(sorted(set(s)))]
                           for k in range(1, len(top) + 1) for face in combinations(top, k)}
@@ -944,9 +929,7 @@ class ComplexSimplicialSet(FiniteSimplicialSet):
                 for J in _descending_words(n - k, n):
                     lv.append((nd, J))
             levels[n] = lv
-        bp = basepoint_vertex
-        if bp is None:
-            bp = sorted(self.simplices)[0][0]
+        bp = sorted(self.simplices)[0][0]
         bps = {}
         for n in range(N + 1):
             J = tuple(range(n - 1, -1, -1))

@@ -27,15 +27,12 @@ class CompositionMismatch(Exception):
 class TwistingCochain:
     """Degree -1 map t: C -> A, stored per basis element of C."""
 
-    def __init__(self, source: ChainCoalgebra, target: ChainAlgebra, values=None, name: str = ""):
+    def __init__(self, source: ChainCoalgebra, target: ChainAlgebra, name: str = ""):
         self.source = source
         self.target = target
         self.name = name
         # (deg, name in C) -> {name in A of degree deg-1: coeff}
         self.values: dict[Key, dict[str, object]] = {}
-        if values:
-            for k, combo in values.items():
-                self.set_value(k[0], k[1], combo)
 
     @property
     def ring(self):
@@ -238,35 +235,29 @@ def self_module_right(A: ChainAlgebra) -> ModuleStructure:
 
 
 def comodule_via_map(C: ChainCoalgebra, carrier_coalgebra: ChainCoalgebra,
-                     g: ChainMap, side: str = "right") -> ComoduleStructure:
-    """carrier as a C-comodule via a coalgebra map g: carrier -> C.
-
-    side "right": ρ = (1⊗g)Δ;  side "left": λ = (g⊗1)Δ.
-    """
+                     g: ChainMap) -> ComoduleStructure:
+    """carrier as a left C-comodule via a coalgebra map g: carrier -> C,
+    λ = (g⊗1)Δ."""
     R = C.ring
 
     def fn(dm, m):
         out = []
         for (d1, n1), (d2, n2), v in carrier_coalgebra.coproduct(dm, m):
-            if side == "right":
-                for c, w in g.apply(d2, n2).items():
-                    out.append(((d1, n1), (d2, c), R.mul(v, w)))
-            else:
-                for c, w in g.apply(d1, n1).items():
-                    out.append(((d1, c), (d2, n2), R.mul(v, w)))
+            for c, w in g.apply(d1, n1).items():
+                out.append(((d1, c), (d2, n2), R.mul(v, w)))
         return out
 
-    return ComoduleStructure(C, carrier_coalgebra.complex, side, coact_fn=fn)
+    return ComoduleStructure(C, carrier_coalgebra.complex, "left", coact_fn=fn)
 
 
 def module_via_map(A: ChainAlgebra, carrier_algebra: ChainAlgebra,
-                   f: ChainMap, side: str = "left") -> ModuleStructure:
-    """carrier as an A-module via an algebra map f: A -> carrier."""
+                   f: ChainMap) -> ModuleStructure:
+    """carrier as a right A-module via an algebra map f: A -> carrier,
+    m·a = m·f(a)."""
     R = A.ring
 
     def fn(dm, m, da, a):
         return R.lincomb((r, v * w) for b, v in f.apply(da, a).items()
-                         for r, w in (carrier_algebra.product(da, b, dm, m) if side == "left"
-                                      else carrier_algebra.product(dm, m, da, b)).items())
+                         for r, w in carrier_algebra.product(dm, m, da, b).items())
 
-    return ModuleStructure(A, carrier_algebra.complex, side, act_fn=fn)
+    return ModuleStructure(A, carrier_algebra.complex, "right", act_fn=fn)

@@ -492,3 +492,58 @@ def test_homology_commands_through_0_exit_2(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)["results"]
     assert list(report["wbar-homology" if command == "wbar-homology" else "homology"]) == ["0"]
+
+
+@pytest.mark.parametrize("through", ["0", "3"])
+def test_homology_of_a_complex_truncated_at_0_reports_degree_0(tmp_path, through):
+    path = tmp_path / "two_points.json"
+    path.write_text(json.dumps({"ring": "Z", "truncation": 0, "basis": {"0": ["a", "b"]}, "d": []}))
+    proc = run_cli(["homology", str(path), "--through", through, "--json"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["truncation"] == 0
+    assert report["results"]["homology"] == {"0": {"rank": 2, "torsion": []}}
+
+
+def test_np_through_0_exit_2(tmp_path):
+    """np checks its composites on homology through --through - 1, so
+    --through 0 would check no degree."""
+    path = _through_input(tmp_path, "borel")
+    proc = run_cli(["np", str(path), "--through", "0", "--json"])
+    _exit_2(proc)
+    assert proc.stderr == ("input error: np computes homology through --through - 1, "
+                           "so --through must be >= 1\n")
+    assert not proc.stdout
+
+
+# the commands that read each option that not every command takes
+SAMPLES_COMMANDS = ["loopgroup", "wbar", "tcp"]
+RING_COMMANDS = ["homology", "bar", "cobar", "check-twisting", "borel", "np", "chains", "wbar-homology"]
+ALL_COMMANDS = INPUT_COMMANDS + ["check-axioms"]
+
+
+@pytest.mark.parametrize("command, option", [
+    *((c, ["--samples", "10"]) for c in ALL_COMMANDS if c not in SAMPLES_COMMANDS),
+    *((c, ["--ring", "Q"]) for c in ALL_COMMANDS if c not in RING_COMMANDS),
+])
+def test_option_a_command_does_not_read_exit_2(tmp_path, command, option):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"kind": "constant-cyclic", "order": 3}))
+    inputs = [] if command == "check-axioms" else [str(path)]
+    proc = run_cli([command, *inputs, "--through", "2", *option, "--json"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert f"unrecognized arguments: {' '.join(option)}" in proc.stderr
+
+
+def test_ring_on_file_commands_still_runs(tmp_path):
+    """homology --ring Z is the benchmark's call and cobar --ring Q the
+    documented one; the file's ring decides both."""
+    ext = tmp_path / "ext.json"
+    io_json.dump(io_json.complex_to_dict(exterior(QQ, 4).complex), str(ext))
+    proc = run_cli(["homology", str(ext), "--through", "3", "--ring", "Z", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["homology"]["0"]["rank"] == 1
+    proc = run_cli(["cobar", str(write_sphere(tmp_path)), "--through", "4", "--ring", "Q", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["d-squared-zero"] is True

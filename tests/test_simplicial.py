@@ -87,6 +87,7 @@ def test_tcp_trivial_twisting_is_product():
     G = cyclic_constant_group(3, 5)
     S = minimal_circle(5)
     tau = TwistingFunction(S, G, lambda n, x: 0, name="e")
+    assert verify_twisting_function(tau, 5)[0]
     T = twisted_cartesian_product(S, tau, G, act=lambda n, y, g: G.mult(n, y, g), N=5)
     ok, w = verify_simplicial_identities(T, 5)
     assert ok, w
