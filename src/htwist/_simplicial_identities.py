@@ -1,10 +1,13 @@
 """The body of `simplicial.verify_simplicial_identities`.
 
 Where `_simplicial_tables.formula_levels` builds a space's index tables,
-each identity instance is a comparison of table lookups, made a level at
-a time (docs/DECISIONS.md, sections 12 and 14).  Any other space runs the
-plain loop over its own face and degeneracy maps, memoised so that each
-(n, i, simplex) is computed once.
+each identity instance compares two composites of table lookups, CHUNK
+rows at a time: `operator.itemgetter` gathers a chunk of each composite
+in C, and only a chunk that differs is searched row by row for the
+witness.  The check lists no simplex unless it fails, and holds no
+whole-level list (docs/DECISIONS.md, sections 12 and 14).  Any other
+space runs the plain loop over its own face and degeneracy maps,
+memoised so that each (n, i, simplex) is computed once.
 This sits in its own module because `simplicial`, which every CLI command
 imports, is the largest module: without a bytecode cache each import
 compiles it from source, the compiler's peak memory grows with the module,
@@ -16,27 +19,28 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import compress, count, islice
-from operator import ne
+from operator import itemgetter
 
 from ._simplicial_tables import formula_levels
 
 
-def at(table, positions):
-    """The entries of a table at these positions."""
-    return map(table.__getitem__, positions)
+CHUNK = 512  # rows compared per gather (docs/DECISIONS.md, section 12)
 
 
-def first_failure(instances):
+def first_failure(instances, rows: int):
     """(row, label) of the first failure in row, then instance order, or
-    None; instances yields (label, flags), flags[k] true where row k fails."""
-    first = None
-    for label, flags in instances:
-        if first is not None:
-            flags = islice(flags, first[0])
-        k = next(compress(count(), flags), None)
-        if k is not None:
-            first = (k, label)
+    None.  instances yields (label, a, s, b, t): row k < rows fails when
+    a[s[k]] != b[t[k]].  Rows are compared CHUNK at a time, and each
+    instance only on the rows before the best failure found so far."""
+    first, end = None, rows
+    for label, a, s, b, t in instances:
+        for c in range(0, end, CHUNK):
+            e = min(c + CHUNK, end)
+            # itemgetter of one position gives a bare entry: both sides do
+            if itemgetter(*s[c:e])(a) != itemgetter(*t[c:e])(b):
+                k = next(k for k in range(c, e) if a[s[k]] != b[t[k]])
+                first, end = (k, label), k
+                break
     return first
 
 
@@ -45,23 +49,23 @@ def by_tables(levels, N: int):
     and among its failures the earliest instance."""
     for n in range(2, N + 1):  # d_i d_j = d_{j-1} d_i  (i < j)
         below, faces = levels[n - 1].faces, levels[n].faces
-        fail = first_failure((f"d{i}d{j}", map(ne, at(below[i], faces[j]), at(below[j - 1], faces[i])))
-                             for i in range(n + 1) for j in range(i + 1, n + 1))
+        fail = first_failure(((f"d{i}d{j}", below[i], faces[j], below[j - 1], faces[i])
+                              for i in range(n + 1) for j in range(i + 1, n + 1)), levels[n].size)
         if fail:
             return n, fail
     for n in range(N):  # s_i s_j = s_{j+1} s_i  (i <= j)
         s, above = levels[n].degens, levels[n + 1].degens
-        fail = first_failure((f"s{i}s{j}", map(ne, at(above[i], s[j]), at(above[j + 1], s[i])))
-                             for i in range(n + 1) for j in range(i, n + 1))
+        fail = first_failure(((f"s{i}s{j}", above[i], s[j], above[j + 1], s[i])
+                              for i in range(n + 1) for j in range(i, n + 1)), levels[n].size)
         if fail:
             return n, fail
     for n in range(1, N):  # d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1)
-        s, d, rows = levels[n].degens, levels[n].faces, range(len(levels[n].simplices))
+        s, d, ids = levels[n].degens, levels[n].faces, range(levels[n].size)
         up, down = levels[n + 1].faces, levels[n - 1].degens
         fail = first_failure(
-            (f"d{i}s{j}", map(ne, at(up[i], s[j]), at(down[j - 1], d[i]) if i < j
-                              else rows if i <= j + 1 else at(down[j], d[i - 1])))
-            for j in range(n + 1) for i in range(n + 2))
+            ((f"d{i}s{j}", up[i], s[j], *((down[j - 1], d[i]) if i < j else (ids, ids) if i <= j + 1
+                                          else (down[j], d[i - 1])))
+             for j in range(n + 1) for i in range(n + 2)), levels[n].size)
         if fail:
             return n, fail
     return None

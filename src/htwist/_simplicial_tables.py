@@ -12,19 +12,26 @@ same tables with one call per simplex, for any finite space.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property, partial
 from itertools import chain, product, repeat
-from operator import add, itemgetter
+from operator import add
 
 
 class Level:
-    """The simplices of one level, numbered by position, with their face
-    and degeneracy tables: faces[i][p] numbers d_i of simplex p in the
-    level below, degens[j][p] numbers s_j of it in the level above."""
+    """One level of a space, its simplices numbered by position, with their
+    face and degeneracy tables: faces[i][p] numbers d_i of simplex p in the
+    level below, degens[j][p] numbers s_j of it in the level above.
 
-    __slots__ = ("simplices", "faces", "degens")
+    `size` is the number of simplices.  `simplices`, the listing whose
+    positions are the numbers, is made by `listing()` the first time it is
+    read, so a reader of the tables alone lists nothing."""
 
-    def __init__(self, simplices: list, faces: list, degens: list):
-        self.simplices, self.faces, self.degens = simplices, faces, degens
+    def __init__(self, size: int, faces: list, degens: list, listing):
+        self.size, self.faces, self.degens, self._listing = size, faces, degens, listing
+
+    @cached_property
+    def simplices(self) -> list:
+        return self._listing()
 
 
 def call_levels(X, N: int):
@@ -42,7 +49,7 @@ def call_levels(X, N: int):
                  for i in range(n + 1)] if n else []
         degens = [array("i", (index[n + 1].get(X.degeneracy(n, j, x), -1) for x in elems))
                   for j in range(n + 1)] if n < N else []
-        levels.append(Level(elems, faces, degens))
+        levels.append(Level(len(elems), faces, degens, lambda elems=elems: elems))
     return levels
 
 
@@ -51,7 +58,8 @@ def formula_levels(X, N: int, top: bool = True):
     X ×_τ Y for a constant Y over such a W̄G, with no face or degeneracy
     call; None for any other space.  A simplex's number is its position in
     `X.elements`, and level N gets degeneracy tables into level N + 1 when
-    top is true.
+    top is true.  The build lists no level of X; for X ×_τ Y it lists the
+    base's levels 1..N, whose simplices τ is called on.
 
     The formula stands in for X's maps only while they and its listing
     are the class's own, none of them set on the instance, and its group
@@ -83,15 +91,13 @@ def formula_levels(X, N: int, top: bool = True):
         ramp = array("i", range(g ** (N + 1 if top else N) * ny))
         levels = []
         for n in range(N + 1):
-            simplices = X.elements(n)
             faces = _wbar_faces(n, g, ny, merge, ramp) if n else []
             if n and act:
-                xs = map(itemgetter(0), simplices[::ny])
-                ts = map(hs.index, map(X.tau, repeat(n), xs))
+                ts = map(hs.index, map(X.tau, repeat(n), W.elements(n)))
                 shifts = chain.from_iterable(map(twist[n - 1].__getitem__, ts))
                 faces[0] = array("i", map(add, faces[0], shifts))
             degens = _wbar_degens(n, g, ny, unit, ramp) if top or n < N else []
-            levels.append(Level(simplices, faces, degens))
+            levels.append(Level(g ** n * ny, faces, degens, partial(X.elements, n)))
     except ValueError:  # a product, action or τ value outside the listed group
         return None
     return levels

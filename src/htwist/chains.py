@@ -35,11 +35,11 @@ def _nondegenerate_levels(X: SimplicialSet, N: int):
     for n, level in enumerate(levels):
         # one spare slot at the end, which a -1 (a degeneracy that is not
         # listed) marks
-        alive = bytearray(b"\x01") * (len(level.simplices) + 1)
+        alive = bytearray(b"\x01") * (level.size + 1)
         for table in levels[n - 1].degens if n else ():
             for q in table:
                 alive[q] = 0
-        nd.append(list(compress(range(len(level.simplices)), alive)))
+        nd.append(list(compress(range(level.size), alive)))
     return levels, nd
 
 
@@ -53,7 +53,7 @@ def _basis_and_faces(X: SimplicialSet, N: int):
     for n, level in enumerate(levels):
         # position -> basis row; the spare last slot is what a -1 face (one
         # that is not listed) reads
-        rows = array("i", [-1]) * (len(level.simplices) + 1)
+        rows = array("i", [-1]) * (level.size + 1)
         for row, p in enumerate(nd[n]):
             x = level.simplices[p]
             basis.add(n, f"<{x}>", x)

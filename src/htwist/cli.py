@@ -59,12 +59,17 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
+def _require_through(args, lowest: int, why: str) -> None:
+    """An input error when --through is below lowest, the least value the
+    command can run at; why says what the command needs it for."""
+    if args.through < lowest:
+        raise InputError(f"{args.command} {why}, so --through must be >= {lowest}")
+
+
 def _homology_top(args) -> int:
     """--through - 1, the last degree a command reports homology in; an
     input error when that is below 0."""
-    if args.through < 1:
-        raise InputError(f"{args.command} computes homology through --through - 1, "
-                         "so --through must be >= 1")
+    _require_through(args, 1, "computes homology through --through - 1")
     return args.through - 1
 
 
@@ -243,6 +248,7 @@ def cmd_check_axioms(args):
     )
     from .rings import QQ
 
+    _require_through(args, 3, "builds k[x]/(x^3) through --through + 1, with x^2 in degree 4")
     N = args.through
     A1 = exterior(QQ, N + 1)
     A2 = truncated_polynomial(QQ, N + 1)

@@ -137,6 +137,20 @@ def test_check_axioms_runs():
     assert report["results"]["ok"] is True
 
 
+def test_check_axioms_below_3_exit_2():
+    """k[x]/(x^3), one of the fixtures, has x^2 in degree 4, so --through + 1,
+    the fixtures' truncation, must be at least 4; --through 3 reports."""
+    for through in ("0", "1", "2"):
+        proc = run_cli(["check-axioms", "--through", through, "--json"])
+        _exit_2(proc)
+        assert proc.stderr == ("input error: check-axioms builds k[x]/(x^3) through --through + 1, "
+                               "with x^2 in degree 4, so --through must be >= 3\n")
+        assert not proc.stdout
+    proc = run_cli(["check-axioms", "--through", "3", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["ok"] is True
+
+
 def test_unknown_basis_element_exit_2(tmp_path):
     data = io_json.complex_to_dict(exterior(QQ, 4).complex)
     data["d"].append({"degree": 1, "from": "x", "to": "nope", "coeff": "1"})

@@ -9,6 +9,7 @@ space whose maps were replaced on the instance must not get the formula.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -49,6 +50,9 @@ SPACES = {
     "WbarC3-N1": (lambda: wbar(3, 1), 1),
     "tcpC3-N0": (lambda: bundle(3, 0), 0),
     "tcpC3-N1": (lambda: bundle(3, 1), 1),
+    # one simplex in every level: each chunk a single row
+    "WbarC1": (lambda: wbar(1, 3), 3),
+    "tcpC1": (lambda: bundle(1, 3), 3),
     # C3 listed as 2, 0, 1: the neutral element is not the first digit
     "WbarC3-listed-210": (lambda: classifying_space(
         constant_group([2, 0, 1], lambda a, b: (a + b) % 3, lambda a: -a % 3, 0, 5), 4),
@@ -64,7 +68,7 @@ def test_every_entry_equals_bound_and_per_entry_maps(name):
     assert levels is not None and len(levels) == N + 1
     listed = [X.elements(n) for n in range(N + 2)]
     for n, level in enumerate(levels):
-        assert level.simplices == listed[n]
+        assert level.size == len(listed[n]) and level.simplices == listed[n]
         assert len(level.faces) == (n + 1 if n else 0) and len(level.degens) == n + 1
         for i, table in enumerate(level.faces):
             got = [listed[n - 1][q] for q in table]
@@ -72,6 +76,7 @@ def test_every_entry_equals_bound_and_per_entry_maps(name):
         for j, table in enumerate(level.degens):
             got = [listed[n + 1][q] for q in table]
             assert got == [X.degeneracy(n, j, x) for x in listed[n]], ("degeneracy", n, j)
+    assert verify_simplicial_identities(build(), N) == (True, None)
 
 
 def test_s3_merge_keeps_the_product_order():
@@ -147,6 +152,65 @@ def test_corrupted_entry_gives_the_reference_verdict(name, family, monkeypatch):
         assert new == reference_identities(X, N), (name, family, seed)
         failures += not new[0]
     assert failures == 12, (name, family, failures)
+
+
+def corrupted_verdict(build, N, entries, monkeypatch):
+    """(ok, witness) of the check on X's formula tables with each entry
+    (kind, n, i, p) moved to the next simplex of the level it lands in, and
+    `reference_identities` on X's maps corrupted the same way."""
+    X = build()
+    moves = []
+    for kind, n, i, p in entries:
+        table = (formula_levels(X, N)[n].faces if kind == "face" else formula_levels(X, N)[n].degens)[i]
+        target = n - 1 if kind == "face" else n + 1
+        moves.append((kind, n, i, p, (table[p] + 1) % len(X.elements(target))))
+
+    def corrupted_levels(Y, M, top=True):
+        levels = formula_levels(Y, M, top)
+        for kind, n, i, p, q in moves:
+            (levels[n].faces if kind == "face" else levels[n].degens)[i][p] = q
+        return levels
+
+    monkeypatch.setattr(_simplicial_identities, "formula_levels", corrupted_levels)
+    new = verify_simplicial_identities(build(), N)
+    monkeypatch.undo()
+    for kind, n, i, p, q in moves:
+        x, bad = X.elements(n)[p], X.elements(n - 1 if kind == "face" else n + 1)[q]
+        corrupt(X, kind, n, i, lambda y, x=x: y == x, lambda value, bad=bad: bad)
+    return new, reference_identities(X, N)
+
+
+CHUNK = _simplicial_identities.CHUNK
+TOP = 5 ** 5 * 5  # the simplices of level 5 of the C5 bundle
+assert TOP > 4 * CHUNK
+
+
+# name -> (entries, the failing level and row): the check must find the
+# failure at the edge of a chunk, and at an earlier row of a later instance
+CHUNK_EDGES = {
+    "first-row-of-a-chunk": ([("face", 5, 2, 2 * CHUNK)], 5, 2 * CHUNK),
+    "last-row-of-a-chunk": ([("face", 5, 3, 3 * CHUNK - 1)], 5, 3 * CHUNK - 1),
+    "last-row-of-the-top-level": ([("face", 5, 1, TOP - 1)], 5, TOP - 1),
+    # d0d1 fails at row 2K + 1 first; d0d5, a later instance, fails at row
+    # 2K, the only row of the last chunk it is compared on
+    "later-instance-earlier-row": ([("face", 5, 0, 2 * CHUNK + 1), ("face", 5, 5, 2 * CHUNK)],
+                                   5, 2 * CHUNK),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_EDGES))
+def test_chunk_edges_give_the_reference_verdict(case, monkeypatch):
+    entries, n, p = CHUNK_EDGES[case]
+    new, ref = corrupted_verdict(lambda: bundle(5, 5), 5, entries, monkeypatch)
+    assert new == ref and not new[0]
+    assert new[1]["level"] == n and new[1]["element"] == bundle(5, 5).elements(n)[p]
+
+
+def test_level_of_one_simplex_locates_its_failure(monkeypatch):
+    """Level 0 of W̄C3 has one simplex, so each of its chunks is one bare
+    entry; s_0 of it moved fails there."""
+    new, ref = corrupted_verdict(lambda: wbar(3, 2), 2, [("degeneracy", 0, 0, 0)], monkeypatch)
+    assert new == ref and not new[0] and new[1]["level"] == 0
 
 
 def spy(X, calls):
@@ -248,17 +312,47 @@ def test_images_outside_the_listing():
     assert C.d_of(2, "<(1, 2)>") == {"<(1,)>": 1, "<(2,)>": 1}
 
 
-def test_build_does_not_list_the_level_above(monkeypatch):
-    """The level-N degeneracy tables number simplices of level N + 1 by
-    position only: the build lists no level above N."""
+def listings(monkeypatch, cls):
+    """The levels cls.elements is asked for, in order."""
     asked = []
-    orig = ClassifyingSpace.elements
+    orig = cls.elements
 
     def elements(self, n):
         asked.append(n)
         return orig(self, n)
 
-    monkeypatch.setattr(ClassifyingSpace, "elements", elements)
+    monkeypatch.setattr(cls, "elements", elements)
+    return asked
+
+
+def test_build_does_not_list_the_level_above(monkeypatch):
+    """The level-N degeneracy tables number simplices of level N + 1 by
+    position only, and the build lists no level at all: a level is listed
+    the first time its simplices are read."""
+    asked = listings(monkeypatch, ClassifyingSpace)
     levels = formula_levels(wbar(3, 3), 3)
-    assert levels is not None and max(asked) == 3
+    assert levels is not None and asked == []
     assert all(0 <= q < 3 ** 4 for table in levels[3].degens for q in table)
+    assert levels[2].simplices == levels[2].simplices == wbar(3, 3).elements(2)
+    assert asked == [2, 2]  # once for the level, once for the comparison
+
+
+def test_passing_check_lists_no_simplex(monkeypatch):
+    """A passing check on the C3 bundle through 4 never lists the bundle's
+    simplices; only its base's, whose simplices τ is read on."""
+    asked = listings(monkeypatch, TwistedCartesianProduct)
+    assert verify_simplicial_identities(bundle(3, 4), 4) == (True, None)
+    assert asked == []
+
+
+def test_check_memory_stays_below_a_level_listing():
+    """The check on the C5 bundle through 5 (15625 top simplices) holds its
+    tables and one chunk of each composite, no listing of a level."""
+    X = bundle(5, 5)
+    tracemalloc.start()
+    try:
+        assert verify_simplicial_identities(X, 5) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * 2 ** 20, peak
