@@ -58,8 +58,9 @@ def formula_levels(X, N: int, top: bool = True):
     X ×_τ Y for a constant Y over such a W̄G, with no face or degeneracy
     call; None for any other space.  A simplex's number is its position in
     `X.elements`, and level N gets degeneracy tables into level N + 1 when
-    top is true.  The build lists no level of X; for X ×_τ Y it lists the
-    base's levels 1..N, whose simplices τ is called on.
+    top is true.  The build lists no level of X or of its base: τ is called
+    on the base's simplices as `itertools.product` makes them, one at a
+    time, in the order of the base's listing.
 
     The formula stands in for X's maps only while they and its listing
     are the class's own, none of them set on the instance, and its group
@@ -93,7 +94,7 @@ def formula_levels(X, N: int, top: bool = True):
         for n in range(N + 1):
             faces = _wbar_faces(n, g, ny, merge, ramp) if n else []
             if n and act:
-                ts = map(hs.index, map(X.tau, repeat(n), W.elements(n)))
+                ts = map(hs.index, map(X.tau, repeat(n), product(gs, repeat=n)))
                 shifts = chain.from_iterable(map(twist[n - 1].__getitem__, ts))
                 faces[0] = array("i", map(add, faces[0], shifts))
             degens = _wbar_degens(n, g, ny, unit, ramp) if top or n < N else []

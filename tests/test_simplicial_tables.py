@@ -159,9 +159,9 @@ def corrupted_verdict(build, N, entries, monkeypatch):
     (kind, n, i, p) moved to the next simplex of the level it lands in, and
     `reference_identities` on X's maps corrupted the same way."""
     X = build()
-    moves = []
+    levels, moves = formula_levels(X, N), []
     for kind, n, i, p in entries:
-        table = (formula_levels(X, N)[n].faces if kind == "face" else formula_levels(X, N)[n].degens)[i]
+        table = (levels[n].faces if kind == "face" else levels[n].degens)[i]
         target = n - 1 if kind == "face" else n + 1
         moves.append((kind, n, i, p, (table[p] + 1) % len(X.elements(target))))
 
@@ -338,11 +338,12 @@ def test_build_does_not_list_the_level_above(monkeypatch):
 
 
 def test_passing_check_lists_no_simplex(monkeypatch):
-    """A passing check on the C3 bundle through 4 never lists the bundle's
-    simplices; only its base's, whose simplices τ is read on."""
-    asked = listings(monkeypatch, TwistedCartesianProduct)
-    assert verify_simplicial_identities(bundle(3, 4), 4) == (True, None)
-    assert asked == []
+    """A passing check on the C3 bundle through 4 lists no level of the
+    bundle or of its base."""
+    T = bundle(3, 4)
+    asked = listings(monkeypatch, TwistedCartesianProduct), listings(monkeypatch, ClassifyingSpace)
+    assert verify_simplicial_identities(T, 4) == (True, None)
+    assert asked == ([], [])
 
 
 def test_check_memory_stays_below_a_level_listing():
