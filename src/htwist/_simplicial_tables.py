@@ -94,6 +94,7 @@ def formula_levels(X, N: int, top: bool = True):
         for n in range(N + 1):
             faces = _wbar_faces(n, g, ny, merge, ramp) if n else []
             if n and act:
+                # τ of the base's simplices, made one at a time in its listing order
                 ts = map(hs.index, map(X.tau, repeat(n), product(gs, repeat=n)))
                 shifts = chain.from_iterable(map(twist[n - 1].__getitem__, ts))
                 faces[0] = array("i", map(add, faces[0], shifts))
