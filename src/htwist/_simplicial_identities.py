@@ -71,6 +71,28 @@ def by_tables(levels, N: int):
     return None
 
 
+def by_contraction(levels, h, v: int):
+    """The first failing (level, (row, label)) of h as an extra degeneracy
+    on complete tables of levels 0..N, h[n] numbering level n in level
+    n + 1, or None: d_0 h = id and d_{i+1} h = h d_i on levels 0..N - 1,
+    d_1 h = v on level 0, and s_{j+1} h = h s_j on levels 0..N - 2
+    (docs/DECISIONS.md, section 4)."""
+    for n, level in enumerate(levels[:-1]):
+        up, ids = levels[n + 1].faces, range(level.size)
+        instances = [("d0h", up[0], h[n], ids, ids)]
+        if n:
+            instances += [(f"d{i + 1}h", up[i + 1], h[n], h[n - 1], level.faces[i]) for i in range(n + 1)]
+        else:
+            instances.append(("d1h", up[1], h[0], [v], [0] * level.size))
+        if n + 2 < len(levels):
+            instances += [(f"s{j + 1}h", levels[n + 1].degens[j + 1], h[n], h[n + 1], level.degens[j])
+                          for j in range(n + 1)]
+        fail = first_failure(instances, level.size)
+        if fail:
+            return n, fail
+    return None
+
+
 def verify(X, N: int, samples: int, seed: int):
     """See `simplicial.verify_simplicial_identities`."""
     levels = formula_levels(X, N)

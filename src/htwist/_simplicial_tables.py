@@ -7,6 +7,8 @@ for W̄G of a constant group G, and for X ×_τ Y with a constant Y over such
 a base, without calling a face or degeneracy.  `call_levels` fills the
 same tables with one call per simplex, for any finite space.
 `_simplicial_identities.verify` reads the first, `chains` reads either.
+`extra_degeneracy` numbers the contracting homotopy of W̄G ×_ν G on the
+first, for `chains.acyclicity_of_universal_bundle` to check.
 """
 
 from __future__ import annotations
@@ -103,6 +105,24 @@ def formula_levels(X, N: int, top: bool = True):
     except ValueError:  # a product, action or τ value outside the listed group
         return None
     return levels
+
+
+def extra_degeneracy(X, levels):
+    """(h, v) for X = W̄G ×_ν G with `levels` its formula levels 0..N:
+    h[n], n < N, numbers h((a_0..a_{n-1}), y) = ((a_0..a_{n-1}, y), e) in
+    level n + 1, and v numbers the vertex ((), e).  By digits,
+    h(p) = p·|G| + pos(e).  None unless X's fibre is its base's group.
+
+    Nothing here is trusted: `_simplicial_identities.by_contraction` checks
+    that h is an extra degeneracy (docs/DECISIONS.md, sections 4 and 14)."""
+    from .simplicial import TwistedCartesianProduct
+
+    if not (_intact(X, TwistedCartesianProduct) and X.Y is X.X.G):
+        return None
+    ys = X.Y.elements(0)
+    ny, v = len(ys), ys.index(X.Y.neutral(0))
+    ramp = array("i", range(levels[-1].size))
+    return [_affine(level.size, 1, ny, 1, [v], ramp) for level in levels[:-1]], v
 
 
 def _intact(X, cls) -> bool:

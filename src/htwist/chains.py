@@ -15,8 +15,9 @@ from array import array
 from functools import cache
 from itertools import combinations, compress
 
-from ._simplicial_tables import call_levels, formula_levels
-from .complexes import ChainComplex, GradedBasis
+from ._simplicial_identities import by_contraction
+from ._simplicial_tables import call_levels, extra_degeneracy, formula_levels
+from .complexes import ChainComplex, GradedBasis, HomologySummary
 from .hopf import ChainAlgebra, ChainCoalgebra, _product_failures, _full_coproduct, table_product
 from .rings import Ring, ZZ
 from .simplicial import NotFinite, SimplicialGroup, SimplicialSet
@@ -241,11 +242,23 @@ def verify_pontryagin_axioms(G: SimplicialGroup, ring: Ring, N: int):
 
 
 def acyclicity_of_universal_bundle(G: SimplicialGroup, ring: Ring, N: int):
-    """H(C_*(W̄G ×_ν G)) through N-1: the contractibility certificate."""
+    """(acyclic, H): H(C_*(W̄G ×_ν G)) through N - 1, the contractibility
+    certificate, in one of two modes (docs/DECISIONS.md, section 4).
+
+    By certificate, when `formula_levels` has tables for the bundle and
+    N >= 1: the extra degeneracy h of `_simplicial_tables.extra_degeneracy`
+    passes `_simplicial_identities.by_contraction`, so ∂h + h∂ = id - ηε
+    on normalized chains, and H is Z (the ring) in degree 0 and 0 above.
+    Otherwise, or when the check fails, by `homology` of the normalized
+    chains."""
     from .complexes import homology
     from .simplicial import universal_bundle
 
     tcp, W, nu = universal_bundle(G, N)
+    levels = formula_levels(tcp, N, top=False) if N >= 1 else None
+    contraction = extra_degeneracy(tcp, levels) if levels else None
+    if contraction and by_contraction(levels, *contraction) is None:
+        return True, HomologySummary({0: (1, []), **{n: (0, []) for n in range(1, N)}})
     C = normalized_chains(tcp, ring, N)
     H = homology(C.complex, N - 1)
     acyclic = H.by_degree.get(0) == (1, []) and all(

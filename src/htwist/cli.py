@@ -341,10 +341,13 @@ def cmd_wbar(args):
     ok1, w1 = verify_simplicial_identities(W, args.through, samples=args.samples, seed=args.seed)
     nu = couniversal_twisting_function(W)
     ok2, w2 = verify_twisting_function(nu, args.through - 1, samples=args.samples, seed=args.seed)
-    levels = (W.elements(n) for n in range(args.through + 1))
+    # level n is G_0 × ... × G_{n-1}: its size is a product, with no listing
+    sizes = [1]
+    for k in range(args.through):
+        level = G.elements(k)
+        sizes.append(None if sizes[-1] is None or level is None else sizes[-1] * len(level))
     results = {
-        "levels": {str(n): len(level) if level is not None else "symbolic"
-                   for n, level in enumerate(levels)},
+        "levels": {str(n): "symbolic" if size is None else size for n, size in enumerate(sizes)},
         "simplicial-identities": ok1,
         "couniversal-twisting-function": ok2,
     }

@@ -290,7 +290,8 @@ def test_criterion_10_universal_bundle_contractibility():
     ok = ok and all(H.by_degree[n] == expected[n] for n in range(5))
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0
-    assert report(f"10. universal bundle contractibility (SNF oracle, {elapsed:.1f}s)", ok)
+    assert report(f"10. universal bundle contractibility (bundles by extra-degeneracy certificate, "
+                  f"W̄C2 by SNF oracle, {elapsed:.1f}s)", ok)
 
 
 def test_criterion_11_simpl_good_and_allsimpl():

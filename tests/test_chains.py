@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from htwist import sparse
+from htwist import chains, complexes, sparse
+from htwist._simplicial_identities import by_contraction
+from htwist._simplicial_tables import extra_degeneracy, formula_levels
 from htwist.chains import (
     acyclicity_of_universal_bundle,
     chains_map,
@@ -21,6 +23,8 @@ from htwist.simplicial import (
     point_space,
     universal_bundle,
 )
+from test_constant_group_parity import symmetric_group_s3
+from test_simplicial_parity import corrupt
 
 
 def test_chains_of_point():
@@ -127,6 +131,179 @@ def test_universal_bundle_acyclicity_c3():
     G = cyclic_constant_group(3, 7)
     ok, H = acyclicity_of_universal_bundle(G, ZZ, 5)
     assert ok, H.pretty()
+
+
+# ---------------------------------------------------------------------
+# Acyclicity by certificate: the extra degeneracy h of W̄G ×_ν G
+# (docs/DECISIONS.md, sections 4 and 14).
+# ---------------------------------------------------------------------
+
+# name -> (fresh group built high enough for the bundle through N, N)
+BUNDLE_GROUPS = {
+    **{f"C{k}": (lambda k=k: cyclic_constant_group(k, 7), 5) for k in (1, 2, 3, 4, 5)},
+    "S3": (lambda: symmetric_group_s3(6), 4),
+}
+
+
+def homology_verdict(G, ring, N):
+    """(acyclic, H) read from `homology` of the bundle's normalized chains:
+    the oracle the certificate must agree with."""
+    H = homology(normalized_chains(universal_bundle(G, N)[0], ring, N).complex, N - 1)
+    return H.by_degree.get(0) == (1, []) and all(H.by_degree.get(n) == (0, []) for n in range(1, N)), H
+
+
+def no_homology(monkeypatch):
+    def refuse(X, through):
+        raise AssertionError("the homology path ran")
+
+    monkeypatch.setattr(complexes, "homology", refuse)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+@pytest.mark.parametrize("name", sorted(BUNDLE_GROUPS))
+def test_certificate_agrees_with_the_homology_oracle(name, ring, monkeypatch):
+    build, top = BUNDLE_GROUPS[name]
+    oracle = {N: homology_verdict(build(), ring, N) for N in range(1, top + 1)}
+    no_homology(monkeypatch)
+    for N in range(1, top + 1):
+        acyclic, H = acyclicity_of_universal_bundle(build(), ring, N)
+        assert (acyclic, H.by_degree) == (oracle[N][0], oracle[N][1].by_degree) and acyclic, (name, N)
+
+
+def test_c5_is_acyclic_with_homology_refused(monkeypatch):
+    no_homology(monkeypatch)
+    acyclic, H = acyclicity_of_universal_bundle(cyclic_constant_group(5, 7), ZZ, 5)
+    assert acyclic and H.by_degree == {0: (1, []), **{n: (0, []) for n in range(1, 5)}}
+
+
+def test_group_not_marked_constant_takes_the_homology_path(monkeypatch):
+    calls = []
+
+    def counted(X, through, real=complexes.homology):
+        calls.append(through)
+        return real(X, through)
+
+    monkeypatch.setattr(complexes, "homology", counted)
+    G = cyclic_constant_group(3, 6)
+    G.constant = False
+    assert formula_levels(universal_bundle(G, 4)[0], 4) is None
+    assert acyclicity_of_universal_bundle(G, ZZ, 4)[0] and calls == [3]
+
+
+def test_through_0_takes_the_homology_path():
+    """Through 0 nothing is computed, and the verdict stays the vacuous
+    one `homology` gives."""
+    assert acyclicity_of_universal_bundle(cyclic_constant_group(3, 2), ZZ, 0) == \
+        homology_verdict(cyclic_constant_group(3, 2), ZZ, 0)
+
+
+def reference_contraction(X, N, h):
+    """What `by_contraction` must return, by X's own maps and h(n, x) a
+    function on simplices: the first level, then the first row (position in
+    X.elements(n)), then the first identity in the check's order."""
+    for n in range(N):
+        for p, x in enumerate(X.elements(n)):
+            hx = h(n, x)
+            checks = [("d0h", X.face(n + 1, 0, hx) == x)]
+            if n:
+                checks += [(f"d{i + 1}h", X.face(n + 1, i + 1, hx) == h(n - 1, X.face(n, i, x)))
+                           for i in range(n + 1)]
+            else:
+                checks.append(("d1h", X.face(1, 1, hx) == X.basepoint(0)))
+            if n + 1 < N:
+                checks += [(f"s{j + 1}h", X.degeneracy(n + 1, j + 1, hx) == h(n + 1, X.degeneracy(n, j, x)))
+                           for j in range(n + 1)]
+            label = next((label for label, ok in checks if not ok), None)
+            if label:
+                return n, (p, label)
+    return None
+
+
+def h_of(X, h):
+    """h(n, x) for index tables h of X."""
+    listed = {}
+
+    def at(n):
+        return listed.setdefault(n, X.elements(n))
+
+    return lambda n, x: at(n + 1)[h[n][at(n).index(x)]]
+
+
+# name -> (fresh bundle, N)
+CORRUPTED_BUNDLES = {
+    "C2": (lambda: universal_bundle(cyclic_constant_group(2, 6), 4)[0], 4),
+    "C3": (lambda: universal_bundle(cyclic_constant_group(3, 5), 3)[0], 3),
+    "S3": (lambda: universal_bundle(symmetric_group_s3(5), 3)[0], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_BUNDLES))
+def test_intact_contraction_passes_the_reference(name):
+    build, N = CORRUPTED_BUNDLES[name]
+    X = build()
+    levels = formula_levels(X, N, top=False)
+    h, v = extra_degeneracy(X, levels)
+    assert v == X.elements(0).index(X.basepoint(0))
+    assert all(X.elements(n + 1)[h[n][p]] == (x + (y,), X.Y.neutral(n + 1))
+               for n in range(N) for p, (x, y) in enumerate(X.elements(n)))
+    assert by_contraction(levels, h, v) is None is reference_contraction(X, N, h_of(X, h))
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_BUNDLES))
+def test_corrupted_h_entry_is_located(name):
+    build, N = CORRUPTED_BUNDLES[name]
+    X = build()
+    for seed in range(8):
+        rng = random.Random(seed)
+        levels = formula_levels(X, N, top=False)
+        h, v = extra_degeneracy(X, levels)
+        n = rng.randrange(N)
+        p = rng.randrange(levels[n].size)
+        h[n][p] = rng.choice([q for q in range(levels[n + 1].size) if q != h[n][p]])
+        fail = by_contraction(levels, h, v)
+        assert fail is not None and fail == reference_contraction(X, N, h_of(X, h)), (name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED_BUNDLES))
+def test_corrupted_face_entry_is_located(name):
+    """A face of levels 1..N - 1, or of level N on a simplex h lands on
+    (the only ones the check reads there), moved to another simplex."""
+    build, N = CORRUPTED_BUNDLES[name]
+    for seed in range(8):
+        rng = random.Random(seed)
+        X = build()
+        levels = formula_levels(X, N, top=False)
+        h, v = extra_degeneracy(X, levels)
+        n = rng.randint(1, N)
+        i = rng.randint(0, n)
+        p = rng.choice(h[N - 1]) if n == N else rng.randrange(levels[n].size)
+        q = rng.choice([q for q in range(levels[n - 1].size) if q != levels[n].faces[i][p]])
+        levels[n].faces[i][p] = q
+        fail = by_contraction(levels, h, v)
+        x, bad = X.elements(n)[p], X.elements(n - 1)[q]
+        corrupt(X, "face", n, i, lambda y: y == x, lambda value: bad)
+        assert fail is not None and fail == reference_contraction(X, N, h_of(X, h)), (name, seed)
+
+
+def test_failing_certificate_falls_back_to_homology(monkeypatch):
+    """With one entry of h moved the certificate fails, and the verdict is
+    the one `homology` gives: never one taken from an unchecked h."""
+    def corrupted(X, levels, real=extra_degeneracy):
+        h, v = real(X, levels)
+        h[2][5] += 1
+        return h, v
+
+    monkeypatch.setattr(chains, "extra_degeneracy", corrupted)
+    calls = []
+
+    def counted(X, through, real=complexes.homology):
+        calls.append(through)
+        return real(X, through)
+
+    monkeypatch.setattr(complexes, "homology", counted)
+    G = cyclic_constant_group(3, 6)
+    assert acyclicity_of_universal_bundle(G, ZZ, 4) == homology_verdict(cyclic_constant_group(3, 6), ZZ, 4)
+    assert calls[0] == 3
 
 
 def wbar_c3_tcp_chains(N):

@@ -77,6 +77,27 @@ def test_wbar_and_loopgroup(tmp_path):
     assert rep2["results"]["pi0"] == {"rank": 1, "torsion": []}
 
 
+def test_wbar_reports_level_sizes_without_listing_the_top_level(tmp_path, monkeypatch, capsys):
+    """`wbar --through 4` reports |W̄C5_n| = 5^n as a product of the group's
+    level sizes: listing level 4 of W̄C5 fails the command."""
+    from htwist import cli
+    from htwist.simplicial import ClassifyingSpace
+
+    listed = ClassifyingSpace.elements
+
+    def elements(self, n):
+        assert n < 4, "level --through of W̄G was listed"
+        return listed(self, n)
+
+    monkeypatch.setattr(ClassifyingSpace, "elements", elements)
+    g = tmp_path / "c5.json"
+    g.write_text(json.dumps({"kind": "constant-cyclic", "order": 5}))
+    assert cli.main(["wbar", str(g), "--through", "4", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["levels"] == {str(n): 5 ** n for n in range(5)}
+    assert results["simplicial-identities"] is True
+
+
 def test_wbar_homology_c2(tmp_path):
     g = tmp_path / "c2.json"
     g.write_text(json.dumps({"kind": "constant-cyclic", "order": 2}))
