@@ -15,7 +15,6 @@ from array import array
 from functools import cache
 from itertools import combinations, compress
 
-from ._simplicial_identities import by_contraction
 from ._simplicial_tables import call_levels, extra_degeneracy, formula_levels
 from .complexes import ChainComplex, GradedBasis, HomologySummary
 from .hopf import ChainAlgebra, ChainCoalgebra, _product_failures, _full_coproduct, table_product
@@ -251,6 +250,7 @@ def acyclicity_of_universal_bundle(G: SimplicialGroup, ring: Ring, N: int):
     on normalized chains, and H is Z (the ring) in degree 0 and 0 above.
     Otherwise, or when the check fails, by `homology` of the normalized
     chains."""
+    from ._simplicial_identities import by_contraction
     from .complexes import homology
     from .simplicial import universal_bundle
 
