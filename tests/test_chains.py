@@ -152,11 +152,16 @@ def homology_verdict(G, ring, N):
     return H.by_degree.get(0) == (1, []) and all(H.by_degree.get(n) == (0, []) for n in range(1, N)), H
 
 
-def no_homology(monkeypatch):
-    def refuse(X, through):
-        raise AssertionError("the homology path ran")
+def homology_calls(monkeypatch):
+    """The `through` of each `complexes.homology` call, which still runs."""
+    calls = []
 
-    monkeypatch.setattr(complexes, "homology", refuse)
+    def counted(X, through, real=complexes.homology):
+        calls.append(through)
+        return real(X, through)
+
+    monkeypatch.setattr(complexes, "homology", counted)
+    return calls
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
@@ -167,20 +172,18 @@ def test_certificate_agrees_with_the_homology_oracle(name, ring, monkeypatch):
     `homology` gives."""
     build, top = BUNDLE_GROUPS[name]
     oracle = {N: homology_verdict(build(), ring, N) for N in range(1, top + 1)}
-    no_homology(monkeypatch)
+
+    def refuse(X, through):
+        raise AssertionError("the homology path ran")
+
+    monkeypatch.setattr(complexes, "homology", refuse)
     for N in range(1, top + 1):
         acyclic, H = acyclicity_of_universal_bundle(build(), ring, N)
         assert (acyclic, H.by_degree) == (oracle[N][0], oracle[N][1].by_degree) and acyclic, (name, N)
 
 
 def test_group_not_marked_constant_takes_the_homology_path(monkeypatch):
-    calls = []
-
-    def counted(X, through, real=complexes.homology):
-        calls.append(through)
-        return real(X, through)
-
-    monkeypatch.setattr(complexes, "homology", counted)
+    calls = homology_calls(monkeypatch)
     G = cyclic_constant_group(3, 6)
     G.constant = False
     assert formula_levels(universal_bundle(G, 4)[0], 4) is None
@@ -291,16 +294,9 @@ def test_failing_certificate_falls_back_to_homology(monkeypatch):
         return h, v
 
     monkeypatch.setattr(chains, "extra_degeneracy", corrupted)
-    calls = []
-
-    def counted(X, through, real=complexes.homology):
-        calls.append(through)
-        return real(X, through)
-
-    monkeypatch.setattr(complexes, "homology", counted)
-    G = cyclic_constant_group(3, 6)
-    assert acyclicity_of_universal_bundle(G, ZZ, 4) == homology_verdict(cyclic_constant_group(3, 6), ZZ, 4)
-    assert calls[0] == 3
+    calls = homology_calls(monkeypatch)
+    got = acyclicity_of_universal_bundle(cyclic_constant_group(3, 6), ZZ, 4)
+    assert calls == [3] and got == homology_verdict(cyclic_constant_group(3, 6), ZZ, 4)
 
 
 def wbar_c3_tcp_chains(N):
