@@ -340,12 +340,12 @@ class BorelKernel:
 
 
 def borel_kernel(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int,
-                 Omega: ChainAlgebra | None = None) -> BorelKernel:
-    """C\\C' = C' ⊗_{t_Ω g} Cobar(C) with ∂_g(u) = 1⊗u, ι_g(c'⊗u) = ε(u)c'."""
-    O = Omega if Omega is not None else cobar(C, N)
-    t = compose_cochain(g, universal_cochain(C, O), None, source=C2)
-    bundle = twisted_bundle(C2, O, t, N, kind=f"kernel({C2.name}->{C.name})")
-    return BorelKernel(bundle, bundle.inclusion, bundle.projection, O)
+                 Omega: ChainAlgebra) -> BorelKernel:
+    """C\\C' = C' ⊗_{t_Ω g} Cobar(C) with ∂_g(u) = 1⊗u, ι_g(c'⊗u) = ε(u)c',
+    for ``Omega`` = cobar(C, N)."""
+    t = compose_cochain(g, universal_cochain(C, Omega), None, source=C2)
+    bundle = twisted_bundle(C2, Omega, t, N, kind=f"kernel({C2.name}->{C.name})")
+    return BorelKernel(bundle, bundle.inclusion, bundle.projection, Omega)
 
 
 def _verify_sequence(maps, middle: MixedBundle, composites, through: int):

@@ -14,6 +14,7 @@ import sys
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED, NotReduced, io_json
 from .complexes import TruncationTooLow, homology, verify_differential
+from .hopf import NotConnected, NotOneConnected
 from .io_json import InputError, required
 from .rings import Ring
 
@@ -134,6 +135,17 @@ def _ring(tag: str) -> Ring:
         raise InputError(f"--ring: {exc}") from None
 
 
+def _check_ring(args, **inputs) -> None:
+    """An input error unless the named inputs of a file share one ring and
+    --ring, when given, names that ring."""
+    (first, X), *rest = inputs.items()
+    for name, Y in rest:
+        if Y.ring != X.ring:
+            raise InputError(f"the {first} is over {X.ring.tag()} but the {name} over {Y.ring.tag()}")
+    if args.ring is not None and _ring(args.ring) != X.ring:
+        raise InputError(f"--ring {args.ring}, but the {first} is over {X.ring.tag()}")
+
+
 def _group_from_spec(data: dict, N: int):
     """The simplicial group a spec describes; a spec of a bare set is an input error."""
     from .simplicial import SimplicialGroup
@@ -146,6 +158,7 @@ def _group_from_spec(data: dict, N: int):
 
 def cmd_homology(args):
     X = io_json.complex_from_dict(_load_json(args.input))
+    _check_ring(args, complex=X)
     ok, wit = verify_differential(X)
     if not ok:
         return _report("homology", args, {"d-squared-zero": False}, [wit]), 1
@@ -160,6 +173,7 @@ def cmd_bar(args):
     from .hopf import verify_algebra
 
     A = io_json.algebra_from_dict(_load_json(args.input))
+    _check_ring(args, algebra=A)
     oka, wa = verify_algebra(A)
     if not oka:
         return _report("bar", args, {"input-algebra": False}, wa[:3]), 1
@@ -175,6 +189,7 @@ def cmd_cobar(args):
     from .hopf import verify_coalgebra
 
     C = io_json.coalgebra_from_dict(_load_json(args.input))
+    _check_ring(args, coalgebra=C)
     okc, wc = verify_coalgebra(C)
     if not okc:
         return _report("cobar", args, {"input-coalgebra": False}, wc[:3]), 1
@@ -191,6 +206,7 @@ def cmd_check_twisting(args):
     data = _load_json(args.input)
     C = io_json.coalgebra_from_dict(required(data, "source"))
     A = io_json.algebra_from_dict(required(data, "target"))
+    _check_ring(args, source=C, target=A)
     t = TwistingCochain(C, A)
     values = required(required(data, "cochain"), "values")
     for n, c, combo in io_json.cochain_values_from_dict(values, C, A):
@@ -213,6 +229,7 @@ def cmd_borel(args):
     data = _load_json(args.input)
     A = io_json.algebra_from_dict(required(data, "source"))
     A2 = io_json.algebra_from_dict(required(data, "target"))
+    _check_ring(args, source=A, target=A2)
     f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
     q = borel_quotient(f, A, A2, args.through)
     okd, wd = verify_differential(q.bundle.total)
@@ -230,6 +247,7 @@ def cmd_np(args):
     data = _load_json(args.input)
     A = io_json.algebra_from_dict(required(data, "source"))
     A2 = io_json.algebra_from_dict(required(data, "target"))
+    _check_ring(args, source=A, target=A2)
     f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
     np_ = nomura_puppe(f, A, A2, args.through)
     ok, rep = np_.verify(top)
@@ -402,7 +420,7 @@ def cmd_wbar_homology(args):
 
 
 # name: (function, help, the options it takes besides --through, --seed, --json
-# and --out).  A command that reads an algebraic file uses that file's ring.
+# and --out)
 COMMANDS = {
     "homology": (cmd_homology, "homology of a complex JSON through --through", ("input", "--ring")),
     "bar": (cmd_bar, "bar construction of an algebra JSON", ("input", "--ring")),
@@ -421,6 +439,10 @@ COMMANDS = {
                       ("input", "--ring")),
 }
 
+# the commands that read an algebraic file: it names the ring, which --ring
+# defaults to and must match
+FILE_RING = {"homology", "bar", "cobar", "check-twisting", "borel", "np"}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="htwist", description=__doc__)
@@ -430,7 +452,9 @@ def main(argv=None) -> int:
         if "input" in reads:
             p.add_argument("input", help="input JSON file")
         p.add_argument("--through", type=_at_least(0), default=6, help="truncation degree (default 6)")
-        if "--ring" in reads:
+        if name in FILE_RING:
+            p.add_argument("--ring", help="Z | Q | Fp:<p>; must be the input's ring (default: the input's ring)")
+        elif "--ring" in reads:
             p.add_argument("--ring", default="Z", help="Z | Q | Fp:<p> (default Z)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampler seed")
         if "--samples" in reads:
@@ -443,7 +467,8 @@ def main(argv=None) -> int:
     try:
         report, code = args.fn(args)
         _emit(report, args)
-    except (InputError, FileNotFoundError, TruncationTooLow, NotReduced) as exc:
+    except (InputError, FileNotFoundError, TruncationTooLow, NotReduced, NotConnected,
+            NotOneConnected) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     return code

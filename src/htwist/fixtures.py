@@ -15,19 +15,17 @@ from .hopf import (
 from .rings import QQ, Ring
 
 
-def exterior(ring: Ring = QQ, N: int = 8, gen: str = "x", deg: int = 1) -> ChainAlgebra:
-    """Exterior algebra on one generator of odd degree; x^2 = 0, d = 0."""
-    assert deg % 2 == 1
-    basis = GradedBasis(N, {0: ["1"], deg: [gen]})
-    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {}), name=f"Λ({gen}{deg})")
+def exterior(ring: Ring = QQ, N: int = 8, gen: str = "x") -> ChainAlgebra:
+    """Exterior algebra on one generator of degree 1; x^2 = 0, d = 0."""
+    basis = GradedBasis(N, {0: ["1"], 1: [gen]})
+    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {}), name=f"Λ({gen}1)")
 
 
-def truncated_polynomial(ring: Ring = QQ, N: int = 8, gen: str = "x") -> ChainAlgebra:
+def truncated_polynomial(ring: Ring = QQ, N: int = 8) -> ChainAlgebra:
     """k[x]/(x^3) with |x| = 2, d = 0."""
-    x2 = f"{gen}^2"
-    basis = GradedBasis(N, {0: ["1"], 2: [gen], 4: [x2]})
-    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {((2, gen), (2, gen)): {x2: 1}}),
-                        name=f"{ring}[{gen}2]/({gen}^3)")
+    basis = GradedBasis(N, {0: ["1"], 2: ["x"], 4: ["x^2"]})
+    return ChainAlgebra(ChainComplex(ring, basis), "1", table_product(ring, {((2, "x"), (2, "x")): {"x^2": 1}}),
+                        name=f"{ring}[x2]/(x^3)")
 
 
 def acyclic_algebra(ring: Ring = QQ, N: int = 8) -> ChainAlgebra:

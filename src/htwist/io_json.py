@@ -88,6 +88,14 @@ def complex_from_dict(data: dict) -> ChainComplex:
     return X
 
 
+def _degree_0_element(data, key: str, X: ChainComplex) -> str:
+    """data[key], which must be a basis element of X in degree 0."""
+    name = required(data, key)
+    if name not in X.basis.names(0):
+        raise InputError(f"{key} {name!r} is not a basis element of degree 0")
+    return name
+
+
 def _check_names(entry, what: str, elements, X: ChainComplex):
     """Each (degree, name) in ``elements`` must be a basis element of X."""
     for n, name in elements:
@@ -130,7 +138,7 @@ def algebra_to_dict(A: ChainAlgebra, max_degree: int | None = None) -> dict:
 
 def algebra_from_dict(data: dict) -> ChainAlgebra:
     X = complex_from_dict(data)
-    unit, table = required(data, "unit"), {}
+    unit, table = _degree_0_element(data, "unit", X), {}
     for entry in data.get("mu", []):
         try:
             (p, a), (q, b) = entry["a"], entry["b"]
@@ -167,7 +175,7 @@ def coalgebra_to_dict(C: ChainCoalgebra) -> dict:
 
 def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
     X = complex_from_dict(data)
-    coaug, table = required(data, "coaug"), {}
+    coaug, table = _degree_0_element(data, "coaug", X), {}
     for entry in data.get("delta", []):
         try:
             n, c = entry["c"]

@@ -74,9 +74,6 @@ class ExtendedBundle:
     def N(self) -> ChainComplex:
         return self.comodule.carrier
 
-    def slots(self):
-        return (self.monoid.complex, self.M, self.N, self.comonoid.complex)
-
 
 @dataclass
 class ExtendedBundleMorphism:
@@ -135,13 +132,6 @@ class NormalPairCertificate:
     arrows: list = field(default_factory=list)  # (direction, morphism); "fwd" points toward tau
     notes: list = field(default_factory=list)
 
-    def columns(self):
-        """The chain of bundles the zigzag passes through."""
-        cols = [self.theta]
-        for direction, m in self.arrows:
-            cols.append(m.target if direction == "fwd" else m.source)
-        return cols
-
 
 def verify_normal_pair(cert: NormalPairCertificate, through: int):
     """Endpoints plus every arrow; (ok, per-arrow reports)."""
@@ -164,50 +154,42 @@ def verify_normal_pair(cert: NormalPairCertificate, through: int):
 # The truncated Nomura-Puppe windows.
 # ---------------------------------------------------------------------
 
-def truncated_np(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
-                 BarA: ChainCoalgebra | None = None,
-                 BarA2: ChainCoalgebra | None = None,
-                 quotient: BorelQuotient | None = None) -> ExtendedBundle:
-    """τ(f) = (A' -> A'//A -> Bar A -> Bar A')."""
+def truncated_np(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, BarA: ChainCoalgebra,
+                 BarA2: ChainCoalgebra, quotient: BorelQuotient) -> ExtendedBundle:
+    """τ(f) = (A' -> A'//A -> Bar A -> Bar A'), for ``quotient`` =
+    borel_quotient(f, A, A2, N, BarA)."""
     from .twisting import comodule_via_map
 
-    BarA = BarA if BarA is not None else bar(A, N)
-    BarA2 = BarA2 if BarA2 is not None else bar(A2, N)
-    q = quotient if quotient is not None else borel_quotient(f, A, A2, N, BarA)
     bf = bar_map(f, BarA, BarA2)
     comod = comodule_via_map(BarA2, BarA, bf)
     return ExtendedBundle(
         monoid=A2,
-        module=q.bundle.module,
+        module=quotient.bundle.module,
         comodule=comod,
         comonoid=BarA2,
-        j=q.pi,
-        d=q.delta,
+        j=quotient.pi,
+        d=quotient.delta,
         p=bf,
         label=f"tau({f and 'f'}:{A.name}->{A2.name})",
     )
 
 
-def truncated_dual_np(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int,
-                      OmegaC2: ChainAlgebra | None = None,
-                      OmegaC: ChainAlgebra | None = None,
-                      kernel: BorelKernel | None = None) -> ExtendedBundle:
-    """θ(g) = (Ω C' -> Ω C -> C\\C' -> C')."""
+def truncated_dual_np(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, OmegaC2: ChainAlgebra,
+                      OmegaC: ChainAlgebra, kernel: BorelKernel) -> ExtendedBundle:
+    """θ(g) = (Ω C' -> Ω C -> C\\C' -> C'), for ``kernel`` =
+    borel_kernel(g, C2, C, N, OmegaC)."""
     from .twisting import module_via_map
 
-    OmegaC2 = OmegaC2 if OmegaC2 is not None else cobar(C2, N)
-    OmegaC = OmegaC if OmegaC is not None else cobar(C, N)
-    k = kernel if kernel is not None else borel_kernel(g, C2, C, N, OmegaC)
     og = cobar_map(g, OmegaC2, OmegaC)
     module = module_via_map(OmegaC2, OmegaC, og)
     return ExtendedBundle(
         monoid=OmegaC2,
         module=module,
-        comodule=k.bundle.comodule,
+        comodule=kernel.bundle.comodule,
         comonoid=C2,
         j=og,
-        d=k.del_map,
-        p=k.iota,
+        d=kernel.del_map,
+        p=kernel.iota,
         label=f"theta(g:{C2.name}->{C.name})",
     )
 
@@ -274,7 +256,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     if not is_algebra_map(pi_f, A2, Q):
         raise HypothesisFailed("algebra-map", "pi_f is not multiplicative for the supplied product")
 
-    tau = truncated_np(f, A, A2, N, BarA, BarA2, q)
+    tau = truncated_np(f, A, A2, BarA, BarA2, q)
     wl = left_np_window(pi_f, A2, Q, BarA2, q2)
 
     OmegaBarA2 = cobar(BarA2, N)
@@ -282,7 +264,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     OmegaBarQ = cobar(BarQ, N)
     bpi = bar_map(pi_f, BarA2, BarQ)
     kernel = borel_kernel(bpi, BarA2, BarQ, N, OmegaBarQ)
-    theta = truncated_dual_np(bpi, BarA2, BarQ, N, OmegaBarA2, OmegaBarQ, kernel)
+    theta = truncated_dual_np(bpi, BarA2, BarQ, OmegaBarA2, OmegaBarQ, kernel)
     vA2 = counit_map(A2, N, BarA2, OmegaBarA2)
     vQ = counit_map(Q, N, BarQ, OmegaBarQ)
     arrow1 = bridge_counit_ladder(theta, wl, vA2, vQ, BarA2)
@@ -322,8 +304,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
 
 
 def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
-                             BarA: ChainCoalgebra, q: BorelQuotient,
-                             corrupt_sign: bool = False) -> ChainAlgebra:
+                             BarA: ChainCoalgebra, q: BorelQuotient) -> ChainAlgebra:
     """(w⊗a)·(w'⊗a') = (-1)^{|a||w'|} (w·w')⊗aa' on A'//A, with w·w' the
     shuffle product on Bar(A); requires graded-commutative inputs."""
     from .barcobar import is_graded_commutative
@@ -340,8 +321,6 @@ def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
         (dw, w), (dx, x) = pairs[aname]
         (dw2, w2), (dx2, x2) = pairs[bname]
         sgn = R.of(-1) if (dx * dw2) % 2 else R.one
-        if corrupt_sign:
-            sgn = R.one
         return R.lincomb((tensor_name(wname, xname), sgn * v * u)
                          for wname, v in S.product(dw, w, dw2, w2).items()
                          for xname, u in A2.product(dx, x, dx2, x2).items())
@@ -365,14 +344,13 @@ def natural_quotient_projection(q: BorelQuotient, q2: BorelQuotient,
     return out
 
 
-def abelian_normality(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
-                      corrupt_sign: bool = False):
+def abelian_normality(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int):
     """Commutative algebras: shuffle multiplication on the Borel quotient
     plus the natural projection, fed to the rigid certificate builder."""
     BarA = bar(A, N + 1)
     BarA2 = bar(A2, N + 1)
     q = borel_quotient(f, A, A2, N, BarA)
-    Q = shuffle_quotient_algebra(A, A2, N, BarA, q, corrupt_sign=corrupt_sign)
+    Q = shuffle_quotient_algebra(A, A2, N, BarA, q)
     q2 = borel_quotient(q.pi, A2, Q, N, BarA2)
     pi_tilde = natural_quotient_projection(q, q2, BarA)
     return rigid_normality_certificate(f, A, A2, Q, pi_tilde, N,
@@ -432,8 +410,11 @@ def chcx_identity_certificate(A: ChainAlgebra, N: int):
 
 def rigid_conormality_certificate(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra,
                                   kernel_coalgebra: ChainCoalgebra, iota_tilde: ChainMap,
-                                  N: int, context: dict | None = None):
-    """Dual hypotheses for h-conormality of g with structure Cobar(ι_g).
+                                  N: int, *, OmegaC2: ChainAlgebra, OmegaC: ChainAlgebra,
+                                  kernel: BorelKernel, kernel2: BorelKernel):
+    """Dual hypotheses for h-conormality of g with structure Cobar(ι_g), for
+    ``kernel`` = borel_kernel(g, C2, C, N, OmegaC) and ``kernel2`` =
+    borel_kernel(kernel.iota, kernel_coalgebra, C2, N, OmegaC2).
 
     Verifies: the supplied comultiplication on C\\C' is a chain coalgebra,
     ι_g is a coalgebra map for it, ι̃ is a quasi-isomorphism, and the
@@ -444,23 +425,18 @@ def rigid_conormality_certificate(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalg
     """
     from .hopf import verify_coalgebra
 
-    ctx = context or {}
     ok, witnesses = verify_coalgebra(kernel_coalgebra)
     if not ok:
         raise HypothesisFailed("coalgebra-structure", witnesses[:3])
-    OmegaC2 = ctx.get("OmegaC2") or cobar(C2, N)
-    OmegaC = ctx.get("OmegaC") or cobar(C, N)
-    kernel = ctx.get("kernel") or borel_kernel(g, C2, C, N, OmegaC)
     if not is_coalgebra_map(kernel.iota, kernel_coalgebra, C2):
         raise HypothesisFailed("coalgebra-map", "iota_g is not comultiplicative")
     okq, _ = is_quasi_iso_through(iota_tilde, N - 1)
     if not okq:
         raise HypothesisFailed("iota-tilde-quasi-iso")
-    theta = truncated_dual_np(g, C2, C, N, OmegaC2, OmegaC, kernel)
+    theta = truncated_dual_np(g, C2, C, OmegaC2, OmegaC, kernel)
 
     # strict square: ι_{ι_g} ∘ ι̃ = ∂_g (the half that does hold on the
     # simplicial side); here ι̃: ΩC -> C'\\(C\\C')
-    kernel2 = ctx.get("kernel2") or borel_kernel(kernel.iota, kernel_coalgebra, C2, N, OmegaC2)
     right_ok = all(
         kernel2.iota.compose(iota_tilde).mat(n) == kernel.del_map.mat(n)
         for n in range(N + 1)

@@ -242,10 +242,9 @@ def cyclic_constant_group(k: int, N: int) -> FiniteSimplicialGroup:
     )
 
 
-def verify_group_structure(G: SimplicialGroup, N: int, samples: int = 200,
-                           seed: int = DEFAULT_SEED):
+def verify_group_structure(G: SimplicialGroup, N: int, samples: int = 200):
     """Faces and degeneracies are homomorphisms; neutral behaves."""
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for n in range(N + 1):
         elems = G.elements(n)
         pool = elems if elems is not None else [G.sample(n, rng) for _ in range(samples)]
@@ -627,11 +626,11 @@ class HomotopyFiber:
 
 
 def homotopy_fiber(g, X: SimplicialSet, Y: SimplicialSet, N: int,
-                   GY: KanLoopGroup | None = None) -> HomotopyFiber:
-    """hofib(g) = X ×_{τ_Y g} GY for reduced X, Y; ι is projection onto X."""
+                   GY: KanLoopGroup) -> HomotopyFiber:
+    """hofib(g) = X ×_{τ_Y g} GY for reduced X, Y, with GY = kan_loop_group(Y, N);
+    ι is projection onto X."""
     if not X.is_reduced() or not Y.is_reduced():
         raise NotReduced(f"{X.name} or {Y.name} is not reduced")
-    GY = GY if GY is not None else kan_loop_group(Y, N)
     tau = TwistingFunction(X, GY, lambda n, x: GY.generator(n - 1, g(n, x)),
                            name=f"tau_Y∘{getattr(g, 'name', 'g')}")
     tcp = twisted_cartesian_product(
@@ -765,7 +764,7 @@ def sampled_pi0_trivial(T: SimplicialSet, samples: int, seed: int) -> bool:
 
 
 def allsimpl_certificate(g, X: SimplicialSet, Y: SimplicialSet, N: int,
-                         samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
+                         samples: int = DEFAULT_SAMPLES):
     """Machine-checkable hypotheses behind 'all simplicial maps are
     h-conormal': the comparison isomorphism data feeding the rigid
     conormality argument.
@@ -780,10 +779,10 @@ def allsimpl_certificate(g, X: SimplicialSet, Y: SimplicialSet, N: int,
     correction (x, Gg(w), e) ~ (x, e, w) and is recorded as such.
     """
     cmp, hf = simpl_good_iso(g, X, Y, N)
-    ok_cmp, rep = verify_loop_comparison(cmp, N, samples, seed)
-    ok_path, wit = verify_simplicial_identities(cmp.target_base, min(N, 4), samples, seed)
-    ok_total, wit2 = verify_simplicial_identities(cmp.source, min(N, 3), samples, seed)
-    ok_pi0 = sampled_pi0_trivial(cmp.target_base, samples, seed)
+    ok_cmp, rep = verify_loop_comparison(cmp, N, samples, DEFAULT_SEED)
+    ok_path, wit = verify_simplicial_identities(cmp.target_base, min(N, 4), samples, DEFAULT_SEED)
+    ok_total, wit2 = verify_simplicial_identities(cmp.source, min(N, 3), samples, DEFAULT_SEED)
+    ok_pi0 = sampled_pi0_trivial(cmp.target_base, samples, DEFAULT_SEED)
     report = {
         "comparison": rep,
         "comparison-verified": ok_cmp,
@@ -840,17 +839,16 @@ def classify_twisting_function(tau: TwistingFunction, N: int, W: ClassifyingSpac
     return phi
 
 
-def unit_simplicial_map(X: SimplicialSet, N: int, G: KanLoopGroup | None = None):
+def unit_simplicial_map(X: SimplicialSet, N: int):
     """η_X: X -> W̄GX, classified from the universal twisting function.
     The weak-equivalence claim for η is recorded, not machine-checked."""
-    G = G if G is not None else kan_loop_group(X, N)
+    G = kan_loop_group(X, N)
     tau = universal_twisting_function(G)
     W = classifying_space(G, N)
     return classify_twisting_function(tau, N, W), W, G, tau
 
 
-def check_unit_counit_triangle(G: SimplicialGroup, N: int, samples: int = 200,
-                               seed: int = DEFAULT_SEED):
+def check_unit_counit_triangle(G: SimplicialGroup, N: int, samples: int = 200):
     """ν_G = ε_G ∘ ν_{GW̄G} ∘ (η_{W̄G}-image): the coherence triangle of the
     two couniversal structures, checked on sampled tuples."""
     W = classifying_space(G, N)
@@ -859,7 +857,7 @@ def check_unit_counit_triangle(G: SimplicialGroup, N: int, samples: int = 200,
     tauW = universal_twisting_function(GW)
     # ε_G: GW̄G -> G is the group morphism classified by ν_G
     eps = loop_group_morphism_from_twisting(nu)
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(samples):
         n = rng.randint(1, N)
         a = W.sample(n, rng)

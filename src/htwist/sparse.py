@@ -12,9 +12,9 @@ Over a field, each row in turn is reduced against the pivot rows found so
 far, leftmost column first, and its leading column becomes its pivot.  The
 pivot columns are therefore the leftmost independent ones, so the reduced
 row echelon form is unique, and with it the kernel basis and the solution
-(free variables zero).  `field_rank` stops after this forward pass;
-`field_kernel_basis` and `field_solve` (on the augmented rows [M | B]) also
-back-substitute.
+(free variables zero).  `reduce_differential` stops after this forward
+pass; `field_kernel_basis` and `field_solve` (on the augmented rows [M | B])
+also back-substitute.
 
 Over Z, one diagonalisation by unimodular row and column operations serves
 the Smith normal form, the rank and the invariant factors.  It takes unit
@@ -212,11 +212,6 @@ def _back_substitute(pivots: dict, p):
         for k in [k for k in row if k != c and k in pivots]:
             # pivots[k] is already reduced, so this adds no pivot column
             _axpy(row, -row[k], pivots[k], p)
-
-
-def field_rank(M: SparseMatrix) -> int:
-    assert M.ring.is_field
-    return len(_field_forward(_row_dicts(M).values(), M.ring))
 
 
 def field_kernel_basis(M: SparseMatrix) -> SparseMatrix:
@@ -438,10 +433,6 @@ def invariant_factors(M: SparseMatrix):
     return [D.entries[t, t] for t in range(len(D.entries))]
 
 
-def z_rank(M: SparseMatrix) -> int:
-    return len(invariant_factors(M))
-
-
 def z_kernel_basis(M: SparseMatrix) -> SparseMatrix:
     """Columns form a Z-basis of the (saturated) kernel lattice of M."""
     D, _, V = smith_normal_form(M)
@@ -488,10 +479,6 @@ def reduce_differential(M: SparseMatrix, settled):
 
 def kernel_basis(M: SparseMatrix) -> SparseMatrix:
     return z_kernel_basis(M) if M.ring == ZZ else field_kernel_basis(M)
-
-
-def rank(M: SparseMatrix) -> int:
-    return z_rank(M) if M.ring == ZZ else field_rank(M)
 
 
 def solve(M: SparseMatrix, B: SparseMatrix):

@@ -3,21 +3,18 @@
 This is `htwist.complexes.homology` as it was before it pruned settled rows
 across degrees: every differential d_n is eliminated in full, on its own,
 and H_n is read from the ranks and invariant factors of d_n and d_{n+1}.
-It shares with the pruned path only the eliminations of `htwist.sparse`
-(`rank` and `invariant_factors`), and none of the row deletions.
+It shares with the pruned path only `htwist.sparse.reduce_differential`,
+called with no rows deleted, so that each d_n is one full elimination.
 """
 
 from htwist.complexes import ChainComplex, HomologySummary, TruncationTooLow
-from htwist.sparse import invariant_factors, rank
+from htwist.sparse import reduce_differential
 
 
 def rank_and_torsion(X: ChainComplex, n: int):
     """(rank of d_n, its invariant factors > 1): one elimination of d_n."""
-    dn = X.dmat(n)
-    if X.ring.is_field:
-        return rank(dn), []
-    facs = invariant_factors(dn)
-    return len(facs), [f for f in facs if f > 1]
+    rank, torsion, _ = reduce_differential(X.dmat(n), frozenset())
+    return rank, torsion
 
 
 def homology(X: ChainComplex, through: int) -> HomologySummary:

@@ -12,8 +12,7 @@ cone oracle beyond the eliminations in `htwist.sparse`.
 
 from homology_oracle import rank_and_torsion
 from htwist.complexes import ChainComplex, ChainMap, TruncationTooLow
-from htwist.rings import ZZ
-from htwist.sparse import SparseMatrix, field_rank, invariant_factors, kernel_basis, solve
+from htwist.sparse import SparseMatrix, kernel_basis, reduce_differential, solve
 
 
 class NotAChainMap(Exception):
@@ -37,10 +36,8 @@ def is_surjective_onto_cokernel_zero(M: SparseMatrix) -> bool:
     """True iff coker(M) = 0, i.e. M is surjective as a map of free modules."""
     if M.nrows == 0:
         return True
-    if M.ring == ZZ:
-        facs = invariant_factors(M)
-        return len(facs) == M.nrows and all(f == 1 for f in facs)
-    return field_rank(M) == M.nrows
+    rank, torsion, _ = reduce_differential(M, frozenset())
+    return rank == M.nrows and not torsion
 
 
 def homology_in_degree(X: ChainComplex, n: int):

@@ -76,6 +76,7 @@ from htwist.twisting import (
     universal_cochain,
     verify_twisting_cochain,
 )
+from sign_dropped import sign_dropped_normality
 
 
 def report(criterion: str, ok: bool):
@@ -215,8 +216,7 @@ def test_criterion_6_abelian_normality():
     """Certificates for two commutative fixtures; Koszul corruption detected."""
     corrupted = False
     try:
-        A = exterior_pair(QQ, 7)
-        abelian_normality(ChainMap.identity(A.complex), A, A, 6, corrupt_sign=True)
+        sign_dropped_normality(exterior_pair(QQ, 7), 6)
     except HypothesisFailed:
         corrupted = True
     ok = corrupted
@@ -370,10 +370,13 @@ def test_criterion_12_negative_controls():
     ok = ok and (not okn) and "identity" in wn
 
     # elementary equivalence: corrupted component (covered in unit tests too)
+    from htwist.bundles import borel_quotient
     from htwist.normality import truncated_np, verify_elementary_equivalence
     from htwist.normality import ExtendedBundleMorphism
 
-    tau = truncated_np(ChainMap.identity(A.complex), A, A, 3)
+    f = ChainMap.identity(A.complex)
+    BarA = bar(A, 3)
+    tau = truncated_np(f, A, A, BarA, bar(A, 3), borel_quotient(f, A, A, 3, BarA))
     m = ExtendedBundleMorphism(
         tau, tau,
         ChainMap.identity(tau.monoid.complex),

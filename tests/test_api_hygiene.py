@@ -1,12 +1,20 @@
-"""Every parameter of a public module-level function of htwist is read.
+"""Every parameter of a public module-level function of htwist is read,
+and every defaulted one is passed somewhere.
 
 A parameter that the body never reads is a knob with no effect: a caller
 can set it and nothing changes.  Each module of `src/htwist` is parsed and
 every public top-level `def` is checked for parameters that no name in its
 body (nested functions included) loads.
+
+A defaulted parameter that no call passes is a second code path that only
+its default runs.  Every call in src/, tests/ and bench/ is parsed, and each
+defaulted parameter of a public top-level `def` must be passed, by position
+or by keyword, by a call of a function or method of the same name.
 """
 
 import ast
+import functools
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -14,6 +22,8 @@ import pytest
 import htwist
 
 MODULES = sorted(Path(htwist.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _parameters(fn: ast.FunctionDef) -> list[str]:
@@ -44,3 +54,64 @@ def test_scan_sees_an_unread_parameter():
               "def knob(a, N):\n    def inner():\n        return a\n    return inner\n"
               "def _private(unused):\n    return 0\n")
     assert _unread_parameters(source) == ["knob(N)"]
+
+
+def _defaulted_parameters(source: str) -> list[tuple]:
+    """(function, parameter, position) of each defaulted parameter of a
+    public top-level function; the position of a keyword-only one is None."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        first = len(positional) - len(a.defaults)
+        out += [(node.name, p.arg, i) for i, p in enumerate(positional) if i >= first]
+        out += [(node.name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _passed(sources) -> dict:
+    """name -> [most positional arguments, keywords] over every call of a
+    function or method called name; *args counts as any number, and
+    **kwargs as the keyword None."""
+    passed = defaultdict(lambda: [0, set()])
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            passed[name][0] = max(passed[name][0], float("inf") if starred else len(node.args))
+            passed[name][1] |= {k.arg for k in node.keywords}
+    return passed
+
+
+def _never_passed(source: str, passed: dict) -> list[str]:
+    out = []
+    for fn, p, position in _defaulted_parameters(source):
+        count, keywords = passed.get(fn, (0, set()))
+        if not (p in keywords or None in keywords or (position is not None and count > position)):
+            out.append(f"{fn}({p})")
+    return out
+
+
+@functools.cache
+def _passed_by_callers() -> dict:
+    return _passed(p.read_text() for p in CALLERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_defaulted_parameter_is_passed(path):
+    assert _never_passed(path.read_text(), _passed_by_callers()) == []
+
+
+def test_scan_sees_a_never_passed_parameter():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a + b + c + d + e\n"
+              "def g(x=0):\n    return x\n"
+              "def h(y=0):\n    return y\n"
+              "def _private(z=0):\n    return z\n")
+    calls = "f(0, 1)\nobj.f(0, e=5)\ng(*args)\nh(**options)\n"
+    assert _never_passed(source, _passed([calls])) == ["f(c)", "f(d)"]

@@ -190,7 +190,8 @@ def test_borel_quotient_of_inclusion_matches_tensor():
 
 def test_borel_kernel_cases():
     C = sphere_coalgebra(QQ, 6, 2)
-    k = borel_kernel(ChainMap.identity(C.complex), C, C, 6)
+    O = cobar(C, 6)
+    k = borel_kernel(ChainMap.identity(C.complex), C, C, 6, O)
     H = homology(k.bundle.total, 4)
     assert H.by_degree[0] == (1, [])
     assert all(H.by_degree[n] == (0, []) for n in range(1, 5))
@@ -198,15 +199,14 @@ def test_borel_kernel_cases():
     triv = trivial_coalgebra(QQ, 6)
     coaug = ChainMap(triv.complex, C.complex)
     coaug.set_entry(0, "1", "1", 1)
-    k2 = borel_kernel(coaug, triv, C, 6)
-    O = cobar(C, 6)
+    k2 = borel_kernel(coaug, triv, C, 6, O)
     for n in range(7):
         assert k2.bundle.total.basis.dim(n) == O.complex.basis.dim(n)
     assert homology(k2.bundle.total, 4) == homology(O.complex, 4)
     # g: C -> k: Cobar(k) = k, total = C
     eps = ChainMap(C.complex, triv.complex)
     eps.set_entry(0, "1", "1", 1)
-    k3 = borel_kernel(eps, C, triv, 6)
+    k3 = borel_kernel(eps, C, triv, 6, cobar(triv, 6))
     assert homology(k3.bundle.total, 4) == homology(C.complex, 4)
 
 
@@ -416,7 +416,7 @@ def _borel_quotient_case():
 def _borel_kernel_case():
     C = sphere_coalgebra(QQ, 6, 2)
     g, CF = coacyclic_collapse(C, 6)
-    return _bundle_case(borel_kernel(g, CF, C, 5).bundle)
+    return _bundle_case(borel_kernel(g, CF, C, 5, cobar(C, 5)).bundle)
 
 
 def _word_case(construction, inner, namer, lowest, shift):

@@ -572,13 +572,91 @@ def test_option_a_command_does_not_read_exit_2(tmp_path, command, option):
 
 
 def test_ring_on_file_commands_still_runs(tmp_path):
-    """homology --ring Z is the benchmark's call and cobar --ring Q the
-    documented one; the file's ring decides both."""
+    """homology --ring Z is the benchmark's call, on a complex over Z, and
+    cobar --ring Q the documented one; a complex over Q is refused with
+    --ring Z and runs with --ring Q."""
     ext = tmp_path / "ext.json"
     io_json.dump(io_json.complex_to_dict(exterior(QQ, 4).complex), str(ext))
     proc = run_cli(["homology", str(ext), "--through", "3", "--ring", "Z", "--json"])
+    _exit_2(proc, "--ring Z", "over Q")
+    proc = run_cli(["homology", str(ext), "--through", "3", "--ring", "Q", "--json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["homology"]["0"]["rank"] == 1
     proc = run_cli(["cobar", str(write_sphere(tmp_path)), "--through", "4", "--ring", "Q", "--json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["d-squared-zero"] is True
+
+
+FILE_RING_COMMANDS = ["homology", "bar", "cobar", "check-twisting", "borel", "np"]
+
+
+def _input_over_q(tmp_path, command):
+    """A valid input over Q for a command that reads an algebraic file."""
+    if command in ("borel", "np"):
+        return _through_input(tmp_path, "borel")
+    if command == "cobar":
+        return write_sphere(tmp_path)
+    if command == "check-twisting":
+        return write_cochain(tmp_path, [])
+    path = tmp_path / f"{command}.json"
+    A = exterior(QQ, 6)
+    data = io_json.complex_to_dict(A.complex) if command == "homology" else io_json.algebra_to_dict(A)
+    io_json.dump(data, str(path))
+    return path
+
+
+@pytest.mark.parametrize("command", FILE_RING_COMMANDS)
+def test_file_ring_is_the_default_and_may_be_named(tmp_path, command):
+    path = str(_input_over_q(tmp_path, command))
+    plain = run_cli([command, path, "--through", "3", "--json"])
+    assert plain.returncode == 0, plain.stderr
+    named = run_cli([command, path, "--through", "3", "--ring", "Q", "--json"])
+    assert named.returncode == 0 and named.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("command", FILE_RING_COMMANDS)
+def test_ring_tag_that_names_no_ring_exit_2(tmp_path, command):
+    proc = run_cli([command, str(_input_over_q(tmp_path, command)), "--through", "3", "--ring", "F"])
+    _exit_2(proc, "'F'")
+    assert not proc.stdout
+
+
+@pytest.mark.parametrize("command", FILE_RING_COMMANDS)
+@pytest.mark.parametrize("ring", ["Z", "Fp:3"])
+def test_ring_other_than_the_input_ring_exit_2(tmp_path, command, ring):
+    proc = run_cli([command, str(_input_over_q(tmp_path, command)), "--through", "3", "--ring", ring])
+    _exit_2(proc, f"--ring {ring}", "over Q")
+    assert not proc.stdout
+
+
+@pytest.mark.parametrize("command", ["borel", "np", "check-twisting"])
+def test_source_and_target_over_different_rings_exit_2(tmp_path, command):
+    path = _input_over_q(tmp_path, command)
+    data = json.loads(path.read_text())
+    data["target"]["ring"] = "Z"
+    path.write_text(json.dumps(data))
+    _exit_2(run_cli([command, str(path), "--through", "3"]), "source is over Q", "target over Z")
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("bar", "unit", "u"),                # no such element
+    ("bar", "unit", "x"),                # an element of degree 1
+    ("cobar", "coaug", "c2"),            # an element of degree 2
+    ("cobar", "coaug", ["1"]),           # not a name
+    ("check-twisting", "coaug", "s(x)"),
+], ids=["unit-unknown", "unit-degree-1", "coaug-degree-2", "coaug-list", "source-coaug"])
+def test_unit_or_coaug_not_in_degree_0_exit_2(tmp_path, command, key, value):
+    path = _input_over_q(tmp_path, command)
+    data = json.loads(path.read_text())
+    (data["source"] if command == "check-twisting" else data)[key] = value
+    path.write_text(json.dumps(data))
+    _exit_2(run_cli([command, str(path), "--through", "3"]), f"{key} {value!r}", "degree 0")
+
+
+@pytest.mark.parametrize("command", ["borel", "np"])
+def test_source_that_is_not_connected_exit_2(tmp_path, command):
+    path = _input_over_q(tmp_path, command)
+    data = json.loads(path.read_text())
+    data["source"]["basis"]["0"].append("e")
+    path.write_text(json.dumps(data))
+    _exit_2(run_cli([command, str(path), "--through", "3"]), "connected")

@@ -41,6 +41,7 @@ from htwist.fixtures import (
 )
 from htwist.hopf import tensor_coalgebra_product
 from htwist.normality import shuffle_quotient_algebra
+from sign_dropped import sign_dropped_quotient
 from htwist.rings import GF, QQ, ZZ
 from htwist.sparse import SparseMatrix
 from htwist.twisting import (
@@ -190,13 +191,15 @@ def test_lower_target_truncation_drops_missing_words(R):
         assert same_map(cobar_map(g, O, O4), reference.bar_map(g, O, O4))
 
 
-def abelian_quotient(corrupt_sign: bool = False):
+def abelian_quotient(sign_dropped: bool = False):
     """The shuffle quotient algebra of Λx⊗Λy at N=6, as abelian_normality
-    builds it."""
+    builds it, or the sign-dropped one of the corruption control."""
     A = exterior_pair(QQ, N + 1)
     BarA = bar(A, N + 1)
     q = borel_quotient(ChainMap.identity(A.complex), A, A, N, BarA)
-    return A, shuffle_quotient_algebra(A, A, N, BarA, q, corrupt_sign=corrupt_sign)
+    if sign_dropped:
+        return A, sign_dropped_quotient(A, N, BarA, q)
+    return A, shuffle_quotient_algebra(A, A, N, BarA, q)
 
 
 def test_counit_of_abelian_quotient():
@@ -238,8 +241,8 @@ def test_graded_commutativity_matches_reference(R):
 
 
 def test_graded_commutativity_of_quotients():
-    for corrupt in (False, True):
-        _, Q = abelian_quotient(corrupt)
+    for dropped in (False, True):
+        _, Q = abelian_quotient(dropped)
         assert is_graded_commutative(Q) == reference.is_graded_commutative(Q)
 
 

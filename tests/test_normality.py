@@ -1,6 +1,7 @@
 import pytest
 
 from htwist.barcobar import bar, cobar
+from htwist.bundles import borel_kernel, borel_quotient
 from htwist.complexes import ChainMap
 from htwist.fixtures import (
     exterior,
@@ -25,6 +26,7 @@ from htwist.normality import (
 )
 from htwist.normality import ExtendedBundleMorphism
 from htwist.rings import QQ
+from sign_dropped import sign_dropped_normality
 
 
 def identity_morphism(T):
@@ -38,9 +40,16 @@ def identity_morphism(T):
     )
 
 
+def identity_tau(A, N):
+    """τ(id_A) through N."""
+    f = ChainMap.identity(A.complex)
+    BarA = bar(A, N)
+    return truncated_np(f, A, A, BarA, bar(A, N), borel_quotient(f, A, A, N, BarA))
+
+
 def test_truncated_np_and_identity_morphism():
     A = exterior(QQ, 7)
-    tau = truncated_np(ChainMap.identity(A.complex), A, A, 5)
+    tau = identity_tau(A, 5)
     m = identity_morphism(tau)
     ok, report = verify_elementary_equivalence(m, 4)
     assert ok, report
@@ -48,7 +57,9 @@ def test_truncated_np_and_identity_morphism():
 
 def test_truncated_dual_np_and_corruption():
     C = sphere_coalgebra(QQ, 7, 2)
-    theta = truncated_dual_np(ChainMap.identity(C.complex), C, C, 5)
+    g = ChainMap.identity(C.complex)
+    OmegaC = cobar(C, 5)
+    theta = truncated_dual_np(g, C, C, cobar(C, 5), OmegaC, borel_kernel(g, C, C, 5, OmegaC))
     m = identity_morphism(theta)
     ok, report = verify_elementary_equivalence(m, 4)
     assert ok, report
@@ -80,7 +91,7 @@ def test_abelian_corruption_detected():
     # Λ(x)⊗Λ(y) has odd bar words and odd algebra elements
     A = exterior_pair(QQ, 7)
     with pytest.raises(HypothesisFailed) as exc:
-        abelian_normality(ChainMap.identity(A.complex), A, A, 5, corrupt_sign=True)
+        sign_dropped_normality(A, 5)
     assert exc.value.axiom in ("algebra-structure", "algebra-map")
 
 
@@ -101,7 +112,7 @@ def test_abelian_build_verifies_the_quotient_algebra_once(monkeypatch):
     abelian_normality(ChainMap.identity(A.complex), A, A, 5)
     assert len(calls) == 1
     with pytest.raises(HypothesisFailed) as exc:
-        abelian_normality(ChainMap.identity(A.complex), A, A, 5, corrupt_sign=True)
+        sign_dropped_normality(A, 5)
     assert len(calls) == 2 and exc.value.axiom == "algebra-structure"
     assert exc.value.detail == real(calls[1])[1][:3]
 
@@ -134,8 +145,8 @@ def test_chcx_identity_certificate():
 
 def test_endpoint_mismatch_guard():
     A = exterior(QQ, 7)
-    tau = truncated_np(ChainMap.identity(A.complex), A, A, 4)
-    tau2 = truncated_np(ChainMap.identity(A.complex), A, A, 4)
+    tau = identity_tau(A, 4)
+    tau2 = identity_tau(A, 4)
     cert = NormalPairCertificate("f", "g", tau, tau2, arrows=[])
     with pytest.raises(EndpointMismatch):
         verify_normal_pair(cert, 3)
@@ -153,7 +164,6 @@ def test_trivial_extension_exterior_pair():
 def test_rigid_conormality_hypotheses():
     # g: C' -> trivial coalgebra; the Borel kernel is C' itself (renamed)
     from htwist.hopf import ChainCoalgebra, table_coproduct
-    from htwist.bundles import borel_kernel
 
     C2 = sphere_coalgebra(QQ, 7, 2)
     triv = trivial_coalgebra(QQ, 7)
@@ -174,8 +184,7 @@ def test_rigid_conormality_hypotheses():
     iota_tilde.set_entry(0, "[]", kernel2.bundle.total.basis.names(0)[0], 1)
     cert = rigid_conormality_certificate(
         g, C2, triv, K, iota_tilde, 5,
-        context={"OmegaC2": OmegaC2, "OmegaC": OmegaC, "kernel": kernel,
-                 "kernel2": kernel2},
+        OmegaC2=OmegaC2, OmegaC=OmegaC, kernel=kernel, kernel2=kernel2,
     )
     assert cert.notes and "partial" in cert.notes[0]
     ok, reports = verify_normal_pair(cert, 4)
@@ -184,7 +193,6 @@ def test_rigid_conormality_hypotheses():
 
 def test_rigid_conormality_bad_comultiplication():
     from htwist.hopf import ChainCoalgebra, table_coproduct
-    from htwist.bundles import borel_kernel
 
     C2 = sphere_coalgebra(QQ, 7, 2)
     triv = trivial_coalgebra(QQ, 7)
@@ -198,16 +206,18 @@ def test_rigid_conormality_bad_comultiplication():
     primitive = table_coproduct(QQ, "1⊗[]", {})
     K = ChainCoalgebra(total, "1⊗[]", lambda n, c: bad if (n, c) == (2, "c2⊗[]") else primitive(n, c),
                        name="bad")
+    OmegaC2 = cobar(C2, 5)
     with pytest.raises(HypothesisFailed):
         rigid_conormality_certificate(
             g, C2, triv, K, ChainMap(OmegaC.complex, total), 5,
-            context={"OmegaC2": cobar(C2, 5), "OmegaC": OmegaC, "kernel": kernel},
+            OmegaC2=OmegaC2, OmegaC=OmegaC, kernel=kernel,
+            kernel2=borel_kernel(kernel.iota, K, C2, 5, OmegaC2),
         )
 
 
 def test_mu_module_map_detects_non_module_map():
     A = exterior(QQ, 7)
-    tau = truncated_np(ChainMap.identity(A.complex), A, A, 5)
+    tau = identity_tau(A, 5)
     m = identity_morphism(tau)
     # mu([]⊗x) = 2 []⊗x, while mu([]⊗1)·alpha(x) = []⊗x
     m.mu.set_entry(1, "[]⊗x", "[]⊗x", 1)

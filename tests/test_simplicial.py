@@ -30,7 +30,7 @@ from htwist.simplicial import (
     NoExtension,
 )
 from test_constant_group_parity import symmetric_group_s3
-from test_simplicial_parity import corrupt, reference_identities
+from test_simplicial_parity import circle_path_fibration, corrupt, reference_identities
 
 
 def test_group_words():
@@ -159,7 +159,7 @@ def test_unit_counit_triangle():
 
 def test_homotopy_fiber_identity_map():
     S = minimal_circle(7)
-    hf = homotopy_fiber(lambda n, x: x, S, S, 6)
+    hf = homotopy_fiber(lambda n, x: x, S, S, 6, kan_loop_group(S, 6))
     ok, w = verify_simplicial_identities(hf.total, 4, samples=400)
     assert ok, w
     assert sampled_pi0_trivial(hf.total, 800, DEFAULT_SEED)
@@ -169,7 +169,7 @@ def test_homotopy_fiber_over_point():
     S = minimal_circle(6)
     P = point_space(6)
     # g: S -> point; GY is trivial, total = S x trivial
-    hf = homotopy_fiber(lambda n, x: P.basepoint(n), S, P, 5)
+    hf = homotopy_fiber(lambda n, x: P.basepoint(n), S, P, 5, kan_loop_group(P, 5))
     for n in range(5):
         # fiber group has no generators: all words empty
         assert hf.GY.sample(n, random.Random(1)).is_identity()
@@ -283,7 +283,7 @@ def test_maps_are_asked_in_the_reference_loop_order():
     one family are not those of another, so in d_i s_j both sides are new
     requests, and the side got is asked first."""
     def spied(log):
-        total = homotopy_fiber(lambda m, y: y, minimal_circle(6), minimal_circle(6), 5).total
+        total = circle_path_fibration()
         for kind in ("face", "degeneracy"):
             orig = getattr(total, kind)
 

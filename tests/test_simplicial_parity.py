@@ -20,10 +20,18 @@ from htwist.simplicial import (
     classifying_space,
     cyclic_constant_group,
     homotopy_fiber,
+    kan_loop_group,
     minimal_circle,
     universal_bundle,
     verify_simplicial_identities,
 )
+
+
+def circle_path_fibration():
+    """The homotopy fiber of the identity of the minimal circle through 5,
+    a space with sampled levels."""
+    Y = minimal_circle(6)
+    return homotopy_fiber(lambda m, y: y, minimal_circle(6), Y, 5, kan_loop_group(Y, 5)).total
 
 
 def reference_identities(X, N, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
@@ -171,7 +179,7 @@ def test_parity_on_symbolic_space_sampled():
                           rng.choice(minimal_circle(6).elements(n)), rng.randint(0, 2)))
 
         def make():
-            total = homotopy_fiber(lambda m, y: y, minimal_circle(6), minimal_circle(6), 5).total
+            total = circle_path_fibration()
             for kind, n, i, x, length in picks:
                 corrupt(total, kind, n, i,
                         lambda y, x=x, length=length: y[0] == x and len(y[1].letters) == length,
@@ -203,7 +211,7 @@ def test_sampled_path_draws_in_the_same_order():
     draws = []
 
     def make():
-        total = homotopy_fiber(lambda m, y: y, minimal_circle(6), minimal_circle(6), 5).total
+        total = circle_path_fibration()
         orig = total.sample
 
         def sample(n, rng):
