@@ -12,6 +12,7 @@ and coderivation checks in the test suite pin the convention down.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
 from .complexes import ChainComplex, ChainMap, GradedBasis, _differing_columns, _tensor_offsets, tensor_name
 from .hopf import (
@@ -54,64 +55,126 @@ def cobar_word_name(word: Word) -> str:
     return EMPTY_NAME if not word else "|".join(f"s-1({n})" for (_, n) in word)
 
 
-def _enumerate_words(letter_pool: list[tuple[Key, int]], N: int) -> dict[int, list[Word]]:
-    """All words of total marked degree <= N over the pool, by degree.
+def _enumerate_words(letters: dict[int, list[Key]], N: int):
+    """Every word of marked degree 1..N over ``letters`` (marked degree ->
+    letter keys in name order, degrees ascending), degree by degree, as
+    (n, blocks) with blocks [(parts, words), ...] in basis order.
 
-    A word of degree n is a word of degree n - |l| followed by its last
-    letter l, so each degree is built in one pass over the letters.
-    Ordering inside a degree is (length, letter degrees, letter names), a
+    Inside a degree the order is (length, letter degrees, letter names), a
     total order on distinct words: deterministic matrices everywhere
-    downstream.
+    downstream.  A block is one composition ``parts`` of n into letter
+    degrees, and the blocks of one length run lexicographically; the words
+    of a block are the product of its parts' letter lists, so they run in
+    name order (docs/DECISIONS.md, section 9).  Nothing is sorted.
     """
-    by_degree: dict[int, list[Word]] = {0: [()]}
+    compositions = {0: {0: [()]}}  # degree -> length -> parts, lexicographically
     for n in range(1, N + 1):
-        words = [w + (key,) for key, ldeg in letter_pool if ldeg <= n
-                 for w in by_degree.get(n - ldeg, ())]
-        if words:
-            words.sort(key=lambda w: (len(w), tuple(k[0] for k in w), tuple(k[1] for k in w)))
-            by_degree[n] = words
-    return by_degree
+        by_length = compositions[n] = {}
+        for d in letters:
+            for k, tails in compositions.get(n - d, {}).items():
+                by_length.setdefault(k + 1, []).extend((d,) + t for t in tails)
+        blocks = [(parts, list(product(*map(letters.__getitem__, parts))))
+                  for k in range(1, n + 1) for parts in by_length.get(k, ())]
+        if blocks:
+            yield n, blocks
 
 
-def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, namer,
+def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, mark: str,
                   span: int, rewrite) -> ChainComplex:
     """The complex on all words of marked degree <= N over the letters of
     ``inner`` in degrees >= ``lowest`` (marked degree |x| + shift), keyed by
-    word, with d = Σ_j (-1)^{e_j} (-(internal d on letter j) + rewrite).
+    word and named by joining its letters' ``mark(x)`` with |, with
+    d = Σ_j (-1)^{e_j} (-(internal d on letter j) + rewrite).
 
     e_j is the total marked degree of the letters before j;
     ``rewrite(w[j:j+span])`` lists the (letters, coeff) that replace those
     letters in the bar merge (span 2) or the cobar split (span 1).  Internal
     d that leaves the letter degrees >= ``lowest`` is dropped (augmentation,
-    1-connectivity).  Both are tabulated once per letter (pair), and each
-    target word is found by the key -> index map of its degree.
+    1-connectivity).
+
+    d is written from each word's prefix (docs/DECISIONS.md, section 9):
+    d(u·ℓ) is d(u) with ℓ appended, plus the terms whose window holds ℓ.
+    Letters are numbered, and a word u·ℓ is found from the index of u by
+    the append table (|u|, ℓ) -> [index of u·ℓ for each u of degree |u|],
+    filled block by block as the words are enumerated.  The tables are
+    locals of this call, freed once d is written.
     """
     top = min(inner.truncation, N - shift)
-    pool = [((n, x), n + shift) for n in range(lowest, top + 1) for x in inner.basis.names(n)]
-    words = _enumerate_words(pool, N)
+    letters = {n + shift: [(n, x) for x in sorted(inner.basis.names(n))]
+               for n in range(lowest, top + 1) if inner.basis.dim(n)}
+    keys = [key for run in letters.values() for key in run]
+    number = {key: i for i, key in enumerate(keys)}
+    ids = {d: [number[key] for key in run] for d, run in letters.items()}
+    text = {d: [f"{mark}({x})" for _, x in run] for d, run in letters.items()}
+    marked = [n + shift for n, _ in keys]
     basis = GradedBasis(N)
-    for n in sorted(words):
-        for w in words[n]:
-            basis.add(n, namer(w), w)
+    basis.fill(0, [EMPTY_NAME], [()])
+    placed = {(): (0, 1)}  # parts -> (index of the block's first word, its size)
+    prefix, last = {}, {}  # degree -> index of the prefix, last letter, per word
+    append = {}
+    for n, runs in _enumerate_words(letters, N):
+        names, words, prefix[n], last[n] = [], [], [], []
+        for parts, block in runs:
+            m, ls = n - parts[-1], ids[parts[-1]]
+            first, size = placed[parts[:-1]]
+            placed[parts] = len(words), len(block)
+            prefix[n] += [p for p in range(first, first + size) for _ in ls]
+            last[n] += ls * size
+            for i, l in enumerate(ls, len(words)):
+                if (m, l) not in append:
+                    append[m, l] = [0] * basis.dim(m)
+                append[m, l][first:first + size] = range(i, i + size * len(ls), len(ls))
+            words += block
+            names += map("|".join, product(*map(text.__getitem__, parts)))
+        basis.fill(n, names, words)
     X = ChainComplex(inner.ring, basis)
-    dtab = {(n, x): [((n - 1, below[r]), c) for r, c in inner.dmat(n).column(i).items()]
-            for n in range(lowest + 1, top + 1) for below in [inner.basis.names(n - 1)]
-            for i, x in enumerate(inner.basis.names(n))}
-    rewrite = cache(rewrite)
+
+    def extend(m, p, rep):
+        """The index of the word of degree m at p followed by the letters rep."""
+        for l in rep:
+            p = append[m, l][p]
+            m += marked[l]
+        return p
+
+    @cache
+    def window(*ls):
+        return [(tuple(map(number.__getitem__, rep)), c)
+                for rep, c in rewrite(tuple(map(keys.__getitem__, ls)))]
+
+    def at_letter(l):
+        n, x = keys[l]
+        if n <= lowest:
+            internal = []
+        else:
+            below = inner.basis.names(n - 1)
+            internal = [((number[n - 1, below[r]],), -c)
+                        for r, c in inner.dmat(n).column(inner.basis.index(n, x)).items()]
+        return internal + (window(l) if span == 1 else [])
+
+    single = [at_letter(l) for l in range(len(keys))]
+    columns = {0: [[]]}  # degree -> d of each word as (row, coeff) pairs
 
     def terms(n):
-        rows = basis.positions(n - 1)
-        for col, w in enumerate(words.get(n, ())):
-            e = 0
-            for j, letter in enumerate(w):
-                s = -1 if e % 2 else 1
-                for x2, c in dtab.get(letter, ()):
-                    yield (rows[w[:j] + (x2,) + w[j + 1:]], col), -s * c
-                part = w[j:j + span]
-                if len(part) == span:
-                    for rep, c in rewrite(part):
-                        yield (rows[w[:j] + rep + w[j + span:]], col), s * c
-                e += letter[0] + shift
+        if n > 1:  # d_{n-1} is written
+            columns[n - 1] = cols = [[] for _ in range(basis.dim(n - 1))]
+            for (r, j), v in X.diff[n - 1].entries.items():
+                cols[j].append((r, v))
+        for col, (p, l) in enumerate(zip(prefix.get(n, ()), last.get(n, ()))):
+            m = n - marked[l]
+            du = columns[m][p]
+            if du:
+                rows = append[m - 1, l]
+                for r, c in du:
+                    yield (rows[r], col), c
+            # the windows that hold ℓ, the merge before the internal d and
+            # the split, so entries come in the order of the sum over j
+            if span == 2 and m:
+                p2, l2 = prefix[m][p], last[m][p]
+                m2 = m - marked[l2]
+                for rep, c in window(l2, l):
+                    yield (extend(m2, p2, rep), col), -c if m2 % 2 else c
+            for rep, c in single[l]:
+                yield (extend(m, p, rep), col), -c if m % 2 else c
 
     X._set_d(terms)
     return X
@@ -138,7 +201,7 @@ def bar(A: ChainAlgebra, N: int) -> ChainCoalgebra:
         return [(((dj + dk, prod),), c if dj % 2 else -c)
                 for prod, c in A.product(dj, aj, dk, ak).items()]
 
-    X = _word_complex(A.complex, 1, 1, N, bar_word_name, 2, merge)
+    X = _word_complex(A.complex, 1, 1, N, "s", 2, merge)
     basis = X.basis
 
     @cache
@@ -172,7 +235,7 @@ def cobar(C: ChainCoalgebra, N: int) -> ChainAlgebra:
     def split(letter):
         return [((k1, k2), -v if k1[0] % 2 else v) for k1, k2, v in C.reduced_coproduct(*letter[0])]
 
-    X = _word_complex(C.complex, 2, -1, N, cobar_word_name, 1, split)
+    X = _word_complex(C.complex, 2, -1, N, "s-1", 1, split)
     basis = X.basis
 
     def concat(da, a, db, b):

@@ -146,6 +146,17 @@ def _check_ring(args, **inputs) -> None:
         raise InputError(f"--ring {args.ring}, but the {first} is over {X.ring.tag()}")
 
 
+def _check_connected(command: str, source, target) -> None:
+    """Refuse, as ``cobar`` and ``bar`` do (exit 2), a source coalgebra that
+    is not 1-connected or a target algebra that is not connected; a source
+    of None is not checked."""
+    if source is not None and not source.is_one_connected():
+        raise NotOneConnected(f"{command} needs a 1-connected source coalgebra, "
+                              f"degrees 0/1 = {source.basis(0)}/{source.basis(1)}")
+    if not target.is_connected():
+        raise NotConnected(f"{command} needs a connected target algebra, degree 0 = {target.basis(0)}")
+
+
 def _group_from_spec(data: dict, N: int):
     """The simplicial group a spec describes; a spec of a bare set is an input error."""
     from .simplicial import SimplicialGroup
@@ -207,6 +218,7 @@ def cmd_check_twisting(args):
     C = io_json.coalgebra_from_dict(required(data, "source"))
     A = io_json.algebra_from_dict(required(data, "target"))
     _check_ring(args, source=C, target=A)
+    _check_connected("check-twisting", C, A)
     t = TwistingCochain(C, A)
     values = required(required(data, "cochain"), "values")
     for n, c, combo in io_json.cochain_values_from_dict(values, C, A):
@@ -230,6 +242,7 @@ def cmd_borel(args):
     A = io_json.algebra_from_dict(required(data, "source"))
     A2 = io_json.algebra_from_dict(required(data, "target"))
     _check_ring(args, source=A, target=A2)
+    _check_connected("borel", None, A2)
     f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
     q = borel_quotient(f, A, A2, args.through)
     okd, wd = verify_differential(q.bundle.total)

@@ -32,7 +32,8 @@ class GradedBasis:
     """Ordered named basis elements per degree, 0..truncation.
 
     A keyed basis also records what each element is: ``add(n, name, key)``
-    files the key under the name in ``keys`` (name -> key, in basis order).
+    files the key under the name in ``keys`` (name -> key, in basis order),
+    and ``fill(n, names, keys)`` files a run of them at once.
     Tensor bases key by factor pair ((|x|, x), (|y|, y)), bar and cobar bases
     by letter word, normalized chains by simplex (docs/DECISIONS.md, section
     6).  ``positions`` inverts the registry degree by degree, key -> index,
@@ -52,8 +53,7 @@ class GradedBasis:
                 self.add(n, name)
 
     def add(self, degree: int, name: str, key=None):
-        if not (0 <= degree <= self.truncation):
-            raise ValueError(f"degree {degree} outside 0..{self.truncation}")
+        self._check_degree(degree)
         names = self.by_degree.setdefault(degree, [])
         idx = self._index.setdefault(degree, {})
         if name in idx:
@@ -63,6 +63,29 @@ class GradedBasis:
         if key is not None:
             self.keys[name] = key
             self._positions = None
+
+    def fill(self, degree: int, names: list[str], keys: list):
+        """``add`` of a run of keyed elements of one degree at once, in order;
+        an empty run files nothing, so its degree stays absent."""
+        self._check_degree(degree)
+        if not names:
+            return
+        idx = self._index.get(degree, {})
+        run = dict(zip(names, range(len(idx), len(idx) + len(names))))
+        if len(run) < len(names) or not idx.keys().isdisjoint(run):
+            seen = set(idx)
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"duplicate basis name {name!r} in degree {degree}")
+                seen.add(name)
+        self._index.setdefault(degree, {}).update(run)
+        self.by_degree.setdefault(degree, []).extend(names)
+        self.keys.update(zip(names, keys))
+        self._positions = None
+
+    def _check_degree(self, degree: int):
+        if not (0 <= degree <= self.truncation):
+            raise ValueError(f"degree {degree} outside 0..{self.truncation}")
 
     def positions(self, degree: int) -> dict:
         """key -> index of the keyed elements of ``degree`` (read only)."""
@@ -329,10 +352,13 @@ def tensor_basis(X: ChainComplex, Y: ChainComplex, N: int) -> GradedBasis:
     are never parsed back from names (which may themselves contain ⊗)."""
     basis = GradedBasis(N)
     for n in range(N + 1):
+        names, keys = [], []
         for p in range(n + 1):
+            ys = Y.basis.names(n - p)
             for x in X.basis.names(p):
-                for y in Y.basis.names(n - p):
-                    basis.add(n, tensor_name(x, y), ((p, x), (n - p, y)))
+                names += [tensor_name(x, y) for y in ys]
+                keys += [((p, x), (n - p, y)) for y in ys]
+        basis.fill(n, names, keys)
     return basis
 
 

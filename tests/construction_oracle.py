@@ -6,8 +6,10 @@ integer index: every entry is added one at a time through
 `ChainComplex.set_d_entry`, which renders the target name and looks both
 names up in the basis.  Each function rebuilds the complex on the same basis
 as the construction it mirrors and returns it, so the two d_n can be
-compared matrix by matrix.  They share the basis construction with `htwist`
-(`tensor_basis`, `_enumerate_words`), but none of the differential code.
+compared matrix by matrix.  They share the pair-basis construction with
+`htwist` (`tensor_basis`), but none of the differential code; the words of
+bar and cobar come from `enumerate_words`, the sort-based enumeration
+`htwist` used before it enumerated words block by block in basis order.
 
 The second half holds the name-by-name bodies of α_t, β_t, Bar(f)/Cobar(g),
 the Milgram cobar map, `compose_cochain`, `verify_twisting_cochain` and
@@ -16,7 +18,7 @@ prefix: words are multiplied out letter by letter through `mul_combo` and
 entries set through `ChainMap.set_entry`.
 """
 
-from htwist.barcobar import _enumerate_words, bar_word_name, cobar_word_name
+from htwist.barcobar import bar_word_name, cobar_word_name
 from htwist.complexes import ChainComplex, ChainMap, GradedBasis, tensor_basis, tensor_name
 from htwist.hopf import _sign
 from htwist.rings import Ring
@@ -35,12 +37,30 @@ def act_combo(M, dm: int, cm: dict, da: int, ca: dict) -> dict:
                           for r, vr in M.act(dm, m, da, a).items())
 
 
+def enumerate_words(letter_pool, N: int) -> dict:
+    """All words of total marked degree <= N over the pool of (letter,
+    marked degree) pairs, by degree.
+
+    A word of degree n is a word of degree n - |l| followed by its last
+    letter l, so each degree is built in one pass over the letters.
+    Ordering inside a degree is (length, letter degrees, letter names).
+    """
+    by_degree = {0: [()]}
+    for n in range(1, N + 1):
+        words = [w + (key,) for key, ldeg in letter_pool if ldeg <= n
+                 for w in by_degree.get(n - ldeg, ())]
+        if words:
+            words.sort(key=lambda w: (len(w), tuple(k[0] for k in w), tuple(k[1] for k in w)))
+            by_degree[n] = words
+    return by_degree
+
+
 def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, namer,
                   letter_term) -> ChainComplex:
     R = inner.ring
     pool = [((n, x), n + shift) for n in range(lowest, min(inner.truncation, N - shift) + 1)
             for x in inner.basis.names(n)]
-    words = _enumerate_words(pool, N)
+    words = enumerate_words(pool, N)
     basis = GradedBasis(N)
     for n in sorted(words):
         for w in words[n]:

@@ -660,3 +660,27 @@ def test_source_that_is_not_connected_exit_2(tmp_path, command):
     data["source"]["basis"]["0"].append("e")
     path.write_text(json.dumps(data))
     _exit_2(run_cli([command, str(path), "--through", "3"]), "connected")
+
+
+@pytest.mark.parametrize("part, degree, name, needle", [
+    ("source", "1", "y", "check-twisting needs a 1-connected source coalgebra, degrees 0/1 = ['[]']/['y']"),
+    ("target", "0", "e", "check-twisting needs a connected target algebra, degree 0 = ['1', 'e']"),
+], ids=["source-degree-1", "target-degree-0"])
+def test_check_twisting_refuses_what_cobar_and_bar_refuse_exit_2(tmp_path, part, degree, name, needle):
+    path = write_cochain(tmp_path, [{"from": [3, "s(x)"], "to": [["x", "1"]]}])
+    data = json.loads(path.read_text())
+    data[part]["basis"].setdefault(degree, []).append(name)
+    path.write_text(json.dumps(data))
+    proc = run_cli(["check-twisting", str(path), "--through", "3", "--json"])
+    _exit_2(proc, needle)
+    assert not proc.stdout
+
+
+def test_borel_target_that_is_not_connected_exit_2(tmp_path):
+    path = _input_over_q(tmp_path, "borel")
+    data = json.loads(path.read_text())
+    data["target"]["basis"]["0"].append("e")
+    path.write_text(json.dumps(data))
+    proc = run_cli(["borel", str(path), "--through", "3", "--json"])
+    _exit_2(proc, "borel needs a connected target algebra, degree 0 = ['1', 'e']")
+    assert not proc.stdout

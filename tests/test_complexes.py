@@ -31,6 +31,57 @@ def two_step(ring=ZZ, mult=2, N=2):
     return X
 
 
+def test_fill_leaves_an_empty_degree_absent():
+    basis = GradedBasis(3)
+    basis.fill(1, ["a"], [("a",)])
+    basis.fill(2, [], [])
+    assert basis.by_degree == {1: ["a"]} and basis.degrees() == [1]
+    assert basis.dim(2) == 0 and basis.positions(2) == {}
+
+
+@pytest.mark.parametrize("runs", [
+    [["a", "b", "a"]],   # twice in one run
+    [["a"], ["b", "a"]],  # in an earlier run
+], ids=["one-run", "earlier-run"])
+def test_fill_refuses_a_duplicate_name_and_files_nothing(runs):
+    basis = GradedBasis(2)
+    *before, bad = runs
+    for names in before:
+        basis.fill(1, names, [(x,) for x in names])
+    with pytest.raises(ValueError, match="duplicate basis name 'a' in degree 1"):
+        basis.fill(1, bad, [(x,) for x in bad])
+    assert basis.names(1) == [x for names in before for x in names]
+    assert set(basis.keys) == set(basis.names(1))
+
+
+def test_add_refuses_a_name_a_fill_filed():
+    basis = GradedBasis(2)
+    basis.fill(1, ["a"], [("a",)])
+    with pytest.raises(ValueError, match="duplicate basis name 'a' in degree 1"):
+        basis.add(1, "a")
+
+
+@pytest.mark.parametrize("degree", [-1, 4])
+def test_fill_and_add_refuse_a_degree_outside_the_truncation(degree):
+    basis = GradedBasis(3)
+    for fill in (lambda: basis.fill(degree, ["a"], [("a",)]), lambda: basis.fill(degree, [], []),
+                 lambda: basis.add(degree, "a")):
+        with pytest.raises(ValueError, match=f"degree {degree} outside 0..3"):
+            fill()
+    assert basis.by_degree == {}
+
+
+def test_positions_are_rebuilt_after_a_fill():
+    basis = GradedBasis(2)
+    basis.fill(1, ["a"], [("a",)])
+    assert basis.positions(1) == {("a",): 0}
+    basis.fill(1, ["b", "c"], [("b",), ("c",)])
+    assert basis.positions(1) == {("a",): 0, ("b",): 1, ("c",): 2}
+    assert basis.name_of(1, ("c",)) == "c" and basis.index(1, "c") == 2
+    basis.fill(2, ["d"], [("d",)])
+    assert basis.name_of(2, ("d",)) == "d"
+
+
 def test_homology_mod2():
     # H_0 = Z/2, H_1 = 0: derived from SNF of (2)
     X = two_step()

@@ -3,13 +3,17 @@ reference builds of `construction_oracle`: equal d_n (same shape, same
 entries) for bar and cobar of the algebra and coalgebra corpora over Q, Z
 and F_5, for tensor complexes, for twisted tensor products in both
 orientations, for the pushforward and pullback totals of
-`tests/test_bundles.py`, and for normalized chains.
+`tests/test_bundles.py`, and for normalized chains.  The words of bar and
+cobar, enumerated block by block, against the oracle's sort-based
+enumeration.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import construction_oracle as reference
-from htwist.barcobar import bar, cobar
+from htwist.barcobar import _enumerate_words, bar, cobar
 from htwist.bundles import classifying_bundle_xi, classifying_bundle_zeta, pullback, pushforward
 from htwist.chains import normalized_chains
 from htwist.complexes import ChainMap, tensor_complex
@@ -57,6 +61,70 @@ def test_bar_and_cobar_match_reference(R):
         assert_same_d(bar(A, N).complex, reference.bar_complex(A, N))
     for C in coalgebra_corpus(R, N):
         assert_same_d(cobar(C, N).complex, reference.cobar_complex(C, N))
+
+
+def _letters(pool):
+    """A pool of (letter, marked degree) pairs as `_enumerate_words` takes
+    it: marked degree -> letters in name order, degrees ascending."""
+    letters = {}
+    for key, d in sorted(pool, key=lambda kd: (kd[1], kd[0][1])):
+        letters.setdefault(d, []).append(key)
+    return letters
+
+
+def _words(pool, N):
+    """The words `_enumerate_words` yields over ``pool``, by degree, after
+    checking that each block holds the words of its composition."""
+    marked = dict(pool)
+    words = {0: [()]}
+    for n, blocks in _enumerate_words(_letters(pool), N):
+        for parts, block in blocks:
+            assert sum(parts) == n and block
+            assert all(tuple(map(marked.get, w)) == parts for w in block)
+        words[n] = [w for _, block in blocks for w in block]
+    return words
+
+
+def _basis_words(X):
+    basis = X.complex.basis
+    return {n: [basis.keys[x] for x in basis.names(n)] for n in basis.degrees()}
+
+
+@pytest.mark.parametrize("N", [5, 9])
+@pytest.mark.parametrize("R", RINGS, ids=RING_IDS)
+def test_word_enumeration_matches_the_sort(R, N):
+    for A in algebra_corpus(R, N):
+        pool = [((n, x), n + 1) for n in range(1, min(A.truncation, N - 1) + 1) for x in A.basis(n)]
+        words = reference.enumerate_words(pool, N)
+        assert _words(pool, N) == words
+        assert _basis_words(bar(A, N)) == words
+    for C in coalgebra_corpus(R, N):
+        pool = [((n, x), n - 1) for n in range(2, min(C.truncation, N + 1) + 1) for x in C.basis(n)]
+        words = reference.enumerate_words(pool, N)
+        assert _words(pool, N) == words
+        assert _basis_words(cobar(C, N)) == words
+
+
+@st.composite
+def letter_pools(draw):
+    """Letters x0..x12 in marked degrees 1-4, so that name order puts x10
+    before x2; x2 and x10 are always letters, and x2 in two degrees when
+    there are two.  The pool comes in a drawn order."""
+    shift = draw(st.sampled_from([1, -1]))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+    pool = []
+    for i, d in enumerate(degrees):
+        names = {f"x{k}" for k in draw(st.lists(st.integers(0, 12), max_size=2))}
+        names |= {"x2", "x10"} if i == 0 else {"x2"} if i == len(degrees) - 1 else set()
+        pool += [((d - shift, x), d) for x in sorted(names)]
+    return draw(st.permutations(pool)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_pools())
+def test_word_enumeration_matches_the_sort_on_drawn_pools(drawn):
+    pool, N = drawn
+    assert _words(pool, N) == reference.enumerate_words(pool, N)
 
 
 @pytest.mark.parametrize("R", RINGS, ids=RING_IDS)
