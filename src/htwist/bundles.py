@@ -2,32 +2,30 @@
 Nomura-Puppe sequences, the bundle-ladder comparison, and executable checks
 of the twisting-structure and twisted-homotopical-category axioms.
 
-Every bundle here is realized on a free/cofree pair basis: the total complex
-has basis {c ⊗ a} with the comonoid acting by splitting the left factor and
-the monoid by multiplying into the right factor.  Pushforwards are computed
-through the free decomposition, pullbacks through the cofree corestriction;
-the twisting-structure axioms then hold as exact basis bijections, which is
-what the axiom checkers verify.
+Every bundle here is a twisted tensor product C ⊗_t A, built by
+`twisted_bundle` from its cochain t on the pair basis {c ⊗ a}, with the
+comonoid acting by splitting the left factor and the monoid by multiplying
+into the right factor.  The induced bundles are the same construction on
+the composed cochain: f_*(C ⊗_t A) = C ⊗_{f∘t} A' and g^*(C ⊗_t A) =
+C' ⊗_{t∘g} A (docs/DECISIONS.md, section 16).  The twisting-structure
+axioms then compare two such bundles as exact basis bijections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
-from .barcobar import bar, bar_map, cobar, cobar_map, counit_map, unit_map
+from .barcobar import alpha_t, bar, bar_map, cobar, cobar_map, counit_map, unit_map
 from .complexes import (
     ChainComplex,
     ChainMap,
     homology,
     _differing_columns,
     _tensor_offsets,
-    _tensor_terms,
     induced_zero_on_reduced_homology,
     is_quasi_iso_through,
     tensor_basis,
     tensor_map,
-    tensor_name,
 )
 from .hopf import (
     ChainAlgebra,
@@ -77,8 +75,8 @@ class MixedBundle:
     projection: ChainMap         # p: total -> C, left C-comodule map
     module: ModuleStructure      # right action of monoid on total
     comodule: ComoduleStructure  # left coaction of comonoid on total
-    cochain: TwistingCochain | None = None
-    kind: str = ""
+    cochain: TwistingCochain     # t, with total = C ⊗_t A
+    kind: str
 
     @property
     def ring(self):
@@ -92,10 +90,13 @@ class MixedBundle:
 def twisted_bundle(C: ChainCoalgebra, A: ChainAlgebra, t: TwistingCochain, N: int,
                    kind: str = "") -> MixedBundle:
     """The biprincipal bundle (A -> C ⊗_t A -> C) in the standard realization:
-    i(a) = coaug⊗a, p(c⊗a) = ε(a)·c."""
-    T = twisted_tensor(self_comodule_right(C), self_module_left(A), t,
-                       "comodule-first", N, verify=False)
-    return _realize(C, A, T.complex, t, kind)
+    i(a) = coaug⊗a, p(c⊗a) = ε(a)·c, A acting freely on the right factor
+    and C coacting cofreely on the left one."""
+    total = twisted_tensor(self_comodule_right(C), self_module_left(A), t,
+                           "comodule-first", N, verify=False).complex
+    i, p = _standard_maps(C, A, total)
+    return MixedBundle(A, C, total, i, p, free_module_over(A, total),
+                       cofree_comodule_over(C, total), t, kind)
 
 
 def _standard_maps(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex):
@@ -111,16 +112,6 @@ def _standard_maps(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex):
         (k, off[n][n] + k * ab.dim(0) + u): R.one for k in range(cb.dim(n))})
         for n in range(total.truncation + 1)})
     return i, p
-
-
-def _realize(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex,
-             cochain: TwistingCochain | None, kind: str) -> MixedBundle:
-    """The bundle (A -> total -> C) on the pair basis C ⊗ A of total, with
-    the standard i and p, A acting freely on the right factor and C
-    coacting cofreely on the left one."""
-    i, p = _standard_maps(C, A, total)
-    return MixedBundle(A, C, total, i, p, free_module_over(A, total),
-                       cofree_comodule_over(C, total), cochain, kind)
 
 
 def classifying_bundle_zeta(A: ChainAlgebra, N: int,
@@ -174,7 +165,7 @@ def verify_mixed_bundle(b: MixedBundle):
 
 def verify_biprincipal(b: MixedBundle):
     """Principality in the free/cofree realization: i and p equal, degree by
-    degree, the standard i(a) = coaug⊗a and p(c⊗a) = ε(a)·c of _realize."""
+    degree, the standard i(a) = coaug⊗a and p(c⊗a) = ε(a)·c of twisted_bundle."""
     i, p = _standard_maps(b.comonoid, b.monoid, b.total)
     problems = [{"check": "principal", "element": (n, b.monoid.basis(n)[j])}
                 for n in range(min(b.monoid.truncation, b.truncation) + 1)
@@ -187,78 +178,33 @@ def verify_biprincipal(b: MixedBundle):
 
 # ---------------------------------------------------------------------
 # Induced bundles: pushforward along algebra maps, pullback along
-# coalgebra maps, both through the free/cofree realization.
+# coalgebra maps, both the twisted bundle of the composed cochain.
 # ---------------------------------------------------------------------
 
 def pushforward(f: ChainMap, bundle: MixedBundle, N: int,
                 target_algebra: ChainAlgebra) -> MixedBundle:
     """f_*(bundle) = (A' -> total ⊗_A A' -> C) for f: A -> A'.
 
-    Requires the coprincipal free realization total = X ⊗ A; the result is
-    realized on X ⊗ A' with the differential transported through the free
-    decomposition."""
+    Requires the coprincipal free realization total = C ⊗_t A; the result
+    is C ⊗_{f∘t} A'."""
     ok, _ = verify_biprincipal(bundle)
     if not ok:
         raise NotCoprincipal(bundle.kind or "bundle")
-    A, A2, C = bundle.monoid, target_algebra, bundle.comonoid
-    total = ChainComplex(bundle.ring, tensor_basis(C.complex, A2.complex, N))
-    src, cb, ab = bundle.total.basis, C.complex.basis, A2.complex.basis
-    off = _tensor_offsets(C.complex, A2.complex, N)
-
-    @cache
-    def moved(p, i):
-        """dec(D(c⊗1)) through f, c = C_p[i]: [(|c2|, index of c2, |b|, b, coeff)]."""
-        column = bundle.total.dmat(p).column(src.index(p, tensor_name(cb.names(p)[i], A.unit)))
-        return [(dc2, cb.index(dc2, c2), da2, b2, v * w) for r, v in column.items()
-                for (dc2, c2), (da2, a_old) in [src.keys[src.names(p - 1)[r]]]
-                for b2, w in f.apply(da2, a_old).items()]
-
-    # transported differential: D(c⊗a') = ± c⊗da' + dec(D(c⊗1))·(f, a')
-    def transported(n, p, i, j):
-        q = n - p
-        for dc2, i2, da2, b2, v in moved(p, i) if p else ():
-            for r, u in A2.product(da2, b2, q, ab.names(q)[j]).items():
-                yield off[n - 1][dc2] + i2 * ab.dim(da2 + q) + ab.index(da2 + q, r), v * u
-
-    total._set_d(lambda n: _tensor_terms(C.complex, A2.complex, off, n, transported, left=False))
-
-    new_cochain = None
-    if bundle.cochain is not None:
-        new_cochain = compose_cochain(None, bundle.cochain, f, target=A2)
-    return _realize(C, A2, total, new_cochain, f"pushforward({bundle.kind})")
+    t = compose_cochain(None, bundle.cochain, f, target=target_algebra)
+    return twisted_bundle(bundle.comonoid, target_algebra, t, N, f"pushforward({bundle.kind})")
 
 
 def pullback(g: ChainMap, bundle: MixedBundle, N: int,
              source_coalgebra: ChainCoalgebra) -> MixedBundle:
     """g^*(bundle) = (A -> C' □_C total -> C') for g: C' -> C.
 
-    Requires the principal cofree realization total = C ⊗ Y; the result is
-    realized on C' ⊗ Y via the corestriction."""
+    Requires the principal cofree realization total = C ⊗_t A; the result
+    is C' ⊗_{t∘g} A."""
     ok, _ = verify_biprincipal(bundle)
     if not ok:
         raise NotPrincipal(bundle.kind or "bundle")
-    C2, A = source_coalgebra, bundle.monoid
-    total = ChainComplex(bundle.ring, tensor_basis(C2.complex, A.complex, N))
-    src, cb, ab = bundle.total.basis, C2.complex.basis, A.complex.basis
-    off = _tensor_offsets(C2.complex, A.complex, N)
-
-    # D(c⊗y) = dc⊗y + Σ ± c_l ⊗ (ε⊗1) D(g(c_r)⊗y), over Δc = Σ c_l⊗c_r
-    def corestricted(n, p, i, j):
-        q, y = n - p, ab.names(n - p)[j]
-        for (d1, c_l), (d2, c_r), v in C2.coproduct(p, cb.names(p)[i]):
-            il, sv = cb.index(d1, c_l), -v if d1 % 2 else v
-            for c_img, w in g.apply(d2, c_r).items():
-                column = bundle.total.dmat(d2 + q).column(src.index(d2 + q, tensor_name(c_img, y)))
-                for r, u in column.items():
-                    (dc2, _), (dy2, y2) = src.keys[src.names(d2 + q - 1)[r]]
-                    if dc2 == 0:
-                        yield off[n - 1][d1] + il * ab.dim(dy2) + ab.index(dy2, y2), sv * w * u
-
-    total._set_d(lambda n: _tensor_terms(C2.complex, A.complex, off, n, corestricted, right=False))
-    new_cochain = None
-    if bundle.cochain is not None:
-        new_cochain = compose_cochain(g, bundle.cochain, None, source=C2)
-    return _realize(C2, A, total, new_cochain, f"pullback({bundle.kind})")
+    t = compose_cochain(g, bundle.cochain, None, source=source_coalgebra)
+    return twisted_bundle(source_coalgebra, bundle.monoid, t, N, f"pullback({bundle.kind})")
 
 
 def bundles_equal(b1: MixedBundle, b2: MixedBundle) -> bool:
@@ -319,7 +265,6 @@ class BorelQuotient:
     bundle: MixedBundle          # f_*(zeta(A)): (A' -> Bar(A)⊗A' -> Bar(A))
     pi: ChainMap                 # A' -> total
     delta: ChainMap              # total -> Bar(A)
-    bar_source: ChainCoalgebra   # Bar(A)
 
 
 def borel_quotient(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
@@ -328,7 +273,7 @@ def borel_quotient(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int,
     B = Bar if Bar is not None else bar(A, N)
     t = compose_cochain(None, couniversal_cochain(B, A), f, target=A2)
     bundle = twisted_bundle(B, A2, t, N, kind=f"borel({A.name}->{A2.name})")
-    return BorelQuotient(bundle, bundle.inclusion, bundle.projection, B)
+    return BorelQuotient(bundle, bundle.inclusion, bundle.projection)
 
 
 @dataclass
@@ -336,7 +281,6 @@ class BorelKernel:
     bundle: MixedBundle          # g^*(xi(C)): (ΩC -> C'⊗ΩC -> C')
     del_map: ChainMap            # ΩC -> total
     iota: ChainMap               # total -> C'
-    cobar_target: ChainAlgebra   # Cobar(C)
 
 
 def borel_kernel(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int,
@@ -345,7 +289,7 @@ def borel_kernel(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int,
     for ``Omega`` = cobar(C, N)."""
     t = compose_cochain(g, universal_cochain(C, Omega), None, source=C2)
     bundle = twisted_bundle(C2, Omega, t, N, kind=f"kernel({C2.name}->{C.name})")
-    return BorelKernel(bundle, bundle.inclusion, bundle.projection, Omega)
+    return BorelKernel(bundle, bundle.inclusion, bundle.projection)
 
 
 def _verify_sequence(maps, middle: MixedBundle, composites, through: int):
@@ -366,8 +310,6 @@ class NomuraPuppe:
     f: ChainMap
     quotient: BorelQuotient
     bar_f: ChainMap
-    bar_source: ChainCoalgebra
-    bar_target: ChainCoalgebra
 
     def maps(self):
         return [self.f, self.quotient.pi, self.quotient.delta, self.bar_f]
@@ -382,7 +324,7 @@ def nomura_puppe(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int) -> Nomu
     BarA2 = bar(A2, N)
     q = borel_quotient(f, A, A2, N, BarA)
     bf = bar_map(f, BarA, BarA2)
-    return NomuraPuppe(f, q, bf, BarA, BarA2)
+    return NomuraPuppe(f, q, bf)
 
 
 @dataclass
@@ -392,8 +334,6 @@ class DualNomuraPuppe:
     g: ChainMap
     kernel: BorelKernel
     cobar_g: ChainMap
-    cobar_source: ChainAlgebra
-    cobar_target: ChainAlgebra
 
     def maps(self):
         return [self.cobar_g, self.kernel.del_map, self.kernel.iota, self.g]
@@ -408,7 +348,7 @@ def dual_nomura_puppe(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int
     OmegaC = cobar(C, N)
     k = borel_kernel(g, C2, C, N, OmegaC)
     og = cobar_map(g, OmegaC2, OmegaC)
-    return DualNomuraPuppe(g, k, og, OmegaC2, OmegaC)
+    return DualNomuraPuppe(g, k, og)
 
 
 # ---------------------------------------------------------------------
@@ -484,15 +424,12 @@ def twist_axiom_1(g: ChainMap, C: ChainCoalgebra, A: ChainAlgebra, N: int, BarA:
     """g^*(zeta(A)) == (g♭)_*(xi(C)) for a coalgebra map g: C -> BarA = Bar(A).
 
     The transpose g♭ = v_A ∘ Cobar(g) is realized as α of the composed
-    cochain; both sides are built through independent code paths (cofree
-    pullback vs free pushforward) and compared as exact basis bijections.
+    cochain.  The sides are C ⊗_{t_Bar∘g} A and C ⊗_{g♭∘t_Ω} A, compared as
+    exact basis bijections.
     """
     OmegaC = cobar(C, N)
     zeta = classifying_bundle_zeta(A, N, BarA)
     left = pullback(g, zeta, N, C)
-
-    from .barcobar import alpha_t
-
     t_flat = compose_cochain(g, couniversal_cochain(BarA, A), None, source=C)
     g_flat = alpha_t(t_flat, OmegaC, N)
     xi = classifying_bundle_xi(C, N, OmegaC)
@@ -501,7 +438,8 @@ def twist_axiom_1(g: ChainMap, C: ChainCoalgebra, A: ChainAlgebra, N: int, BarA:
 
 
 def twist_axiom_2(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int):
-    """(Bar f)^*(zeta(A')) == f_*(zeta(A)) as exact basis bijections."""
+    """(Bar f)^*(zeta(A')) == f_*(zeta(A)): Bar(A) ⊗_{t_Bar'∘Bar f} A' and
+    Bar(A) ⊗_{f∘t_Bar} A', compared as exact basis bijections."""
     BarA = bar(A, N)
     BarA2 = bar(A2, N)
     bf = bar_map(f, BarA, BarA2)
@@ -513,7 +451,8 @@ def twist_axiom_2(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int):
 
 
 def twist_axiom_3(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, N: int):
-    """g^*(xi(C)) == (Cobar g)_*(xi(C')) as exact basis bijections."""
+    """g^*(xi(C)) == (Cobar g)_*(xi(C')): C' ⊗_{t_Ω∘g} Cobar(C) and
+    C' ⊗_{Cobar g∘t_Ω'} Cobar(C), compared as exact basis bijections."""
     OmegaC2 = cobar(C2, N)
     OmegaC = cobar(C, N)
     og = cobar_map(g, OmegaC2, OmegaC)
@@ -535,21 +474,12 @@ def pushforward_pullback_commute(f: ChainMap, g: ChainMap, bundle: MixedBundle,
 def is_classifiable(bundle: MixedBundle, g: ChainMap, A: ChainAlgebra, N: int, BarA: ChainCoalgebra):
     """bundle ≅ g^*(zeta(A)) for the candidate classifying map g: C -> BarA =
     Bar(A), checked as an exact basis bijection, plus the equivalent
-    transpose form (g♭)_*(xi(C))."""
+    transpose form (g♭)_*(xi(C)): the two sides of twist_axiom_1."""
     if bundle.comonoid.complex.basis.by_degree != g.source.basis.by_degree:
         raise ShapeMismatch("candidate map must start at the bundle comonoid")
-    zeta = classifying_bundle_zeta(A, N, BarA)
-    pulled = pullback(g, zeta, N, bundle.comonoid)
-    direct = bundles_equal(bundle, pulled)
-
-    from .barcobar import alpha_t
-
-    OmegaC = cobar(bundle.comonoid, N)
-    t_flat = compose_cochain(g, couniversal_cochain(BarA, A), None, source=bundle.comonoid)
-    g_flat = alpha_t(t_flat, OmegaC, N)
-    xi = classifying_bundle_xi(bundle.comonoid, N, OmegaC)
-    pushed = pushforward(g_flat, xi, N, A)
-    transpose = bundles_equal(bundle, pushed)
+    _, sides = twist_axiom_1(g, bundle.comonoid, A, N, BarA)
+    direct = bundles_equal(bundle, sides["left"])
+    transpose = bundles_equal(bundle, sides["right"])
     return (direct and transpose), {"direct": direct, "transpose": transpose}
 
 

@@ -148,13 +148,27 @@ def _check_ring(args, **inputs) -> None:
 
 def _check_connected(command: str, source, target) -> None:
     """Refuse, as ``cobar`` and ``bar`` do (exit 2), a source coalgebra that
-    is not 1-connected or a target algebra that is not connected; a source
-    of None is not checked."""
-    if source is not None and not source.is_one_connected():
+    is not 1-connected or a target algebra that is not connected."""
+    if not source.is_one_connected():
         raise NotOneConnected(f"{command} needs a 1-connected source coalgebra, "
                               f"degrees 0/1 = {source.basis(0)}/{source.basis(1)}")
     if not target.is_connected():
         raise NotConnected(f"{command} needs a connected target algebra, degree 0 = {target.basis(0)}")
+
+
+def _check_algebra_map(command: str, f, source, target) -> None:
+    """Refuse (exit 2) a source or target algebra that is not connected, as
+    ``bar`` does, and then a map f that is not an algebra map: the Borel
+    quotient and the Nomura-Puppe sequence are defined only for algebra
+    maps."""
+    from .barcobar import is_algebra_map
+
+    for side, A in (("source", source), ("target", target)):
+        if not A.is_connected():
+            raise NotConnected(f"{command} needs a connected {side} algebra, degree 0 = {A.basis(0)}")
+    if not is_algebra_map(f, source, target):
+        raise InputError(f"{command} needs an algebra map, and the map does not send the unit "
+                         "to the unit and products to products")
 
 
 def _group_from_spec(data: dict, N: int):
@@ -242,8 +256,8 @@ def cmd_borel(args):
     A = io_json.algebra_from_dict(required(data, "source"))
     A2 = io_json.algebra_from_dict(required(data, "target"))
     _check_ring(args, source=A, target=A2)
-    _check_connected("borel", None, A2)
     f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
+    _check_algebra_map("borel", f, A, A2)
     q = borel_quotient(f, A, A2, args.through)
     okd, wd = verify_differential(q.bundle.total)
     H = homology(q.bundle.total, top)
@@ -262,6 +276,7 @@ def cmd_np(args):
     A2 = io_json.algebra_from_dict(required(data, "target"))
     _check_ring(args, source=A, target=A2)
     f = io_json.chain_map_from_dict(required(data, "map"), A.complex, A2.complex)
+    _check_algebra_map("np", f, A, A2)
     np_ = nomura_puppe(f, A, A2, args.through)
     ok, rep = np_.verify(top)
     return _report("np", args, {"nomura-puppe": rep}), 0 if ok else 1
@@ -321,6 +336,7 @@ def cmd_check_normal_pair(args):
         A = exterior(QQ, N + 2)
         cert = abelian_normality(ChainMap.identity(A.complex), A, A, N)
     elif builder == "abelian-identity-poly":
+        _require_through(args, 1, "builds k[x]/(x^3) through --through + 3, with x^2 in degree 4")
         A = truncated_polynomial(QQ, N + 2)
         cert = abelian_normality(ChainMap.identity(A.complex), A, A, N)
     elif builder == "chcx-unit":

@@ -67,14 +67,18 @@ def complex_to_dict(X: ChainComplex) -> dict:
 
 def complex_from_dict(data: dict) -> ChainComplex:
     """The complex a complex file describes; a malformed ring, truncation or
-    basis, or a d entry that is malformed or names an unknown element, is an
-    input error."""
+    basis (a degree that lists anything but a list of names included), or a
+    d entry that is malformed or names an unknown element, is an input
+    error."""
     ring_tag, truncation, degrees = (required(data, k) for k in ("ring", "truncation", "basis"))
     try:
         ring = Ring.from_tag(ring_tag)
         basis = GradedBasis(int(truncation))
         for deg in sorted(degrees, key=int):
-            for name in degrees[deg]:
+            names = degrees[deg]
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise InputError(f"basis degree {deg}: {names!r} is not a list of names")
+            for name in names:
                 basis.add(int(deg), name)
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"ring, truncation or basis: {exc}") from exc
@@ -94,6 +98,17 @@ def _degree_0_element(data, key: str, X: ChainComplex) -> str:
     if name not in X.basis.names(0):
         raise InputError(f"{key} {name!r} is not a basis element of degree 0")
     return name
+
+
+def _combination(ring: Ring, terms, what: str, entry) -> dict:
+    """{name: coeff} from [[name, "c"], ...]; a name given twice is an input
+    error, not a sum or an overwrite."""
+    combo = {}
+    for name, c in terms:
+        if name in combo:
+            raise InputError(f"{what} {entry}: {name!r} is repeated")
+        combo[name] = _coeff_parse(ring, c)
+    return combo
 
 
 def _check_names(entry, what: str, elements, X: ChainComplex):
@@ -143,13 +158,15 @@ def algebra_from_dict(data: dict) -> ChainAlgebra:
         try:
             (p, a), (q, b) = entry["a"], entry["b"]
             p, q = int(p), int(q)
-            combo = {r: _coeff_parse(X.ring, c) for r, c in entry["result"]}
+            combo = _combination(X.ring, entry["result"], "mu entry", entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"mu entry {entry}: malformed entry ({exc})") from exc
         if p == 0 or q == 0:
             # ChainAlgebra.product answers degree-0 factors by the unit rule
             raise InputError(f"mu entry {entry}: a factor of degree 0 is not read from mu")
         _check_names(entry, "mu entry", [(p, a), (q, b), *((p + q, r) for r in combo)], X)
+        if ((p, a), (q, b)) in table:
+            raise InputError(f"mu entry {entry}: the product {a!r}·{b!r} is repeated")
         table[(p, a), (q, b)] = combo
     return ChainAlgebra(X, unit, table_product(X.ring, table))
 
@@ -185,23 +202,28 @@ def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"delta entry {entry}: malformed entry ({exc})") from exc
         _check_names(entry, "delta entry", [(n, c), *(k for t in terms for k in t[:2])], X)
+        if (n, c) in table:
+            raise InputError(f"delta entry {entry}: the coproduct of {c!r} is repeated")
         table[n, c] = terms
     return ChainCoalgebra(X, coaug, table_coproduct(X.ring, coaug, table))
 
 
 def cochain_values_from_dict(values: list, C: ChainCoalgebra, A: ChainAlgebra) -> list:
     """Cochain entries as (n, c, {a: coeff}), with c a basis element of C in
-    degree n and every a a basis element of A in degree n - 1."""
-    out = []
+    degree n, given once, and every a a basis element of A in degree n - 1."""
+    out, seen = [], set()
     for e in values:
         try:
             n, c = e["from"]
             n = int(n)
-            combo = {a: _coeff_parse(A.ring, v) for a, v in e["to"]}
+            combo = _combination(A.ring, e["to"], "cochain value", e)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cochain value {e}: malformed entry ({exc})") from exc
         _check_names(e, "cochain value", [(n, c)], C.complex)
         _check_names(e, "cochain value", [(n - 1, a) for a in combo], A.complex)
+        if (n, c) in seen:
+            raise InputError(f"cochain value {e}: the value on {c!r} is repeated")
+        seen.add((n, c))
         out.append((n, c, combo))
     return out
 

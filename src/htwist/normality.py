@@ -64,7 +64,6 @@ class ExtendedBundle:
     j: ChainMap                      # A -> M, module map
     d: ChainMap                      # M -> N, plain chain map
     p: ChainMap                      # N -> C, comodule map
-    label: str = ""
 
     @property
     def M(self) -> ChainComplex:
@@ -154,8 +153,8 @@ def verify_normal_pair(cert: NormalPairCertificate, through: int):
 # The truncated Nomura-Puppe windows.
 # ---------------------------------------------------------------------
 
-def truncated_np(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, BarA: ChainCoalgebra,
-                 BarA2: ChainCoalgebra, quotient: BorelQuotient) -> ExtendedBundle:
+def truncated_np(f: ChainMap, A2: ChainAlgebra, BarA: ChainCoalgebra, BarA2: ChainCoalgebra,
+                 quotient: BorelQuotient) -> ExtendedBundle:
     """τ(f) = (A' -> A'//A -> Bar A -> Bar A'), for ``quotient`` =
     borel_quotient(f, A, A2, N, BarA)."""
     from .twisting import comodule_via_map
@@ -170,12 +169,11 @@ def truncated_np(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, BarA: ChainCoal
         j=quotient.pi,
         d=quotient.delta,
         p=bf,
-        label=f"tau({f and 'f'}:{A.name}->{A2.name})",
     )
 
 
-def truncated_dual_np(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, OmegaC2: ChainAlgebra,
-                      OmegaC: ChainAlgebra, kernel: BorelKernel) -> ExtendedBundle:
+def truncated_dual_np(g: ChainMap, C2: ChainCoalgebra, OmegaC2: ChainAlgebra, OmegaC: ChainAlgebra,
+                      kernel: BorelKernel) -> ExtendedBundle:
     """θ(g) = (Ω C' -> Ω C -> C\\C' -> C'), for ``kernel`` =
     borel_kernel(g, C2, C, N, OmegaC)."""
     from .twisting import module_via_map
@@ -190,7 +188,6 @@ def truncated_dual_np(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, OmegaC
         j=og,
         d=kernel.del_map,
         p=kernel.iota,
-        label=f"theta(g:{C2.name}->{C.name})",
     )
 
 
@@ -209,7 +206,6 @@ def left_np_window(h: ChainMap, B: ChainAlgebra, B2: ChainAlgebra, BarB: ChainCo
         j=h,
         d=quotient.pi,
         p=quotient.delta,
-        label=f"W_L({B.name}->{B2.name})",
     )
 
 
@@ -256,7 +252,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     if not is_algebra_map(pi_f, A2, Q):
         raise HypothesisFailed("algebra-map", "pi_f is not multiplicative for the supplied product")
 
-    tau = truncated_np(f, A, A2, BarA, BarA2, q)
+    tau = truncated_np(f, A2, BarA, BarA2, q)
     wl = left_np_window(pi_f, A2, Q, BarA2, q2)
 
     OmegaBarA2 = cobar(BarA2, N)
@@ -264,7 +260,7 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     OmegaBarQ = cobar(BarQ, N)
     bpi = bar_map(pi_f, BarA2, BarQ)
     kernel = borel_kernel(bpi, BarA2, BarQ, N, OmegaBarQ)
-    theta = truncated_dual_np(bpi, BarA2, BarQ, OmegaBarA2, OmegaBarQ, kernel)
+    theta = truncated_dual_np(bpi, BarA2, OmegaBarA2, OmegaBarQ, kernel)
     vA2 = counit_map(A2, N, BarA2, OmegaBarA2)
     vQ = counit_map(Q, N, BarQ, OmegaBarQ)
     arrow1 = bridge_counit_ladder(theta, wl, vA2, vQ, BarA2)
@@ -372,7 +368,7 @@ def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> Ch
         (_, _), (dy, y) = pairs[bname]
         out = {}
         for r, v in A2.product(dx, x, dy, y).items():
-            out[tensor_name(q.bar_source.coaug, r)] = v
+            out[tensor_name(q.bundle.comonoid.coaug, r)] = v
         return out
 
     return ChainAlgebra(total, unit, product, name=f"{A2.name}//k")
@@ -433,7 +429,7 @@ def rigid_conormality_certificate(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalg
     okq, _ = is_quasi_iso_through(iota_tilde, N - 1)
     if not okq:
         raise HypothesisFailed("iota-tilde-quasi-iso")
-    theta = truncated_dual_np(g, C2, C, OmegaC2, OmegaC, kernel)
+    theta = truncated_dual_np(g, C2, OmegaC2, OmegaC, kernel)
 
     # strict square: ι_{ι_g} ∘ ι̃ = ∂_g (the half that does hold on the
     # simplicial side); here ι̃: ΩC -> C'\\(C\\C')

@@ -706,7 +706,7 @@ def verify_loop_comparison(cmp: LoopComparison, N: int, samples: int = DEFAULT_S
         if lhs2 != rhs2:
             report["faces"] = False
         # equivariance: forward((x,v,w)·w0) = forward(x,v,w)·w0 with the
-        # transported action ((x,w'),u)·w0 = ((x,w'w0), u·Gg(w0)^{-1})
+        # action carried across the isomorphism, ((x,w'),u)·w0 = ((x,w'w0), u·Gg(w0)^{-1})
         w0 = cmp.GX.sample(n, rng)
         (xv, w) = t
         t2 = (xv, cmp.GX.mult(n, w, w0))

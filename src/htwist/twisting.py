@@ -138,7 +138,6 @@ class TwistedTensorProduct:
     comodule: ComoduleStructure
     module: ModuleStructure
     cochain: TwistingCochain
-    orientation: str
 
 
 def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
@@ -208,7 +207,7 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
 
     Z = ChainComplex(R, tensor_basis(left_cx, right_cx, N))
     Z._set_d(lambda n: _tensor_terms(left_cx, right_cx, off, n, twist_terms))
-    return TwistedTensorProduct(Z, P, M, t, orientation)
+    return TwistedTensorProduct(Z, P, M, t)
 
 
 # ---------------------------------------------------------------------

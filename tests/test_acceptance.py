@@ -376,7 +376,7 @@ def test_criterion_12_negative_controls():
 
     f = ChainMap.identity(A.complex)
     BarA = bar(A, 3)
-    tau = truncated_np(f, A, A, BarA, bar(A, 3), borel_quotient(f, A, A, 3, BarA))
+    tau = truncated_np(f, A, BarA, bar(A, 3), borel_quotient(f, A, A, 3, BarA))
     m = ExtendedBundleMorphism(
         tau, tau,
         ChainMap.identity(tau.monoid.complex),

@@ -1,5 +1,6 @@
 """Every parameter of a public module-level function of htwist is read,
-and every defaulted one is passed somewhere.
+every defaulted one is passed somewhere, and every field of a dataclass is
+read somewhere.
 
 A parameter that the body never reads is a knob with no effect: a caller
 can set it and nothing changes.  Each module of `src/htwist` is parsed and
@@ -10,6 +11,11 @@ A defaulted parameter that no call passes is a second code path that only
 its default runs.  Every call in src/, tests/ and bench/ is parsed, and each
 defaulted parameter of a public top-level `def` must be passed, by position
 or by keyword, by a call of a function or method of the same name.
+
+A dataclass field that nothing reads is a record entry that every builder
+fills for no reader.  Each field of a `@dataclass` in `src/htwist` must be
+loaded as an attribute of that name (`x.field`) somewhere in src/, tests/
+or bench/.
 """
 
 import ast
@@ -115,3 +121,43 @@ def test_scan_sees_a_never_passed_parameter():
               "def _private(z=0):\n    return z\n")
     calls = "f(0, 1)\nobj.f(0, e=5)\ng(*args)\nh(**options)\n"
     assert _never_passed(source, _passed([calls])) == ["f(c)", "f(d)"]
+
+
+def _dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) of each annotated field of a top-level @dataclass."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list):
+            out += [(node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def _loaded_attributes(sources) -> set[str]:
+    return {n.attr for source in sources for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_fields(source: str, loaded: set[str]) -> list[str]:
+    return [f"{cls}.{name}" for cls, name in _dataclass_fields(source) if name not in loaded]
+
+
+@functools.cache
+def _attributes_loaded_by_callers() -> set[str]:
+    return _loaded_attributes(p.read_text() for p in CALLERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_dataclass_field_is_read(path):
+    assert _unread_fields(path.read_text(), _attributes_loaded_by_callers()) == []
+
+
+def test_scan_sees_an_unread_field():
+    source = ("@dataclass\nclass Kept:\n    read: int\n    written: int\n    unread: str = ''\n"
+              "    def total(self):\n        return self.read\n"
+              "@dataclass(frozen=True)\nclass Frozen:\n    dead: int\n"
+              "class Plain:\n    ignored: int\n"
+              "def fill(k):\n    k.written = 1\n")
+    assert _unread_fields(source, _loaded_attributes([source])) == [
+        "Kept.written", "Kept.unread", "Frozen.dead"]

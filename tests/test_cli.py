@@ -158,6 +158,23 @@ def test_check_axioms_runs():
     assert report["results"]["ok"] is True
 
 
+def test_check_normal_pair_poly_below_1_exit_2(tmp_path):
+    """abelian-identity-poly builds k[x]/(x^3) through --through + 3, with x^2
+    in degree 4, so it needs --through 1; the other builders run at 0."""
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"builder": "abelian-identity-poly"}))
+    proc = run_cli(["check-normal-pair", str(cert), "--through", "0", "--json"])
+    _exit_2(proc)
+    assert proc.stderr == ("input error: check-normal-pair builds k[x]/(x^3) through --through + 3, "
+                           "with x^2 in degree 4, so --through must be >= 1\n")
+    assert not proc.stdout
+    assert run_cli(["check-normal-pair", str(cert), "--through", "1", "--json"]).returncode == 0
+    for builder in ("abelian-identity-exterior", "chcx-unit", "chcx-identity"):
+        cert.write_text(json.dumps({"builder": builder}))
+        proc = run_cli(["check-normal-pair", str(cert), "--through", "0", "--json"])
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_check_axioms_below_3_exit_2():
     """k[x]/(x^3), one of the fixtures, has x^2 in degree 4, so --through + 1,
     the fixtures' truncation, must be at least 4; --through 3 reports."""
@@ -364,6 +381,47 @@ def test_bad_delta_entry_exit_2(tmp_path, entry):
     path = tmp_path / "bad_coalgebra.json"
     path.write_text(json.dumps(data))
     _exit_2(run_cli(["cobar", str(path), "--through", "4", "--json"]), "delta entry")
+
+
+def _input_with_repeat(tmp_path, case):
+    """(command, path) of a valid input with one thing given twice; each was
+    read before as the last of its copies, and none is a sum."""
+    if case == "basis-string":  # "xy" where a list of names belongs
+        data = {"ring": "Z", "truncation": 1, "basis": {"0": ["a"], "1": "xy"}, "d": []}
+        command = "homology"
+    elif case.startswith("mu"):
+        data = io_json.algebra_to_dict(truncated_polynomial(QQ, 6))  # mu: x·x = x^2
+        if case == "mu-result":
+            data["mu"][0]["result"] = [["x^2", "1"], ["x^2", "2"]]
+        else:
+            data["mu"].append({"a": [2, "x"], "b": [2, "x"], "result": [["x^2", "2"]]})
+        command = "bar"
+    elif case == "delta-element":
+        data = io_json.coalgebra_to_dict(dual_truncated_polynomial(QQ, 6))  # Δ̄g2 = g1⊗g1
+        data["delta"].append({"c": [4, "g2"], "reduced": [[[2, "g1"], [2, "g1"], "2"]]})
+        command = "cobar"
+    else:
+        value = {"from": [3, "s(x)"], "to": [["x", "1"]]}
+        values = [value, value] if case == "cochain-from" else [{**value, "to": [["x", "1"]] * 2}]
+        return "check-twisting", write_cochain(tmp_path, values)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    return command, path
+
+
+@pytest.mark.parametrize("case, needle", [
+    ("basis-string", "basis degree 1: 'xy' is not a list of names"),
+    ("mu-result", "'x^2' is repeated"),
+    ("mu-pair", "the product 'x'·'x' is repeated"),
+    ("delta-element", "the coproduct of 'g2' is repeated"),
+    ("cochain-from", "the value on 's(x)' is repeated"),
+    ("cochain-to", "'x' is repeated"),
+], ids=["basis-string", "mu-result", "mu-pair", "delta-element", "cochain-from", "cochain-to"])
+def test_input_that_gives_an_entry_twice_exit_2(tmp_path, case, needle):
+    command, path = _input_with_repeat(tmp_path, case)
+    proc = run_cli([command, str(path), "--through", "3", "--json"])
+    _exit_2(proc, needle)
+    assert not proc.stdout
 
 
 @pytest.mark.parametrize("command, key", [
@@ -651,6 +709,19 @@ def test_unit_or_coaug_not_in_degree_0_exit_2(tmp_path, command, key, value):
     (data["source"] if command == "check-twisting" else data)[key] = value
     path.write_text(json.dumps(data))
     _exit_2(run_cli([command, str(path), "--through", "3"]), f"{key} {value!r}", "degree 0")
+
+
+@pytest.mark.parametrize("command", ["borel", "np"])
+def test_map_that_is_not_an_algebra_map_exit_2(tmp_path, command):
+    """Both constructions are defined only for algebra maps; the zero map
+    Λx -> Λx does not send the unit to the unit."""
+    path = _input_over_q(tmp_path, command)
+    data = json.loads(path.read_text())
+    data["map"] = []
+    path.write_text(json.dumps(data))
+    proc = run_cli([command, str(path), "--through", "3", "--json"])
+    _exit_2(proc, f"{command} needs an algebra map")
+    assert not proc.stdout
 
 
 @pytest.mark.parametrize("command", ["borel", "np"])

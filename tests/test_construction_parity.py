@@ -1,9 +1,14 @@
 """The index-written construction differentials against the name-by-name
-reference builds of `construction_oracle`: equal d_n (same shape, same
-entries) for bar and cobar of the algebra and coalgebra corpora over Q, Z
-and F_5, for tensor complexes, for twisted tensor products in both
-orientations, for the pushforward and pullback totals of
-`tests/test_bundles.py`, and for normalized chains.  The words of bar and
+reference builds of `construction_oracle`: the same basis (names and keys,
+in order) and equal d_n (same shape, same entries) for bar and cobar of the
+algebra and coalgebra corpora over Q, Z and F_5, for tensor complexes, for
+twisted tensor products in both orientations, for normalized chains, and
+for the pushforward and pullback totals over Q, Z and F_5 of the inputs of
+`tests/test_bundles.py`, the twist axioms and the twisted-homotopical-
+category conditions (5) and (6).  `pushforward` and `pullback` build
+C ⊗_{f∘t} A' and C' ⊗_{t∘g} A from the composed cochain; the reference
+transports the parent bundle's differential through its free or cofree
+decomposition, so the two share no differential code.  The words of bar and
 cobar, enumerated block by block, against the oracle's sort-based
 enumeration.
 """
@@ -13,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import construction_oracle as reference
-from htwist.barcobar import _enumerate_words, bar, cobar
+from htwist.barcobar import _enumerate_words, alpha_t, bar, bar_map, beta_t, cobar, cobar_map
 from htwist.bundles import classifying_bundle_xi, classifying_bundle_zeta, pullback, pushforward
 from htwist.chains import normalized_chains
 from htwist.complexes import ChainMap, tensor_complex
@@ -23,6 +28,7 @@ from htwist.fixtures import (
     augmentation_algebra_map,
     coacyclic_collapse,
     coalgebra_corpus,
+    dual_truncated_polynomial,
     exterior,
     exterior_pair,
     sphere_coalgebra,
@@ -31,6 +37,7 @@ from htwist.fixtures import (
 from htwist.rings import GF, QQ, ZZ
 from htwist.simplicial import boundary_delta2, cyclic_constant_group, universal_bundle
 from htwist.twisting import (
+    compose_cochain,
     couniversal_cochain,
     self_comodule_left,
     self_comodule_right,
@@ -49,6 +56,7 @@ def assert_same_d(new, old):
     assert new.ring == old.ring and new.truncation == old.truncation
     for n in range(new.truncation + 1):
         assert new.basis.names(n) == old.basis.names(n)
+    assert list(new.basis.keys.items()) == list(old.basis.keys.items())
     for n in range(1, new.truncation + 1):
         a, b = new.dmat(n), old.dmat(n)
         assert (a.nrows, a.ncols) == (b.nrows, b.ncols), n
@@ -160,31 +168,71 @@ def test_twisted_tensor_matches_reference(R):
         assert_same_d(T.complex, reference.twisted_tensor_complex(P, M, t, orientation, N))
 
 
-def test_pushforward_totals_match_reference():
-    A = exterior(QQ, 6)
-    z = classifying_bundle_zeta(A, 6)
-    f, k = augmentation_algebra_map(A)
-    A1 = exterior(QQ, 6, "x")
-    A2 = exterior_pair(QQ, 6)
-    inclusion = ChainMap(A1.complex, A2.complex)
+def _inclusion(R):
+    """f: Λ(x) -> Λ(x)⊗Λ(y), x -> x⊗1, with its source and target."""
+    A, A2 = exterior(R, N, "x"), exterior_pair(R, N)
+    f = ChainMap(A.complex, A2.complex)
     for n in range(2):
-        for a in A1.basis(n):
-            inclusion.set_entry(n, a, f"{a}⊗1", 1)
-    z1 = classifying_bundle_zeta(A1, 6)
-    extension, AE = acyclic_extension_inclusion(A, 6)  # AE has a nonzero d
-    for g, bundle, target in [(ChainMap.identity(A.complex), z, A), (f, z, k), (inclusion, z1, A2),
-                              (extension, z, AE)]:
-        assert_same_d(pushforward(g, bundle, 6, target).total,
-                      reference.pushforward_total(g, bundle, 6, target))
+        for a in A.basis(n):
+            f.set_entry(n, a, f"{a}⊗1", 1)
+    return f, A, A2
+
+
+def _induced_cases(R):
+    """(pushforward cases, pullback cases), each a list of (map, bundle,
+    new (co)monoid): those of `tests/test_bundles.py`, those the twist
+    axioms build on H(S^2) and the exterior inclusion, both orders of
+    `pushforward_pullback_commute`, and conditions (5) and (6) of
+    `check_thc_axioms` on Λx, k[x]/x³, H(S^2) and its dual polynomial."""
+    A = exterior(R, N)
+    z = classifying_bundle_zeta(A, N)
+    eps, k = augmentation_algebra_map(A)
+    f, Ax, Axy = _inclusion(R)
+    C = sphere_coalgebra(R, N + 1, 2)
+    pushes = [(ChainMap.identity(A.complex), z, A), (eps, z, k)]
+    pulls = [(ChainMap.identity(C.complex), classifying_bundle_xi(C, N), C)]
+    for B in (A, truncated_polynomial(R, N)):  # condition (5); A ⊗ E has a nonzero d
+        e, BE = acyclic_extension_inclusion(B, N)
+        pushes.append((e, classifying_bundle_zeta(B, N), BE))
+    for D in (C, dual_truncated_polynomial(R, N + 1)):  # condition (6)
+        g, DF = coacyclic_collapse(D, N + 1)
+        pulls.append((g, classifying_bundle_xi(D, N), DF))
+
+    # twist axiom 1: g = β of t_Ω, g♭ = α of t_Bar∘g
+    O = cobar(C, N)
+    BO = bar(O, N + 1)
+    g = beta_t(universal_cochain(C, O), BO, N)
+    pulls.append((g, classifying_bundle_zeta(O, N, BO), C))
+    flat = alpha_t(compose_cochain(g, couniversal_cochain(BO, O), None, source=C), O, N)
+    pushes.append((flat, classifying_bundle_xi(C, N, O), O))
+    # twist axiom 2: Bar f and f
+    BarAx, BarAxy = bar(Ax, N), bar(Axy, N)
+    zx = classifying_bundle_zeta(Ax, N, BarAx)
+    pulls.append((bar_map(f, BarAx, BarAxy), classifying_bundle_zeta(Axy, N, BarAxy), BarAx))
+    pushes.append((f, zx, Axy))
+    # twist axiom 3: the collapse g and Cobar g
+    gq, CF = coacyclic_collapse(C, N + 1)
+    OF = cobar(CF, N)
+    pushes.append((cobar_map(gq, OF, O), classifying_bundle_xi(CF, N, OF), O))
+    # pushforward_pullback_commute: f_* g^* and g^* f_* of ζ(Λx)
+    gb, CFb = coacyclic_collapse(BarAx, N)
+    pushes.append((f, pullback(gb, zx, N, CFb), Axy))
+    pulls.append((gb, pushforward(f, zx, N, Axy), CFb))
+    return pushes, pulls
+
+
+def test_pushforward_totals_match_reference():
+    for R in RINGS:
+        for f, bundle, target in _induced_cases(R)[0]:
+            assert_same_d(pushforward(f, bundle, N, target).total,
+                          reference.pushforward_total(f, bundle, N, target))
 
 
 def test_pullback_totals_match_reference():
-    C = sphere_coalgebra(QQ, 6, 2)
-    x = classifying_bundle_xi(C, 6)
-    g, CF = coacyclic_collapse(C, 6)
-    for h, source in [(ChainMap.identity(C.complex), C), (g, CF)]:
-        assert_same_d(pullback(h, x, 6, source).total,
-                      reference.pullback_total(h, x, 6, source))
+    for R in RINGS:
+        for g, bundle, source in _induced_cases(R)[1]:
+            assert_same_d(pullback(g, bundle, N, source).total,
+                          reference.pullback_total(g, bundle, N, source))
 
 
 @pytest.mark.parametrize("R", [ZZ, GF(5)], ids=["Z", "F5"])

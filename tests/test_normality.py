@@ -44,7 +44,7 @@ def identity_tau(A, N):
     """τ(id_A) through N."""
     f = ChainMap.identity(A.complex)
     BarA = bar(A, N)
-    return truncated_np(f, A, A, BarA, bar(A, N), borel_quotient(f, A, A, N, BarA))
+    return truncated_np(f, A, BarA, bar(A, N), borel_quotient(f, A, A, N, BarA))
 
 
 def test_truncated_np_and_identity_morphism():
@@ -59,7 +59,7 @@ def test_truncated_dual_np_and_corruption():
     C = sphere_coalgebra(QQ, 7, 2)
     g = ChainMap.identity(C.complex)
     OmegaC = cobar(C, 5)
-    theta = truncated_dual_np(g, C, C, cobar(C, 5), OmegaC, borel_kernel(g, C, C, 5, OmegaC))
+    theta = truncated_dual_np(g, C, cobar(C, 5), OmegaC, borel_kernel(g, C, C, 5, OmegaC))
     m = identity_morphism(theta)
     ok, report = verify_elementary_equivalence(m, 4)
     assert ok, report
