@@ -15,3 +15,13 @@ class NotReduced(Exception):
     """A simplicial set with more than one vertex where a reduced one is
     needed.  It lives here, not in `simplicial`, so that the CLI can catch
     it without importing that module."""
+
+
+class NotConnected(Exception):
+    """An algebra whose degree 0 is more than the unit where a connected one
+    is needed.  It and `NotOneConnected` live here, not in `hopf`, so that
+    the CLI can catch them without importing that module."""
+
+
+class NotOneConnected(Exception):
+    """A coalgebra that is not 1-connected where one is needed."""

@@ -14,16 +14,15 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
+from . import NotConnected, NotOneConnected
+from ._structure_maps import Action, Coaction
 from .complexes import ChainComplex, ChainMap, GradedBasis, _differing_columns, _tensor_offsets, tensor_name
 from .hopf import (
     ChainAlgebra,
     ChainCoalgebra,
     Key,
-    NotConnected,
-    NotOneConnected,
     _action_table,
     _comodule_map_failures,
-    _full_coproduct,
     _module_map_failures,
     _sign,
 )
@@ -55,28 +54,50 @@ def cobar_word_name(word: Word) -> str:
     return EMPTY_NAME if not word else "|".join(f"s-1({n})" for (_, n) in word)
 
 
-def _enumerate_words(letters: dict[int, list[Key]], N: int):
-    """Every word of marked degree 1..N over ``letters`` (marked degree ->
-    letter keys in name order, degrees ascending), degree by degree, as
-    (n, blocks) with blocks [(parts, words), ...] in basis order.
+def _word_blocks(letters: dict[int, list], N: int):
+    """The composition blocks of the words of marked degree 1..N over
+    ``letters`` (marked degree -> letters in name order, degrees ascending),
+    degree by degree, as (n, [(parts, start, first, size), ...]) in basis
+    order.  The words of the block ``parts`` (a composition of n into letter
+    degrees) sit in degree n from index ``start`` on: the ``size`` words of
+    the block parts[:-1], from index ``first`` of degree n - parts[-1] on,
+    each followed by every letter of degree parts[-1] in turn, so a block's
+    words are the product of its parts' letter lists.
 
     Inside a degree the order is (length, letter degrees, letter names), a
     total order on distinct words: deterministic matrices everywhere
-    downstream.  A block is one composition ``parts`` of n into letter
-    degrees, and the blocks of one length run lexicographically; the words
-    of a block are the product of its parts' letter lists, so they run in
-    name order (docs/DECISIONS.md, section 9).  Nothing is sorted.
+    downstream.  The blocks of one length run lexicographically
+    (docs/DECISIONS.md, section 9).  Nothing is sorted, and no word is built.
     """
     compositions = {0: {0: [()]}}  # degree -> length -> parts, lexicographically
+    placed = {(): (0, 1)}  # parts -> (index of the block's first word, its size)
     for n in range(1, N + 1):
         by_length = compositions[n] = {}
         for d in letters:
             for k, tails in compositions.get(n - d, {}).items():
                 by_length.setdefault(k + 1, []).extend((d,) + t for t in tails)
-        blocks = [(parts, list(product(*map(letters.__getitem__, parts))))
-                  for k in range(1, n + 1) for parts in by_length.get(k, ())]
+        blocks, start = [], 0
+        for k in range(1, n + 1):
+            for parts in by_length.get(k, ()):
+                first, size = placed[parts[:-1]]
+                placed[parts] = start, size * len(letters[parts[-1]])
+                blocks.append((parts, start, first, size))
+                start += size * len(letters[parts[-1]])
         if blocks:
             yield n, blocks
+
+
+def _letters_of(basis: GradedBasis, N: int) -> dict[int, list]:
+    """The letters of a word basis through marked degree N, by marked degree
+    in name order: its one-letter words, which open each degree."""
+    letters = {}
+    for n in range(1, N + 1):
+        for name in basis.names(n):
+            word = basis.keys[name]
+            if len(word) > 1:
+                break
+            letters.setdefault(n, []).append(word[0])
+    return letters
 
 
 def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, mark: str,
@@ -96,7 +117,8 @@ def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, mark: st
     d(u·ℓ) is d(u) with ℓ appended, plus the terms whose window holds ℓ.
     Letters are numbered, and a word u·ℓ is found from the index of u by
     the append table (|u|, ℓ) -> [index of u·ℓ for each u of degree |u|],
-    filled block by block as the words are enumerated.  The tables are
+    filled block by block as the words are enumerated; each word's prefix
+    and last letter come from its block.  The tables are
     locals of this call, freed once d is written.
     """
     top = min(inner.truncation, N - shift)
@@ -109,22 +131,16 @@ def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, mark: st
     marked = [n + shift for n, _ in keys]
     basis = GradedBasis(N)
     basis.fill(0, [EMPTY_NAME], [()])
-    placed = {(): (0, 1)}  # parts -> (index of the block's first word, its size)
-    prefix, last = {}, {}  # degree -> index of the prefix, last letter, per word
-    append = {}
-    for n, runs in _enumerate_words(letters, N):
-        names, words, prefix[n], last[n] = [], [], [], []
-        for parts, block in runs:
-            m, ls = n - parts[-1], ids[parts[-1]]
-            first, size = placed[parts[:-1]]
-            placed[parts] = len(words), len(block)
-            prefix[n] += [p for p in range(first, first + size) for _ in ls]
-            last[n] += ls * size
-            for i, l in enumerate(ls, len(words)):
+    runs, firsts, append = {}, {}, {}  # degree -> blocks; parts -> first; (|u|, ℓ) -> table
+    for n, blocks in _word_blocks(letters, N):
+        names, words, runs[n] = [], [], blocks
+        for parts, start, first, size in blocks:
+            m, ls, firsts[parts] = n - parts[-1], ids[parts[-1]], first
+            for i, l in enumerate(ls, start):
                 if (m, l) not in append:
                     append[m, l] = [0] * basis.dim(m)
                 append[m, l][first:first + size] = range(i, i + size * len(ls), len(ls))
-            words += block
+            words += product(*map(letters.__getitem__, parts))
             names += map("|".join, product(*map(text.__getitem__, parts)))
         basis.fill(n, names, words)
     X = ChainComplex(inner.ring, basis)
@@ -159,22 +175,31 @@ def _word_complex(inner: ChainComplex, lowest: int, shift: int, N: int, mark: st
             columns[n - 1] = cols = [[] for _ in range(basis.dim(n - 1))]
             for (r, j), v in X.diff[n - 1].entries.items():
                 cols[j].append((r, v))
-        for col, (p, l) in enumerate(zip(prefix.get(n, ()), last.get(n, ()))):
-            m = n - marked[l]
-            du = columns[m][p]
-            if du:
-                rows = append[m - 1, l]
-                for r, c in du:
-                    yield (rows[r], col), c
-            # the windows that hold ℓ, the merge before the internal d and
-            # the split, so entries come in the order of the sum over j
-            if span == 2 and m:
-                p2, l2 = prefix[m][p], last[m][p]
-                m2 = m - marked[l2]
-                for rep, c in window(l2, l):
-                    yield (extend(m2, p2, rep), col), -c if m2 % 2 else c
-            for rep, c in single[l]:
-                yield (extend(m, p, rep), col), -c if m % 2 else c
+        col = 0
+        for parts, _, first, size in runs.get(n, ()):
+            # the words u·ℓ of the block: u = u'·λ runs over the block
+            # parts[:-1] of degree m, ℓ over the letters of degree parts[-1]
+            m, ls = n - parts[-1], ids[parts[-1]]
+            merge = span == 2 and m > 0
+            if merge:
+                m2, ls2, first2 = m - parts[-2], ids[parts[-2]], firsts[parts[:-1]]
+            for k, p in enumerate(range(first, first + size)):
+                du = columns[m][p]
+                for l in ls:
+                    if du:
+                        rows = append[m - 1, l]
+                        for r, c in du:
+                            yield (rows[r], col), c
+                    # the windows that hold ℓ, the merge before the internal d
+                    # and the split, so entries come in the order of the sum
+                    # over j
+                    if merge:
+                        p2, l2 = divmod(k, len(ls2))
+                        for rep, c in window(ls2[l2], l):
+                            yield (extend(m2, first2 + p2, rep), col), -c if m2 % 2 else c
+                    for rep, c in single[l]:
+                        yield (extend(m, p, rep), col), -c if m % 2 else c
+                    col += 1
 
     X._set_d(terms)
     return X
@@ -202,17 +227,18 @@ def bar(A: ChainAlgebra, N: int) -> ChainCoalgebra:
                 for prod, c in A.product(dj, aj, dk, ak).items()]
 
     X = _word_complex(A.complex, 1, 1, N, "s", 2, merge)
-    basis = X.basis
+    keys, names, positions = X.basis.keys, X.basis.names, X.basis.positions
 
     @cache
-    def deconcatenate(n, name):
-        w, terms, dl = basis.keys[name], [], 0
+    def deconcatenate(n, j):
+        # w⊗[] and []⊗w, then the splits after letters 1..len(w) - 1
+        w, dl, terms = keys[names(n)[j]], 0, [(n, j, 0, R.one), (0, 0, j, R.one)]
         for i in range(1, len(w)):
             dl += w[i - 1][0] + 1
-            terms.append(((dl, basis.name_of(dl, w[:i])), (n - dl, basis.name_of(n - dl, w[i:])), R.one))
-        return _full_coproduct(R, EMPTY_NAME, n, name, terms)
+            terms.append((dl, positions(dl)[w[:i]], positions(n - dl)[w[i:]], R.one))
+        return terms
 
-    return ChainCoalgebra(X, EMPTY_NAME, deconcatenate, name=f"Bar({A.name})")
+    return ChainCoalgebra(X, EMPTY_NAME, Coaction(deconcatenate, X, X, X), name=f"Bar({A.name})")
 
 
 # ---------------------------------------------------------------------
@@ -236,12 +262,12 @@ def cobar(C: ChainCoalgebra, N: int) -> ChainAlgebra:
         return [((k1, k2), -v if k1[0] % 2 else v) for k1, k2, v in C.reduced_coproduct(*letter[0])]
 
     X = _word_complex(C.complex, 2, -1, N, "s-1", 1, split)
-    basis = X.basis
+    keys, names, positions = X.basis.keys, X.basis.names, X.basis.positions
 
-    def concat(da, a, db, b):
-        return {basis.name_of(da + db, basis.keys[a] + basis.keys[b]): R.one}
+    def concat(p, i, q, j):
+        return [(positions(p + q)[keys[names(p)[i]] + keys[names(q)[j]]], R.one)]
 
-    return ChainAlgebra(X, EMPTY_NAME, concat, name=f"Cobar({C.name})")
+    return ChainAlgebra(X, EMPTY_NAME, Action(concat, X, X), name=f"Cobar({C.name})")
 
 
 # ---------------------------------------------------------------------
@@ -274,12 +300,12 @@ def shuffles_with_signs(ring, u: Word, v: Word, degree):
 def is_graded_commutative(A: ChainAlgebra) -> bool:
     """ab = (-1)^{|a||b|} ba, as one identity of product tables per degree
     (docs/DECISIONS.md, section 8)."""
-    R, X = A.ring, A.complex
+    R, X, rows = A.ring, A.complex, A.product.rows
 
-    def swapped(p, a, q, b):
-        return R.lincomb((r, _sign(R, p * q) * v) for r, v in A.product(q, b, p, a).items())
+    def swapped(p, i, q, j):
+        return list(R.lincomb((r, _sign(R, p * q) * v) for r, v in rows(q, j, p, i)).items())
 
-    return not any(_differing_columns(_action_table(A.product, X, X, n, 1),
+    return not any(_differing_columns(_action_table(rows, X, X, n, 1),
                                       _action_table(swapped, X, X, n, 1))
                    for n in range(A.truncation + 1))
 
@@ -294,14 +320,15 @@ def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
     if not is_graded_commutative(A):
         raise NotCommutative(f"{A.name or 'algebra'} is not graded-commutative")
     B = bar(A, N)
-    R = B.ring
-    basis = B.complex.basis
+    R, X = B.ring, B.complex
+    keys, names, positions = X.basis.keys, X.basis.names, X.basis.positions
 
-    def product(da, a, db, b):
-        return R.lincomb((basis.name_of(da + db, w), sgn) for w, sgn in
-                         shuffles_with_signs(R, basis.keys[a], basis.keys[b], bar_letter_degree))
+    @cache  # the quotient algebra of normality asks each pair again
+    def product(p, i, q, j):
+        return list(R.lincomb((positions(p + q)[w], sgn) for w, sgn in shuffles_with_signs(
+            R, keys[names(p)[i]], keys[names(q)[j]], bar_letter_degree)).items())
 
-    return ChainAlgebra(B.complex, EMPTY_NAME, product, name=f"Bar({A.name})-shuffle")
+    return ChainAlgebra(X, EMPTY_NAME, Action(product, X, X), name=f"Bar({A.name})-shuffle")
 
 
 # ---------------------------------------------------------------------
@@ -326,7 +353,7 @@ def bar_map(f: ChainMap, source: ChainCoalgebra | ChainAlgebra,
         row = positions(p + degree(b)).get(words[names(p)[i]] + (b,))
         return () if row is None else ((row, R.one),)
 
-    return _word_extension(source.complex, source.truncation, degree, target.complex,
+    return _word_extension(source.complex, source.truncation, target.complex,
                            positions(0)[()], letters, append)
 
 
@@ -355,24 +382,29 @@ def is_coalgebra_map(f: ChainMap, C: ChainCoalgebra, D: ChainCoalgebra) -> bool:
 # alpha_t / beta_t and the adjunction unit and counit.
 # ---------------------------------------------------------------------
 
-def _word_extension(source: ChainComplex, N: int, letter_degree, target: ChainComplex,
+def _word_extension(source: ChainComplex, N: int, target: ChainComplex,
                     unit_row: int, letter_image, times) -> ChainMap:
     """The map f: source -> target through degree N on a word basis with
     f([]) = e_unit_row and f(w·ℓ) = Σ v·x·y e_r over v e_i in f(w), (b, x) in
     letter_image(ℓ) and (r, y) in times(|w|, i, b), |w| = |w·ℓ| - |ℓ|: the
     multiplicative extension of ℓ -> Σ x·b when ``times`` multiplies by b
-    (docs/DECISIONS.md, section 9).  A prefix precedes its words, so its
-    column is already written."""
-    R, basis = source.ring, source.basis
-    letter_image = cache(letter_image)
+    (docs/DECISIONS.md, section 9).  Each word's prefix and last letter come
+    from the block arithmetic of `_word_blocks`, so no word is sliced or
+    looked up; a prefix precedes its words, so its column is already
+    written."""
+    R = source.ring
+    top = min(N, source.truncation)
+    letters = _letters_of(source.basis, top)
+    images = {d: [letter_image(letter) for letter in run] for d, run in letters.items()}
     columns = {0: [{unit_row: R.one}]}  # the empty word spans degree 0
-    for n in range(1, min(N, source.truncation) + 1):
-        columns[n] = []
-        for w in map(basis.keys.get, basis.names(n)):
-            p = n - letter_degree(w[-1])
-            prefix = columns[p][basis.positions(p)[w[:-1]]]
-            columns[n].append(R.lincomb((r, v * x * y) for i, v in prefix.items()
-                                        for b, x in letter_image(w[-1]) for r, y in times(p, i, b)))
+    for n, blocks in _word_blocks(letters, top):
+        cols = columns[n] = []
+        for parts, _, first, size in blocks:
+            p = n - parts[-1]
+            for prefix in columns[p][first:first + size]:
+                cols += [R.lincomb((r, v * x * y) for i, v in prefix.items()
+                                   for b, x in image for r, y in times(p, i, b))
+                         for image in images[parts[-1]]]
     return _column_map(source, target, columns)
 
 
@@ -392,13 +424,13 @@ def alpha_t(t, Omega: ChainAlgebra, N: int) -> ChainMap:
     ``Omega`` must be cobar(t.source, N); letters map by s-1(c) -> t(c).
     """
     A = t.target
-    names, index = A.basis, A.complex.basis.index
+    index = A.complex.basis.index
 
-    def times(p, i, b):
-        return [(index(p + b[0], r), y) for r, y in A.product(p, names(p)[i], *b).items()]
+    def letter_image(c):
+        return [((c[0] - 1, index(c[0] - 1, a)), v) for a, v in t.value(*c).items()]
 
-    return _word_extension(Omega.complex, N, cobar_letter_degree, A.complex, index(0, A.unit),
-                           lambda c: [((c[0] - 1, a), v) for a, v in t.value(*c).items()], times)
+    return _word_extension(Omega.complex, N, A.complex, index(0, A.unit), letter_image,
+                           lambda p, i, b: A.product.rows(p, i, *b))
 
 
 def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
@@ -512,5 +544,4 @@ def milgram_cobar_map(C: ChainCoalgebra, D: ChainCoalgebra, N: int,
             return ()
         return ((off[ea + eb][ea] + ia * OD.basis.dim(eb) + ib, _sign(R, db * du)),)
 
-    return _word_extension(OmegaCD.complex, N, cobar_letter_degree, tensor_cobar, 0,
-                           letter_image, times)
+    return _word_extension(OmegaCD.complex, N, tensor_cobar, 0, letter_image, times)

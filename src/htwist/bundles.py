@@ -21,7 +21,6 @@ from .complexes import (
     ChainMap,
     homology,
     _differing_columns,
-    _tensor_offsets,
     induced_zero_on_reduced_homology,
     is_quasi_iso_through,
     tensor_basis,
@@ -95,21 +94,21 @@ def twisted_bundle(C: ChainCoalgebra, A: ChainAlgebra, t: TwistingCochain, N: in
     total = twisted_tensor(self_comodule_right(C), self_module_left(A), t,
                            "comodule-first", N, verify=False).complex
     i, p = _standard_maps(C, A, total)
-    return MixedBundle(A, C, total, i, p, free_module_over(A, total),
-                       cofree_comodule_over(C, total), t, kind)
+    return MixedBundle(A, C, total, i, p, free_module_over(A, C.complex, total),
+                       cofree_comodule_over(C, A.complex, total), t, kind)
 
 
 def _standard_maps(C: ChainCoalgebra, A: ChainAlgebra, total: ChainComplex):
     """(i, p) with i(a) = coaug⊗a and p(c⊗a) = ε(a)·c, written by index on
-    the tensor_basis layout of total = C ⊗ A."""
+    the tensor_basis layout of total = C ⊗ A, where the block of degree n
+    with |a| = 0 comes last."""
     R, cb, ab, tb = total.ring, C.complex.basis, A.complex.basis, total.basis
-    off = _tensor_offsets(C.complex, A.complex, total.truncation)
-    e, u = cb.index(0, C.coaug), ab.index(0, A.unit)
+    e, u, a0 = cb.index(0, C.coaug), ab.index(0, A.unit), ab.dim(0)
     i = ChainMap(A.complex, total, {n: SparseMatrix(R, tb.dim(n), ab.dim(n), {
         (e * ab.dim(n) + j, j): R.one for j in range(ab.dim(n))})
         for n in range(min(A.truncation, total.truncation) + 1)})
     p = ChainMap(total, C.complex, {n: SparseMatrix(R, cb.dim(n), tb.dim(n), {
-        (k, off[n][n] + k * ab.dim(0) + u): R.one for k in range(cb.dim(n))})
+        (k, tb.dim(n) - (cb.dim(n) - k) * a0 + u): R.one for k in range(cb.dim(n))})
         for n in range(total.truncation + 1)})
     return i, p
 
@@ -155,11 +154,11 @@ def verify_mixed_bundle(b: MixedBundle):
         b.projection, ChainMap.identity(C), b.comodule.coact, b.comonoid.coproduct, N)]
 
     CT = ChainComplex(b.ring, tensor_basis(C, b.total, N))
-    coaction = ChainMap(b.total, CT, {n: _coaction_table(b.comodule.coact, C, b.total, n)
+    coaction = ChainMap(b.total, CT, {n: _coaction_table(b.comodule.coact.rows, C, b.total, n)
                                       for n in range(N + 1)})
     problems += [{"check": "mixed-compatibility", "pair": (m, a)} for (_, m), (_, a) in
                  _module_map_failures(coaction, one, b.module.act,
-                                      _right_factor_action(CT.basis.keys, b.module.act), N)]
+                                      _right_factor_action(C, b.module.act, CT), N)]
     return (not problems), problems
 
 
@@ -420,20 +419,25 @@ def amusing_comparison_dual(g: ChainMap, C2: ChainCoalgebra, C: ChainCoalgebra, 
 # Twisting-structure axioms (exact basis bijections) and thc conditions.
 # ---------------------------------------------------------------------
 
-def twist_axiom_1(g: ChainMap, C: ChainCoalgebra, A: ChainAlgebra, N: int, BarA: ChainCoalgebra):
-    """g^*(zeta(A)) == (g♭)_*(xi(C)) for a coalgebra map g: C -> BarA = Bar(A).
-
-    The transpose g♭ = v_A ∘ Cobar(g) is realized as α of the composed
-    cochain.  The sides are C ⊗_{t_Bar∘g} A and C ⊗_{g♭∘t_Ω} A, compared as
-    exact basis bijections.
-    """
+def _twist_axiom_1_sides(g: ChainMap, C: ChainCoalgebra, A: ChainAlgebra, N: int,
+                         BarA: ChainCoalgebra) -> tuple[MixedBundle, MixedBundle]:
+    """(g^*(zeta(A)), (g♭)_*(xi(C))) for a coalgebra map g: C -> BarA = Bar(A):
+    C ⊗_{t_Bar∘g} A and C ⊗_{g♭∘t_Ω} A, with the transpose g♭ = v_A ∘
+    Cobar(g) realized as α of the composed cochain."""
     OmegaC = cobar(C, N)
     zeta = classifying_bundle_zeta(A, N, BarA)
     left = pullback(g, zeta, N, C)
     t_flat = compose_cochain(g, couniversal_cochain(BarA, A), None, source=C)
     g_flat = alpha_t(t_flat, OmegaC, N)
     xi = classifying_bundle_xi(C, N, OmegaC)
-    right = pushforward(g_flat, xi, N, A)
+    return left, pushforward(g_flat, xi, N, A)
+
+
+def twist_axiom_1(g: ChainMap, C: ChainCoalgebra, A: ChainAlgebra, N: int, BarA: ChainCoalgebra):
+    """g^*(zeta(A)) == (g♭)_*(xi(C)) for a coalgebra map g: C -> BarA = Bar(A),
+    the two sides of `_twist_axiom_1_sides` compared as exact basis
+    bijections."""
+    left, right = _twist_axiom_1_sides(g, C, A, N, BarA)
     return bundles_equal(left, right), {"left": left, "right": right}
 
 
@@ -477,9 +481,9 @@ def is_classifiable(bundle: MixedBundle, g: ChainMap, A: ChainAlgebra, N: int, B
     transpose form (g♭)_*(xi(C)): the two sides of twist_axiom_1."""
     if bundle.comonoid.complex.basis.by_degree != g.source.basis.by_degree:
         raise ShapeMismatch("candidate map must start at the bundle comonoid")
-    _, sides = twist_axiom_1(g, bundle.comonoid, A, N, BarA)
-    direct = bundles_equal(bundle, sides["left"])
-    transpose = bundles_equal(bundle, sides["right"])
+    left, right = _twist_axiom_1_sides(g, bundle.comonoid, A, N, BarA)
+    direct = bundles_equal(bundle, left)
+    transpose = bundles_equal(bundle, right)
     return (direct and transpose), {"direct": direct, "transpose": transpose}
 
 

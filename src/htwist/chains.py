@@ -16,8 +16,9 @@ from functools import cache
 from itertools import combinations, compress
 
 from ._simplicial_tables import call_levels, extra_degeneracy, formula_levels
+from ._structure_maps import Action, _rows_by_name
 from .complexes import ChainComplex, GradedBasis, HomologySummary
-from .hopf import ChainAlgebra, ChainCoalgebra, _product_failures, _full_coproduct, table_product
+from .hopf import ChainAlgebra, ChainCoalgebra, _full_coproduct, _product_failures, table_product
 from .rings import Ring, ZZ
 from .simplicial import NotFinite, SimplicialGroup, SimplicialSet
 
@@ -233,7 +234,8 @@ def verify_pontryagin_axioms(G: SimplicialGroup, ring: Ring, N: int):
             return {xn: R.one}
         return table.get(((p, xn), (q, yn)), {})
 
-    triples, pairs = _product_failures(C.complex, prod, N)
+    X = C.complex
+    triples, pairs = _product_failures(X, Action(_rows_by_name(prod, X, X), X, X), N)
     problems = [{"axiom": "associativity", "triple": (a, b, c)} for (_, a), (_, b), (_, c) in triples]
     problems += [{"axiom": "Leibniz", "pair": (a, b)} for (_, a), (_, b) in pairs]
     report["problems"] = problems

@@ -12,9 +12,8 @@ import argparse
 import json
 import sys
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, NotReduced, io_json
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, NotConnected, NotOneConnected, NotReduced, io_json
 from .complexes import TruncationTooLow, homology, verify_differential
-from .hopf import NotConnected, NotOneConnected
 from .io_json import InputError, required
 from .rings import Ring
 
@@ -158,9 +157,10 @@ def _check_connected(command: str, source, target) -> None:
 
 def _check_algebra_map(command: str, f, source, target) -> None:
     """Refuse (exit 2) a source or target algebra that is not connected, as
-    ``bar`` does, and then a map f that is not an algebra map: the Borel
-    quotient and the Nomura-Puppe sequence are defined only for algebra
-    maps."""
+    ``bar`` does, and then a map f that is not a chain algebra map: the
+    Borel quotient and the Nomura-Puppe sequence are defined only for
+    those, and the quotient of a map that does not commute with d is no
+    complex."""
     from .barcobar import is_algebra_map
 
     for side, A in (("source", source), ("target", target)):
@@ -169,6 +169,10 @@ def _check_algebra_map(command: str, f, source, target) -> None:
     if not is_algebra_map(f, source, target):
         raise InputError(f"{command} needs an algebra map, and the map does not send the unit "
                          "to the unit and products to products")
+    ok, degree = f.is_chain_map()
+    if not ok:
+        raise InputError(f"{command} needs a chain map, and the map does not commute with d "
+                         f"in degree {degree}")
 
 
 def _group_from_spec(data: dict, N: int):

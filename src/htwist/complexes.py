@@ -10,6 +10,7 @@ that boundaries coming from degree N are always included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
 
 from .rings import Ring, _q
@@ -21,10 +22,6 @@ class TruncationTooLow(Exception):
 
 
 class RingMismatch(Exception):
-    pass
-
-
-class NegativeDegree(Exception):
     pass
 
 
@@ -362,38 +359,47 @@ def tensor_basis(X: ChainComplex, Y: ChainComplex, N: int) -> GradedBasis:
     return basis
 
 
-def _tensor_offsets(X: ChainComplex, Y: ChainComplex, N: int) -> list[list[int]]:
-    """off[n][p] is the index in degree n of the first x⊗y with |x| = p, so
-    in tensor_basis order x⊗y sits at off[n][p] + i_x·dim Y_{n-p} + i_y, with
-    i_x, i_y the indices of x in X_p and y in Y_{n-p}; off[n][n + 1] is the
+def _tensor_offset(X: ChainComplex, Y: ChainComplex, n: int) -> list[int]:
+    """off[p] is the index in degree n of the first x⊗y with |x| = p, so in
+    tensor_basis order x⊗y sits at off[p] + i_x·dim Y_{n-p} + i_y, with i_x,
+    i_y the indices of x in X_p and y in Y_{n-p}; off[n + 1] is the
     dimension of degree n."""
     dx, dy = X.basis.dim, Y.basis.dim
-    return [list(accumulate((dx(p) * dy(n - p) for p in range(n + 1)), initial=0))
-            for n in range(N + 1)]
+    return list(accumulate((dx(p) * dy(n - p) for p in range(n + 1)), initial=0))
 
 
-def _tensor_terms(X: ChainComplex, Y: ChainComplex, off, n: int, extra=None,
-                  left=True, right=True):
-    """The ((row, col), coeff) terms of d_n(x⊗y) = dx⊗y + (-1)^|x| x⊗dy on
-    the tensor_basis of X ⊗ Y, column by column, rows by index arithmetic;
-    ``left``/``right`` False leaves out dx⊗y/x⊗dy, and ``extra(n, p, i, j)``
-    yields more (row, coeff) terms for X_p[i] ⊗ Y_{n-p}[j]."""
-    below, dim, col = off[n - 1], Y.basis.dim, 0
-    for p in range(n + 1):
-        q = n - p
-        dx, dy, ny, ny1 = X.dmat(p), Y.dmat(q), dim(q), dim(q - 1)
-        sgn = -1 if p % 2 else 1
-        for i in range(X.basis.dim(p)):
-            xcol = dx.column(i) if left else {}
-            for j in range(ny):
-                for r, c in xcol.items():
-                    yield (below[p - 1] + r * ny + j, col), c
-                for r, c in dy.column(j).items() if right else ():
-                    yield (below[p] + i * ny1 + r, col), sgn * c
-                if extra is not None:
-                    for row, c in extra(n, p, i, j):
-                        yield (row, col), c
-                col += 1
+def _tensor_offsets(X: ChainComplex, Y: ChainComplex, N: int) -> list[list[int]]:
+    """`_tensor_offset` of every degree 0..N."""
+    return [_tensor_offset(X, Y, n) for n in range(N + 1)]
+
+
+def _tensor_terms(X: ChainComplex, Y: ChainComplex, off, extra=None):
+    """The function n -> the ((row, col), coeff) terms of d_n(x⊗y) = dx⊗y +
+    (-1)^|x| x⊗dy on the tensor_basis of X ⊗ Y, column by column, rows by
+    index arithmetic; ``extra(n, p, i, j)`` yields more (row, coeff) terms
+    for X_p[i] ⊗ Y_{n-p}[j].  The factors' d are read through column views
+    that live as long as the returned function, so none is left on them."""
+    xcols, ycols, dim = cache(lambda p: X.dmat(p).columns()), cache(lambda q: Y.dmat(q).columns()), Y.basis.dim
+
+    def terms(n):
+        below, col = off[n - 1], 0
+        for p in range(n + 1):
+            q = n - p
+            dx, dy, ny, ny1 = xcols(p), ycols(q), dim(q), dim(q - 1)
+            sgn = -1 if p % 2 else 1
+            for i in range(X.basis.dim(p)):
+                xcol = dx.get(i, {})
+                for j in range(ny):
+                    for r, c in xcol.items():
+                        yield (below[p - 1] + r * ny + j, col), c
+                    for r, c in dy.get(j, {}).items():
+                        yield (below[p] + i * ny1 + r, col), sgn * c
+                    if extra is not None:
+                        for row, c in extra(n, p, i, j):
+                            yield (row, col), c
+                    col += 1
+
+    return terms
 
 
 def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None) -> ChainComplex:
@@ -405,17 +411,17 @@ def tensor_complex(X: ChainComplex, Y: ChainComplex, through: int | None = None)
         N = min(N, through)
     Z = ChainComplex(X.ring, tensor_basis(X, Y, N))
     off = _tensor_offsets(X, Y, N)
-    Z._set_d(lambda n: _tensor_terms(X, Y, off, n))
+    Z._set_d(_tensor_terms(X, Y, off))
     return Z
 
 
 def _tensor_kron(f: ChainMap, g: ChainMap, n: int) -> SparseMatrix:
     """(f⊗g)_n from the tensor_basis layout of f.source ⊗ g.source to that of
     f.target ⊗ g.target: the block of |x| = p is the Kronecker product
-    f_p ⊗ g_{n-p}, placed by the offsets of _tensor_offsets.  f and g have
+    f_p ⊗ g_{n-p}, placed by the offsets of _tensor_offset.  f and g have
     degree 0, so there is no Koszul sign."""
     X, Y, X2, Y2 = f.source, g.source, f.target, g.target
-    src, dst = _tensor_offsets(X, Y, n)[n], _tensor_offsets(X2, Y2, n)[n]
+    src, dst = _tensor_offset(X, Y, n), _tensor_offset(X2, Y2, n)
     R = X.ring
     out = SparseMatrix(R, dst[-1], src[-1])
     mul, entries = R.mul, out.entries
@@ -433,27 +439,6 @@ def tensor_map(f: ChainMap, g: ChainMap, src: ChainComplex, dst: ChainComplex) -
     """f⊗g: x⊗y -> f(x)⊗g(y) from the pair basis of src to that of dst;
     pass ``ChainMap.identity`` for the factor that does not move."""
     return ChainMap(src, dst, {n: _tensor_kron(f, g, n) for n in range(src.truncation + 1)})
-
-
-def ground_complex(ring: Ring, truncation: int = 0) -> ChainComplex:
-    basis = GradedBasis(truncation)
-    basis.add(0, "1")
-    return ChainComplex(ring, basis)
-
-
-def suspend(X: ChainComplex, shift: int) -> ChainComplex:
-    """Shift degrees by ±1, marking names; d(sx) = -s(dx)."""
-    if shift not in (1, -1):
-        raise ValueError("shift must be +1 or -1")
-    mark = "s" if shift == 1 else "s-1"
-    if shift == -1 and X.basis.dim(0) > 0:
-        raise NegativeDegree("cannot desuspend a complex with degree-0 basis")
-    basis = GradedBasis(X.truncation + shift if shift == 1 else X.truncation - 1)
-    for n in X.basis.degrees():
-        for a in X.basis.names(n):
-            basis.add(n + shift, f"{mark}({a})")
-    return ChainComplex(X.ring, basis, {n + shift: X.dmat(n).scale(X.ring.of(-1))
-                                        for n in range(1, X.truncation + 1) if n + shift >= 1})
 
 
 def mapping_cone(f: ChainMap, N: int) -> ChainComplex:
@@ -476,27 +461,3 @@ def mapping_cone(f: ChainMap, N: int) -> ChainComplex:
         d.entries.update(((top + i, left + j), v) for (i, j), v in Y.dmat(n).entries.items())
         C.diff[n] = d
     return C
-
-
-def cone_on_identity(X: ChainComplex) -> ChainComplex:
-    """Mapping cone of id_X: contractible; handy as an acyclic fixture."""
-    return mapping_cone(ChainMap.identity(X), X.truncation + 1)
-
-
-def direct_sum(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
-    if X.ring != Y.ring:
-        raise RingMismatch(f"{X.ring} vs {Y.ring}")
-    N = min(X.truncation, Y.truncation)
-    basis = GradedBasis(N)
-    for n in range(N + 1):
-        for a in X.basis.names(n):
-            basis.add(n, f"L({a})")
-        for b in Y.basis.names(n):
-            basis.add(n, f"R({b})")
-    Z = ChainComplex(X.ring, basis)
-    for n in range(1, N + 1):
-        Z.diff[n] = d = SparseMatrix(X.ring, basis.dim(n - 1), basis.dim(n))
-        d.entries = dict(X.dmat(n).entries)
-        top, left = X.basis.dim(n - 1), X.basis.dim(n)
-        d.entries.update(((top + i, left + j), v) for (i, j), v in Y.dmat(n).entries.items())
-    return Z

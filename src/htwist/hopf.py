@@ -1,6 +1,7 @@
 """Chain algebras and coalgebras, each given by one structure function
 (its product or its full coproduct), plus module/comodule structures over
-them.
+them.  Every structure map is read by basis index (an `Action` or a
+`Coaction` of `_structure_maps`); calling it reads the same map by name.
 
 Conventions enforced throughout: algebras are connected (degree 0 spanned by
 the unit), coalgebras are 1-connected (degree 0 spanned by the coaugmentation,
@@ -21,19 +22,12 @@ from .complexes import (
     _chain_map_failures,
     _differing_columns,
     _tensor_kron,
-    _tensor_offsets,
+    _tensor_offset,
     tensor_complex,
     tensor_name,
 )
+from ._structure_maps import Action, Coaction, _corows_by_name, _rows_by_name, _Unital
 from .sparse import SparseMatrix
-
-
-class NotConnected(Exception):
-    pass
-
-
-class NotOneConnected(Exception):
-    pass
 
 
 Key = tuple[int, str]  # (degree, basis name)
@@ -44,16 +38,18 @@ def _sign(ring, k: int):
 
 
 class ChainAlgebra:
-    """Connected augmented chain algebra whose product is one function,
-    ``product(|a|, a, |b|, b) -> {name in degree |a| + |b|: coeff}``, asked
-    only for basis elements of positive degree with |a| + |b| within the
-    truncation."""
+    """Connected augmented chain algebra whose product is one function: by
+    name, ``product(|a|, a, |b|, b) -> {name in degree |a| + |b|: coeff}``,
+    or an `Action` by index; it is asked only for basis elements of positive
+    degree with |a| + |b| within the truncation.  ``self.product`` is the
+    Action with the unit rule."""
 
     def __init__(self, complex: ChainComplex, unit: str, product, name: str = ""):
         self.complex = complex
         self.unit = unit
         self.name = name
-        self._product = product
+        inner = product.rows if isinstance(product, Action) else _rows_by_name(product, complex, complex)
+        self.product = _Unital(inner, complex, complex, unit, complex.truncation, both=True)
 
     @property
     def ring(self):
@@ -65,16 +61,6 @@ class ChainAlgebra:
 
     def basis(self, n: int):
         return self.complex.basis.names(n)
-
-    def product(self, da: int, a: str, db: int, b: str) -> dict[str, object]:
-        """Product of two basis elements; unit acts strictly."""
-        if da + db > self.truncation:
-            return {}
-        if da == 0:
-            return {b: self.ring.one} if a == self.unit else {}
-        if db == 0:
-            return {a: self.ring.one} if b == self.unit else {}
-        return self._product(da, a, db, b)
 
     def aug(self, n: int, name: str):
         """Augmentation functional: 1 on the unit, 0 elsewhere."""
@@ -86,15 +72,27 @@ class ChainAlgebra:
 
 class ChainCoalgebra:
     """1-connected coaugmented chain coalgebra whose coproduct is one
-    function, ``coproduct(|c|, c) -> [((|c1|, c1), (|c2|, c2), coeff)]``: the
-    full Δc, counit terms c⊗1 and 1⊗c included, asked only for basis
-    elements of positive degree (``_full_coproduct`` adds those terms)."""
+    function: by name, ``coproduct(|c|, c) -> [((|c1|, c1), (|c2|, c2),
+    coeff)]``, or a `Coaction` by index.  It is the full Δc, counit terms c⊗1
+    and 1⊗c included, asked only for basis elements of positive degree
+    (``_full_coproduct`` adds those terms).  ``self.coproduct`` is the
+    Coaction with the coaugmentation rule: in degree 0, Δ(coaug) = 1⊗1 and
+    every other element goes to 0."""
 
     def __init__(self, complex: ChainComplex, coaug: str, coproduct, name: str = ""):
         self.complex = complex
         self.coaug = coaug
         self.name = name
-        self._coproduct = coproduct
+        inner = (coproduct.rows if isinstance(coproduct, Coaction)
+                 else _corows_by_name(coproduct, complex, complex, complex))
+        one, names = complex.ring.one, complex.basis.names
+
+        def rows(n, j):
+            if n == 0:
+                return [(0, j, j, one)] if names(0)[j] == coaug else []
+            return inner(n, j)
+
+        self.coproduct = Coaction(rows, complex, complex, complex)
 
     @property
     def ring(self):
@@ -106,11 +104,6 @@ class ChainCoalgebra:
 
     def basis(self, n: int):
         return self.complex.basis.names(n)
-
-    def coproduct(self, dc: int, c: str):
-        if dc == 0:
-            return [((0, self.coaug), (0, self.coaug), self.ring.one)] if c == self.coaug else []
-        return self._coproduct(dc, c)
 
     def reduced_coproduct(self, dc: int, c: str):
         return [t for t in self.coproduct(dc, c) if t[0][0] > 0 and t[1][0] > 0]
@@ -148,42 +141,59 @@ def table_coproduct(ring, coaug: str, table: dict):
 
 class ModuleStructure:
     """Action of a ChainAlgebra on a carrier complex (side: left or right),
-    computed by ``act_fn(dm, m, da, a)`` -> {result: coeff}."""
+    given by index, ``rows(|m|, i, |a|, j)`` -> [(row, coeff)] of m·a (right)
+    or a·m (left) for m = carrier_|m|[i], a = algebra_|a|[j].  ``act`` is
+    that Action with the unit rule; ``act_fn`` reads it too, and setting
+    ``act_fn`` to a function by name, fn(|m|, m, |a|, a) -> {name: coeff},
+    replaces the structure (how the tests corrupt one)."""
 
-    def __init__(self, algebra: ChainAlgebra, carrier: ChainComplex, side: str, act_fn):
+    def __init__(self, algebra: ChainAlgebra, carrier: ChainComplex, side: str, rows):
         assert side in ("left", "right")
         self.algebra = algebra
         self.carrier = carrier
         self.side = side
-        self.act_fn = act_fn
+        self._set(rows)
+
+    def _set(self, rows):
+        self.act = _Unital(rows, self.carrier, self.algebra.complex, self.algebra.unit,
+                           self.carrier.truncation, both=False)
+
+    @property
+    def act_fn(self) -> Action:
+        return self.act
+
+    @act_fn.setter
+    def act_fn(self, fn):
+        self._set(_rows_by_name(fn, self.carrier, self.algebra.complex))
 
     @property
     def ring(self):
         return self.carrier.ring
 
-    def act(self, dm: int, m: str, da: int, a: str) -> dict[str, object]:
-        """m·a (right) or a·m (left, arguments still (m, a))."""
-        if dm + da > self.carrier.truncation:
-            return {}
-        if da == 0:
-            return {m: self.ring.one} if a == self.algebra.unit else {}
-        return self.act_fn(dm, m, da, a)
-
 
 class ComoduleStructure:
-    """Coaction of a ChainCoalgebra on a carrier complex: ``coact(dm, m)`` is
-    the function ``coact_fn``.
+    """Coaction of a ChainCoalgebra on a carrier complex, given by index,
+    ``rows(n, j)`` (a `Coaction`'s rows): side "left", λ: M -> C⊗M; side
+    "right", ρ: M -> M⊗C.  ``coact`` is that Coaction; setting it to a
+    function by name, fn(n, m) -> [((p, x), (n - p, y), coeff)], replaces
+    the structure (how the tests corrupt one)."""
 
-    side "left": λ: M -> C⊗M as [((dc, c), (dm2, m2), coeff)].
-    side "right": ρ: M -> M⊗C as [((dm2, m2), (dc, c), coeff)].
-    """
-
-    def __init__(self, coalgebra: ChainCoalgebra, carrier: ChainComplex, side: str, coact_fn):
+    def __init__(self, coalgebra: ChainCoalgebra, carrier: ChainComplex, side: str, rows):
         assert side in ("left", "right")
         self.coalgebra = coalgebra
         self.carrier = carrier
         self.side = side
-        self.coact = coact_fn
+        C = coalgebra.complex
+        self._factors = (C, carrier) if side == "left" else (carrier, C)
+        self._coact = Coaction(rows, carrier, *self._factors)
+
+    @property
+    def coact(self) -> Coaction:
+        return self._coact
+
+    @coact.setter
+    def coact(self, fn):
+        self._coact = Coaction(_corows_by_name(fn, self.carrier, *self._factors), self.carrier, *self._factors)
 
     @property
     def ring(self):
@@ -196,48 +206,52 @@ class ComoduleStructure:
 # columns are named only for the witnesses (docs/DECISIONS.md, section 8).
 # ---------------------------------------------------------------------
 
-def _pairs(X: ChainComplex, Y: ChainComplex, n: int, lowest: int, cols=None):
+def _pairs(off: list[int], Y: ChainComplex, n: int, lowest: int, cols=None):
     """(col, |x|, i, |y|, j) for the x = X_{|x|}[i], y = Y_{|y|}[j] with
     |x| + |y| = n and |y| >= lowest, col the index of x⊗y in the
-    tensor_basis layout of X ⊗ Y; all of them, or those at ``cols``."""
-    off, dim = _tensor_offsets(X, Y, n)[n], Y.basis.dim
+    tensor_basis layout of X ⊗ Y whose degree-n offsets are ``off``
+    (`_tensor_offset`); all of them, or those at ``cols``."""
+    dims = [Y.basis.dim(n - p) for p in range(n + 1)]
     for col in (range(off[-1]) if cols is None else cols):
         p = bisect_right(off, col) - 1
         if n - p >= lowest:
-            i, j = divmod(col - off[p], dim(n - p))
+            i, j = divmod(col - off[p], dims[p])
             yield col, p, i, n - p, j
 
 
-def _action_table(act, M: ChainComplex, A: ChainComplex, n: int, lowest: int,
+def _action_table(rows, M: ChainComplex, A: ChainComplex, n: int, lowest: int,
                   cols=None) -> SparseMatrix:
-    """The action act(|m|, m, |a|, a) -> {name in M_n: coeff} on the pairs
-    _pairs(M, A, n, lowest, cols), as a matrix from the layout of M ⊗ A."""
-    out = SparseMatrix(M.ring, M.basis.dim(n), _tensor_offsets(M, A, n)[n][-1])
-    index, mn, an, entries = M.basis.index, M.basis.names, A.basis.names, out.entries
-    for col, dm, i, da, j in _pairs(M, A, n, lowest, cols):
-        for r, v in act(dm, mn(dm)[i], da, an(da)[j]).items():
-            entries[index(n, r), col] = v
+    """The action ``rows(|m|, i, |a|, j)`` -> [(row in M_n, coeff)] (an
+    Action's) on the pairs _pairs(M ⊗ A, n, lowest, cols), as a matrix from
+    the layout of M ⊗ A."""
+    off = _tensor_offset(M, A, n)
+    out = SparseMatrix(M.ring, M.basis.dim(n), off[-1])
+    entries = out.entries
+    for col, dm, i, da, j in _pairs(off, A, n, lowest, cols):
+        for r, v in rows(dm, i, da, j):
+            entries[r, col] = v
     return out
 
 
-def _coaction_table(coact, C: ChainComplex, M: ChainComplex, n: int, cols=None) -> SparseMatrix:
-    """The left coaction coact(|m|, m) -> [((|c|, c), (|m'|, m'), coeff)] on
-    M_n (all columns, or those at ``cols``), as a matrix to the layout of C ⊗ M."""
-    off = _tensor_offsets(C, M, n)[n]
+def _coaction_table(rows, C: ChainComplex, M: ChainComplex, n: int, cols=None) -> SparseMatrix:
+    """The left coaction ``rows(n, j)`` -> [(|c|, i, k, coeff)] (a
+    Coaction's) on M_n (all columns, or those at ``cols``), as a matrix to
+    the layout of C ⊗ M."""
+    off = _tensor_offset(C, M, n)
     out = SparseMatrix(M.ring, off[-1], M.basis.dim(n))
-    cidx, midx, dim, names, entries = C.basis.index, M.basis.index, M.basis.dim, M.basis.names(n), out.entries
-    for j in (range(len(names)) if cols is None else cols):
-        for (dc, c), (dm, m), v in coact(n, names[j]):
-            ij = off[dc] + cidx(dc, c) * dim(dm) + midx(dm, m), j
+    dims, entries = [M.basis.dim(n - p) for p in range(n + 1)], out.entries
+    for j in (range(M.basis.dim(n)) if cols is None else cols):
+        for p, i, k, v in rows(n, j):
+            ij = off[p] + i * dims[p] + k, j
             entries[ij] = entries.get(ij, 0) + v
     return out
 
 
-def _module_map_failures(f: ChainMap, phi: ChainMap, act, target_act, N: int):
+def _module_map_failures(f: ChainMap, phi: ChainMap, act: Action, target_act: Action, N: int):
     """The basis pairs ((|m|, m), (|a|, a)) with f(m·a) != f(m)·phi(a) and
     |m| + |a| <= N, in the order (|m|, m, |a|, a): one identity f∘act =
-    act'∘(f⊗phi) per degree, act and act' = ``target_act`` acting on basis
-    elements; act' is read only where f⊗phi reaches.
+    act'∘(f⊗phi) per degree, act and act' = ``target_act`` tabulated by
+    index; act' is read only where f⊗phi reaches.
 
     a runs over the degrees >= 1 of phi's algebra, as ``product`` makes the
     unit act strictly, and over degree 0 too when that holds more than the
@@ -247,53 +261,58 @@ def _module_map_failures(f: ChainMap, phi: ChainMap, act, target_act, N: int):
     failures = []
     for n in range(N + 1):
         kron = _tensor_kron(f, phi, n)
-        lhs = f.mat(n) @ _action_table(act, M, A, n, lowest)
-        rhs = _action_table(target_act, M2, A2, n, lowest, {i for i, _ in kron.entries}) @ kron
-        failures += _pairs(M, A, n, lowest, _differing_columns(lhs, rhs))
+        lhs = f.mat(n) @ _action_table(act.rows, M, A, n, lowest)
+        rhs = _action_table(target_act.rows, M2, A2, n, lowest, {i for i, _ in kron.entries}) @ kron
+        failures += _pairs(_tensor_offset(M, A, n), A, n, lowest, _differing_columns(lhs, rhs))
     return [((dm, M.basis.names(dm)[i]), (da, A.basis.names(da)[j]))
             for _, dm, i, da, j in sorted(failures, key=lambda k: k[1:])]
 
 
-def _comodule_map_failures(f: ChainMap, phi: ChainMap, coact, target_coact, N: int):
+def _comodule_map_failures(f: ChainMap, phi: ChainMap, coact: Coaction, target_coact: Coaction, N: int):
     """The basis elements (n, m) with λ'(f(m)) != (phi⊗f)(λ(m)) and n <= N, in
     order: one identity λ'∘f = (phi⊗f)∘λ per degree, λ = ``coact`` and λ' =
-    ``target_coact`` coacting on basis elements; λ' is read only where f
-    reaches."""
+    ``target_coact`` tabulated by index; λ' is read only where f reaches."""
     M, C, M2, C2 = f.source, phi.source, f.target, phi.target
     failures = []
     for n in range(N + 1):
         fn = f.mat(n)
-        lhs = _coaction_table(target_coact, C2, M2, n, {i for i, _ in fn.entries}) @ fn
-        rhs = _tensor_kron(phi, f, n) @ _coaction_table(coact, C, M, n)
+        lhs = _coaction_table(target_coact.rows, C2, M2, n, {i for i, _ in fn.entries}) @ fn
+        rhs = _tensor_kron(phi, f, n) @ _coaction_table(coact.rows, C, M, n)
         failures += [(n, M.basis.names(n)[j]) for j in _differing_columns(lhs, rhs)]
     return failures
 
 
-def _right_factor_action(pairs: dict, act):
-    """(x⊗y)·a = x⊗(y·a) on a pair basis with keys ``pairs``, from the
-    per-basis action ``act`` on the right factor."""
-    def act_fn(dm, m, da, a):
-        (_, x), (q, y) = pairs[m]
-        return {tensor_name(x, r): v for r, v in act(q, y, da, a).items()}
+def _right_factor_action(X: ChainComplex, act: Action, carrier: ChainComplex) -> Action:
+    """(x⊗y)·a = x⊗(y·a) on carrier = X ⊗ M in the tensor_basis layout, from
+    the action ``act`` of an algebra on M, by offset arithmetic."""
+    M, dim = act.X, act.X.basis.dim
+    off = cache(lambda n: _tensor_offset(X, M, n))
 
-    return act_fn
+    def rows(n, i, da, j):
+        o = off(n)
+        p = bisect_right(o, i) - 1
+        x, y = divmod(i - o[p], dim(n - p))
+        base = off(n + da)[p] + x * dim(n - p + da)
+        return [(base + r, v) for r, v in act.rows(n - p, y, da, j)]
+
+    return Action(rows, carrier, act.Y)
 
 
-def _product_failures(X: ChainComplex, product, N: int):
+def _product_failures(X: ChainComplex, product: Action, N: int):
     """The associativity triples ((|a|, a), (|b|, b), (|c|, c)) and Leibniz
-    pairs ((|a|, a), (|b|, b)) of ``product(p, a, q, b)`` on X through N, by
-    degrees, then basis order.  With μ tabulated on X ⊗ X, associativity is
-    "μ is a module map over id, X acting on the right factor of X ⊗ X" and
-    Leibniz is "μ is a chain map"."""
+    pairs ((|a|, a), (|b|, b)) of ``product`` on X through N, by degrees,
+    then basis order.  With μ tabulated on X ⊗ X, associativity is "μ is a
+    module map over id, X acting on the right factor of X ⊗ X" and Leibniz
+    is "μ is a chain map"."""
     XX = tensor_complex(X, X, N)
     pairs, index = XX.basis.keys, X.basis.index
-    mu = ChainMap(XX, X, {n: _action_table(product, X, X, n, 0) for n in range(N + 1)})
+    mu = ChainMap(XX, X, {n: _action_table(product.rows, X, X, n, 0) for n in range(N + 1)})
 
     def order(keys):
         return tuple(d for d, _ in keys) + tuple(index(d, x) for d, x in keys)
 
     triples = sorted(((*pairs[m], c) for (_, m), c in _module_map_failures(
-        mu, ChainMap.identity(X), _right_factor_action(pairs, product), product, N)), key=order)
+        mu, ChainMap.identity(X), _right_factor_action(X, product, XX), product, N)), key=order)
     leibniz = sorted((pairs[XX.basis.names(n)[j]] for n, j in _chain_map_failures(mu, N)), key=order)
     return triples, leibniz
 
@@ -365,10 +384,10 @@ def verify_coalgebra(C: ChainCoalgebra):
                     found.append((n, i, rank, {"axiom": side_name, "element": (n, c)}))
 
     XX = tensor_complex(X, X, N)
-    delta = ChainMap(X, XX, {n: _coaction_table(C.coproduct, X, X, n) for n in range(N + 1)})
+    delta = ChainMap(X, XX, {n: _coaction_table(C.coproduct.rows, X, X, n) for n in range(N + 1)})
     found += [(n, X.basis.index(n, c), 2, {"axiom": "coassociativity", "element": (n, c)})
               for n, c in _comodule_map_failures(delta, ChainMap.identity(X), C.coproduct,
-                                                 cofree_comodule_over(C, XX).coact, N)]
+                                                 cofree_comodule_over(C, X, XX).coact, N)]
     found += [(n, j, 3, {"axiom": "coderivation", "element": (n, X.basis.names(n)[j])})
               for n, j in _chain_map_failures(delta, N)]
     witnesses += [w for *_, w in sorted(found, key=lambda t: t[:3])]
@@ -420,22 +439,24 @@ def tensor_coalgebra_product(C: ChainCoalgebra, D: ChainCoalgebra, through: int 
     return ChainCoalgebra(Z, coaug, coproduct, name=f"{C.name}⊗{D.name}")
 
 
-def free_module_over(A: ChainAlgebra, carrier: ChainComplex) -> ModuleStructure:
-    """Right A-module structure on a pair-basis carrier X ⊗ A, acting on the
-    second factor: (x⊗a)·b = x⊗(ab), read from the pair keys on demand.
-    Used for every free module in this artifact."""
-    return ModuleStructure(A, carrier, "right", act_fn=_right_factor_action(carrier.basis.keys, A.product))
+def free_module_over(A: ChainAlgebra, X: ChainComplex, carrier: ChainComplex) -> ModuleStructure:
+    """Right A-module structure on the pair-basis carrier X ⊗ A, acting on
+    the second factor: (x⊗a)·b = x⊗(ab), by offset arithmetic.  Used for
+    every free module in this artifact."""
+    return ModuleStructure(A, carrier, "right", _right_factor_action(X, A.product, carrier).rows)
 
 
-def cofree_comodule_over(C: ChainCoalgebra, carrier: ChainComplex) -> ComoduleStructure:
-    """Left C-comodule structure on a pair-basis carrier C ⊗ Y, splitting the
-    first factor by Δ: (Δ⊗1)(c⊗y), read from the pair keys on demand.  Dual
-    of free_module_over."""
-    pairs = carrier.basis.keys
+def cofree_comodule_over(C: ChainCoalgebra, Y: ChainComplex, carrier: ChainComplex) -> ComoduleStructure:
+    """Left C-comodule structure on the pair-basis carrier C ⊗ Y, splitting
+    the first factor by Δ: (Δ⊗1)(c⊗y), by offset arithmetic.  Dual of
+    free_module_over."""
+    dim = Y.basis.dim
+    off = cache(lambda n: _tensor_offset(C.complex, Y, n))
 
-    def coact(dm, m):
-        (p, c), (q, y) = pairs[m]
-        return [((e1, c1), (e2 + q, tensor_name(c2, y)), v)
-                for (e1, c1), (e2, c2), v in C.coproduct(p, c)]
+    def rows(n, j):
+        o = off(n)
+        p = bisect_right(o, j) - 1
+        c, y = divmod(j - o[p], dim(n - p))
+        return [(e, i, off(n - e)[p - e] + k * dim(n - p) + y, v) for e, i, k, v in C.coproduct.rows(p, c)]
 
-    return ComoduleStructure(C, carrier, "left", coact_fn=coact)
+    return ComoduleStructure(C, carrier, "left", rows)

@@ -19,7 +19,6 @@ import json
 from fractions import Fraction
 
 from .complexes import ChainComplex, ChainMap, GradedBasis
-from .hopf import ChainAlgebra, ChainCoalgebra, table_coproduct, table_product
 from .rings import Ring
 
 
@@ -152,6 +151,8 @@ def algebra_to_dict(A: ChainAlgebra, max_degree: int | None = None) -> dict:
 
 
 def algebra_from_dict(data: dict) -> ChainAlgebra:
+    from .hopf import ChainAlgebra, table_product
+
     X = complex_from_dict(data)
     unit, table = _degree_0_element(data, "unit", X), {}
     for entry in data.get("mu", []):
@@ -191,6 +192,8 @@ def coalgebra_to_dict(C: ChainCoalgebra) -> dict:
 
 
 def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
+    from .hopf import ChainCoalgebra, table_coproduct
+
     X = complex_from_dict(data)
     coaug, table = _degree_0_element(data, "coaug", X), {}
     for entry in data.get("delta", []):

@@ -15,7 +15,9 @@ with a witness instead of papering over it (docs/DECISIONS.md, section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
+from ._structure_maps import Action, _rows_by_name
 from .barcobar import (
     bar,
     bar_map,
@@ -321,7 +323,9 @@ def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
                          for wname, v in S.product(dw, w, dw2, w2).items()
                          for xname, u in A2.product(dx, x, dx2, x2).items())
 
-    return ChainAlgebra(total, unit, product, name=f"{A2.name}//{A.name}")
+    # each pair is asked again, by the algebra checks and by every table of Q
+    rows = cache(_rows_by_name(product, total, total))
+    return ChainAlgebra(total, unit, Action(rows, total, total), name=f"{A2.name}//{A.name}")
 
 
 def natural_quotient_projection(q: BorelQuotient, q2: BorelQuotient,

@@ -71,13 +71,19 @@ class SparseMatrix:
         self[i, j] = self.ring.add(self[i, j], v)
 
     def column(self, j) -> dict:
-        """Nonzero entries of column j as {row: v}, in entry order (read only)."""
+        """Nonzero entries of column j as {row: v}, in entry order (read only);
+        the first call keeps `columns` on the matrix."""
         if self._cols is None:
-            cols: dict = {}
-            for (i, jj), v in self.entries.items():
-                cols.setdefault(jj, {})[i] = v
-            self._cols = cols
+            self._cols = self.columns()
         return self._cols.get(j, {})
+
+    def columns(self) -> dict:
+        """{col: {row: v}} of the nonzero entries, in entry order, built anew
+        by each call and not kept."""
+        cols: dict = {}
+        for (i, j), v in self.entries.items():
+            cols.setdefault(j, {})[i] = v
+        return cols
 
     def copy(self) -> "SparseMatrix":
         m = SparseMatrix(self.ring, self.nrows, self.ncols)

@@ -174,22 +174,19 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
     # forced: D_t^2 = 0 must be equivalent to the Maurer-Cartan identity,
     # and the t-operator crosses the surviving tensor factor on opposite
     # sides (tested both ways on fixtures with nontrivial quadratic terms).
-    # twist[n, i] holds (|e'|, index of e', |a|, a, v·x) for each term v c⊗e'
-    # or v e'⊗c of the coaction of comod_n[i] and each term x a of t(c).
-    comod, mod = P.carrier.basis, M.carrier.basis
+    # twist[n, i] holds (|e'|, index of e', |a|, index of a, v·x) for each
+    # term v c⊗e' or v e'⊗c of the coaction of comod_n[i] and each term x a
+    # of t(c).
+    cnames, aindex = P.coalgebra.basis, M.algebra.complex.basis.index
     twist = {}
     for n in range(N + 1):
-        for i, e in enumerate(comod.names(n)):
-            for k1, k2, v in P.coact(n, e):
-                (dc, c), (de, e2) = (k1, k2) if P.side == "left" else (k2, k1)
+        for i in range(P.carrier.basis.dim(n)):
+            for p, k1, k2, v in P.coact.rows(n, i):
+                (dc, c), (de, e2) = ((p, k1), (n - p, k2)) if P.side == "left" else ((n - p, k2), (p, k1))
                 twist.setdefault((n, i), []).extend(
-                    (de, comod.index(de, e2), dc - 1, a, v * x) for a, x in t.value(dc, c).items())
+                    (de, e2, dc - 1, aindex(dc - 1, a), v * x) for a, x in t.value(dc, cnames(dc)[c]).items())
     off, ny = _tensor_offsets(left_cx, right_cx, N), right_cx.basis.dim
-
-    @cache
-    def act(dm, i, da, a):
-        # (row, coeff) of m·a (right) or a·m (left), m = mod_dm[i]
-        return [(mod.index(dm + da, r), w) for r, w in M.act(dm, mod.names(dm)[i], da, a).items()]
+    act = cache(M.act.rows)  # (row, coeff) of m·a (right) or a·m (left)
 
     if orientation == "module-first":
         def twist_terms(n, p, i, j):
@@ -206,7 +203,7 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
                     yield off[n - 1][dx] + i2 * ny(q + da) + r, (v if dx % 2 else -v) * w
 
     Z = ChainComplex(R, tensor_basis(left_cx, right_cx, N))
-    Z._set_d(lambda n: _tensor_terms(left_cx, right_cx, off, n, twist_terms))
+    Z._set_d(_tensor_terms(left_cx, right_cx, off, twist_terms))
     return TwistedTensorProduct(Z, P, M, t)
 
 
@@ -216,47 +213,44 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
 
 def self_comodule_right(C: ChainCoalgebra) -> ComoduleStructure:
     """C as a right comodule over itself via Δ (back part is the C-part)."""
-    return ComoduleStructure(C, C.complex, "right", coact_fn=C.coproduct)
+    return ComoduleStructure(C, C.complex, "right", C.coproduct.rows)
 
 
 def self_comodule_left(C: ChainCoalgebra) -> ComoduleStructure:
-    return ComoduleStructure(C, C.complex, "left", coact_fn=C.coproduct)
+    return ComoduleStructure(C, C.complex, "left", C.coproduct.rows)
 
 
 def self_module_left(A: ChainAlgebra) -> ModuleStructure:
-    return ModuleStructure(A, A.complex, "left",
-                           act_fn=lambda dm, m, da, a: A.product(da, a, dm, m))
+    rows = A.product.rows
+    return ModuleStructure(A, A.complex, "left", lambda dm, i, da, j: rows(da, j, dm, i))
 
 
 def self_module_right(A: ChainAlgebra) -> ModuleStructure:
-    return ModuleStructure(A, A.complex, "right",
-                           act_fn=lambda dm, m, da, a: A.product(dm, m, da, a))
+    return ModuleStructure(A, A.complex, "right", A.product.rows)
 
 
 def comodule_via_map(C: ChainCoalgebra, carrier_coalgebra: ChainCoalgebra,
                      g: ChainMap) -> ComoduleStructure:
     """carrier as a left C-comodule via a coalgebra map g: carrier -> C,
-    λ = (g⊗1)Δ."""
-    R = C.ring
+    λ = (g⊗1)Δ: each term of the carrier's coproduct rows, its first factor
+    through column i of g."""
+    R, coproduct = C.ring, carrier_coalgebra.coproduct.rows
 
-    def fn(dm, m):
-        out = []
-        for (d1, n1), (d2, n2), v in carrier_coalgebra.coproduct(dm, m):
-            for c, w in g.apply(d1, n1).items():
-                out.append(((d1, c), (d2, n2), R.mul(v, w)))
-        return out
+    def rows(n, j):
+        return [(p, r, k, R.mul(v, w)) for p, i, k, v in coproduct(n, j)
+                for r, w in g.mat(p).column(i).items()]
 
-    return ComoduleStructure(C, carrier_coalgebra.complex, "left", coact_fn=fn)
+    return ComoduleStructure(C, carrier_coalgebra.complex, "left", rows)
 
 
 def module_via_map(A: ChainAlgebra, carrier_algebra: ChainAlgebra,
                    f: ChainMap) -> ModuleStructure:
     """carrier as a right A-module via an algebra map f: A -> carrier,
-    m·a = m·f(a)."""
-    R = A.ring
+    m·a = m·f(a): column j of f against the carrier's product rows."""
+    R, product = A.ring, carrier_algebra.product.rows
 
-    def fn(dm, m, da, a):
-        return R.lincomb((r, v * w) for b, v in f.apply(da, a).items()
-                         for r, w in carrier_algebra.product(dm, m, da, b).items())
+    def rows(dm, i, da, j):
+        return list(R.lincomb((r, v * w) for b, v in f.mat(da).column(j).items()
+                              for r, w in product(dm, i, da, b)).items())
 
-    return ModuleStructure(A, carrier_algebra.complex, "right", act_fn=fn)
+    return ModuleStructure(A, carrier_algebra.complex, "right", rows)

@@ -22,6 +22,7 @@ from htwist.barcobar import bar_word_name, cobar_word_name
 from htwist.complexes import ChainComplex, ChainMap, GradedBasis, tensor_basis, tensor_name
 from htwist.hopf import _sign
 from htwist.rings import Ring
+from htwist.sparse import SparseMatrix
 from htwist.twisting import TwistingCochain
 
 
@@ -398,3 +399,30 @@ def is_graded_commutative(A) -> bool:
                     if A.product(p, a, q, b) != R.lincomb((k, sgn * v) for k, v in ba.items()):
                         return False
     return True
+
+
+def word_extension(source: ChainComplex, N: int, target: ChainComplex, unit_row: int,
+                   letter_image, times) -> ChainMap:
+    """`barcobar._word_extension` as it found each word's prefix before the
+    block arithmetic: by slicing off the last letter and looking the prefix
+    up in ``positions``.  A letter's marked degree is its degree plus the
+    shift of the word basis, read from a one-letter word."""
+    from functools import cache
+
+    R, basis = source.ring, source.basis
+    shift = next((n - basis.keys[x][0][0] for n in range(1, source.truncation + 1)
+                  for x in basis.names(n) if len(basis.keys[x]) == 1), 0)
+    letter_image = cache(letter_image)
+    columns = {0: [{unit_row: R.one}]}
+    for n in range(1, min(N, source.truncation) + 1):
+        columns[n] = []
+        for w in map(basis.keys.get, basis.names(n)):
+            p = n - w[-1][0] - shift
+            prefix = columns[p][basis.positions(p)[w[:-1]]]
+            columns[n].append(R.lincomb((r, v * x * y) for i, v in prefix.items()
+                                        for b, x in letter_image(w[-1]) for r, y in times(p, i, b)))
+    out = ChainMap(source, target)
+    for n, cols in columns.items():
+        m = out.components[n] = SparseMatrix(source.ring, target.basis.dim(n), len(cols))
+        m.entries = {(r, j): v for j, col in enumerate(cols) for r, v in col.items()}
+    return out

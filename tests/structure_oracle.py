@@ -394,3 +394,84 @@ def aw_coproduct_table(X, C):
                     terms.append(((p, f), (n - p, b), 1))
             table[(n, name)] = full_coproduct(R, C.coaug, n, name, terms)
     return table
+
+
+# ---------------------------------------------------------------------
+# The (co)module structures as the builders gave them before they answered
+# by index (docs/DECISIONS.md, section 8): functions of names, through
+# ChainMap.apply and the name views of the (co)products, with the rules
+# ModuleStructure.act applied then.
+# ---------------------------------------------------------------------
+
+def module_act(algebra, carrier, fn):
+    """The action ``fn`` with the old ModuleStructure.act rules: nothing
+    above the carrier's truncation, and a degree-0 element of the algebra
+    acts as the identity when it is the unit and as 0 otherwise."""
+    def act(dm, m, da, a):
+        if dm + da > carrier.truncation:
+            return {}
+        if da == 0:
+            return {m: carrier.ring.one} if a == algebra.unit else {}
+        return fn(dm, m, da, a)
+
+    return act
+
+
+def self_module_left(A):
+    return module_act(A, A.complex, lambda dm, m, da, a: A.product(da, a, dm, m))
+
+
+def self_module_right(A):
+    return module_act(A, A.complex, lambda dm, m, da, a: A.product(dm, m, da, a))
+
+
+def module_via_map(A, carrier_algebra, f):
+    """m·a = m·f(a) on the carrier algebra, f: A -> carrier."""
+    R = A.ring
+
+    def fn(dm, m, da, a):
+        return R.lincomb((r, v * w) for b, v in f.apply(da, a).items()
+                         for r, w in carrier_algebra.product(dm, m, da, b).items())
+
+    return module_act(A, carrier_algebra.complex, fn)
+
+
+def free_module_over(A, carrier):
+    """(x⊗a)·b = x⊗(ab) on the pair basis of carrier = X ⊗ A."""
+    from htwist.complexes import tensor_name
+
+    pairs = carrier.basis.keys
+
+    def fn(dm, m, da, a):
+        (_, x), (q, y) = pairs[m]
+        return {tensor_name(x, r): v for r, v in A.product(q, y, da, a).items()}
+
+    return module_act(A, carrier, fn)
+
+
+def self_comodule(C):
+    return C.coproduct
+
+
+def comodule_via_map(carrier_coalgebra, g):
+    """λ = (g⊗1)Δ on the carrier coalgebra, g: carrier -> C."""
+    R = g.source.ring
+
+    def coact(dm, m):
+        return [((d1, c), (d2, n2), R.mul(v, w)) for (d1, n1), (d2, n2), v in carrier_coalgebra.coproduct(dm, m)
+                for c, w in g.apply(d1, n1).items()]
+
+    return coact
+
+
+def cofree_comodule_over(C, carrier):
+    """(Δ⊗1)(c⊗y) on the pair basis of carrier = C ⊗ Y."""
+    from htwist.complexes import tensor_name
+
+    pairs = carrier.basis.keys
+
+    def coact(dm, m):
+        (p, c), (q, y) = pairs[m]
+        return [((e1, c1), (e2 + q, tensor_name(c2, y)), v) for (e1, c1), (e2, c2), v in C.coproduct(p, c)]
+
+    return coact

@@ -306,6 +306,21 @@ def test_is_classifiable():
     assert not ok
 
 
+def test_is_classifiable_compares_only_with_the_bundle(monkeypatch):
+    """The two candidate bundles are each compared with the bundle, and not
+    with each other."""
+    import htwist.bundles as bundles
+
+    A = exterior(QQ, 6)
+    B = bar(A, 6)
+    z = classifying_bundle_zeta(A, 6, B)
+    compared, real = [], bundles.bundles_equal
+    monkeypatch.setattr(bundles, "bundles_equal", lambda b1, b2: compared.append(b1) or real(b1, b2))
+    ok, rep = is_classifiable(z, ChainMap.identity(B.complex), A, 6, B)
+    assert ok, rep
+    assert compared == [z, z]
+
+
 def test_thc_axioms_small_family():
     N = 5
     A = exterior(QQ, N + 1)

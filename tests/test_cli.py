@@ -6,7 +6,8 @@ import pytest
 
 from htwist import io_json
 from htwist.barcobar import bar
-from htwist.fixtures import dual_truncated_polynomial, exterior, sphere_coalgebra, truncated_polynomial
+from htwist.fixtures import (acyclic_algebra, dual_truncated_polynomial, exterior, sphere_coalgebra,
+                             truncated_polynomial)
 from htwist.rings import QQ
 
 
@@ -721,6 +722,21 @@ def test_map_that_is_not_an_algebra_map_exit_2(tmp_path, command):
     path.write_text(json.dumps(data))
     proc = run_cli([command, str(path), "--through", "3", "--json"])
     _exit_2(proc, f"{command} needs an algebra map")
+    assert not proc.stdout
+
+
+@pytest.mark.parametrize("command", ["borel", "np"])
+def test_map_that_is_not_a_chain_map_exit_2(tmp_path, command):
+    """1 -> 1, z -> z on E = <y, z : dz = y> is multiplicative (positive
+    products vanish) but f(dz) = 0 != dz; the quotient of such a map has
+    d^2 != 0, and its homology means nothing."""
+    E = io_json.algebra_to_dict(acyclic_algebra(QQ, 6))
+    path = tmp_path / "not_chain.json"
+    path.write_text(json.dumps({"source": E, "target": E, "map": [
+        {"degree": 0, "from": "1", "to": "1", "coeff": "1"},
+        {"degree": 3, "from": "z", "to": "z", "coeff": "1"}]}))
+    proc = run_cli([command, str(path), "--through", "5", "--json"])
+    _exit_2(proc, f"{command} needs a chain map", "degree 3")
     assert not proc.stdout
 
 

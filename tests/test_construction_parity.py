@@ -13,12 +13,14 @@ cobar, enumerated block by block, against the oracle's sort-based
 enumeration.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import construction_oracle as reference
-from htwist.barcobar import _enumerate_words, alpha_t, bar, bar_map, beta_t, cobar, cobar_map
+from htwist.barcobar import _word_blocks, alpha_t, bar, bar_map, beta_t, cobar, cobar_map
 from htwist.bundles import classifying_bundle_xi, classifying_bundle_zeta, pullback, pushforward
 from htwist.chains import normalized_chains
 from htwist.complexes import ChainMap, tensor_complex
@@ -72,8 +74,8 @@ def test_bar_and_cobar_match_reference(R):
 
 
 def _letters(pool):
-    """A pool of (letter, marked degree) pairs as `_enumerate_words` takes
-    it: marked degree -> letters in name order, degrees ascending."""
+    """A pool of (letter, marked degree) pairs as `_word_blocks` takes it:
+    marked degree -> letters in name order, degrees ascending."""
     letters = {}
     for key, d in sorted(pool, key=lambda kd: (kd[1], kd[0][1])):
         letters.setdefault(d, []).append(key)
@@ -81,15 +83,20 @@ def _letters(pool):
 
 
 def _words(pool, N):
-    """The words `_enumerate_words` yields over ``pool``, by degree, after
-    checking that each block holds the words of its composition."""
-    marked = dict(pool)
+    """The words of the blocks `_word_blocks` yields over ``pool``, by
+    degree: each block is its prefix block's words, each followed by every
+    last letter, which must be the product of its parts' letter lists, sit
+    where the block says, and have the degrees of its composition."""
+    marked, letters = dict(pool), _letters(pool)
     words = {0: [()]}
-    for n, blocks in _enumerate_words(_letters(pool), N):
-        for parts, block in blocks:
-            assert sum(parts) == n and block
-            assert all(tuple(map(marked.get, w)) == parts for w in block)
-        words[n] = [w for _, block in blocks for w in block]
+    for n, blocks in _word_blocks(letters, N):
+        words[n] = []
+        for parts, start, first, size in blocks:
+            assert sum(parts) == n and start == len(words[n])
+            block = [u + (l,) for u in words[n - parts[-1]][first:first + size] for l in letters[parts[-1]]]
+            assert block == list(product(*map(letters.__getitem__, parts)))
+            assert block and all(tuple(map(marked.get, w)) == parts for w in block)
+            words[n] += block
     return words
 
 

@@ -64,20 +64,6 @@ def test_shuffle_count_and_sign_symmetry(u, v):
     assert swapped == {w: QQ.mul(sgn, s) for w, s in total.items()}
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 7))
-def test_suspension_roundtrip_sign(deg):
-    from htwist.complexes import ChainComplex, GradedBasis, suspend
-
-    basis = GradedBasis(deg + 1, {deg: ["a"], deg - 1: ["b"]})
-    X = ChainComplex(ZZ, basis)
-    X.set_d_entry(deg, "a", "b", 3)
-    S = suspend(X, 1)
-    assert S.d_of(deg + 1, "s(a)") == {"s(b)": -3}
-    back = suspend(S, -1)
-    assert back.d_of(deg, "s-1(s(a))") == {"s-1(s(b))": 3}
-
-
 terms = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-6, 6), st.integers(-6, 6)), max_size=12)
 
 
