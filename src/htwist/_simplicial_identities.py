@@ -1,12 +1,14 @@
 """The body of `simplicial.verify_simplicial_identities`.
 
 Where `_simplicial_tables.formula_levels` builds a space's index tables,
-each identity instance compares two composites of table lookups, CHUNK
-rows at a time: `operator.itemgetter` gathers a chunk of each composite
-in C, and only a chunk that differs is searched row by row for the
-witness.  The check lists no simplex unless it fails, and holds no
-whole-level list (docs/DECISIONS.md, sections 12 and 14).  Any other
-space runs the plain loop over its own face and degeneracy maps,
+each identity instance compares two composites of table lookups.  A side
+whose inner table is a formula table is composed whole by
+`_simplicial_tables.composite`, in C, and the two are compared with one
+array `==`; a side without one (the twisted d_0 of X ×_τ Y) is gathered
+CHUNK rows at a time by `operator.itemgetter`.  Only an instance that
+differs is searched for the witness, CHUNK rows at a time.  The check
+lists no simplex unless it fails (docs/DECISIONS.md, sections 12 and 14).
+Any other space runs the plain loop over its own face and degeneracy maps,
 memoised so that each (n, i, simplex) is computed once.
 This sits in its own module because `simplicial`, which every CLI command
 imports, is the largest module: without a bytecode cache each import
@@ -18,22 +20,31 @@ identity.
 from __future__ import annotations
 
 import random
+from array import array
 from functools import cache
 from operator import itemgetter
 
-from ._simplicial_tables import formula_levels
+from ._simplicial_tables import composite, formula_levels
 
 
-CHUNK = 512  # rows compared per gather (docs/DECISIONS.md, section 12)
+CHUNK = 512  # rows per gather and per witness search (docs/DECISIONS.md, section 12)
 
 
 def first_failure(instances, rows: int):
     """(row, label) of the first failure in row, then instance order, or
     None.  instances yields (label, a, s, b, t): row k < rows fails when
-    a[s[k]] != b[t[k]].  Rows are compared CHUNK at a time, and each
-    instance only on the rows before the best failure found so far."""
+    a[s[k]] != b[t[k]].  An instance whose two sides have composites is
+    compared whole, and searched only when they differ; rows are searched
+    CHUNK at a time, and each instance only on the rows before the best
+    failure found so far."""
     first, end = None, rows
     for label, a, s, b, t in instances:
+        x = composite(a, s)
+        y = None if x is None else composite(b, t)
+        if y is not None:
+            if x == y:
+                continue
+            a, s, b, t = x, range(rows), y, range(rows)
         for c in range(0, end, CHUNK):
             e = min(c + CHUNK, end)
             # itemgetter of one position gives a bare entry: both sides do
@@ -61,9 +72,9 @@ def by_tables(levels, N: int):
             return n, fail
     for n in range(1, N):  # d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1)
         s, d, ids = levels[n].degens, levels[n].faces, range(levels[n].size)
-        up, down = levels[n + 1].faces, levels[n - 1].degens
+        up, down, ramp = levels[n + 1].faces, levels[n - 1].degens, levels[n].ramp
         fail = first_failure(
-            ((f"d{i}s{j}", up[i], s[j], *((down[j - 1], d[i]) if i < j else (ids, ids) if i <= j + 1
+            ((f"d{i}s{j}", up[i], s[j], *((down[j - 1], d[i]) if i < j else (ramp, ids) if i <= j + 1
                                           else (down[j], d[i - 1])))
              for j in range(n + 1) for i in range(n + 2)), levels[n].size)
         if fail:
@@ -76,14 +87,14 @@ def by_contraction(levels, h, v: int):
     on complete tables of levels 0..N, h[n] numbering level n in level
     n + 1, or None: d_0 h = id and d_{i+1} h = h d_i on levels 0..N - 1,
     d_1 h = v on level 0, and s_{j+1} h = h s_j on levels 0..N - 2
-    (docs/DECISIONS.md, section 4)."""
+    (docs/DECISIONS.md, section 4).  The identity is ramp[k] = k."""
     for n, level in enumerate(levels[:-1]):
         up, ids = levels[n + 1].faces, range(level.size)
-        instances = [("d0h", up[0], h[n], ids, ids)]
+        instances = [("d0h", up[0], h[n], level.ramp, ids)]
         if n:
             instances += [(f"d{i + 1}h", up[i + 1], h[n], h[n - 1], level.faces[i]) for i in range(n + 1)]
         else:
-            instances.append(("d1h", up[1], h[0], [v], [0] * level.size))
+            instances.append(("d1h", up[1], h[0], array("i", [v]) * level.size, ids))
         if n + 2 < len(levels):
             instances += [(f"s{j + 1}h", levels[n + 1].degens[j + 1], h[n], h[n + 1], level.degens[j])
                           for j in range(n + 1)]

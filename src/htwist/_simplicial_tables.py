@@ -8,7 +8,8 @@ a base, without calling a face or degeneracy.  `call_levels` fills the
 same tables with one call per simplex, for any finite space.
 `_simplicial_identities.verify` reads the first, `chains` reads either.
 `extra_degeneracy` numbers the contracting homotopy of W̄G ×_ν G on the
-first, for `chains.acyclicity_of_universal_bundle` to check.
+first, for `chains.acyclicity_of_universal_bundle` to check.  `composite`
+gives a∘s of a formula table s by the slices it was copied by.
 """
 
 from __future__ import annotations
@@ -26,10 +27,14 @@ class Level:
 
     `size` is the number of simplices.  `simplices`, the listing whose
     positions are the numbers, is made by `listing()` the first time it is
-    read, so a reader of the tables alone lists nothing."""
+    read, so a reader of the tables alone lists nothing.  `ramp`, one for
+    all levels, is the array('i', range(k)) the formula tables were copied
+    from, cut after the build to k = the size of level N; None for tables
+    filled by call."""
 
-    def __init__(self, size: int, faces: list, degens: list, listing):
+    def __init__(self, size: int, faces: list, degens: list, listing, ramp):
         self.size, self.faces, self.degens, self._listing = size, faces, degens, listing
+        self.ramp = ramp
 
     @cached_property
     def simplices(self) -> list:
@@ -51,7 +56,7 @@ def call_levels(X, N: int):
                  for i in range(n + 1)] if n else []
         degens = [array("i", (index[n + 1].get(X.degeneracy(n, j, x), -1) for x in elems))
                   for j in range(n + 1)] if n < N else []
-        levels.append(Level(len(elems), faces, degens, lambda elems=elems: elems))
+        levels.append(Level(len(elems), faces, degens, lambda elems=elems: elems, None))
     return levels
 
 
@@ -101,9 +106,12 @@ def formula_levels(X, N: int, top: bool = True):
                 shifts = chain.from_iterable(map(twist[n - 1].__getitem__, ts))
                 faces[0] = array("i", map(add, faces[0], shifts))
             degens = _wbar_degens(n, g, ny, unit, ramp) if top or n < N else []
-            levels.append(Level(g ** n * ny, faces, degens, partial(X.elements, n)))
+            levels.append(Level(g ** n * ny, faces, degens, partial(X.elements, n), ramp))
     except ValueError:  # a product, action or τ value outside the listed group
         return None
+    # only level N's degeneracies point past level N: the ramp that the
+    # tables and levels keep numbers level N, cut in place
+    del ramp[g ** N * ny:]
     return levels
 
 
@@ -121,8 +129,7 @@ def extra_degeneracy(X, levels):
         return None
     ys = X.Y.elements(0)
     ny, v = len(ys), ys.index(X.Y.neutral(0))
-    ramp = array("i", range(levels[-1].size))
-    return [_affine(level.size, 1, ny, 1, [v], ramp) for level in levels[:-1]], v
+    return [_affine(level.size, 1, ny, 1, [v], level.ramp) for level in levels[:-1]], v
 
 
 def _intact(X, cls) -> bool:
@@ -149,22 +156,57 @@ def _wbar_degens(n: int, g: int, t: int, unit, ramp):
     return [_affine(g ** (n - i), 1, g, g ** i * t, [unit[n - i]], ramp) for i in range(n + 1)]
 
 
+class _Table(array):
+    """An `_affine` table, with the arguments it was copied by."""
+    __slots__ = ("args",)
+
+
 def _affine(A: int, B: int, C: int, L: int, f, ramp):
     """The table of a level map that rewrites one window of digits by f and
     keeps those before and after it: p = (P·B + w)·L + T goes to
     (P·C + f[w])·L + T, for P < A, w < B and T < L.
 
-    Every value is copied out of ramp, array('i', range(k)) for some
-    k >= A·C·L, one slice per (P, w) when A <= L, else one strided slice
-    per (w, T): no entry costs a Python int of its own."""
-    if A <= L:
-        table = array("i")
-        for P, w in product(range(A), range(B)):
-            q = (P * C + f[w]) * L
-            table += ramp[q:q + L]
-        return table
+    Its values are `_gather`ed out of ramp, array('i', range(k)) for some
+    k >= A·C·L, so no entry costs a Python int of its own.  The table, an
+    exact-length copy, keeps its arguments as `args`, for `composite`."""
+    table = _Table("i", _gather(A, B, C, L, f, ramp))
+    table.args = A, B, C, L, f, ramp
+    return table
+
+
+def _gather(A: int, B: int, C: int, L: int, f, a):
+    """The array of a[(P·C + f[w])·L + T] at row p = (P·B + w)·L + T: one
+    slice of a per (P, w) when A <= L, else one strided slice per (w, T),
+    into an array made to size, so that no allocation grows piece by
+    piece."""
     table = array("i", [0]) * (A * B * L)
+    if A <= L:
+        for k, (P, w) in enumerate(product(range(A), range(B))):
+            q = (P * C + f[w]) * L
+            table[k * L:(k + 1) * L] = a[q:q + L]
+        return table
     for w, T in product(range(B), range(L)):
         q = f[w] * L + T
-        table[w * L + T::B * L] = ramp[q:q + A * C * L:C * L]
+        table[w * L + T::B * L] = a[q:q + A * C * L:C * L]
     return table
+
+
+def composite(a, s):
+    """a∘s, the array of a[s[k]] for every row k of s, when a is an array
+    long enough and s is a `range` or an `_affine` table that still equals
+    its arguments' gather of the ramp; otherwise None.
+
+    Such a table is a copy of ramp slices, and ramp[q] = q, so a∘s takes
+    the same slices out of a: in C, with no Python int per row.  s is
+    compared with its arguments' gather on every call, and that gather is
+    freed before a's is made, so an entry edited after the build makes
+    this None, never a composite of the old table (docs/DECISIONS.md,
+    section 12)."""
+    if not isinstance(a, array):
+        return None
+    if type(s) is range:
+        return a[s.start:s.stop:s.step] if s.stop <= len(a) else None
+    args = getattr(s, "args", None)
+    if args is None or min(len(a), len(args[-1])) < args[0] * args[2] * args[3] or s != _gather(*args):
+        return None
+    return _gather(*args[:-1], a)

@@ -348,7 +348,8 @@ def test_passing_check_lists_no_simplex(monkeypatch):
 
 def test_check_memory_stays_below_a_level_listing():
     """The check on the C5 bundle through 5 (15625 top simplices) holds its
-    tables and one chunk of each composite, no listing of a level."""
+    tables, their ramp and two composites of one level, no listing of a
+    level."""
     X = bundle(5, 5)
     tracemalloc.start()
     try:
