@@ -319,16 +319,22 @@ def shuffle_product_bar(A: ChainAlgebra, N: int) -> ChainAlgebra:
     """
     if not is_graded_commutative(A):
         raise NotCommutative(f"{A.name or 'algebra'} is not graded-commutative")
-    B = bar(A, N)
-    R, X = B.ring, B.complex
-    keys, names, positions = X.basis.keys, X.basis.names, X.basis.positions
+    X = bar(A, N).complex
+    return ChainAlgebra(X, EMPTY_NAME, _shuffle_product(X), name=f"Bar({A.name})-shuffle")
 
-    @cache  # the quotient algebra of normality asks each pair again
+
+def _shuffle_product(X: ChainComplex) -> Action:
+    """The signed shuffles of the word keys of the bar complex X, found by
+    position; the empty word is the unit.  Each pair is computed once, when
+    first asked (the quotient algebra of normality asks each pair again)."""
+    R, keys, names, positions = X.ring, X.basis.keys, X.basis.names, X.basis.positions
+
+    @cache
     def product(p, i, q, j):
         return list(R.lincomb((positions(p + q)[w], sgn) for w, sgn in shuffles_with_signs(
             R, keys[names(p)[i]], keys[names(q)[j]], bar_letter_degree)).items())
 
-    return ChainAlgebra(X, EMPTY_NAME, Action(product, X, X), name=f"Bar({A.name})-shuffle")
+    return Action(product, X, X)
 
 
 # ---------------------------------------------------------------------
@@ -423,13 +429,12 @@ def alpha_t(t, Omega: ChainAlgebra, N: int) -> ChainMap:
 
     ``Omega`` must be cobar(t.source, N); letters map by s-1(c) -> t(c).
     """
-    A = t.target
-    index = A.complex.basis.index
+    A, index = t.target, t.source.complex.basis.index
 
     def letter_image(c):
-        return [((c[0] - 1, index(c[0] - 1, a)), v) for a, v in t.value(*c).items()]
+        return [((c[0] - 1, r), v) for r, v in t.mat(c[0]).column(index(*c)).items()]
 
-    return _word_extension(Omega.complex, N, A.complex, index(0, A.unit), letter_image,
+    return _word_extension(Omega.complex, N, A.complex, A.complex.basis.index(0, A.unit), letter_image,
                            lambda p, i, b: A.product.rows(p, i, *b))
 
 
@@ -443,22 +448,24 @@ def beta_t(t, Bar: ChainCoalgebra, N: int) -> ChainMap:
     exactly length-one words, so t = t_Bar ∘ beta_t holds on the nose.
     """
     C, R = t.source, t.ring
-    basis = Bar.complex.basis
-    words, names, positions, index = basis.keys, basis.names, basis.positions, C.complex.basis.index
+    basis, letters = Bar.complex.basis, t.target.basis
+    words, names, positions = basis.keys, basis.names, basis.positions
     columns = {0: [{positions(0)[()]: R.one} for _ in C.basis(0)]}
 
-    def terms(n, c):
-        for a, x in t.value(n, c).items():
-            yield ((n - 1, a),), x
-        for (d1, c1), (d2, c2), v in C.reduced_coproduct(n, c):
-            for a, x in t.value(d1, c1).items():
-                for r, y in columns[d2][index(d2, c2)].items():
-                    yield ((d1 - 1, a),) + words[names(d2)[r]], v * x * y
+    def terms(n, j):
+        # a Bar word is keyed by its letters (|a|, a), so each t term names a
+        for r, x in t.mat(n).column(j).items():
+            yield ((n - 1, letters(n - 1)[r]),), x
+        for d1, i, k, v in C.coproduct.rows(n, j):
+            if 0 < d1 < n:
+                for r, x in t.mat(d1).column(i).items():
+                    for s, y in columns[n - d1][k].items():
+                        yield ((d1 - 1, letters(d1 - 1)[r]),) + words[names(n - d1)[s]], v * x * y
 
     for n in range(1, N + 1):
         rows = positions(n)
-        columns[n] = [R.lincomb((rows[w], v) for w, v in terms(n, c) if w in rows)
-                      for c in C.basis(n)]
+        columns[n] = [R.lincomb((rows[w], v) for w, v in terms(n, j) if w in rows)
+                      for j in range(C.complex.basis.dim(n))]
     return _column_map(C.complex, Bar.complex, columns)
 
 

@@ -16,9 +16,9 @@ from functools import cache
 from itertools import combinations, compress
 
 from ._simplicial_tables import call_levels, extra_degeneracy, formula_levels
-from ._structure_maps import Action, _rows_by_name
+from ._structure_maps import Action, Coaction, _rows_by_name
 from .complexes import ChainComplex, GradedBasis, HomologySummary
-from .hopf import ChainAlgebra, ChainCoalgebra, _full_coproduct, _product_failures, table_product
+from .hopf import ChainAlgebra, ChainCoalgebra, _product_failures
 from .rings import Ring, ZZ
 from .simplicial import NotFinite, SimplicialGroup, SimplicialSet
 
@@ -93,16 +93,17 @@ def normalized_chains(X: SimplicialSet, ring: Ring, N: int) -> ChainCoalgebra:
     Z._set_d(lambda n: (((row[r], col), -1 if i % 2 else 1)
                         for row in [list(range(basis.dim(n - 1)))]
                         for col, rs in enumerate(zip(*faces[n])) for i, r in enumerate(rs) if r >= 0))
-    coaug = basis.names(0)[0]
+    one, names, positions = ring.one, basis.names, basis.positions
 
     @cache
-    def diagonal(n, name):
-        return _full_coproduct(ring, coaug, n, name, [
-            ((p, basis.name_of(p, front)), (n - p, basis.name_of(n - p, back)), ring.one)
-            for p, front, back in _aw_faces(X, n, basis.keys[name], lambda k, y: y in basis.positions(k))
-            if 0 < p < n])
+    def diagonal(n, j):
+        # x⊗1 and 1⊗x, then the inner AW terms; the coaugmentation is row 0
+        return [(n, j, 0, one), (0, 0, j, one)] + [
+            (p, positions(p)[front], positions(n - p)[back], one)
+            for p, front, back in _aw_faces(X, n, basis.keys[names(n)[j]], lambda k, y: y in positions(k))
+            if 0 < p < n]
 
-    return ChainCoalgebra(Z, coaug, diagonal, name=f"C({X.name})")
+    return ChainCoalgebra(Z, names(0)[0], Coaction(diagonal, Z, Z, Z), name=f"C({X.name})")
 
 
 def verify_aw_axioms(X: SimplicialSet, N: int):
@@ -207,6 +208,8 @@ def chains_of_simplicial_group(G: SimplicialGroup, ring: Ring, N: int):
     connectivity failure is reported and the raw table returned for the
     direct axiom checks.
     """
+    from .fixtures import table_product
+
     C = normalized_chains(G, ring, N)
     table = pontryagin_product_table(G, ring, C, N)
     reduced = len(G.elements(0)) == 1
@@ -214,7 +217,7 @@ def chains_of_simplicial_group(G: SimplicialGroup, ring: Ring, N: int):
     algebra = None
     if reduced:
         unit = C.complex.basis.name_of(0, G.neutral(0))
-        algebra = ChainAlgebra(C.complex, unit, table_product(ring, table), name=f"C({G.name})")
+        algebra = ChainAlgebra(C.complex, unit, table_product(C.complex, table), name=f"C({G.name})")
     return C, table, algebra, report
 
 

@@ -26,7 +26,7 @@ from .complexes import (
     tensor_complex,
     tensor_name,
 )
-from ._structure_maps import Action, Coaction, _corows_by_name, _rows_by_name, _Unital
+from ._structure_maps import Action, Coaction, _Unital
 from .sparse import SparseMatrix
 
 
@@ -38,18 +38,17 @@ def _sign(ring, k: int):
 
 
 class ChainAlgebra:
-    """Connected augmented chain algebra whose product is one function: by
-    name, ``product(|a|, a, |b|, b) -> {name in degree |a| + |b|: coeff}``,
-    or an `Action` by index; it is asked only for basis elements of positive
-    degree with |a| + |b| within the truncation.  ``self.product`` is the
-    Action with the unit rule."""
+    """Connected augmented chain algebra whose product is one `Action` by
+    basis index; it is asked only for basis elements of positive degree
+    with |a| + |b| within the truncation.  ``self.product`` is that Action
+    with the unit rule.  A product known by name is read by index through
+    the basis where it is loaded (`fixtures.table_product`)."""
 
-    def __init__(self, complex: ChainComplex, unit: str, product, name: str = ""):
+    def __init__(self, complex: ChainComplex, unit: str, product: Action, name: str = ""):
         self.complex = complex
         self.unit = unit
         self.name = name
-        inner = product.rows if isinstance(product, Action) else _rows_by_name(product, complex, complex)
-        self.product = _Unital(inner, complex, complex, unit, complex.truncation, both=True)
+        self.product = _Unital(product.rows, complex, complex, unit, complex.truncation, both=True)
 
     @property
     def ring(self):
@@ -72,19 +71,16 @@ class ChainAlgebra:
 
 class ChainCoalgebra:
     """1-connected coaugmented chain coalgebra whose coproduct is one
-    function: by name, ``coproduct(|c|, c) -> [((|c1|, c1), (|c2|, c2),
-    coeff)]``, or a `Coaction` by index.  It is the full Δc, counit terms c⊗1
-    and 1⊗c included, asked only for basis elements of positive degree
-    (``_full_coproduct`` adds those terms).  ``self.coproduct`` is the
-    Coaction with the coaugmentation rule: in degree 0, Δ(coaug) = 1⊗1 and
-    every other element goes to 0."""
+    `Coaction` by basis index: the full Δc, counit terms c⊗1 and 1⊗c
+    included, asked only for basis elements of positive degree.
+    ``self.coproduct`` is the Coaction with the coaugmentation rule: in
+    degree 0, Δ(coaug) = 1⊗1 and every other element goes to 0."""
 
-    def __init__(self, complex: ChainComplex, coaug: str, coproduct, name: str = ""):
+    def __init__(self, complex: ChainComplex, coaug: str, coproduct: Coaction, name: str = ""):
         self.complex = complex
         self.coaug = coaug
         self.name = name
-        inner = (coproduct.rows if isinstance(coproduct, Coaction)
-                 else _corows_by_name(coproduct, complex, complex, complex))
+        inner = coproduct.rows
         one, names = complex.ring.one, complex.basis.names
 
         def rows(n, j):
@@ -115,56 +111,18 @@ class ChainCoalgebra:
         return self.basis(0) == [self.coaug] and not self.basis(1)
 
 
-def _full_coproduct(ring, coaug: str, n: int, c: str, reduced) -> list:
-    """Δc = c⊗1 + 1⊗c + the ``reduced`` terms ((|c1|, c1), (|c2|, c2), coeff)
-    in their order, c in positive degree; zero terms are dropped."""
-    full = [((n, c), (0, coaug), ring.one), ((0, coaug), (n, c), ring.one)]
-    for k1, k2, coeff in reduced:
-        v = ring.of(coeff)
-        if not ring.is_zero(v):
-            full.append((k1, k2, v))
-    return full
-
-
-def table_product(ring, table: dict):
-    """The product listed in ``table``, {((|a|, a), (|b|, b)): {name: coeff}};
-    a pair not listed multiplies to 0."""
-    table = {k: ring.lincomb((r, ring.of(v)) for r, v in combo.items()) for k, combo in table.items()}
-    return lambda da, a, db, b: table.get(((da, a), (db, b)), {})
-
-
-def table_coproduct(ring, coaug: str, table: dict):
-    """The coproduct whose reduced part is listed in ``table``, {(|c|, c):
-    [((|c1|, c1), (|c2|, c2), coeff)]}; an element not listed is primitive."""
-    return cache(lambda n, c: _full_coproduct(ring, coaug, n, c, table.get((n, c), ())))
-
-
 class ModuleStructure:
     """Action of a ChainAlgebra on a carrier complex (side: left or right),
     given by index, ``rows(|m|, i, |a|, j)`` -> [(row, coeff)] of m·a (right)
     or a·m (left) for m = carrier_|m|[i], a = algebra_|a|[j].  ``act`` is
-    that Action with the unit rule; ``act_fn`` reads it too, and setting
-    ``act_fn`` to a function by name, fn(|m|, m, |a|, a) -> {name: coeff},
-    replaces the structure (how the tests corrupt one)."""
+    that Action with the unit rule."""
 
     def __init__(self, algebra: ChainAlgebra, carrier: ChainComplex, side: str, rows):
         assert side in ("left", "right")
         self.algebra = algebra
         self.carrier = carrier
         self.side = side
-        self._set(rows)
-
-    def _set(self, rows):
-        self.act = _Unital(rows, self.carrier, self.algebra.complex, self.algebra.unit,
-                           self.carrier.truncation, both=False)
-
-    @property
-    def act_fn(self) -> Action:
-        return self.act
-
-    @act_fn.setter
-    def act_fn(self, fn):
-        self._set(_rows_by_name(fn, self.carrier, self.algebra.complex))
+        self.act = _Unital(rows, carrier, algebra.complex, algebra.unit, carrier.truncation, both=False)
 
     @property
     def ring(self):
@@ -174,9 +132,7 @@ class ModuleStructure:
 class ComoduleStructure:
     """Coaction of a ChainCoalgebra on a carrier complex, given by index,
     ``rows(n, j)`` (a `Coaction`'s rows): side "left", λ: M -> C⊗M; side
-    "right", ρ: M -> M⊗C.  ``coact`` is that Coaction; setting it to a
-    function by name, fn(n, m) -> [((p, x), (n - p, y), coeff)], replaces
-    the structure (how the tests corrupt one)."""
+    "right", ρ: M -> M⊗C.  ``coact`` is that Coaction."""
 
     def __init__(self, coalgebra: ChainCoalgebra, carrier: ChainComplex, side: str, rows):
         assert side in ("left", "right")
@@ -184,16 +140,7 @@ class ComoduleStructure:
         self.carrier = carrier
         self.side = side
         C = coalgebra.complex
-        self._factors = (C, carrier) if side == "left" else (carrier, C)
-        self._coact = Coaction(rows, carrier, *self._factors)
-
-    @property
-    def coact(self) -> Coaction:
-        return self._coact
-
-    @coact.setter
-    def coact(self, fn):
-        self._coact = Coaction(_corows_by_name(fn, self.carrier, *self._factors), self.carrier, *self._factors)
+        self.coact = Coaction(rows, carrier, *((C, carrier) if side == "left" else (carrier, C)))
 
     @property
     def ring(self):
@@ -237,13 +184,13 @@ def _coaction_table(rows, C: ChainComplex, M: ChainComplex, n: int, cols=None) -
     """The left coaction ``rows(n, j)`` -> [(|c|, i, k, coeff)] (a
     Coaction's) on M_n (all columns, or those at ``cols``), as a matrix to
     the layout of C ⊗ M."""
-    off = _tensor_offset(C, M, n)
-    out = SparseMatrix(M.ring, off[-1], M.basis.dim(n))
-    dims, entries = [M.basis.dim(n - p) for p in range(n + 1)], out.entries
-    for j in (range(M.basis.dim(n)) if cols is None else cols):
-        for p, i, k, v in rows(n, j):
-            ij = off[p] + i * dims[p] + k, j
-            entries[ij] = entries.get(ij, 0) + v
+    R, off = M.ring, _tensor_offset(C, M, n)
+    out = SparseMatrix(R, off[-1], M.basis.dim(n))
+    dims = [M.basis.dim(n - p) for p in range(n + 1)]
+    # a term listed twice is summed, and a zero sum is no entry
+    out.entries = R.lincomb(((off[p] + i * dims[p] + k, j), v)
+                            for j in (range(M.basis.dim(n)) if cols is None else cols)
+                            for p, i, k, v in rows(n, j))
     return out
 
 
@@ -282,17 +229,32 @@ def _comodule_map_failures(f: ChainMap, phi: ChainMap, coact: Coaction, target_c
     return failures
 
 
+def _pair_layout(X: ChainComplex, Y: ChainComplex):
+    """(at, factors) for the tensor_basis layout of X ⊗ Y: at(n, p, i) + j is
+    the index in degree n of X_p[i] ⊗ Y_{n-p}[j], and factors(n, k) = (p, i,
+    j) of the pair at index k of degree n, both by the offsets of
+    `_tensor_offset`."""
+    dim, off = Y.basis.dim, cache(lambda n: _tensor_offset(X, Y, n))
+
+    def at(n, p, i):
+        return off(n)[p] + i * dim(n - p)
+
+    def factors(n, k):
+        o = off(n)
+        p = bisect_right(o, k) - 1
+        return (p, *divmod(k - o[p], dim(n - p)))
+
+    return at, factors
+
+
 def _right_factor_action(X: ChainComplex, act: Action, carrier: ChainComplex) -> Action:
     """(x⊗y)·a = x⊗(y·a) on carrier = X ⊗ M in the tensor_basis layout, from
     the action ``act`` of an algebra on M, by offset arithmetic."""
-    M, dim = act.X, act.X.basis.dim
-    off = cache(lambda n: _tensor_offset(X, M, n))
+    at, factors = _pair_layout(X, act.X)
 
     def rows(n, i, da, j):
-        o = off(n)
-        p = bisect_right(o, i) - 1
-        x, y = divmod(i - o[p], dim(n - p))
-        base = off(n + da)[p] + x * dim(n - p + da)
+        p, x, y = factors(n, i)
+        base = at(n + da, p, x)
         return [(base + r, v) for r, v in act.rows(n - p, y, da, j)]
 
     return Action(rows, carrier, act.Y)
@@ -397,46 +359,58 @@ def verify_coalgebra(C: ChainCoalgebra):
 # Tensor products of algebras and coalgebras (Koszul convention).
 # ---------------------------------------------------------------------
 
-def tensor_algebra_product(A: ChainAlgebra, B: ChainAlgebra, through: int | None = None) -> ChainAlgebra:
-    """(a⊗b)·(a'⊗b') = (-1)^{|b||a'|} aa' ⊗ bb', read from the pair keys."""
-    if A.ring != B.ring:
-        raise RingMismatch(f"{A.ring} vs {B.ring}")
-    R = A.ring
-    Z = tensor_complex(A.complex, B.complex, through)
-    pairs = Z.basis.keys
+def _pair_product(mx: Action, my: Action, Z: ChainComplex) -> Action:
+    """(x⊗y)·(x'⊗y') = (-1)^{|y||x'|} xx' ⊗ yy' on Z = X ⊗ Y in the
+    tensor_basis layout, from the products ``mx`` on X and ``my`` on Y, by
+    `_pair_layout`.  Every pair is computed once, when first asked (the
+    algebra checks and each table that reads the product ask it again)."""
+    R, (at, factors) = Z.ring, _pair_layout(mx.X, my.X)
 
     @cache
-    def product(dx, x, dy, y):
-        (p1, a), (q1, b) = pairs[x]
-        (p2, a2), (q2, b2) = pairs[y]
-        sgn = _sign(R, q1 * p2)
-        return R.lincomb((tensor_name(ra, rb), R.mul(sgn, R.mul(va, vb)))
-                         for ra, va in A.product(p1, a, p2, a2).items()
-                         for rb, vb in B.product(q1, b, q2, b2).items())
+    def rows(n1, i1, n2, i2):
+        (p1, x1, y1), (p2, x2, y2) = factors(n1, i1), factors(n2, i2)
+        q1 = n1 - p1
+        sgn = -1 if q1 * p2 % 2 else 1
+        return list(R.lincomb((at(n1 + n2, p1 + p2, rx) + ry, sgn * vx * vy)
+                              for rx, vx in mx.rows(p1, x1, p2, x2)
+                              for ry, vy in my.rows(q1, y1, n2 - p2, y2)).items())
 
-    return ChainAlgebra(Z, tensor_name(A.unit, B.unit), product, name=f"{A.name}⊗{B.name}")
+    return Action(rows, Z, Z)
+
+
+def tensor_algebra_product(A: ChainAlgebra, B: ChainAlgebra, through: int | None = None) -> ChainAlgebra:
+    """A ⊗ B with the Koszul product of `_pair_product`."""
+    if A.ring != B.ring:
+        raise RingMismatch(f"{A.ring} vs {B.ring}")
+    Z = tensor_complex(A.complex, B.complex, through)
+    return ChainAlgebra(Z, tensor_name(A.unit, B.unit), _pair_product(A.product, B.product, Z),
+                        name=f"{A.name}⊗{B.name}")
 
 
 def tensor_coalgebra_product(C: ChainCoalgebra, D: ChainCoalgebra, through: int | None = None) -> ChainCoalgebra:
-    """Δ(c⊗d) = Σ ± (c1⊗d1) ⊗ (c2⊗d2), sign (-1)^{|d1||c2|}, read from the
-    pair keys."""
+    """C ⊗ D with Δ(c⊗d) = Σ ± (c1⊗d1) ⊗ (c2⊗d2), sign (-1)^{|d1||c2|}: the
+    counit terms z⊗1 and 1⊗z first, then the terms of Δc × Δd whose two
+    factors both have positive degree, nonzero ones only; pairs by
+    `_pair_layout`, each computed once, when first asked."""
     if C.ring != D.ring:
         raise RingMismatch(f"{C.ring} vs {D.ring}")
-    R = C.ring
-    Z = tensor_complex(C.complex, D.complex, through)
-    pairs, coaug = Z.basis.keys, tensor_name(C.coaug, D.coaug)
+    R, X, Y = C.ring, C.complex, D.complex
+    Z = tensor_complex(X, Y, through)
+    at, factors = _pair_layout(X, Y)
+    unit = at(0, 0, X.basis.index(0, C.coaug)) + Y.basis.index(0, D.coaug)
 
     @cache
-    def coproduct(n, z):
-        (p, c), (q, d) = pairs[z]
-        return _full_coproduct(R, coaug, n, z, [
-            ((e1 + f1, tensor_name(c1, d1)), (e2 + f2, tensor_name(c2, d2)),
-             R.mul(_sign(R, f1 * e2), R.mul(v, w)))
-            for (e1, c1), (e2, c2), v in C.coproduct(p, c)
-            for (f1, d1), (f2, d2), w in D.coproduct(q, d)
-            if e1 + f1 > 0 and e2 + f2 > 0])
+    def rows(n, j):
+        p, c, d = factors(n, j)
+        out = [(n, j, unit, R.one), (0, unit, j, R.one)]
+        for e1, c1, c2, v in C.coproduct.rows(p, c):
+            for f1, d1, d2, w in D.coproduct.rows(n - p, d):
+                e2, f2 = p - e1, n - p - f1
+                if e1 + f1 > 0 and e2 + f2 > 0 and (u := R.mul(_sign(R, f1 * e2), R.mul(v, w))):
+                    out.append((e1 + f1, at(e1 + f1, e1, c1) + d1, at(e2 + f2, e2, c2) + d2, u))
+        return out
 
-    return ChainCoalgebra(Z, coaug, coproduct, name=f"{C.name}⊗{D.name}")
+    return ChainCoalgebra(Z, tensor_name(C.coaug, D.coaug), Coaction(rows, Z, Z, Z), name=f"{C.name}⊗{D.name}")
 
 
 def free_module_over(A: ChainAlgebra, X: ChainComplex, carrier: ChainComplex) -> ModuleStructure:
@@ -450,13 +424,10 @@ def cofree_comodule_over(C: ChainCoalgebra, Y: ChainComplex, carrier: ChainCompl
     """Left C-comodule structure on the pair-basis carrier C ⊗ Y, splitting
     the first factor by Δ: (Δ⊗1)(c⊗y), by offset arithmetic.  Dual of
     free_module_over."""
-    dim = Y.basis.dim
-    off = cache(lambda n: _tensor_offset(C.complex, Y, n))
+    at, factors = _pair_layout(C.complex, Y)
 
     def rows(n, j):
-        o = off(n)
-        p = bisect_right(o, j) - 1
-        c, y = divmod(j - o[p], dim(n - p))
-        return [(e, i, off(n - e)[p - e] + k * dim(n - p) + y, v) for e, i, k, v in C.coproduct.rows(p, c)]
+        p, c, y = factors(n, j)
+        return [(e, i, at(n - e, p - e, k) + y, v) for e, i, k, v in C.coproduct.rows(p, c)]
 
     return ComoduleStructure(C, carrier, "left", rows)

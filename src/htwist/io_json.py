@@ -151,7 +151,8 @@ def algebra_to_dict(A: ChainAlgebra, max_degree: int | None = None) -> dict:
 
 
 def algebra_from_dict(data: dict) -> ChainAlgebra:
-    from .hopf import ChainAlgebra, table_product
+    from .fixtures import table_product
+    from .hopf import ChainAlgebra
 
     X = complex_from_dict(data)
     unit, table = _degree_0_element(data, "unit", X), {}
@@ -169,7 +170,7 @@ def algebra_from_dict(data: dict) -> ChainAlgebra:
         if ((p, a), (q, b)) in table:
             raise InputError(f"mu entry {entry}: the product {a!r}·{b!r} is repeated")
         table[(p, a), (q, b)] = combo
-    return ChainAlgebra(X, unit, table_product(X.ring, table))
+    return ChainAlgebra(X, unit, table_product(X, table))
 
 
 def coalgebra_to_dict(C: ChainCoalgebra) -> dict:
@@ -192,7 +193,8 @@ def coalgebra_to_dict(C: ChainCoalgebra) -> dict:
 
 
 def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
-    from .hopf import ChainCoalgebra, table_coproduct
+    from .fixtures import table_coproduct
+    from .hopf import ChainCoalgebra
 
     X = complex_from_dict(data)
     coaug, table = _degree_0_element(data, "coaug", X), {}
@@ -208,7 +210,7 @@ def coalgebra_from_dict(data: dict) -> ChainCoalgebra:
         if (n, c) in table:
             raise InputError(f"delta entry {entry}: the coproduct of {c!r} is repeated")
         table[n, c] = terms
-    return ChainCoalgebra(X, coaug, table_coproduct(X.ring, coaug, table))
+    return ChainCoalgebra(X, coaug, table_coproduct(X, coaug, table))
 
 
 def cochain_values_from_dict(values: list, C: ChainCoalgebra, A: ChainAlgebra) -> list:

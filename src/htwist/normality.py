@@ -15,9 +15,7 @@ with a witness instead of papering over it (docs/DECISIONS.md, section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
-from ._structure_maps import Action, _rows_by_name
 from .barcobar import (
     bar,
     bar_map,
@@ -26,9 +24,9 @@ from .barcobar import (
     counit_map,
     is_algebra_map,
     is_coalgebra_map,
-    shuffle_product_bar,
     unit_map,
     NotCommutative,
+    _shuffle_product,
 )
 from .bundles import BorelKernel, BorelQuotient, borel_kernel, borel_quotient, twisted_bundle
 from .complexes import ChainComplex, ChainMap, is_quasi_iso_through, tensor_map, tensor_name
@@ -39,6 +37,7 @@ from .hopf import (
     ModuleStructure,
     _comodule_map_failures,
     _module_map_failures,
+    _pair_product,
     verify_algebra,
 )
 from .twisting import couniversal_cochain, universal_cochain
@@ -301,31 +300,22 @@ def rigid_normality_certificate(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra,
     return cert
 
 
-def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, N: int,
-                             BarA: ChainCoalgebra, q: BorelQuotient) -> ChainAlgebra:
-    """(w⊗a)·(w'⊗a') = (-1)^{|a||w'|} (w·w')⊗aa' on A'//A, with w·w' the
-    shuffle product on Bar(A); requires graded-commutative inputs."""
+def _quotient_algebra(q: BorelQuotient, A2: ChainAlgebra, name: str) -> ChainAlgebra:
+    """A'//A = Bar A ⊗ A' with (w⊗a)·(w'⊗a') = (-1)^{|a||w'|} (w·w')⊗aa',
+    w·w' the shuffle product on q's own Bar A (`hopf._pair_product`)."""
+    total, Bar = q.bundle.total, q.bundle.comonoid
+    return ChainAlgebra(total, tensor_name(Bar.coaug, A2.unit),
+                        _pair_product(_shuffle_product(Bar.complex), A2.product, total), name=name)
+
+
+def shuffle_quotient_algebra(A: ChainAlgebra, A2: ChainAlgebra, q: BorelQuotient) -> ChainAlgebra:
+    """The shuffle product of Bar(A) tensored with that of A' on A'//A;
+    requires graded-commutative inputs."""
     from .barcobar import is_graded_commutative
 
     if not (is_graded_commutative(A) and is_graded_commutative(A2)):
         raise NotCommutative("abelian route needs graded-commutative algebras")
-    S = shuffle_product_bar(A, N)
-    R = A.ring
-    total = q.bundle.total
-    pairs = total.basis.keys
-    unit = tensor_name(BarA.coaug, A2.unit)
-
-    def product(da, aname, db, bname):
-        (dw, w), (dx, x) = pairs[aname]
-        (dw2, w2), (dx2, x2) = pairs[bname]
-        sgn = R.of(-1) if (dx * dw2) % 2 else R.one
-        return R.lincomb((tensor_name(wname, xname), sgn * v * u)
-                         for wname, v in S.product(dw, w, dw2, w2).items()
-                         for xname, u in A2.product(dx, x, dx2, x2).items())
-
-    # each pair is asked again, by the algebra checks and by every table of Q
-    rows = cache(_rows_by_name(product, total, total))
-    return ChainAlgebra(total, unit, Action(rows, total, total), name=f"{A2.name}//{A.name}")
+    return _quotient_algebra(q, A2, f"{A2.name}//{A.name}")
 
 
 def natural_quotient_projection(q: BorelQuotient, q2: BorelQuotient,
@@ -350,7 +340,7 @@ def abelian_normality(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int):
     BarA = bar(A, N + 1)
     BarA2 = bar(A2, N + 1)
     q = borel_quotient(f, A, A2, N, BarA)
-    Q = shuffle_quotient_algebra(A, A2, N, BarA, q)
+    Q = shuffle_quotient_algebra(A, A2, q)
     q2 = borel_quotient(q.pi, A2, Q, N, BarA2)
     pi_tilde = natural_quotient_projection(q, q2, BarA)
     return rigid_normality_certificate(f, A, A2, Q, pi_tilde, N,
@@ -358,24 +348,10 @@ def abelian_normality(f: ChainMap, A: ChainAlgebra, A2: ChainAlgebra, N: int):
 
 
 def unit_algebra_structure_on_quotient(q: BorelQuotient, A2: ChainAlgebra) -> ChainAlgebra:
-    """For f = η: k -> A the quotient A//k = Bar(k)⊗A is A itself; transport
-    the multiplication along the pair names ([]⊗a)."""
-    total = q.bundle.total
-    pairs = total.basis.keys
-    unit = None
-    for name, ((dv, v), (da, a)) in pairs.items():
-        if dv == 0 and da == 0:
-            unit = name
-
-    def product(da_, aname, db_, bname):
-        (_, _), (dx, x) = pairs[aname]
-        (_, _), (dy, y) = pairs[bname]
-        out = {}
-        for r, v in A2.product(dx, x, dy, y).items():
-            out[tensor_name(q.bundle.comonoid.coaug, r)] = v
-        return out
-
-    return ChainAlgebra(total, unit, product, name=f"{A2.name}//k")
+    """For f = η: k -> A the quotient A//k = Bar(k)⊗A is A itself, []⊗a
+    for each a; its product ([]⊗a)·([]⊗a') = []⊗aa' is that of
+    `_quotient_algebra`, Bar(k) = k·[] holding only the unit."""
+    return _quotient_algebra(q, A2, f"{A2.name}//k")
 
 
 def chcx_unit_certificate(A: ChainAlgebra, N: int):

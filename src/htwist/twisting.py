@@ -7,9 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .barcobar import bar_word_name, cobar_word_name
+from .barcobar import _letters_of
 from .complexes import ChainComplex, ChainMap, _tensor_offsets, _tensor_terms, tensor_basis
-from .hopf import ChainAlgebra, ChainCoalgebra, ComoduleStructure, Key, ModuleStructure, _sign
+from .hopf import ChainAlgebra, ChainCoalgebra, ComoduleStructure, ModuleStructure, _sign
+from .sparse import SparseMatrix
 
 
 class NotATwistingCochain(Exception):
@@ -25,29 +26,38 @@ class CompositionMismatch(Exception):
 
 
 class TwistingCochain:
-    """Degree -1 map t: C -> A, stored per basis element of C."""
+    """Degree -1 map t: C -> A held by basis index: ``components[n]`` is the
+    matrix from C_n to A_{n-1}, and a degree with none is zero.  ``value``
+    and ``set_value`` read and write it by name."""
 
     def __init__(self, source: ChainCoalgebra, target: ChainAlgebra, name: str = ""):
         self.source = source
         self.target = target
         self.name = name
-        # (deg, name in C) -> {name in A of degree deg-1: coeff}
-        self.values: dict[Key, dict[str, object]] = {}
+        self.components: dict[int, SparseMatrix] = {}
 
     @property
     def ring(self):
         return self.source.ring
 
+    def mat(self, n: int) -> SparseMatrix:
+        if n in self.components:
+            return self.components[n]
+        return SparseMatrix(self.ring, self.target.complex.basis.dim(n - 1), self.source.complex.basis.dim(n))
+
     def set_value(self, dc: int, c: str, combo: dict[str, object]):
-        R = self.ring
-        clean = R.lincomb((k, R.of(v)) for k, v in combo.items())
-        if clean:
-            self.values[(dc, c)] = clean
-        else:
-            self.values.pop((dc, c), None)
+        """Replace t(c) by ``combo``, {name in A of degree dc - 1: coeff}."""
+        R, m = self.ring, self.components.setdefault(dc, self.mat(dc))
+        j, index = self.source.complex.basis.index(dc, c), self.target.complex.basis.index
+        for ij in [ij for ij in m.entries if ij[1] == j]:
+            m[ij] = R.zero
+        for a, v in R.lincomb((a, R.of(v)) for a, v in combo.items()).items():
+            m[index(dc - 1, a), j] = v
 
     def value(self, dc: int, c: str) -> dict[str, object]:
-        return self.values.get((dc, c), {})
+        """t(c) by name, {name in A of degree dc - 1: coeff}."""
+        names = self.target.basis(dc - 1)
+        return {names[r]: v for r, v in self.mat(dc).column(self.source.complex.basis.index(dc, c)).items()}
 
 
 def verify_twisting_cochain(t: TwistingCochain, through: int | None = None):
@@ -57,8 +67,6 @@ def verify_twisting_cochain(t: TwistingCochain, through: int | None = None):
     if through is not None:
         N = min(N, through)
     witnesses = []
-    if t.value(0, C.coaug):
-        witnesses.append({"element": (0, C.coaug), "reason": "nonzero on coaugmentation"})
     for n in range(1, N + 1):
         for c in C.basis(n):
             # d_A(t(c)) + t(d_C(c))
@@ -83,52 +91,45 @@ def verify_twisting_cochain(t: TwistingCochain, through: int | None = None):
 
 
 def universal_cochain(C: ChainCoalgebra, Omega: ChainAlgebra) -> TwistingCochain:
-    """t_Ω: C -> Cobar(C), c -> s-1(c)  (0 on the coaugmentation)."""
+    """t_Ω: C -> Cobar(C), c -> s-1(c)  (0 on the coaugmentation): the
+    letters (|c|, c) open each degree of Ω in order, so s-1(c) is row i of
+    Ω_{|c|-1} for the i-th letter."""
     t = TwistingCochain(C, Omega, name="t_Omega")
-    for n in range(2, C.truncation + 1):
-        for c in C.basis(n):
-            name = cobar_word_name(((n, c),))
-            if n - 1 <= Omega.truncation:
-                t.set_value(n, c, {name: 1})
+    R, index, dim = C.ring, C.complex.basis.index, Omega.complex.basis.dim
+    for d, run in _letters_of(Omega.complex.basis, Omega.truncation).items():
+        t.components[d + 1] = SparseMatrix(R, dim(d), C.complex.basis.dim(d + 1),
+                                           {(i, index(n, c)): R.one for i, (n, c) in enumerate(run)})
     return t
 
 
 def couniversal_cochain(Bar: ChainCoalgebra, A: ChainAlgebra) -> TwistingCochain:
-    """t_Bar: Bar(A) -> A: s(a) -> a on one-letter words, 0 on longer ones."""
+    """t_Bar: Bar(A) -> A: s(a) -> a on one-letter words, 0 on longer ones:
+    the letters (|a|, a) open each degree of Bar(A) in order, so s(a) is
+    column i of Bar_{|a|+1} for the i-th letter."""
     t = TwistingCochain(Bar, A, name="t_Bar")
-    for n in range(1, A.truncation + 1):
-        for a in A.basis(n):
-            name = bar_word_name(((n, a),))
-            if n + 1 <= Bar.truncation:
-                t.set_value(n + 1, name, {a: 1})
+    R, index, dim = A.ring, A.complex.basis.index, Bar.complex.basis.dim
+    for d, run in _letters_of(Bar.complex.basis, Bar.truncation).items():
+        t.components[d] = SparseMatrix(R, A.complex.basis.dim(d - 1), dim(d),
+                                       {(index(n, a), i): R.one for i, (n, a) in enumerate(run)})
     return t
 
 
 def compose_cochain(g: ChainMap | None, t: TwistingCochain, f: ChainMap | None,
                     source: ChainCoalgebra | None = None,
                     target: ChainAlgebra | None = None) -> TwistingCochain:
-    """f ∘ t ∘ g for a coalgebra map g: C' -> C and algebra map f: A -> A'."""
+    """f ∘ t ∘ g for a coalgebra map g: C' -> C and algebra map f: A -> A':
+    f_{n-1} @ t_n @ g_n in each degree n, a missing f or g the identity;
+    the result shares no matrix with t."""
     C2 = source if source is not None else t.source
     A2 = target if target is not None else t.target
     if g is not None and g.target.basis is not t.source.complex.basis:
         raise CompositionMismatch("g must land in the cochain source")
     if f is not None and f.source.basis is not t.target.complex.basis:
         raise CompositionMismatch("f must start at the cochain target")
-    R = t.ring
     out = TwistingCochain(C2, A2, name=f"({t.name} composed)")
     for n in range(1, C2.truncation + 1):
-        if g is not None:
-            gn, index, names = g.mat(n), g.source.basis.index, g.target.basis.names(n)
-        if f is not None:
-            fn, below, images = f.mat(n - 1), f.source.basis.index, f.target.basis.names(n - 1)
-        for c in C2.basis(n):
-            pre = ({names[r]: v for r, v in gn.column(index(n, c)).items()} if g is not None
-                   else {c: R.one})
-            mid = R.lincomb((a, v * w) for c1, v in pre.items() for a, w in t.value(n, c1).items())
-            if f is not None:
-                mid = R.lincomb((images[r], v * w) for a, v in mid.items()
-                                for r, w in fn.column(below(n - 1, a)).items())
-            out.set_value(n, c, mid)
+        m = t.mat(n).copy() if g is None else t.mat(n) @ g.mat(n)
+        out.components[n] = m if f is None else f.mat(n - 1) @ m
     return out
 
 
@@ -177,14 +178,13 @@ def twisted_tensor(P: ComoduleStructure, M: ModuleStructure, t: TwistingCochain,
     # twist[n, i] holds (|e'|, index of e', |a|, index of a, v·x) for each
     # term v c⊗e' or v e'⊗c of the coaction of comod_n[i] and each term x a
     # of t(c).
-    cnames, aindex = P.coalgebra.basis, M.algebra.complex.basis.index
-    twist = {}
+    tcols, twist = cache(lambda d: t.mat(d).columns()), {}
     for n in range(N + 1):
         for i in range(P.carrier.basis.dim(n)):
             for p, k1, k2, v in P.coact.rows(n, i):
                 (dc, c), (de, e2) = ((p, k1), (n - p, k2)) if P.side == "left" else ((n - p, k2), (p, k1))
                 twist.setdefault((n, i), []).extend(
-                    (de, e2, dc - 1, aindex(dc - 1, a), v * x) for a, x in t.value(dc, cnames(dc)[c]).items())
+                    (de, e2, dc - 1, a, v * x) for a, x in tcols(dc).get(c, {}).items())
     off, ny = _tensor_offsets(left_cx, right_cx, N), right_cx.basis.dim
     act = cache(M.act.rows)  # (row, coeff) of m·a (right) or a·m (left)
 

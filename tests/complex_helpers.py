@@ -1,9 +1,24 @@
 """Small complexes the tests build on: the ground ring as a complex and the
-direct sum of two complexes."""
+direct sum of two complexes; and (co)algebras whose structure a test gives
+by name."""
 
+from htwist._structure_maps import Action, Coaction, _corows_by_name, _rows_by_name
 from htwist.complexes import ChainComplex, GradedBasis, RingMismatch
+from htwist.hopf import ChainAlgebra, ChainCoalgebra
 from htwist.rings import Ring
 from htwist.sparse import SparseMatrix
+
+
+def algebra_by_name(X: ChainComplex, unit: str, product, name: str = "") -> ChainAlgebra:
+    """The algebra on X whose product is given by name, product(|a|, a, |b|,
+    b) -> {name: coeff}, read by index through X's basis."""
+    return ChainAlgebra(X, unit, Action(_rows_by_name(product, X, X), X, X), name)
+
+
+def coalgebra_by_name(X: ChainComplex, coaug: str, coproduct, name: str = "") -> ChainCoalgebra:
+    """The coalgebra on X whose full coproduct is given by name, coproduct(|c|,
+    c) -> [((|c1|, c1), (|c2|, c2), coeff)], read by index through X's basis."""
+    return ChainCoalgebra(X, coaug, Coaction(_corows_by_name(coproduct, X, X, X), X, X, X), name)
 
 
 def ground_complex(ring: Ring, truncation: int = 0) -> ChainComplex:

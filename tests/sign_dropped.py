@@ -7,6 +7,7 @@ drops it: the result is the product without the sign, which is not
 associative on Λx⊗Λy, where odd bar words meet odd algebra elements.
 """
 
+from complex_helpers import algebra_by_name
 from htwist.barcobar import bar
 from htwist.bundles import borel_quotient
 from htwist.complexes import ChainMap
@@ -18,9 +19,9 @@ from htwist.normality import (
 )
 
 
-def sign_dropped_quotient(A: ChainAlgebra, N: int, BarA, q) -> ChainAlgebra:
-    """shuffle_quotient_algebra(A, A, N, BarA, q) with the Koszul sign dropped."""
-    Q = shuffle_quotient_algebra(A, A, N, BarA, q)
+def sign_dropped_quotient(A: ChainAlgebra, q) -> ChainAlgebra:
+    """shuffle_quotient_algebra(A, A, q) with the Koszul sign dropped."""
+    Q = shuffle_quotient_algebra(A, A, q)
     R, pairs = A.ring, q.bundle.total.basis.keys
 
     def product(da, aname, db, bname):
@@ -29,7 +30,7 @@ def sign_dropped_quotient(A: ChainAlgebra, N: int, BarA, q) -> ChainAlgebra:
         prod = Q.product(da, aname, db, bname)
         return {k: R.neg(v) for k, v in prod.items()} if (dx * dw2) % 2 else prod
 
-    return ChainAlgebra(Q.complex, Q.unit, product, name=Q.name)
+    return algebra_by_name(Q.complex, Q.unit, product, name=Q.name)
 
 
 def sign_dropped_normality(A: ChainAlgebra, N: int):
@@ -39,7 +40,7 @@ def sign_dropped_normality(A: ChainAlgebra, N: int):
     BarA = bar(A, N + 1)
     BarA2 = bar(A, N + 1)
     q = borel_quotient(f, A, A, N, BarA)
-    Q = sign_dropped_quotient(A, N, BarA, q)
+    Q = sign_dropped_quotient(A, q)
     q2 = borel_quotient(q.pi, A, Q, N, BarA2)
     pi_tilde = natural_quotient_projection(q, q2, BarA)
     return rigid_normality_certificate(f, A, A, Q, pi_tilde, N,

@@ -13,10 +13,13 @@ The second half keeps the table builders the constructions ran before each
 (co)algebra became one structure function (docs/DECISIONS.md, section 11):
 the eager tensor-product loops, bar's deconcatenation loop and the
 Alexander-Whitney loop of normalized chains, with the lookup rules of the
-old tables.
+old tables; and the four pair (co)products as they were written by name
+before one product by index replaced them: the tensor algebra and
+coalgebra and the two quotient algebras of normality.
 """
 
-from htwist.complexes import ChainMap
+from complex_helpers import algebra_by_name, coalgebra_by_name
+from htwist.complexes import ChainMap, tensor_complex, tensor_name
 
 
 def _sign(ring, k: int):
@@ -294,8 +297,6 @@ def table_coproduct(C, table, dc, c):
 def tensor_algebra_table(A, B, N):
     """(a⊗b)·(a'⊗b') = (-1)^{|b||a'|} aa' ⊗ bb' on every quadruple of basis
     elements through N."""
-    from htwist.complexes import tensor_name
-
     R = A.ring
     table = {}
     for p1 in range(N + 1):
@@ -322,8 +323,6 @@ def tensor_algebra_table(A, B, N):
 def tensor_coalgebra_table(C, D, N):
     """Δ(c⊗d) = Σ ± (c1⊗d1) ⊗ (c2⊗d2), sign (-1)^{|d1||c2|}, on every basis
     pair through N."""
-    from htwist.complexes import tensor_name
-
     R = C.ring
     coaug = tensor_name(C.coaug, D.coaug)
     table = {}
@@ -397,6 +396,87 @@ def aw_coproduct_table(X, C):
 
 
 # ---------------------------------------------------------------------
+# The pair (co)products by name, read from the pair keys of the total basis.
+# ---------------------------------------------------------------------
+
+def tensor_algebra_by_name(A, B, through=None):
+    """(a⊗b)·(a'⊗b') = (-1)^{|b||a'|} aa' ⊗ bb'."""
+    R = A.ring
+    Z = tensor_complex(A.complex, B.complex, through)
+    pairs = Z.basis.keys
+
+    def product(dx, x, dy, y):
+        (p1, a), (q1, b) = pairs[x]
+        (p2, a2), (q2, b2) = pairs[y]
+        sgn = _sign(R, q1 * p2)
+        return R.lincomb((tensor_name(ra, rb), R.mul(sgn, R.mul(va, vb)))
+                         for ra, va in A.product(p1, a, p2, a2).items()
+                         for rb, vb in B.product(q1, b, q2, b2).items())
+
+    return algebra_by_name(Z, tensor_name(A.unit, B.unit), product, f"{A.name}⊗{B.name}")
+
+
+def tensor_coalgebra_by_name(C, D, through=None):
+    """Δ(c⊗d) = Σ ± (c1⊗d1) ⊗ (c2⊗d2), sign (-1)^{|d1||c2|}."""
+    R = C.ring
+    Z = tensor_complex(C.complex, D.complex, through)
+    pairs, coaug = Z.basis.keys, tensor_name(C.coaug, D.coaug)
+
+    def coproduct(n, z):
+        (p, c), (q, d) = pairs[z]
+        return full_coproduct(R, coaug, n, z, [
+            ((e1 + f1, tensor_name(c1, d1)), (e2 + f2, tensor_name(c2, d2)),
+             R.mul(_sign(R, f1 * e2), R.mul(v, w)))
+            for (e1, c1), (e2, c2), v in C.coproduct(p, c)
+            for (f1, d1), (f2, d2), w in D.coproduct(q, d)
+            if e1 + f1 > 0 and e2 + f2 > 0])
+
+    return coalgebra_by_name(Z, coaug, coproduct, f"{C.name}⊗{D.name}")
+
+
+def shuffle_quotient_by_name(A, A2, N, q):
+    """(w⊗a)·(w'⊗a') = (-1)^{|a||w'|} (w·w')⊗aa' on A'//A, with w·w' the
+    product of shuffle_product_bar(A, N), a bar of its own."""
+    from htwist.barcobar import shuffle_product_bar
+
+    S = shuffle_product_bar(A, N)
+    R = A.ring
+    total = q.bundle.total
+    pairs = total.basis.keys
+
+    def product(da, aname, db, bname):
+        (dw, w), (dx, x) = pairs[aname]
+        (dw2, w2), (dx2, x2) = pairs[bname]
+        sgn = R.of(-1) if (dx * dw2) % 2 else R.one
+        return R.lincomb((tensor_name(wname, xname), sgn * v * u)
+                         for wname, v in S.product(dw, w, dw2, w2).items()
+                         for xname, u in A2.product(dx, x, dx2, x2).items())
+
+    return algebra_by_name(total, tensor_name(q.bundle.comonoid.coaug, A2.unit), product, f"{A2.name}//{A.name}")
+
+
+def unit_quotient_by_name(q, A2):
+    """A//k = Bar(k)⊗A with ([]⊗a)·([]⊗a') = []⊗aa', the unit found by
+    scanning the pairs for degree 0."""
+    total = q.bundle.total
+    pairs = total.basis.keys
+    unit = None
+    for name, ((dv, v), (da, a)) in pairs.items():
+        if dv == 0 and da == 0:
+            unit = name
+
+    def product(da_, aname, db_, bname):
+        (_, _), (dx, x) = pairs[aname]
+        (_, _), (dy, y) = pairs[bname]
+        out = {}
+        for r, v in A2.product(dx, x, dy, y).items():
+            out[tensor_name(q.bundle.comonoid.coaug, r)] = v
+        return out
+
+    return algebra_by_name(total, unit, product, f"{A2.name}//k")
+
+
+# ---------------------------------------------------------------------
 # The (co)module structures as the builders gave them before they answered
 # by index (docs/DECISIONS.md, section 8): functions of names, through
 # ChainMap.apply and the name views of the (co)products, with the rules
@@ -438,8 +518,6 @@ def module_via_map(A, carrier_algebra, f):
 
 def free_module_over(A, carrier):
     """(x⊗a)·b = x⊗(ab) on the pair basis of carrier = X ⊗ A."""
-    from htwist.complexes import tensor_name
-
     pairs = carrier.basis.keys
 
     def fn(dm, m, da, a):
@@ -466,8 +544,6 @@ def comodule_via_map(carrier_coalgebra, g):
 
 def cofree_comodule_over(C, carrier):
     """(Δ⊗1)(c⊗y) on the pair basis of carrier = C ⊗ Y."""
-    from htwist.complexes import tensor_name
-
     pairs = carrier.basis.keys
 
     def coact(dm, m):

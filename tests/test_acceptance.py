@@ -325,10 +325,10 @@ def test_criterion_12_negative_controls():
     from htwist.hopf import tensor_algebra_product
     from htwist.fixtures import acyclic_algebra
 
-    from htwist.hopf import ChainAlgebra
+    from complex_helpers import algebra_by_name
 
     T = tensor_algebra_product(exterior(QQ, 6, "x"), acyclic_algebra(QQ, 6), through=6)
-    bad = ChainAlgebra(T.complex, T.unit, lambda da, a, db, b: {"x⊗z": 1} if (da, a, db, b) == (
+    bad = algebra_by_name(T.complex, T.unit, lambda da, a, db, b: {"x⊗z": 1} if (da, a, db, b) == (
         3, "1⊗z", 1, "x⊗1") else T.product(da, a, db, b), T.name)
     oka, wa = verify_algebra(bad)
     ok = ok and (not oka) and any(w["axiom"] == "Leibniz" for w in wa)

@@ -35,14 +35,13 @@ from htwist.barcobar import (
 )
 from htwist.chains import chains_of_simplicial_group
 from htwist.complexes import ChainMap, tensor_basis, tensor_complex, tensor_name
-from htwist.fixtures import algebra_corpus, coalgebra_corpus, sphere_coalgebra
+from htwist.fixtures import algebra_corpus, coalgebra_corpus, sphere_coalgebra, table_product
 from htwist.hopf import (
     ChainAlgebra,
     _action_table,
     _coaction_table,
     cofree_comodule_over,
     free_module_over,
-    table_product,
     tensor_coalgebra_product,
 )
 from htwist.rings import GF, QQ, ZZ
@@ -72,7 +71,7 @@ def pontryagin(R):
     """C_*(C3) with its shuffle product: degree 0 holds three vertices."""
     G = cyclic_constant_group(3, N)
     C, table, _, _ = chains_of_simplicial_group(G, R, N - 1)
-    return ChainAlgebra(C.complex, C.complex.basis.name_of(0, G.neutral(0)), table_product(R, table))
+    return ChainAlgebra(C.complex, C.complex.basis.name_of(0, G.neutral(0)), table_product(C.complex, table))
 
 
 def rescaled(X, n, k):

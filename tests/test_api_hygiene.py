@@ -16,6 +16,12 @@ A dataclass field that nothing reads is a record entry that every builder
 fills for no reader.  Each field of a `@dataclass` in `src/htwist` must be
 loaded as an attribute of that name (`x.field`) somewhere in src/, tests/
 or bench/.
+
+A structure map known by name is read by index through the basis, by
+`_rows_by_name` or `_corows_by_name`, only where names come in: the input
+loaders (`fixtures`, whose tables `io_json` reads through, and the
+Pontryagin table of `chains`).  Every construction builds its maps by
+index, and no other module of `src/htwist` calls either.
 """
 
 import ast
@@ -161,3 +167,26 @@ def test_scan_sees_an_unread_field():
               "def fill(k):\n    k.written = 1\n")
     assert _unread_fields(source, _loaded_attributes([source])) == [
         "Kept.written", "Kept.unread", "Frozen.dead"]
+
+
+BY_NAME = {"_rows_by_name", "_corows_by_name"}
+LOADERS = {"fixtures", "chains"}
+
+
+def _calls(source: str, names: set[str]) -> set[str]:
+    """The functions or methods among ``names`` that ``source`` calls."""
+    return {f for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+            and (f := getattr(n.func, "id", None) or getattr(n.func, "attr", None)) in names}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in LOADERS], ids=lambda p: p.stem)
+def test_only_loaders_read_structure_by_name(path):
+    assert _calls(path.read_text(), BY_NAME) == set()
+
+
+def test_scan_sees_a_read_by_name():
+    source = ("from ._structure_maps import _rows_by_name\n"
+              "def product(X, fn):\n    return Action(_rows_by_name(fn, X, X), X, X)\n"
+              "def coproduct(m, X, fn):\n    return m._corows_by_name(fn, X, X, X)\n"
+              "def kept(rows):\n    return rows\n")
+    assert _calls(source, BY_NAME) == BY_NAME

@@ -64,9 +64,11 @@ def test_bar_truncated_polynomial_multiplication_term():
 
 def test_bar_of_ground_is_ground():
     from htwist.complexes import ChainComplex, GradedBasis
-    from htwist.hopf import ChainAlgebra, table_product
+    from htwist.fixtures import table_product
+    from htwist.hopf import ChainAlgebra
 
-    k = ChainAlgebra(ChainComplex(QQ, GradedBasis(6, {0: ["1"]})), "1", table_product(QQ, {}), name="k")
+    X = ChainComplex(QQ, GradedBasis(6, {0: ["1"]}))
+    k = ChainAlgebra(X, "1", table_product(X, {}), name="k")
     B = bar(k, 6)
     assert B.complex.basis.total_dim() == 1
     assert B.basis(0) == [EMPTY_NAME]
@@ -96,9 +98,11 @@ def test_cobar_sphere3():
 
 def test_cobar_of_trivial_coalgebra():
     from htwist.complexes import ChainComplex, GradedBasis
-    from htwist.hopf import ChainCoalgebra, table_coproduct
+    from htwist.fixtures import table_coproduct
+    from htwist.hopf import ChainCoalgebra
 
-    k = ChainCoalgebra(ChainComplex(QQ, GradedBasis(6, {0: ["1"]})), "1", table_coproduct(QQ, "1", {}), name="k")
+    X = ChainComplex(QQ, GradedBasis(6, {0: ["1"]}))
+    k = ChainCoalgebra(X, "1", table_coproduct(X, "1", {}), name="k")
     O = cobar(k, 6)
     assert O.complex.basis.total_dim() == 1
 

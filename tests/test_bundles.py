@@ -43,6 +43,7 @@ from htwist.fixtures import (
     unit_algebra_map,
 )
 from htwist.chains import normalized_chains
+from htwist.hopf import ModuleStructure
 from htwist.rings import QQ, ZZ
 from htwist.simplicial import cyclic_constant_group, universal_bundle
 from htwist.twisting import (
@@ -341,9 +342,10 @@ def test_mixed_bundle_rejects_corrupted_structure():
     A = exterior(QQ, 6)
     z = classifying_bundle_zeta(A, 6)
     # [] ⊗ 1 acted on by x must be [] ⊗ x, not twice it
-    act = z.module.act_fn
-    z.module.act_fn = lambda dm, m, da, a: (
-        {"[]⊗x": 2} if (dm, m, da, a) == (0, "[]⊗1", 1, "x") else act(dm, m, da, a))
+    index, rows = z.total.basis.index, z.module.act.rows
+    pair = (0, index(0, "[]⊗1"), 1, A.complex.basis.index(1, "x"))
+    doubled = [(index(1, "[]⊗x"), QQ.of(2))]
+    z.module = ModuleStructure(A, z.total, "right", lambda *k: doubled if k == pair else rows(*k))
     # p(s(x)⊗1) = s(x); doubling it keeps p a chain map but not a comodule map
     z.projection.set_entry(2, "s(x)⊗1", "s(x)", 1)
     ok, problems = verify_mixed_bundle(z)

@@ -11,14 +11,15 @@ from htwist.fixtures import (
     truncated_polynomial,
 )
 from htwist.complexes import verify_differential
+from complex_helpers import algebra_by_name
 from htwist.hopf import (
-    ChainAlgebra,
+    _coaction_table,
     tensor_algebra_product,
     tensor_coalgebra_product,
     verify_algebra,
     verify_coalgebra,
 )
-from htwist.rings import QQ, ZZ
+from htwist.rings import GF, QQ, ZZ
 
 
 def test_exterior_passes():
@@ -40,7 +41,7 @@ def test_corrupted_koszul_sign_fails_leibniz():
     def product(da, a, db, b):
         return {"x⊗z": 1} if (da, a, db, b) == (3, "1⊗z", 1, "x⊗1") else T.product(da, a, db, b)
 
-    ok, w = verify_algebra(ChainAlgebra(T.complex, T.unit, product, T.name))
+    ok, w = verify_algebra(algebra_by_name(T.complex, T.unit, product, T.name))
     assert not ok
     assert any(x["axiom"] == "Leibniz" for x in w)
 
@@ -104,3 +105,12 @@ def test_acyclic_and_coacyclic_fixtures():
     assert ok
     ok, _ = verify_algebra(noncommutative_algebra(QQ, 6))
     assert ok
+
+
+def test_coaction_table_sums_a_term_listed_twice():
+    # λ(c2) listing 1⊗c2 twice: over F_2 the two sum to 0, which is no entry
+    for R, twice in ((GF(2), None), (QQ, 2)):
+        X = sphere_coalgebra(R, 4, 2).complex
+        table = _coaction_table(lambda n, j: [(0, 0, j, R.one), (0, 0, j, R.one)], X, X, 2)
+        assert table.is_zero() == (twice is None)
+        assert list(table.entries.values()) == ([] if twice is None else [twice])

@@ -163,7 +163,8 @@ def test_trivial_extension_exterior_pair():
 
 def test_rigid_conormality_hypotheses():
     # g: C' -> trivial coalgebra; the Borel kernel is C' itself (renamed)
-    from htwist.hopf import ChainCoalgebra, table_coproduct
+    from htwist.fixtures import table_coproduct
+    from htwist.hopf import ChainCoalgebra
 
     C2 = sphere_coalgebra(QQ, 7, 2)
     triv = trivial_coalgebra(QQ, 7)
@@ -174,7 +175,7 @@ def test_rigid_conormality_hypotheses():
     # transport C2's coalgebra structure to the kernel total (c' ⊗ [])
     total = kernel.bundle.total
     names = {c: f"{c}⊗[]" for n in range(6) for c in C2.basis(n)}
-    K = ChainCoalgebra(total, names["1"], table_coproduct(QQ, names["1"], {
+    K = ChainCoalgebra(total, names["1"], table_coproduct(total, names["1"], {
         (n, names[c]): [((d1, names[c1]), (d2, names[c2]), v)
                         for (d1, c1), (d2, c2), v in C2.reduced_coproduct(n, c)]
         for n in range(1, 6) for c in C2.basis(n)}), name="kernel")
@@ -192,7 +193,8 @@ def test_rigid_conormality_hypotheses():
 
 
 def test_rigid_conormality_bad_comultiplication():
-    from htwist.hopf import ChainCoalgebra, table_coproduct
+    from complex_helpers import coalgebra_by_name
+    from htwist.fixtures import table_coproduct
 
     C2 = sphere_coalgebra(QQ, 7, 2)
     triv = trivial_coalgebra(QQ, 7)
@@ -203,9 +205,9 @@ def test_rigid_conormality_bad_comultiplication():
     total = kernel.bundle.total
     # corrupt: make the generator non-counital by doubling the coproduct
     bad = [((2, "c2⊗[]"), (0, "1⊗[]"), QQ.of(2)), ((0, "1⊗[]"), (2, "c2⊗[]"), QQ.one)]
-    primitive = table_coproduct(QQ, "1⊗[]", {})
-    K = ChainCoalgebra(total, "1⊗[]", lambda n, c: bad if (n, c) == (2, "c2⊗[]") else primitive(n, c),
-                       name="bad")
+    primitive = table_coproduct(total, "1⊗[]", {})
+    K = coalgebra_by_name(total, "1⊗[]", lambda n, c: bad if (n, c) == (2, "c2⊗[]") else primitive(n, c),
+                          name="bad")
     OmegaC2 = cobar(C2, 5)
     with pytest.raises(HypothesisFailed):
         rigid_conormality_certificate(

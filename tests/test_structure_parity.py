@@ -16,12 +16,13 @@ import random
 import pytest
 
 import structure_oracle as reference
+from complex_helpers import algebra_by_name, coalgebra_by_name
 from htwist import barcobar, bundles, chains, hopf, normality
 from htwist.bundles import classifying_bundle_xi, classifying_bundle_zeta, verify_mixed_bundle
 from htwist.chains import verify_pontryagin_axioms
 from htwist.complexes import ChainMap
 from htwist.fixtures import algebra_corpus, coalgebra_corpus, exterior, exterior_pair, sphere_coalgebra
-from htwist.hopf import ChainAlgebra, ChainCoalgebra, verify_algebra, verify_coalgebra
+from htwist.hopf import ComoduleStructure, ModuleStructure, verify_algebra, verify_coalgebra
 from htwist.rings import GF, QQ, ZZ
 from htwist.simplicial import FiniteSimplicialGroup, classifying_space, cyclic_constant_group
 from sign_dropped import sign_dropped_quotient
@@ -57,7 +58,7 @@ def corrupt_algebra(A, rng):
     else:
         res = {}
     res = R.lincomb(res.items())
-    return ChainAlgebra(A.complex, A.unit, lambda *k: res if k == (p, a, q, b) else A.product(*k), A.name)
+    return algebra_by_name(A.complex, A.unit, lambda *k: res if k == (p, a, q, b) else A.product(*k), A.name)
 
 
 def corrupt_coalgebra(C, rng):
@@ -80,7 +81,7 @@ def corrupt_coalgebra(C, rng):
         terms[i] = (k1, k2, R.mul(R.of(2), v))
     else:
         terms.pop(rng.randrange(len(terms)))
-    return ChainCoalgebra(C.complex, C.coaug, lambda *k: terms if k == (n, c) else C.coproduct(*k), C.name)
+    return coalgebra_by_name(C.complex, C.coaug, lambda *k: terms if k == (n, c) else C.coproduct(*k), C.name)
 
 
 @pytest.mark.parametrize("R", RINGS, ids=IDS)
@@ -118,7 +119,7 @@ def test_shuffle_quotient_with_wrong_sign_matches_reference():
     A = exterior_pair(QQ, 6)
     BarA = barcobar.bar(A, 6)
     q = bundles.borel_quotient(ChainMap.identity(A.complex), A, A, 5, BarA)
-    Q = sign_dropped_quotient(A, 5, BarA, q)
+    Q = sign_dropped_quotient(A, q)
     ok, witnesses = verify_algebra(Q)
     assert not ok
     assert (ok, witnesses) == reference.verify_algebra(Q)
@@ -173,23 +174,27 @@ def _bundles(R):
 
 def corrupt_bundle(b, rng):
     """m·a gains a term of its degree, and λ(n) loses its last term, for
-    random basis elements m, n of the total and a of the monoid."""
-    R = b.ring
+    random basis elements m, n of the total and a of the monoid: both
+    structures are built again from their rows, wrapped."""
+    R, index = b.ring, b.total.basis.index
     names = _positive_basis(b.total, 0, N - 1)
     (dm, m), (dn, n) = rng.choice(names), rng.choice(names)
     da = rng.randrange(1, N - dm + 1)
     a = rng.choice(b.monoid.basis(da) or [None])
     extra = rng.choice(b.total.basis.names(dm + da) or [None])
-    act, coact = b.module.act_fn, b.comodule.coact
+    act, coact = b.module.act.rows, b.comodule.coact.rows
+    pair = None if a is None else (dm, index(dm, m), da, b.monoid.complex.basis.index(da, a))
 
-    def act_fn(d, x, db, y):
-        out = act(d, x, db, y)
-        if (d, x, db, y) == (dm, m, da, a) and extra is not None:
-            out = R.lincomb([*out.items(), (extra, R.one)])
+    def rows(*k):
+        out = act(*k)
+        if k == pair and extra is not None:
+            out = list(R.lincomb([*out, (index(dm + da, extra), R.one)]).items())
         return out
 
-    b.module.act_fn = act_fn
-    b.comodule.coact = lambda d, x: coact(d, x)[:-1] if (d, x) == (dn, n) else coact(d, x)
+    b.module = ModuleStructure(b.monoid, b.total, "right", rows)
+    j = index(dn, n)
+    b.comodule = ComoduleStructure(b.comonoid, b.total, "left",
+                                   lambda d, i: coact(d, i)[:-1] if (d, i) == (dn, j) else coact(d, i))
 
 
 @pytest.mark.parametrize("R", RINGS, ids=IDS)

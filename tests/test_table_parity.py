@@ -9,6 +9,10 @@ each corpus algebra at N=7; normalized chains of ∂Δ[2], the minimal circle,
 W̄C3 and the C2 universal bundle; a reduced Pontryagin algebra; JSON round
 trips.  Also: building normalized chains, their homology and the
 acyclicity certificate never compute the Alexander-Whitney diagonal.
+
+The pair (co)products by index, the tensor algebra and coalgebra and the
+quotient algebras of the normality and chcx-unit routes, are compared with
+the formulas they replaced, by name (`structure_oracle`), the same way.
 """
 
 import pytest
@@ -16,8 +20,9 @@ import pytest
 import structure_oracle as reference
 from htwist import chains, io_json
 from htwist.barcobar import bar
+from htwist.bundles import borel_quotient
 from htwist.chains import acyclicity_of_universal_bundle, chains_of_simplicial_group, normalized_chains
-from htwist.complexes import ChainComplex, GradedBasis, homology
+from htwist.complexes import ChainComplex, ChainMap, GradedBasis, homology
 from htwist.fixtures import (
     acyclic_algebra,
     algebra_corpus,
@@ -28,9 +33,12 @@ from htwist.fixtures import (
     exterior_pair,
     noncommutative_algebra,
     sphere_coalgebra,
+    table_product,
     truncated_polynomial,
+    unit_algebra_map,
 )
-from htwist.hopf import ChainAlgebra, table_product, tensor_algebra_product, tensor_coalgebra_product, verify_algebra
+from htwist.hopf import ChainAlgebra, tensor_algebra_product, tensor_coalgebra_product, verify_algebra
+from htwist.normality import shuffle_quotient_algebra, unit_algebra_structure_on_quotient
 from htwist.rings import GF, QQ, ZZ
 from htwist.simplicial import (
     boundary_delta2,
@@ -56,6 +64,19 @@ def assert_product_matches(A, table):
                 for b in X.basis.names(q):
                     got = A.product(p, a, q, b)
                     want = reference.table_product(A, table, p, a, q, b)
+                    assert list(got.items()) == list(want.items()), (A.name, (p, a), (q, b))
+
+
+def assert_same_product(A, B):
+    """A.product and B.product agree on every basis pair through the
+    truncation, term order included."""
+    X, top = A.complex, A.truncation
+    assert (A.unit, A.name) == (B.unit, B.name)
+    for p in range(top + 1):
+        for a in X.basis.names(p):
+            for q in range(top + 1 - p):
+                for b in X.basis.names(q):
+                    got, want = A.product(p, a, q, b), B.product(p, a, q, b)
                     assert list(got.items()) == list(want.items()), (A.name, (p, a), (q, b))
 
 
@@ -111,6 +132,34 @@ def test_bar_deconcatenation_matches_table(R):
     for A in algebra_corpus(R, N):
         B = bar(A, 7)
         assert_coproduct_matches(B, reference.bar_coproduct_table(B))
+
+
+@pytest.mark.parametrize("R", RINGS, ids=IDS)
+def test_tensor_products_match_name_formulas(R):
+    nc, tp, dual = noncommutative_algebra(R, 6), truncated_polynomial(R, N), dual_truncated_polynomial(R, N)
+    for A, B, top in ((nc, tp, 6), (tp, nc, 6), (exterior_pair(R, N), tp, N), (exterior(R, N), acyclic_algebra(R, N), N)):
+        assert_same_product(tensor_algebra_product(A, B, top), reference.tensor_algebra_by_name(A, B, top))
+    for C, D in ((dual, dual), (sphere_coalgebra(R, N, 3), dual), (coalgebra_corpus(R, N)[3], dual)):
+        new, old = tensor_coalgebra_product(C, D, N), reference.tensor_coalgebra_by_name(C, D, N)
+        assert new.coaug == old.coaug
+        assert all(new.coproduct(n, c) == old.coproduct(n, c) for n in range(N + 1) for c in new.basis(n))
+
+
+def test_shuffle_quotient_matches_name_formula():
+    """The product of the normality route: Λx⊗Λy at N=6 over Q."""
+    A = exterior_pair(QQ, 7)
+    BarA = bar(A, 7)
+    q = borel_quotient(ChainMap.identity(A.complex), A, A, 6, BarA)
+    assert_same_product(shuffle_quotient_algebra(A, A, q), reference.shuffle_quotient_by_name(A, A, 6, q))
+
+
+@pytest.mark.parametrize("R", RINGS, ids=IDS)
+def test_unit_quotient_matches_name_formula(R):
+    """The product of the chcx-unit route, A//k for the unit η: k -> A."""
+    for A in (exterior(R, 7), exterior_pair(R, 7), truncated_polynomial(R, 7)):
+        eta, k = unit_algebra_map(A)
+        q = borel_quotient(eta, k, A, 6, bar(k, 7))
+        assert_same_product(unit_algebra_structure_on_quotient(q, A), reference.unit_quotient_by_name(q, A))
 
 
 def _simplicial_sets(top):
@@ -182,12 +231,12 @@ def test_augmentation_chain_reads_the_unit_row(R):
     X.set_d_entry(1, "f", "1", 2)
     X.set_d_entry(1, "f", "u", 1)
     X.set_d_entry(1, "g", "u", 1)
-    ok, witnesses = verify_algebra(ChainAlgebra(X, "1", table_product(R, {})))
+    ok, witnesses = verify_algebra(ChainAlgebra(X, "1", table_product(X, {})))
     assert not ok
-    assert (ok, witnesses) == reference.verify_algebra(ChainAlgebra(X, "1", table_product(R, {})))
+    assert (ok, witnesses) == reference.verify_algebra(ChainAlgebra(X, "1", table_product(X, {})))
     assert [w for w in witnesses if w["axiom"] == "augmentation-chain"] == [
         {"axiom": "augmentation-chain", "element": "f"}]
     # a unit outside degree 0 is no row of d_1: no augmentation witness
-    ok, witnesses = verify_algebra(ChainAlgebra(X, "e", table_product(R, {})))
-    assert (ok, witnesses) == reference.verify_algebra(ChainAlgebra(X, "e", table_product(R, {})))
+    ok, witnesses = verify_algebra(ChainAlgebra(X, "e", table_product(X, {})))
+    assert (ok, witnesses) == reference.verify_algebra(ChainAlgebra(X, "e", table_product(X, {})))
     assert all(w["axiom"] != "augmentation-chain" for w in witnesses)
